@@ -188,7 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "scenario":
             config = _scenario_config(args)
             result = run_scenario(config)
-            print(f"scenario: {len(result.reports)} points -> {config.out}")
+            print(f"scenario: {result.gt.size} points -> {config.out}")
         elif args.command == "compare-approx":
             config = _scenario_config(args)
             result = compare_exact_vs_approx(config)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -34,6 +34,7 @@ from .tensor import PureState, SystemShape
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
 NORM_DRIFT_TOL = 1e-10
+CHUNK_BUDGET = 1 << 20  # bytes of amplitudes per evolve_series chunk
 
 ATOMIC_LABELS = ("ee", "eg", "ge", "gg")
 _SQRT2 = math.sqrt(2.0)
@@ -233,9 +234,10 @@ def build_block(k: int, params: ModelParams) -> BlockPropagator:
     )
 
 
-def _top_band_population(amps: np.ndarray, field_dim: int, band: int = GUARD_BAND) -> float:
-    tens = amps.reshape(4, field_dim)
-    return float(np.sum(np.abs(tens[:, max(0, field_dim - band):]) ** 2))
+def _top_band_population(amps: np.ndarray, field_dim: int, band: int = GUARD_BAND) -> np.ndarray:
+    """Population within ``band`` photon indices of the cutoff, per row of an (N, 4*D) stack."""
+    tens = amps.reshape(-1, 4, field_dim)
+    return np.sum(np.abs(tens[..., max(0, field_dim - band):]) ** 2, axis=(1, 2))
 
 
 class TcmPropagator:
@@ -269,8 +271,8 @@ class TcmPropagator:
                 f"state dims {state.shape.dims} do not match params (2, 2, {self.params.field_dim})"
             )
         amps = state.amplitudes
-        top = _top_band_population(amps, self.params.field_dim)
-        if top > GUARD_TOL:
+        top = _top_band_population(amps, self.params.field_dim)[0]
+        if not top <= GUARD_TOL:
             raise TruncationError(
                 f"population {top:.3e} within {GUARD_BAND} photon indices of the cutoff "
                 f"n_max={self.params.n_max} exceeds {GUARD_TOL:g}; raise n_max or tighten tail_tol"
@@ -280,40 +282,50 @@ class TcmPropagator:
     def evolve(self, state: PureState, t: float) -> PureState:
         """Propagate ``state`` by time ``t`` (exact per-block evolution)."""
         for _, out in self.evolve_series(state, [t]):
-            return PureState(state.shape, out)
+            return PureState(state.shape, out[0])
         raise AssertionError("unreachable")
 
     def evolve_series(
-        self, state: PureState, times: Iterable[float]
-    ) -> Iterator[tuple[float, np.ndarray]]:
-        """Yield (t, amplitude vector) for each requested time.
+        self, state: PureState, times: Sequence[float]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (t_chunk, amplitudes) over the requested times, in order.
 
-        The state is projected onto the block eigenbases once; each time
-        step then only applies phases.  Norm conservation and the photon
+        ``amplitudes`` has one row of length 4*D per entry of ``t_chunk``;
+        a chunk holds at most ``CHUNK_BUDGET`` bytes of amplitudes (and at
+        least one time), so memory stays bounded however long the grid is.
+        The state is projected onto the block eigenbases once; each chunk
+        then only applies phases.  Norm conservation and the photon
         truncation guard are checked at every emitted time.
         """
         amps = self._check_state(state)
         d = self.params.field_dim
+        times = np.asarray(times, dtype=float).ravel()
+        step = max(1, CHUNK_BUDGET // amps.nbytes)
         projected = {
             dim: np.einsum("kji,kj->ki", vecs.conj(), amps[idx])
             for dim, (idx, evals, vecs) in self._groups.items()
         }
-        for t in times:
-            out = np.empty_like(amps)
+        for start in range(0, times.size, step):
+            t = times[start:start + step]
+            out = np.empty((t.size, amps.size), dtype=amps.dtype)
             for dim, (idx, evals, vecs) in self._groups.items():
-                phased = projected[dim] * np.exp(-1j * evals * t)
-                block_amps = np.einsum("kij,kj->ki", vecs, phased)
-                out[idx.ravel()] = block_amps.ravel()
-            norm = np.linalg.norm(out)
-            if abs(norm - 1.0) > NORM_DRIFT_TOL:
-                raise RuntimeError(f"norm drifted to {norm!r} during evolution")
-            top = _top_band_population(out, d)
-            if top > GUARD_TOL:
-                raise TruncationError(
-                    f"population {top:.3e} within {GUARD_BAND} photon indices of the cutoff "
-                    f"at t={t:g}; raise n_max or tighten tail_tol"
+                phased = projected[dim] * np.exp(-1j * evals * t[:, None, None])
+                block_amps = np.einsum("kij,tkj->tki", vecs, phased)
+                out[:, idx.ravel()] = block_amps.reshape(t.size, -1)
+            drift = np.abs(np.linalg.norm(out, axis=1) - 1.0)
+            bad = ~(drift <= NORM_DRIFT_TOL)
+            if bad.any():
+                raise RuntimeError(
+                    f"norm drifted by {drift[bad][0]!r} at t={t[bad][0]:g} during evolution"
                 )
-            yield float(t), out
+            top = _top_band_population(out, d)
+            bad = ~(top <= GUARD_TOL)
+            if bad.any():
+                raise TruncationError(
+                    f"population {top[bad][0]:.3e} within {GUARD_BAND} photon indices of the "
+                    f"cutoff at t={t[bad][0]:g}; raise n_max or tighten tail_tol"
+                )
+            yield t, out
 
 
 @functools.lru_cache(maxsize=16)
@@ -349,9 +361,16 @@ def excitation_distribution(state: PureState) -> np.ndarray:
     dims = state.shape.dims
     if dims[:2] != (2, 2):
         raise ValueError("expected a (2, 2, field) state")
-    kmap = excitation_map(dims[2])
-    weights = np.abs(state.amplitudes) ** 2
-    return np.bincount(kmap, weights=weights, minlength=dims[2] + 2)
+    return excitation_rows(state.amplitudes[None], dims[2])[0]
+
+
+def excitation_rows(amps: np.ndarray, field_dim: int) -> np.ndarray:
+    """``excitation_distribution`` of each row of an (N, 4*D) amplitude stack."""
+    n_k = field_dim + 2
+    index = np.arange(amps.shape[0])[:, None] * n_k + excitation_map(field_dim)
+    weights = np.abs(amps) ** 2
+    counts = np.bincount(index.ravel(), weights=weights.ravel(), minlength=amps.shape[0] * n_k)
+    return counts.reshape(-1, n_k)
 
 
 def energy_expectation(state: PureState, params: ModelParams) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,27 +29,18 @@ from .dynamics import (
     atomic_state,
     coherent_state,
     excitation_distribution,
+    excitation_rows,
     fock_state,
     initial_state,
 )
 from .markoff import approx_tau_F_AA, jx_coefficients
-from .tangles import RoofOptions, TangleReport, tangle_report
+from .tangles import SCENARIO_COLUMNS, _tcm_columns, check_tangle_columns
 from .tensor import PureState
 
 CONSERVATION_TOL = 1e-10
 FOCK_PAD = 5
 COHERENT_PAD = 2
 CSV_DUST_FLOOR = -1e-9
-
-SCENARIO_COLUMNS = (
-    "tau_F_AA",
-    "tau_A_rest",
-    "tau_AA",
-    "tau_AF",
-    "tau_res",
-    "inversion",
-    "field_eff_dim",
-)
 
 
 class ConfigError(ValueError):
@@ -61,9 +52,6 @@ class ScenarioConfig:
     """One scenario: initial state, grid, output path and tolerances.
 
     ``t_max`` is in units of 1/g, i.e. the grid covers gt in [0, t_max].
-    ``roof`` is reserved for measures that need ensemble searches; the
-    shipped scenario tangles all have closed forms, so it is accepted for
-    forward compatibility and otherwise unused.
     """
 
     atomic: Union[str, tuple]
@@ -78,9 +66,12 @@ class ScenarioConfig:
     approx_compare: bool = False
     tail_tol: float = 1e-10
     rank_tol: float = 1e-10
-    roof: RoofOptions = RoofOptions()
 
     def __post_init__(self):
+        for name in ("t_max", "g", "omega", "mean_n"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.steps < 2:
             raise ConfigError("steps must be >= 2")
         if not self.t_max > 0:
@@ -147,49 +138,52 @@ def _build_initial(config: ScenarioConfig) -> tuple[PureState, ModelParams]:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Evolved time series plus the measured conservation drifts."""
+    """Evolved time series as one array per ``SCENARIO_COLUMNS`` entry,
+    plus the measured conservation drifts."""
 
     config: ScenarioConfig
     gt: np.ndarray
-    reports: tuple[TangleReport, ...]
+    columns: Mapping[str, np.ndarray]
     max_norm_drift: float
     max_excitation_drift: float
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.reports])
+        return self.columns[name]
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Evolve the configured state and report all tangles per time point.
+    """Evolve the configured state and compute every column at each grid point.
 
-    Norm and the distribution over excitation number are checked against
-    their initial values at every point (tolerance 1e-10).  Writes CSV to
-    ``config.out`` when set.
+    The grid is evolved and measured in bounded chunks (see
+    ``TcmPropagator.evolve_series``).  Norm and the distribution over
+    excitation number are checked against their initial values at every
+    point (tolerance 1e-10), and every column is range-checked.  Writes
+    CSV to ``config.out`` when set.
     """
     state, params = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator(params)
     k_ref = excitation_distribution(state)
 
-    reports = []
+    chunks = []
     max_norm = 0.0
     max_exc = 0.0
-    for t, amps in prop.evolve_series(state, gts / config.g):
-        max_norm = max(max_norm, abs(float(np.linalg.norm(amps)) - 1.0))
-        point = PureState(params.shape, amps)
-        k_now = excitation_distribution(point)
-        max_exc = max(max_exc, float(np.max(np.abs(k_now - k_ref))))
-        reports.append(tangle_report(point, t=config.g * t, rank_tol=config.rank_tol))
-    if max_norm > CONSERVATION_TOL or max_exc > CONSERVATION_TOL:
-        raise RuntimeError(
-            f"conservation violated: norm drift {max_norm:.3e}, "
-            f"excitation drift {max_exc:.3e}"
-        )
+    for _, amps in prop.evolve_series(state, gts / config.g):
+        norm = float(np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)))
+        exc = float(np.max(np.abs(excitation_rows(amps, params.field_dim) - k_ref)))
+        if not (norm <= CONSERVATION_TOL and exc <= CONSERVATION_TOL):
+            raise RuntimeError(
+                f"conservation violated: norm drift {norm:.3e}, excitation drift {exc:.3e}"
+            )
+        max_norm, max_exc = max(max_norm, norm), max(max_exc, exc)
+        chunks.append(_tcm_columns(amps, config.rank_tol))
+    columns = {name: np.concatenate([c[name] for c in chunks]) for name in SCENARIO_COLUMNS}
+    check_tangle_columns(columns)
 
     result = ScenarioResult(
         config=config,
         gt=gts,
-        reports=tuple(reports),
+        columns=columns,
         max_norm_drift=max_norm,
         max_excitation_drift=max_exc,
     )
@@ -231,7 +225,7 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     mask = (scenario.gt >= window[0]) & (scenario.gt <= window[1])
     if not mask.any():
         raise ConfigError(
-            f"grid [0, {config.t_max}] misses the validity window {window}"
+            f"grid [0, {config.t_max}] misses the comparison window {window}"
         )
     sup = float(np.max(np.abs(exact - approx)[mask]))
     result = CompareResult(
@@ -278,8 +272,6 @@ def scaling_study(
     if not g > 0:
         raise ConfigError("g must be positive")
 
-    from .tangles import _wootters_batch  # batch kernel shared with sweeps
-
     peaks = []
     for n in ns:
         params = ModelParams(g=g, n_max=n + FOCK_PAD)
@@ -287,10 +279,8 @@ def scaling_study(
         period = 2.0 * math.pi / (g * math.sqrt(4.0 * n - 2.0))
         times = np.linspace(0.0, period, steps)
         prop = TcmPropagator(params)
-        stack = np.stack([amps for _, amps in prop.evolve_series(state, times)])
-        mats = stack.reshape(len(times), 4, params.field_dim)
-        rho_aa = np.einsum("tak,tbk->tab", mats, mats.conj())
-        peaks.append(float(np.max(_wootters_batch(rho_aa))))
+        chunks = prop.evolve_series(state, times)
+        peaks.append(max(float(np.max(_tcm_columns(amps)["tau_AA"])) for _, amps in chunks))
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
 
@@ -344,7 +334,7 @@ def _fmt(value) -> str:
 def _config_echo(config: ScenarioConfig) -> list[str]:
     lines = ["# tcm-tangles"]
     for field in dataclasses.fields(config):
-        if field.name in ("out", "roof"):
+        if field.name == "out":
             continue
         lines.append(f"# {field.name} = {getattr(config, field.name)}")
     return lines
@@ -360,10 +350,7 @@ def _write_rows(path: str, lines: list[str], header: str, rows) -> None:
 
 
 def _write_scenario_csv(result: ScenarioResult) -> None:
-    rows = (
-        [r.t, r.tau_F_AA, r.tau_A_rest, r.tau_AA, r.tau_AF, r.tau_res, r.inversion, r.field_eff_dim]
-        for r in result.reports
-    )
+    rows = zip(result.gt, *(result.columns[name] for name in SCENARIO_COLUMNS))
     _write_rows(
         result.config.out,
         _config_echo(result.config),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -392,10 +392,30 @@ def convex_roof_itangle(rho: DensityMatrix, options: RoofOptions = RoofOptions()
 
 
 # ---------------------------------------------------------------------------
-# reports and the residual tangle
+# the (2, 2, D) kernel, its records and the residual tangle
 # ---------------------------------------------------------------------------
 
 TANGLE_FLOOR = -1e-9
+
+SCENARIO_COLUMNS = (
+    "tau_F_AA",
+    "tau_A_rest",
+    "tau_AA",
+    "tau_AF",
+    "tau_res",
+    "inversion",
+    "field_eff_dim",
+)
+
+# (floor, ceiling) per column; field_eff_dim is a count and needs none
+_COLUMN_RANGES = {
+    "tau_F_AA": (TANGLE_FLOOR, np.inf),
+    "tau_A_rest": (TANGLE_FLOOR, 1.0 + 1e-9),
+    "tau_AA": (TANGLE_FLOOR, 1.0 + 1e-9),
+    "tau_AF": (TANGLE_FLOOR, np.inf),
+    "tau_res": (TANGLE_FLOOR, np.inf),
+    "inversion": (-1.0 - 1e-9, 1.0 + 1e-9),
+}
 
 
 @dataclass(frozen=True)
@@ -405,7 +425,7 @@ class TangleReport:
     ``tau_F_AA``: field versus both atoms; ``tau_A_rest``: atom 1 versus
     everything else; ``tau_AA``: atom-atom Wootters tangle; ``tau_AF``:
     atom 1 versus field (mixed-state tangle); ``tau_res``: residual
-    three-party tangle (None when not requested); ``field_eff_dim``:
+    three-party tangle; ``inversion``: P(ee) - P(gg); ``field_eff_dim``:
     effective dimension of the field marginal, logged because the
     residual's rescaling depends on it.
     """
@@ -415,104 +435,97 @@ class TangleReport:
     tau_A_rest: float
     tau_AA: float
     tau_AF: float
-    tau_res: Optional[float]
+    tau_res: float
     inversion: float
     field_eff_dim: int
 
-    def __post_init__(self):
-        named = {
-            "tau_F_AA": self.tau_F_AA,
-            "tau_A_rest": self.tau_A_rest,
-            "tau_AA": self.tau_AA,
-            "tau_AF": self.tau_AF,
-        }
-        if self.tau_res is not None:
-            named["tau_res"] = self.tau_res
-        for name, value in named.items():
-            if value < TANGLE_FLOOR:
-                raise ValueError(f"{name} = {value!r} below the numerical floor")
-        for name in ("tau_AA", "tau_A_rest"):
-            if named[name] > 1.0 + 1e-9:
-                raise ValueError(f"{name} = {named[name]!r} above 1")
-        if abs(self.inversion) > 1.0 + 1e-9:
-            raise ValueError(f"inversion = {self.inversion!r} outside [-1, 1]")
 
+def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, np.ndarray]:
+    """Every ``SCENARIO_COLUMNS`` entry of an (N, 4*D) stack of (2, 2, D) states.
 
-def _tcm_tangles(state: PureState, t: float, rank_tol: float, with_residual: bool) -> TangleReport:
-    dims = state.shape.dims
-    if len(dims) != 3 or dims[0] != 2 or dims[1] != 2:
-        raise ValueError("expected a (2, 2, field) pure state")
-    dfield = dims[2]
-    tens = state.tensor()
-    rho_aa = tens.reshape(4, dfield) @ tens.reshape(4, dfield).conj().T
-    rho_a1 = np.einsum("ijk,ljk->il", tens, tens.conj())
-    rho_a2 = np.einsum("ijk,imk->jm", tens, tens.conj())
-
-    aa_evals = np.linalg.eigvalsh(rho_aa)
-    a1_evals = np.linalg.eigvalsh(rho_a1)
-    a2_evals = np.linalg.eigvalsh(rho_a2)
-    purity_aa = float(np.sum(aa_evals**2))
-    purity_a1 = float(np.sum(a1_evals**2))
-    purity_a2 = float(np.sum(a2_evals**2))
-    # both sides of a pure-state cut carry the same nonzero spectrum, so
-    # the field marginal never has to be materialized
-    d_field = int(np.count_nonzero(aa_evals > rank_tol))
-    d_a1 = int(np.count_nonzero(a1_evals > rank_tol))
-    d_a2 = int(np.count_nonzero(a2_evals > rank_tol))
-
-    tau_f_aa = 2.0 * (1.0 - purity_aa)
-    tau_a_rest = 2.0 * (1.0 - purity_a1)
-    tau_aa = float(_wootters_batch(rho_aa[None])[0])
-    tau_a1f = float(_rank2_tangle_core(tens.transpose(1, 0, 2)[None], rank_tol)[0])
-
-    p_ee = float(np.sum(np.abs(tens[0, 0]) ** 2))
-    p_gg = float(np.sum(np.abs(tens[1, 1]) ** 2))
-
-    tau_res = None
-    if with_residual:
-        tau_a2_rest = 2.0 * (1.0 - purity_a2)
-        tau_a2f = float(_rank2_tangle_core(tens[None], rank_tol)[0])
-        one_vs_rest = (
-            d_a1 / 2.0 * tau_a_rest
-            + d_a2 / 2.0 * tau_a2_rest
-            + d_field / 2.0 * tau_f_aa
-        )
-        pairwise = (
-            min(d_a1, d_a2) / 2.0 * tau_aa
-            + min(d_a1, d_field) / 2.0 * tau_a1f
-            + min(d_a2, d_field) / 2.0 * tau_a2f
-        )
-        tau_res = (one_vs_rest - 2.0 * pairwise) / 3.0
-
-    return TangleReport(
-        t=t,
-        tau_F_AA=tau_f_aa,
-        tau_A_rest=tau_a_rest,
-        tau_AA=tau_aa,
-        tau_AF=tau_a1f,
-        tau_res=tau_res,
-        inversion=p_ee - p_gg,
-        field_eff_dim=d_field,
-    )
-
-
-def bipartite_tangles_all(
-    state: PureState, t: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL
-) -> TangleReport:
-    """All four bipartite tangles of a two-atom/field pure state.
-
-    The atom-field pair state has rank <= 2 (its complement is a qubit),
-    so ``tau_AF`` comes from the rank-2 closed form.  ``tau_res`` is left
-    unset; use ``tangle_report`` to include it.
+    rho_AA is the same M @ M^H product that ``partial_trace`` forms.  Both
+    sides of a pure-state cut carry the same nonzero spectrum, so the
+    field's purity and effective dimension come from the 4x4 rho_AA and
+    the D x D field marginal is never built.  Every pairwise term has a
+    qubit on one side: atom-atom is the Wootters form, and atom-field is
+    the rank-2 closed form with the spare atom as purifier.
     """
-    return _tcm_tangles(state, t, rank_tol, with_residual=False)
+    n = amps.shape[0]
+    t = amps.reshape(n, 2, 2, -1)
+    tc = t.conj()
+    m = t.reshape(n, 4, -1)
+    rho_aa = m @ m.conj().swapaxes(-1, -2)
+    rho_a1 = np.einsum("nijk,nljk->nil", t, tc)
+    rho_a2 = np.einsum("nijk,nimk->njm", t, tc)
+
+    evals = [np.linalg.eigvalsh(rho) for rho in (rho_aa, rho_a1, rho_a2)]
+    d_f, d_a1, d_a2 = (np.count_nonzero(ev > rank_tol, axis=-1) for ev in evals)
+    tau_f_aa, tau_a_rest, tau_a2_rest = (2.0 * (1.0 - np.sum(ev**2, axis=-1)) for ev in evals)
+    tau_aa = _wootters_batch(rho_aa)
+    tau_a1f = _rank2_tangle_core(t.transpose(0, 2, 1, 3), rank_tol)
+    tau_a2f = _rank2_tangle_core(t, rank_tol)
+
+    one_vs_rest = d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * tau_f_aa
+    pairwise = (
+        np.minimum(d_a1, d_a2) / 2.0 * tau_aa
+        + np.minimum(d_a1, d_f) / 2.0 * tau_a1f
+        + np.minimum(d_a2, d_f) / 2.0 * tau_a2f
+    )
+    p_ee_gg = np.sum(np.abs(m[:, (0, 3)]) ** 2, axis=-1)
+    return {
+        "tau_F_AA": tau_f_aa,
+        "tau_A_rest": tau_a_rest,
+        "tau_AA": tau_aa,
+        "tau_AF": tau_a1f,
+        "tau_res": (one_vs_rest - 2.0 * pairwise) / 3.0,
+        "inversion": p_ee_gg[:, 0] - p_ee_gg[:, 1],
+        "field_eff_dim": d_f,
+    }
+
+
+def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
+    """Raise ValueError if any value of a ``_tcm_columns`` result is out of range.
+
+    Tangles must clear ``TANGLE_FLOOR``; ``tau_AA`` and ``tau_A_rest`` may
+    not exceed 1 and the inversion must lie in [-1, 1], both up to 1e-9.
+    NaN and infinite values fail every check.
+    """
+    for name, (low, high) in _COLUMN_RANGES.items():
+        values = np.asarray(columns[name])
+        bad = ~(np.isfinite(values) & (values >= low) & (values <= high))
+        if bad.any():
+            raise ValueError(f"{name} = {values[bad][0]!r} outside [{low:g}, {high:g}]")
 
 
 def tangle_report(
     state: PureState, t: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL
 ) -> TangleReport:
-    """bipartite_tangles_all plus the residual three-party tangle."""
-    return _tcm_tangles(state, t, rank_tol, with_residual=True)
+    """All tangles of a two-atom/field pure state, range-checked.
+
+    The atom-field pair state has rank <= 2 (its complement is a qubit),
+    so ``tau_AF`` comes from the rank-2 closed form.
+    """
+    dims = state.shape.dims
+    if len(dims) != 3 or dims[:2] != (2, 2):
+        raise ValueError("expected a (2, 2, field) pure state")
+    columns = _tcm_columns(state.amplitudes[None], rank_tol)
+    check_tangle_columns(columns)
+    return TangleReport(t=t, **{name: col[0].item() for name, col in columns.items()})
+
+
+def residual_tangle_batch(
+    states: np.ndarray, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL
+) -> np.ndarray:
+    """i_residual_tangle over a (N, total_dim) stack of (2, 2, D) states.
+
+    The ``tau_res`` column of the shared (2, 2, D) kernel; agrees with the
+    scalar path to roundoff.  Values are not range-checked, so a sweep can
+    count the negative ones.
+    """
+    d1, d2, dfield = dims
+    if (d1, d2) != (2, 2):
+        raise ValueError("batch residual supports (2, 2, D) systems only")
+    return _tcm_columns(states.reshape(-1, 4 * dfield), rank_tol)["tau_res"]
 
 
 def _pair_tangle_generic(
@@ -561,60 +574,5 @@ def i_residual_tangle(
         rho_pair = partial_trace(state, (i, j))
         d = min(eff[i], eff[j])
         pairwise += d / 2.0 * _pair_tangle_generic(rho_pair, rank_tol, roof_options)
-
-    return (one_vs_rest - 2.0 * pairwise) / 3.0
-
-
-# ---------------------------------------------------------------------------
-# batched residual tangle for the positivity sweep
-# ---------------------------------------------------------------------------
-
-def _effective_ranks(evals: np.ndarray, rank_tol: float) -> np.ndarray:
-    return np.count_nonzero(evals > rank_tol, axis=-1)
-
-
-def residual_tangle_batch(
-    states: np.ndarray, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
-    """i_residual_tangle over a (N, total_dim) stack of (2, 2, D) states.
-
-    Vectorized: every pairwise term has a qubit on one side, so the two
-    mixed pair routes are the batched Wootters form (atom-atom) and the
-    batched rank-2 closed form with the spare atom as purifier
-    (atom-field).  Agrees with the scalar path to roundoff.
-    """
-    d1, d2, dfield = dims
-    if (d1, d2) != (2, 2):
-        raise ValueError("batch residual supports (2, 2, D) systems only")
-    t = states.reshape(-1, 2, 2, dfield)
-    tc = t.conj()
-
-    rho_a1 = np.einsum("nijk,nljk->nil", t, tc)
-    rho_a2 = np.einsum("nijk,nimk->njm", t, tc)
-    rho_f = np.einsum("nijk,nijm->nkm", t, tc)
-    rho_aa = np.einsum("nak,nbk->nab", t.reshape(-1, 4, dfield), tc.reshape(-1, 4, dfield))
-
-    ev_a1 = np.linalg.eigvalsh(rho_a1)
-    ev_a2 = np.linalg.eigvalsh(rho_a2)
-    ev_f = np.linalg.eigvalsh(rho_f)
-    d_a1 = _effective_ranks(ev_a1, rank_tol)
-    d_a2 = _effective_ranks(ev_a2, rank_tol)
-    d_f = _effective_ranks(ev_f, rank_tol)
-    pur_a1 = np.sum(ev_a1**2, axis=-1)
-    pur_a2 = np.sum(ev_a2**2, axis=-1)
-    pur_f = np.sum(ev_f**2, axis=-1)
-
-    one_vs_rest = (
-        d_a1 * (1.0 - pur_a1) + d_a2 * (1.0 - pur_a2) + d_f * (1.0 - pur_f)
-    )
-
-    tau_aa = _wootters_batch(rho_aa)
-    tau_a1f = _rank2_tangle_core(t.transpose(0, 2, 1, 3), rank_tol)
-    tau_a2f = _rank2_tangle_core(t, rank_tol)
-    pairwise = (
-        np.minimum(d_a1, d_a2) / 2.0 * tau_aa
-        + np.minimum(d_a1, d_f) / 2.0 * tau_a1f
-        + np.minimum(d_a2, d_f) / 2.0 * tau_a2f
-    )
 
     return (one_vs_rest - 2.0 * pairwise) / 3.0

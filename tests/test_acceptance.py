@@ -415,12 +415,13 @@ def _rank2_vs_roof_error_along_trajectory():
     prop = tt.TcmPropagator(params)
     options = tt.RoofOptions(restarts=4, seed=11)
     worst = 0.0
-    for _, amps in prop.evolve_series(state, times):
-        rho_af = tt.partial_trace(tt.PureState(params.shape, amps), (0, 2))
-        worst = max(
-            worst,
-            abs(tt.rank2_itangle(rho_af) - tt.convex_roof_itangle(rho_af, options)),
-        )
+    for _, chunk in prop.evolve_series(state, times):
+        for amps in chunk:
+            rho_af = tt.partial_trace(tt.PureState(params.shape, amps), (0, 2))
+            worst = max(
+                worst,
+                abs(tt.rank2_itangle(rho_af) - tt.convex_roof_itangle(rho_af, options)),
+            )
     return worst
 
 
@@ -485,7 +486,8 @@ def test_criterion_09_dynamics_oracles(fig1, fig2_ee, fig2_gg, fig3_sym, fig3_ca
             abs(np.vdot(initial.amplitudes, amps)) ** 2
             - math.cos(math.sqrt(2.0) * t) ** 2
         )
-        for t, amps in prop.evolve_series(initial, times)
+        for ts, chunk in prop.evolve_series(initial, times)
+        for t, amps in zip(ts, chunk)
     )
 
     singlet_err = max(

@@ -171,7 +171,8 @@ def test_energy_conserved():
     prop = tt.TcmPropagator(params)
     energies = [
         tt.energy_expectation(tt.PureState(params.shape, amps), params)
-        for _, amps in prop.evolve_series(state, np.linspace(0.0, 5.0, 40))
+        for _, chunk in prop.evolve_series(state, np.linspace(0.0, 5.0, 40))
+        for amps in chunk
     ]
     assert np.max(np.abs(np.diff(energies))) < 1e-11
 
@@ -182,7 +183,8 @@ def test_norm_conserved_along_series():
     prop = tt.TcmPropagator(params)
     drifts = [
         abs(np.linalg.norm(amps) - 1.0)
-        for _, amps in prop.evolve_series(state, np.linspace(0.0, 8.0, 50))
+        for _, chunk in prop.evolve_series(state, np.linspace(0.0, 8.0, 50))
+        for amps in chunk
     ]
     assert max(drifts) < 1e-12
 

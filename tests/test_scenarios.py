@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
+from tcm_tangles import dynamics
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     PRESETS,
@@ -75,6 +76,12 @@ def test_preset_overrides_and_unknown_name():
         dict(tail_tol=1.0),
         dict(rank_tol=0.0),
         dict(atomic="xx"),
+        dict(t_max=math.inf),
+        dict(t_max=math.nan),
+        dict(g=math.inf),
+        dict(omega=math.nan),
+        dict(omega=-math.inf),
+        dict(field="coherent", n=None, mean_n=math.inf),
     ],
 )
 def test_config_validation(overrides):
@@ -92,16 +99,28 @@ def test_config_error_is_value_error():
 def test_run_scenario_small():
     result = tt.run_scenario(small_config())
     np.testing.assert_allclose(result.gt, np.linspace(0.0, 3.0, 40), atol=0)
-    assert len(result.reports) == 40
+    assert result.gt.shape == (40,)
     assert result.max_norm_drift < 1e-10
     assert result.max_excitation_drift < 1e-10
-    assert result.reports[0].t == 0.0
+    assert result.gt[0] == 0.0
     for name in SCENARIO_COLUMNS:
         assert result.column(name).shape == (40,)
     # the initial product state carries no tangle at all
     assert abs(result.column("tau_F_AA")[0]) < 1e-12
     assert result.column("tau_F_AA")[1:].max() > 0.01
     assert result.column("field_eff_dim").min() >= 1
+
+
+def test_run_scenario_chunk_invariant(monkeypatch):
+    # D = 46, so the default budget splits these 800 points into 3 chunks
+    config = small_config(n=40, steps=800)
+    default = tt.run_scenario(config)
+    assert 800 * 64 * 46 > dynamics.CHUNK_BUDGET
+    for budget in (1, 10**9):  # one point per chunk, then the whole grid
+        monkeypatch.setattr(dynamics, "CHUNK_BUDGET", budget)
+        other = tt.run_scenario(config)
+        for name in SCENARIO_COLUMNS:
+            np.testing.assert_array_equal(other.column(name), default.column(name))
 
 
 def test_singlet_scenario_is_frozen():
@@ -344,6 +363,16 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert main(["scenario", "--preset", "nope", "--out", str(out)]) == 1
     # fock scenario without a photon number
     assert main(["scenario", "--atomic", "ee", "--field", "fock", "--out", str(out)]) == 1
+
+
+def test_cli_non_finite_input_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["scenario", "--atomic", "ee", "--field", "fock", "--n", "3",
+            "--t-max", "inf", "--steps", "5", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t_max must be finite" in err
+    assert not out.exists()
 
 
 def test_cli_truncation_guard_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
-from tcm_tangles.tangles import _roof_objective
+from tcm_tangles.tangles import SCENARIO_COLUMNS, _roof_objective, check_tangle_columns
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 GHZ = np.zeros(8)
@@ -255,43 +255,51 @@ def test_roof_gradient_matches_finite_differences():
 
 
 def test_tangle_report_validation():
-    with pytest.raises(ValueError):
-        tt.TangleReport(
-            t=0.0,
-            tau_F_AA=-1e-6,
-            tau_A_rest=0.0,
-            tau_AA=0.0,
-            tau_AF=0.0,
-            tau_res=None,
-            inversion=0.0,
-            field_eff_dim=1,
-        )
+    good = {name: np.zeros(3) for name in SCENARIO_COLUMNS}
+    check_tangle_columns(good)
+    for name, value in [
+        ("tau_F_AA", -1e-6),
+        ("tau_res", np.nan),
+        ("tau_AA", 1.0 + 1e-6),
+        ("tau_A_rest", np.inf),
+        ("inversion", np.nan),
+        ("inversion", -1.0 - 1e-6),
+    ]:
+        bad = dict(good, **{name: np.array([0.0, value, 0.0])})
+        with pytest.raises(ValueError, match=name):
+            check_tangle_columns(bad)
 
 
 def test_tangle_report_cross_checks():
+    # one tangle_report and a few rows of a scenario from the same state,
+    # each against the generic measures on partial traces
     params = tt.ModelParams(g=1.0, n_max=8)
     state = tt.initial_state("ee", tt.fock_state(3, 8), params)
     evolved = tt.evolve(state, 0.9, params)
     report = tt.tangle_report(evolved, t=0.9)
+    assert report.t == 0.9
+    cases = [(evolved, {name: getattr(report, name) for name in SCENARIO_COLUMNS})]
+    result = tt.run_scenario(
+        tt.ScenarioConfig(atomic="ee", field="fock", n=3, t_max=4.0, steps=50)
+    )
+    for i in (7, 23, 41):
+        row = {name: result.column(name)[i] for name in SCENARIO_COLUMNS}
+        cases.append((tt.evolve(state, result.gt[i], params), row))
 
-    rho_aa = tt.partial_trace(evolved, (0, 1))
-    assert abs(report.tau_AA - tt.wootters_tangle(rho_aa)) < 1e-12
-    assert abs(report.tau_F_AA - 2.0 * (1.0 - tt.purity(rho_aa))) < 1e-12
-    assert abs(
-        report.tau_A_rest - tt.pure_itangle(evolved, tt.Cut((0,), (1, 2)))
-    ) < 1e-12
-    rho_af = tt.partial_trace(evolved, (0, 2))
-    assert abs(report.tau_AF - tt.rank2_itangle(rho_af)) < 1e-12
-    tens = evolved.tensor()
-    inv = float(np.sum(np.abs(tens[0, 0]) ** 2) - np.sum(np.abs(tens[1, 1]) ** 2))
-    assert abs(report.inversion - inv) < 1e-12
-    assert report.field_eff_dim == tt.effective_rank(tt.partial_trace(evolved, (2,)))
-
-
-def test_bipartite_tangles_all_leaves_residual_unset():
-    params = tt.ModelParams(g=1.0, n_max=6)
-    state = tt.initial_state("gg", tt.fock_state(1, 6), params)
-    assert tt.bipartite_tangles_all(state).tau_res is None
+    for evolved, row in cases:
+        rho_aa = tt.partial_trace(evolved, (0, 1))
+        assert abs(row["tau_AA"] - tt.wootters_tangle(rho_aa)) < 1e-12
+        assert abs(row["tau_F_AA"] - 2.0 * (1.0 - tt.purity(rho_aa))) < 1e-12
+        assert abs(
+            row["tau_A_rest"] - tt.pure_itangle(evolved, tt.Cut((0,), (1, 2)))
+        ) < 1e-12
+        rho_af = tt.partial_trace(evolved, (0, 2))
+        assert abs(row["tau_AF"] - tt.rank2_itangle(rho_af)) < 1e-12
+        assert abs(row["tau_res"] - tt.i_residual_tangle(evolved)) < 1e-12
+        tens = evolved.tensor()
+        inv = float(np.sum(np.abs(tens[0, 0]) ** 2) - np.sum(np.abs(tens[1, 1]) ** 2))
+        assert abs(row["inversion"] - inv) < 1e-12
+        assert row["field_eff_dim"] == tt.effective_rank(tt.partial_trace(evolved, (2,)))
 
 
 def test_residual_anchors():
@@ -347,7 +355,7 @@ def test_residual_batch_matches_scalar():
         states = np.array([haar_vec(rng, total) for _ in range(40)])
         batch = tt.residual_tangle_batch(states, dims)
         scalar = [tt.i_residual_tangle(pure_state(dims, s)) for s in states]
-        np.testing.assert_allclose(batch, scalar, atol=1e-9)
+        np.testing.assert_allclose(batch, scalar, atol=1e-12, rtol=0)
 
 
 def test_residual_nonnegative_on_qubit_triples():
