@@ -12,6 +12,7 @@ error, 2 photon-truncation guard abort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -97,8 +98,6 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         merged.update(PRESETS[args.preset])
     if args.config:
         file_values = load_config(args.config)
-        file_values.pop("preset", None)
-        file_values.pop("out", None)
         unknown = set(file_values) - set(_SCENARIO_KEYS)
         if unknown:
             raise ConfigError(f"config keys {sorted(unknown)} do not apply to scenarios")
@@ -136,14 +135,20 @@ def _run_sweep(args: argparse.Namespace) -> None:
     dims = _parse_dims(args.dims)
     if args.samples < 1:
         raise ConfigError("samples must be >= 1")
-    measure = "haar"
-    rank_tol = args.rank_tol if args.rank_tol is not None else 1e-10
+    settings = {"measure": "haar", "rank_tol": 1e-10}
     if args.config:
         file_values = load_config(args.config)
-        measure = file_values.get("measure", measure)
-        rank_tol = file_values.get("rank_tol", rank_tol)
+        unknown = set(file_values) - set(settings)
+        if unknown:
+            raise ConfigError(f"config keys {sorted(unknown)} do not apply to sweeps")
+        settings.update(file_values)
+    if args.rank_tol is not None:
+        settings["rank_tol"] = args.rank_tol
+    measure, rank_tol = settings["measure"], settings["rank_tol"]
     if measure not in ("haar", "product"):
         raise ConfigError(f"unknown measure {measure!r}")
+    if not (math.isfinite(rank_tol) and rank_tol > 0):
+        raise ConfigError(f"rank_tol must be finite and positive, got {rank_tol!r}")
     result = positivity_sweep(
         dims,
         args.samples,

@@ -10,8 +10,9 @@ block diagonal over K.  Each block is spanned by
 
     { |ee, K-2>, |eg, K-1>, |ge, K-1>, |gg, K> }
 
-(dropping entries with negative or over-truncation photon labels) and is
-diagonalized once per parameter set; evolution is then exact per block.
+(dropping entries with negative or over-truncation photon labels).  Each
+block's coupling has spectrum {0, 0, +-Omega_K}, so evolution is exact in
+closed form per block (see ``TcmPropagator``).
 
 Basis conventions: atom states are ordered (e, g), so a state vector over
 (atom 1, atom 2, field) has C-order layout with the photon index fastest.
@@ -21,7 +22,6 @@ picture; a nonzero omega only adds the per-block phase omega*(K-1).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -159,79 +159,31 @@ def initial_state(atomic, field: np.ndarray, params: ModelParams) -> PureState:
     return PureState(params.shape, amps)
 
 
-def block_basis(k: int, n_max: int) -> tuple[tuple[str, int], ...]:
-    """Basis labels (atomic label, photon number) of excitation block k."""
-    if k < 0:
-        raise ValueError("excitation number must be >= 0")
-    candidates = (("ee", k - 2), ("eg", k - 1), ("ge", k - 1), ("gg", k))
-    return tuple((lbl, n) for lbl, n in candidates if 0 <= n <= n_max)
+def _coupling(amps: np.ndarray, g: float, field_dim: int) -> np.ndarray:
+    """g*((sm1 + sm2) a^dag + h.c.) applied to each row of a (..., 4*D) amplitude stack."""
+    psi = amps.reshape(amps.shape[:-1] + (2, 2, field_dim))
+    out = np.zeros_like(psi)
+    root = g * np.sqrt(np.arange(1, field_dim))
+    out[..., 1, :, 1:] += root * psi[..., 0, :, :-1]  # sm1 a^dag: |e, n> -> |g, n+1>
+    out[..., :, 1, 1:] += root * psi[..., :, 0, :-1]  # sm2 a^dag
+    out[..., 0, :, :-1] += root * psi[..., 1, :, 1:]  # sp1 a: |g, n+1> -> |e, n>
+    out[..., :, 0, :-1] += root * psi[..., :, 1, 1:]  # sp2 a
+    return out.reshape(amps.shape)
 
 
-_ATOM_OFFSET = {"ee": 0, "eg": 1, "ge": 2, "gg": 3}
+def rabi_frequencies(params: ModelParams) -> np.ndarray:
+    """Omega_K of each excitation block K = 0 .. n_max + 2.
 
-
-@dataclass(frozen=True)
-class BlockPropagator:
-    """Eigendecomposition of one excitation block.
-
-    ``indices`` are flat positions in the C-ordered (2, 2, n_max+1)
-    amplitude vector; ``eigenvectors`` holds eigenvectors as columns.
+    Block K holds the dark singlet and the ladder |ee, K-2> - |sym, K-1> -
+    |gg, K>, so its coupling H_K has spectrum {0, 0, +-Omega_K} and obeys
+    H_K^3 = Omega_K^2 H_K.  The indicators drop the two ladder couplings
+    that the photon cutoff removes; inside it Omega_K = g*sqrt(4K - 2).
     """
-
-    excitation: int
-    basis: tuple[tuple[str, int], ...]
-    indices: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def _block_hamiltonian(k: int, basis, params: ModelParams) -> np.ndarray:
-    dim = len(basis)
-    h = np.zeros((dim, dim))
-    pos = {lbl: i for i, (lbl, _) in enumerate(basis)}
-    g = params.g
-    # (sm1 + sm2) a^dag + h.c. within the block
-    if "ee" in pos and k >= 1:
-        amp = g * math.sqrt(k - 1)
-        for lbl in ("eg", "ge"):
-            if lbl in pos:
-                h[pos[lbl], pos["ee"]] = amp
-                h[pos["ee"], pos[lbl]] = amp
-    if "gg" in pos:
-        amp = g * math.sqrt(k)
-        for lbl in ("eg", "ge"):
-            if lbl in pos:
-                h[pos["gg"], pos[lbl]] = amp
-                h[pos[lbl], pos["gg"]] = amp
-    # free part omega*(a^dag a + sz1/2 + sz2/2) is omega*(k-1) on the block
-    if params.omega != 0.0:
-        h += params.omega * (k - 1) * np.eye(dim)
-    return h
-
-
-def build_block(k: int, params: ModelParams) -> BlockPropagator:
-    """Diagonalize excitation block ``k`` for the given parameters."""
-    basis = block_basis(k, params.n_max)
-    if not basis:
-        raise ValueError(f"excitation {k} has no basis states at truncation {params.n_max}")
-    h = _block_hamiltonian(k, basis, params)
-    evals, evecs = np.linalg.eigh(h)
-    gram = evecs.conj().T @ evecs
-    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-12:
-        raise RuntimeError("block eigenvectors failed the unitarity check")
     d = params.field_dim
-    idx = np.array([_ATOM_OFFSET[lbl] * d + n for lbl, n in basis])
-    return BlockPropagator(
-        excitation=k,
-        basis=basis,
-        indices=idx,
-        eigenvalues=evals,
-        eigenvectors=evecs.astype(complex),
-    )
+    k = np.arange(d + 2)
+    upper = (k - 1) * ((k >= 2) & (k <= d))  # |ee, K-2> <-> |sym, K-1>
+    lower = k * ((k >= 1) & (k <= d - 1))  # |sym, K-1> <-> |gg, K>
+    return params.g * np.sqrt(2.0 * (upper + lower))
 
 
 def _top_band_population(amps: np.ndarray, field_dim: int, band: int = GUARD_BAND) -> np.ndarray:
@@ -241,29 +193,20 @@ def _top_band_population(amps: np.ndarray, field_dim: int, band: int = GUARD_BAN
 
 
 class TcmPropagator:
-    """All excitation blocks of one parameter set, grouped for fast reuse.
+    """Exact propagator of one parameter set, in closed form per block.
 
-    Blocks of equal dimension are stacked so a time step is a handful of
-    batched (N, d, d) @ (N, d) products instead of a Python loop over K.
+    Since H_K^3 = Omega_K^2 H_K (see ``rabi_frequencies``),
+
+        exp(-i H_K t) = 1 - 2 sin^2(Omega_K t/2) H_K^2/Omega_K^2
+                        - i sin(Omega_K t) H_K/Omega_K,
+
+    times the free phase exp(-i omega (K-1) t), so evolving a state needs
+    H psi and H^2 psi once and elementwise work per time.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.blocks = tuple(build_block(k, params) for k in range(params.n_max + 3))
-        covered = np.concatenate([b.indices for b in self.blocks])
-        if sorted(covered.tolist()) != list(range(4 * params.field_dim)):
-            raise RuntimeError("excitation blocks do not partition the Hilbert space")
-        groups: dict[int, list[BlockPropagator]] = {}
-        for b in self.blocks:
-            groups.setdefault(b.dim, []).append(b)
-        self._groups = {
-            dim: (
-                np.stack([b.indices for b in bs]),
-                np.stack([b.eigenvalues for b in bs]),
-                np.stack([b.eigenvectors for b in bs]),
-            )
-            for dim, bs in groups.items()
-        }
+        self.rabi = rabi_frequencies(params)
 
     def _check_state(self, state: PureState) -> np.ndarray:
         if state.shape.dims != (2, 2, self.params.field_dim):
@@ -293,25 +236,29 @@ class TcmPropagator:
         ``amplitudes`` has one row of length 4*D per entry of ``t_chunk``;
         a chunk holds at most ``CHUNK_BUDGET`` bytes of amplitudes (and at
         least one time), so memory stays bounded however long the grid is.
-        The state is projected onto the block eigenbases once; each chunk
-        then only applies phases.  Norm conservation and the photon
-        truncation guard are checked at every emitted time.
+        Norm conservation and the photon truncation guard are checked at
+        every emitted time.
         """
         amps = self._check_state(state)
-        d = self.params.field_dim
+        p = self.params
+        d = p.field_dim
         times = np.asarray(times, dtype=float).ravel()
         step = max(1, CHUNK_BUDGET // amps.nbytes)
-        projected = {
-            dim: np.einsum("kji,kj->ki", vecs.conj(), amps[idx])
-            for dim, (idx, evals, vecs) in self._groups.items()
-        }
+        k = excitation_map(d)
+        # H_K is zero where Omega_K is, so any nonzero divisor works there
+        safe = np.where(self.rabi > 0.0, self.rabi, 1.0)[k]
+        h1 = _coupling(amps, p.g, d) / safe  # H psi / Omega, block by block
+        h2 = _coupling(h1, p.g, d) / safe  # H^2 psi / Omega^2
+        free = np.arange(d + 2) - 1.0  # K - 1
         for start in range(0, times.size, step):
             t = times[start:start + step]
-            out = np.empty((t.size, amps.size), dtype=amps.dtype)
-            for dim, (idx, evals, vecs) in self._groups.items():
-                phased = projected[dim] * np.exp(-1j * evals * t[:, None, None])
-                block_amps = np.einsum("kij,tkj->tki", vecs, phased)
-                out[:, idx.ravel()] = block_amps.reshape(t.size, -1)
+            wt = t[:, None] * self.rabi
+            phase = np.exp(-1j * p.omega * t[:, None] * free)
+            out = (
+                phase[:, k] * amps
+                - (2.0 * np.sin(0.5 * wt) ** 2 * phase)[:, k] * h2
+                - (1j * np.sin(wt) * phase)[:, k] * h1
+            )
             drift = np.abs(np.linalg.norm(out, axis=1) - 1.0)
             bad = ~(drift <= NORM_DRIFT_TOL)
             if bad.any():
@@ -328,18 +275,9 @@ class TcmPropagator:
             yield t, out
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_propagator(params: ModelParams) -> TcmPropagator:
-    return TcmPropagator(params)
-
-
 def evolve(state: PureState, t: float, params: ModelParams) -> PureState:
-    """Evolve ``state`` under the block Hamiltonian for time ``t``.
-
-    Eigendecompositions are cached per parameter set, so repeated calls
-    with different times are cheap.
-    """
-    return _cached_propagator(params).evolve(state, t)
+    """Evolve ``state`` under the block Hamiltonian for time ``t``."""
+    return TcmPropagator(params).evolve(state, t)
 
 
 def atomic_inversion(state: PureState) -> float:
@@ -374,12 +312,9 @@ def excitation_rows(amps: np.ndarray, field_dim: int) -> np.ndarray:
 
 
 def energy_expectation(state: PureState, params: ModelParams) -> float:
-    """<H> for the block Hamiltonian (conserved under evolve)."""
-    prop = _cached_propagator(params)
+    """<H> = <psi|H_int psi> + omega <K - 1> (conserved under evolve)."""
     amps = state.amplitudes
-    total = 0.0
-    for b in prop.blocks:
-        sub = amps[b.indices]
-        coeff = b.eigenvectors.conj().T @ sub
-        total += float(np.sum(np.abs(coeff) ** 2 * b.eigenvalues))
-    return total
+    d = params.field_dim
+    coupling = np.vdot(amps, _coupling(amps, params.g, d)).real
+    free = np.sum(np.abs(amps) ** 2 * (excitation_map(d) - 1))
+    return float(coupling + params.omega * free)

@@ -13,6 +13,7 @@ roundoff threshold, and serializes any sub-threshold state in full.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -104,6 +105,8 @@ def positivity_sweep(
         raise ValueError(f"unknown measure {measure!r}")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
+    if not (math.isfinite(rank_tol) and rank_tol > 0):
+        raise ValueError(f"rank_tol must be finite and positive, got {rank_tol!r}")
 
     total = int(np.prod(dims))
     rng = np.random.default_rng(seed)
@@ -118,6 +121,12 @@ def positivity_sweep(
         else:
             batch = product_haar_batch(dims, n, rng)
         values = residual_tangle_batch(batch, dims, rank_tol)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise RuntimeError(
+                f"{np.count_nonzero(~finite)} non-finite residual tangle values "
+                f"among samples {done}..{done + n - 1}"
+            )
         i = int(np.argmin(values))
         if values[i] < best_value:
             best_value = float(values[i])

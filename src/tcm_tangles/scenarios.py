@@ -391,14 +391,9 @@ def _write_scaling_csv(result: ScalingResult, g: float, steps: int, out: str) ->
 _CONFIG_TYPES = {
     "atomic": str,
     "field": str,
-    "preset": str,
-    "out": str,
     "measure": str,
-    "dims": str,
     "n": int,
     "steps": int,
-    "seed": int,
-    "samples": int,
     "mean_n": float,
     "g": float,
     "omega": float,

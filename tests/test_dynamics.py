@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
+from tcm_tangles.dynamics import excitation_map, rabi_frequencies
 
 SQRT2 = math.sqrt(2.0)
 
@@ -16,7 +17,7 @@ def test_model_params_validation():
         tt.ModelParams(g=0.0, n_max=5)
     with pytest.raises(ValueError):
         tt.ModelParams(g=1.0, n_max=0)
-    # hashable, usable as a cache key
+    # hashable
     assert {tt.ModelParams(g=1.0, n_max=5): 1}[params] == 1
 
 
@@ -81,31 +82,119 @@ def test_initial_state_pads_field():
         tt.initial_state("gg", tt.fock_state(1, 8), params)
 
 
+def _dense_model(params):
+    """Coupling, free part and excitation number as dense 4D x 4D matrices,
+    built from the operators of the model in the (e, g) x (e, g) x photon basis."""
+    d = params.field_dim
+    sm = np.array([[0.0, 0.0], [1.0, 0.0]])  # |g><e|
+    jm = np.kron(sm, np.eye(2)) + np.kron(np.eye(2), sm)
+    jz = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
+    number = np.kron(np.eye(4), np.diag(np.arange(float(d))))
+    coupling = params.g * np.kron(jm, adag)
+    coupling = coupling + coupling.T
+    free = params.omega * (number + 0.5 * np.kron(jz, np.eye(d)))
+    excitation = np.diag(number + 0.5 * np.kron(jz + 2.0 * np.eye(4), np.eye(d)))
+    return coupling, free, excitation.round().astype(int)
+
+
+_ATOM_LABELS = ("ee", "eg", "ge", "gg")
+
+
+def _block_labels(k, n_max):
+    """(atomic label, photon number) of each basis state in excitation block k."""
+    d = n_max + 1
+    return tuple(
+        (_ATOM_LABELS[i // d], i % d) for i in np.flatnonzero(excitation_map(d) == k)
+    )
+
+
+def _dense_block_spectrum(k, params):
+    coupling, _, excitation = _dense_model(params)
+    sel = excitation == k
+    return np.linalg.eigvalsh(coupling[np.ix_(sel, sel)])
+
+
 def test_block_basis_clipping():
-    assert tt.block_basis(0, 5) == (("gg", 0),)
-    assert tt.block_basis(1, 5) == (("eg", 0), ("ge", 0), ("gg", 1))
-    assert tt.block_basis(3, 5) == (("ee", 1), ("eg", 2), ("ge", 2), ("gg", 3))
-    assert tt.block_basis(7, 5) == (("ee", 5),)  # top block: photon range clipped
-    with pytest.raises(ValueError):
-        tt.block_basis(-1, 5)
+    assert _block_labels(0, 5) == (("gg", 0),)
+    assert _block_labels(1, 5) == (("eg", 0), ("ge", 0), ("gg", 1))
+    assert _block_labels(3, 5) == (("ee", 1), ("eg", 2), ("ge", 2), ("gg", 3))
+    assert _block_labels(7, 5) == (("ee", 5),)  # top block: photon range clipped
+    assert _block_labels(-1, 5) == ()
+    assert excitation_map(6).min() == 0 and excitation_map(6).max() == 7
 
 
 @pytest.mark.parametrize("g", [1.0, 0.7])
 def test_single_excitation_block_spectrum(g):
-    block = tt.build_block(1, tt.ModelParams(g=g, n_max=4))
+    params = tt.ModelParams(g=g, n_max=4)
     np.testing.assert_allclose(
-        np.sort(block.eigenvalues), [-SQRT2 * g, 0.0, SQRT2 * g], atol=1e-12
+        _dense_block_spectrum(1, params), [-SQRT2 * g, 0.0, SQRT2 * g], atol=1e-12
     )
+    assert abs(rabi_frequencies(params)[1] - SQRT2 * g) < 1e-14
 
 
 def test_two_excitation_block_spectrum():
     # coupled triplet ladder gives 0, +-sqrt(4K-2)*g; the dark state adds 0
-    block = tt.build_block(2, tt.ModelParams(g=1.0, n_max=4))
+    params = tt.ModelParams(g=1.0, n_max=4)
     np.testing.assert_allclose(
-        np.sort(block.eigenvalues),
+        _dense_block_spectrum(2, params),
         [-math.sqrt(6.0), 0.0, 0.0, math.sqrt(6.0)],
         atol=1e-12,
     )
+    assert abs(rabi_frequencies(params)[2] - math.sqrt(6.0)) < 1e-14
+
+
+def test_rabi_frequencies_match_dense_blocks():
+    # every block is a dark state plus a three-level ladder: spectrum 0, +-Omega_K
+    n_max = 6
+    for g in (1.0, 0.7):
+        params = tt.ModelParams(g=g, n_max=n_max)
+        coupling, _, excitation = _dense_model(params)
+        np.testing.assert_array_equal(excitation, excitation_map(params.field_dim))
+        rabi = rabi_frequencies(params)
+        assert rabi.shape == (n_max + 3,)
+        for k in range(n_max + 3):
+            sel = excitation == k
+            assert not np.any(coupling[np.ix_(sel, ~sel)])  # H conserves K
+            h = coupling[np.ix_(sel, sel)]
+            spectrum = np.zeros(h.shape[0])
+            spectrum[[0, -1]] = -rabi[k], rabi[k]
+            np.testing.assert_allclose(np.linalg.eigvalsh(h), spectrum, atol=1e-12)
+            np.testing.assert_allclose(h @ h @ h, rabi[k] ** 2 * h, atol=1e-12)
+        assert rabi[0] == 0.0 and rabi[n_max + 2] == 0.0  # |gg, 0> and |ee, n_max>
+        assert abs(rabi[1] - SQRT2 * g) < 1e-14
+        inside = np.arange(1, n_max + 1)  # both ladder couplings below the cutoff
+        np.testing.assert_allclose(rabi[inside], g * np.sqrt(4.0 * inside - 2.0), rtol=1e-14)
+
+
+def test_evolve_matches_dense_expm():
+    from scipy.linalg import expm
+
+    n_max = 8
+    for g, omega in ((1.0, 0.0), (0.7, 2.5)):
+        params = tt.ModelParams(g=g, n_max=n_max, omega=omega)
+        d = params.field_dim
+        coupling, free, excitation = _dense_model(params)
+        # raw complex atomic state x photons 0..3 fills blocks K = 0 .. 5 ...
+        field = np.zeros(d, dtype=complex)
+        field[:4] = [0.6, 0.5j, -0.4, 0.3 + 0.2j]
+        amps = np.kron(tt.atomic_state([0.3 + 0.4j, -0.5, 0.2j, 0.6]), field)
+        # ... and small amplitudes, below the truncation guard, fill the top blocks:
+        # |ee, n_max-1>, |eg, n_max>, |ge, n_max> (K = n_max + 1), |ee, n_max> (K = n_max + 2)
+        edge = [n_max - 1, d + n_max, 2 * d + n_max, n_max]
+        amps[edge] = [3e-5, -2e-5j, 1e-5 + 2e-5j, 2e-5]
+        amps /= np.linalg.norm(amps)
+        state = tt.PureState(params.shape, amps)
+        h = coupling + free
+        assert abs(tt.energy_expectation(state, params) - np.vdot(amps, h @ amps).real) < 1e-12
+        for t in (0.0, 0.37, 2.9, 13.1):
+            got = tt.evolve(state, t, params).amplitudes
+            want = expm(-1j * h * t) @ amps
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            for k in (0, 1, n_max + 1, n_max + 2):
+                sel = excitation == k
+                scale = np.linalg.norm(want[sel])
+                assert scale > 0 and np.linalg.norm(got[sel] - want[sel]) < 1e-12 * scale
 
 
 def test_ground_pair_single_photon_return_probability():

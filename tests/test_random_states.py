@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
+from tcm_tangles import random_states
 from tcm_tangles.random_states import (
     haar_pure_batch,
     merge_sweep_results,
@@ -88,6 +89,28 @@ def test_sweep_argument_validation():
         tt.positivity_sweep((2, 2, 3), samples=10, measure="uniform")
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 3), samples=10, chunk=0)
+    for rank_tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rank_tol"):
+            tt.positivity_sweep((2, 2, 3), samples=10, rank_tol=rank_tol)
+
+
+def test_sweep_rejects_non_finite_values(monkeypatch):
+    # a NaN must not win the argmin and hide a negative value in its chunk
+    real = random_states.residual_tangle_batch
+
+    def poisoned(batch, dims, rank_tol):
+        values = real(batch, dims, rank_tol)
+        values[3], values[5] = np.nan, -1.0
+        return values
+
+    monkeypatch.setattr(random_states, "residual_tangle_batch", poisoned)
+    with pytest.raises(RuntimeError, match="^1 non-finite"):
+        tt.positivity_sweep((2, 2, 3), samples=10)
+    monkeypatch.setattr(
+        random_states, "residual_tangle_batch", lambda batch, *_: np.full(len(batch), np.nan)
+    )
+    with pytest.raises(RuntimeError, match="^10 non-finite"):
+        tt.positivity_sweep((2, 2, 3), samples=10)
 
 
 def test_merge_sweep_results():

@@ -294,6 +294,7 @@ def test_load_config_parses_types(tmp_path):
         ("volume = 3\n", "unknown config key"),
         ("steps = many\n", "expects int"),
         ("approx_compare = maybe\n", "expects a boolean"),
+        ("preset = fig2\n", "unknown config key"),
     ],
 )
 def test_load_config_errors(tmp_path, text, fragment):
@@ -418,6 +419,25 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--dims", "2,2,4", "--samples", "10", "--out", str(out)]) == 0
     assert main(["sweep", "--dims", "2x2x5", "--samples", "10", "--out", str(out)]) == 1
     assert main(["sweep", "--dims", "2x2x3", "--samples", "0", "--out", str(out)]) == 1
+    # the flag beats the config file, which takes only measure and rank_tol
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("measure = product\nrank_tol = 1e-6\n")
+    base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--config", str(cfg), "--out", str(out)]
+    assert main(base) == 0
+    assert "# rank_tol = 1e-06" in out.read_text().splitlines()
+    assert main(base + ["--rank-tol", "1e-8"]) == 0
+    lines = out.read_text().splitlines()
+    assert "# rank_tol = 1e-08" in lines and "# measure = product" in lines
+    capsys.readouterr()
+    for text in ("samples = 7\n", "atomic = ee\n", "rank_tol = nan\n"):
+        cfg.write_text(text)
+        assert main(base) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+    for bad in ("-1", "0", "nan", "inf"):
+        argv = ["sweep", "--dims", "2x2x3", "--samples", "10", "--rank-tol", bad, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rank_tol must be finite and positive" in err
 
 
 def test_cli_scaling(tmp_path):
