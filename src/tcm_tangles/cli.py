@@ -6,13 +6,13 @@ search), ``scaling`` (peak atom-atom tangle vs photon number).
 
 Settings resolve in order: preset < config file (--config, flat
 key=value) < explicit flags.  Exit codes: 0 success, 1 configuration
-error, 2 photon-truncation guard abort.
+error (including a time grid whose phases overflow), 2 photon-truncation
+guard abort.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -27,6 +27,7 @@ from .scenarios import (
     run_scenario,
     scaling_study,
 )
+from .tensor import check_rank_tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,8 +148,10 @@ def _run_sweep(args: argparse.Namespace) -> None:
     measure, rank_tol = settings["measure"], settings["rank_tol"]
     if measure not in ("haar", "product"):
         raise ConfigError(f"unknown measure {measure!r}")
-    if not (math.isfinite(rank_tol) and rank_tol > 0):
-        raise ConfigError(f"rank_tol must be finite and positive, got {rank_tol!r}")
+    try:
+        check_rank_tol(rank_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     result = positivity_sweep(
         dims,
         args.samples,
@@ -205,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_sweep(args)
         elif args.command == "scaling":
             _run_scaling(args)
-    except ConfigError as exc:
+    except (ConfigError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except TruncationError as exc:

@@ -237,12 +237,16 @@ class TcmPropagator:
         a chunk holds at most ``CHUNK_BUDGET`` bytes of amplitudes (and at
         least one time), so memory stays bounded however long the grid is.
         Norm conservation and the photon truncation guard are checked at
-        every emitted time.
+        every emitted time; times whose phases overflow raise OverflowError.
         """
         amps = self._check_state(state)
         p = self.params
         d = p.field_dim
         times = np.asarray(times, dtype=float).ravel()
+        # Python floats overflow to inf without a warning
+        t_max = float(np.max(np.abs(times), initial=0.0))
+        if not math.isfinite(t_max * max(float(self.rabi.max()), abs(p.omega) * (d + 1))):
+            raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = max(1, CHUNK_BUDGET // amps.nbytes)
         k = excitation_map(d)
         # H_K is zero where Omega_K is, so any nonzero divisor works there

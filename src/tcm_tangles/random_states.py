@@ -13,14 +13,13 @@ roundoff threshold, and serializes any sub-threshold state in full.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .tangles import residual_tangle_batch
-from .tensor import DEFAULT_RANK_TOL, PureState, SystemShape
+from .tensor import DEFAULT_RANK_TOL, PureState, SystemShape, check_rank_tol
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
 NEGATIVE_THRESHOLD = -1e-9
@@ -105,8 +104,7 @@ def positivity_sweep(
         raise ValueError(f"unknown measure {measure!r}")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    if not (math.isfinite(rank_tol) and rank_tol > 0):
-        raise ValueError(f"rank_tol must be finite and positive, got {rank_tol!r}")
+    check_rank_tol(rank_tol)
 
     total = int(np.prod(dims))
     rng = np.random.default_rng(seed)

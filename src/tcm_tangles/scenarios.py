@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .markoff import approx_tau_F_AA, jx_coefficients
 from .tangles import SCENARIO_COLUMNS, _tcm_columns, check_tangle_columns
-from .tensor import PureState
+from .tensor import PureState, check_rank_tol
 
 CONSERVATION_TOL = 1e-10
 FOCK_PAD = 5
@@ -92,9 +92,8 @@ class ScenarioConfig:
                 raise ConfigError("mean_n must be >= 0")
         if not 0.0 < self.tail_tol < 1.0:
             raise ConfigError("tail_tol must lie strictly between 0 and 1")
-        if not self.rank_tol > 0:
-            raise ConfigError("rank_tol must be positive")
         try:
+            check_rank_tol(self.rank_tol)
             atomic_state(self.atomic)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -157,8 +156,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     The grid is evolved and measured in bounded chunks (see
     ``TcmPropagator.evolve_series``).  Norm and the distribution over
     excitation number are checked against their initial values at every
-    point (tolerance 1e-10), and every column is range-checked.  Writes
-    CSV to ``config.out`` when set.
+    point (tolerance 1e-10), and every column is range-checked (ConfigError
+    naming ``rank_tol``: a coarse cutoff pushes ``tau_res`` below its floor).
+    Writes CSV to ``config.out`` when set.
     """
     state, params = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)
@@ -178,7 +178,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         max_norm, max_exc = max(max_norm, norm), max(max_exc, exc)
         chunks.append(_tcm_columns(amps, config.rank_tol))
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in SCENARIO_COLUMNS}
-    check_tangle_columns(columns)
+    try:
+        check_tangle_columns(columns)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at rank_tol = {config.rank_tol:g}") from None
 
     result = ScenarioResult(
         config=config,

@@ -3,7 +3,8 @@
 Bipartite measures, all normalized so a Bell pair scores 1:
 
 * ``wootters_tangle`` -- squared concurrence of a two-qubit density matrix
-  (spin-flip construction).
+  in Wootters' ensemble form: for rho = W W^H the l_i are the singular
+  values of W^T (sigma_y x sigma_y) W, so no square root of rho is taken.
 * ``pure_itangle`` -- 2*nu*[1 - tr(rho_A^2)] across any cut of a pure state;
   reduces to the Wootters tangle on two qubits and makes sense for factors
   of any dimension.
@@ -35,6 +36,7 @@ from .tensor import (
     DEFAULT_RANK_TOL,
     DensityMatrix,
     PureState,
+    check_rank_tol,
     effective_rank,
     partial_trace,
     purity,
@@ -42,9 +44,9 @@ from .tensor import (
 
 ROOF_WEIGHT_FLOOR = 1e-14
 
-# sigma_y (x) sigma_y is real: reversal of both indices with signs -,+,+,-.
-_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-_FLIP_SIGN_MATRIX = np.outer(_FLIP_SIGNS, _FLIP_SIGNS)
+# sigma_y (x) sigma_y is real: the reversed identity with signs -, +, +, -.
+_SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def universal_inversion(rho: DensityMatrix, nu_a: float = 1.0, nu_b: float = 1.0) -> np.ndarray:
@@ -74,39 +76,35 @@ def inversion_overlap(rho: DensityMatrix, nu_a: float = 1.0, nu_b: float = 1.0) 
     return nu_a * nu_b * (1.0 - pa - pb + purity(rho))
 
 
-def _spin_flip(rhos: np.ndarray) -> np.ndarray:
-    """sigma_y(x)sigma_y rho* sigma_y(x)sigma_y for a (..., 4, 4) stack."""
-    return _FLIP_SIGN_MATRIX * rhos.conj()[..., ::-1, ::-1]
+def _wootters_batch(w: np.ndarray) -> np.ndarray:
+    """Squared concurrence of the two-qubit states rho = W W^H of a (..., 4, k) stack.
 
-
-def _sqrtm_psd(rhos: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of a (..., d, d) stack."""
-    evals, evecs = np.linalg.eigh(rhos)
-    root = np.sqrt(np.clip(evals, 0.0, None))
-    return np.einsum("...ik,...k,...jk->...ij", evecs, root, evecs.conj())
-
-
-def _wootters_batch(rhos: np.ndarray) -> np.ndarray:
-    """Squared concurrence of a (..., 4, 4) stack of two-qubit states."""
-    sq = _sqrtm_psd(rhos)
-    m = sq @ _spin_flip(rhos) @ sq
-    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))
-    # eigvalsh sorts ascending: largest root minus the other three
-    c = 2.0 * lam[..., -1] - lam.sum(axis=-1)
+    The l_i are the singular values of W^T (sigma_y x sigma_y) W (Wootters,
+    PRL 80, 2245 (1998)).  A thin QR W^T = Q R gives W' = R^T, a factor of
+    the same rho with at most four columns, so the SVD is at most 4 x 4
+    and no square root of rho is taken: accurate to roundoff at any rank.
+    """
+    wp = np.linalg.qr(w.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    lam = np.linalg.svd(wp.swapaxes(-1, -2) @ _SIGMA_YY @ wp, compute_uv=False)
+    # svd sorts descending: the largest value minus the others
+    c = 2.0 * lam[..., 0] - lam.sum(axis=-1)
     return np.maximum(c, 0.0) ** 2
 
 
 def wootters_tangle(rho: DensityMatrix) -> float:
     """Two-qubit tangle max{0, l1-l2-l3-l4}^2.
 
-    The l_i are the decreasing square roots of the eigenvalues of
-    rho * spin_flip(rho), computed through the stable Hermitian product
-    sqrt(rho) * spin_flip(rho) * sqrt(rho).
+    The l_i come from the ensemble form of ``_wootters_batch`` on the
+    factor U sqrt(Lambda) of rho's eigendecomposition.  Eigenvalue dust of
+    order eps in rho moves them by about sqrt(eps), so near rank
+    deficiency this is accurate to about 1e-8, where the kernel on a pure
+    state's own amplitude factor is accurate to roundoff.
     """
     if rho.matrix.shape != (4, 4):
         raise ValueError("Wootters tangle is defined for two qubits (4x4)")
-    return float(_wootters_batch(rho.matrix[None])[0])
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    return float(_wootters_batch(factor[None])[0])
 
 
 def _pure_pair_tangle(mat: np.ndarray) -> float:
@@ -133,12 +131,13 @@ def pure_itangle(state: PureState, cut: Cut, nu_product: float = 1.0) -> float:
 # rank-2 mixed states with a qubit purifier: closed form
 # ---------------------------------------------------------------------------
 
-def _rank2_tangle_core(w: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def _rank2_tangle_core(r: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Tangle of pair states purified by a qubit, batched.
 
-    ``w`` has shape (..., 2, dx, dy): component j of the purifier qubit
-    times the pair state as a (dx, dy) amplitude matrix, normalized so
-    sum_j ||w_j||^2 = 1 per entry.
+    ``r`` has shape (..., 2, 2, dx, dx): the purifier correlations
+    r[j, k, a, c] = sum_b w_j[a, b] conj(w_k[c, b]), where w_j is
+    component j of the purifier qubit times the pair state as a (dx, dy)
+    amplitude matrix, normalized so sum_j ||w_j||^2 = 1 per entry.
 
     Every length-2 ensemble decomposition of the pair state comes from a
     projective measurement along a Bloch direction of the purifier, and
@@ -150,28 +149,14 @@ def _rank2_tangle_core(w: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.
 
         tau = 2 - 2*Q00 - 2*max eig (L^T Q L)[1:, 1:]
 
-    with Q_{mu nu} = Re tr(S_mu S_nu) built from the purifier-component
-    correlations S_mu, and L the boost of velocity |r| along the Bloch
-    vector r.  States with a pure pair (|r| -> 1) take the direct branch
-    tau = 2*(1 - Q00).
+    with S_mu = sum_jk (sigma_mu)_kj r[j, k] the Pauli components of r,
+    Q_{mu nu} = Re tr(S_mu S_nu), and L the boost of velocity |b| along
+    the purifier's Bloch vector b_i = tr S_i.  States with a pure pair
+    (|b| -> 1) take the direct branch tau = 2*(1 - Q00).
     """
-    r = np.einsum("...jab,...kcb->...jkac", w, w.conj())
-    s0 = r[..., 0, 0, :, :] + r[..., 1, 1, :, :]
-    s1 = r[..., 0, 1, :, :] + r[..., 1, 0, :, :]
-    s2 = 1j * (r[..., 0, 1, :, :] - r[..., 1, 0, :, :])
-    s3 = r[..., 0, 0, :, :] - r[..., 1, 1, :, :]
-    s = np.stack([s0, s1, s2, s3], axis=-3)
+    s = np.einsum("mkj,...jkac->...mac", _PAULIS, r, optimize=True)
     q = np.einsum("...mab,...nba->...mn", s, s).real
-
-    tr_r = np.einsum("...jkaa->...jk", r)
-    bloch = np.stack(
-        [
-            2.0 * tr_r[..., 0, 1].real,
-            -2.0 * tr_r[..., 0, 1].imag,
-            (tr_r[..., 0, 0] - tr_r[..., 1, 1]).real,
-        ],
-        axis=-1,
-    )
+    bloch = np.einsum("...maa->...m", s[..., 1:, :, :]).real
     delta = np.linalg.norm(bloch, axis=-1)
     q00 = q[..., 0, 0]
     pure_mask = delta >= 1.0 - 2.0 * rank_tol
@@ -191,7 +176,7 @@ def _rank2_tangle_core(w: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.
         nhat[..., :, None] * nhat[..., None, :]
     )
 
-    boosted = np.einsum("...ma,...mn,...nb->...ab", boost, q, boost)
+    boosted = boost @ q @ boost
     spatial = boosted[..., 1:, 1:]
     spatial = 0.5 * (spatial + spatial.swapaxes(-1, -2))
     lam_max = np.linalg.eigvalsh(spatial)[..., -1]
@@ -211,8 +196,7 @@ def rank2_itangle(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> flo
     """
     if len(rho.dims) != 2:
         raise ValueError("rank-2 tangle needs exactly two factors")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    check_rank_tol(rank_tol)
     evals, evecs = np.linalg.eigh(rho.matrix)
     evals, evecs = evals[::-1], evecs[:, ::-1]
     if rho.matrix.shape[0] > 2 and evals[2] > rank_tol:
@@ -231,7 +215,8 @@ def rank2_itangle(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> flo
     )
     # renormalize away the weight lost to discarded (dust) eigenvalues
     w = w / math.sqrt(evals[0] + evals[1])
-    return float(_rank2_tangle_core(w[None], rank_tol)[0])
+    r = np.einsum("jab,kcb->jkac", w, w.conj())
+    return float(_rank2_tangle_core(r[None], rank_tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -443,27 +428,27 @@ class TangleReport:
 def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, np.ndarray]:
     """Every ``SCENARIO_COLUMNS`` entry of an (N, 4*D) stack of (2, 2, D) states.
 
-    rho_AA is the same M @ M^H product that ``partial_trace`` forms.  Both
-    sides of a pure-state cut carry the same nonzero spectrum, so the
-    field's purity and effective dimension come from the 4x4 rho_AA and
-    the D x D field marginal is never built.  Every pairwise term has a
-    qubit on one side: atom-atom is the Wootters form, and atom-field is
-    the rank-2 closed form with the spare atom as purifier.
+    Only rho_AA = M @ M^H (the product ``partial_trace`` forms) and the
+    Wootters kernel's QR of M contract over D; the rest is 4 x 4 work on
+    rho_AA.  Both sides of a pure-state cut share their nonzero spectrum,
+    so the field's purity and effective dimension come from rho_AA.  Each
+    atom-field pair is purified by the spare atom, and the rank-2 closed
+    form needs only its purifier correlations, a transposed view of rho_AA.
     """
-    n = amps.shape[0]
-    t = amps.reshape(n, 2, 2, -1)
-    tc = t.conj()
-    m = t.reshape(n, 4, -1)
+    check_rank_tol(rank_tol)
+    m = amps.reshape(len(amps), 4, -1)
     rho_aa = m @ m.conj().swapaxes(-1, -2)
-    rho_a1 = np.einsum("nijk,nljk->nil", t, tc)
-    rho_a2 = np.einsum("nijk,nimk->njm", t, tc)
+    rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
+    rho_a1 = np.einsum("nabcb->nac", rho4)
+    rho_a2 = np.einsum("nabad->nbd", rho4)
 
     evals = [np.linalg.eigvalsh(rho) for rho in (rho_aa, rho_a1, rho_a2)]
     d_f, d_a1, d_a2 = (np.count_nonzero(ev > rank_tol, axis=-1) for ev in evals)
     tau_f_aa, tau_a_rest, tau_a2_rest = (2.0 * (1.0 - np.sum(ev**2, axis=-1)) for ev in evals)
-    tau_aa = _wootters_batch(rho_aa)
-    tau_a1f = _rank2_tangle_core(t.transpose(0, 2, 1, 3), rank_tol)
-    tau_a2f = _rank2_tangle_core(t, rank_tol)
+    tau_aa = _wootters_batch(m)
+    # two calls at N states each: one call on 2N doubles the kernel's peak memory
+    tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3), rank_tol)
+    tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4), rank_tol)
 
     one_vs_rest = d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * tau_f_aa
     pairwise = (
@@ -471,14 +456,13 @@ def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[s
         + np.minimum(d_a1, d_f) / 2.0 * tau_a1f
         + np.minimum(d_a2, d_f) / 2.0 * tau_a2f
     )
-    p_ee_gg = np.sum(np.abs(m[:, (0, 3)]) ** 2, axis=-1)
     return {
         "tau_F_AA": tau_f_aa,
         "tau_A_rest": tau_a_rest,
         "tau_AA": tau_aa,
         "tau_AF": tau_a1f,
         "tau_res": (one_vs_rest - 2.0 * pairwise) / 3.0,
-        "inversion": p_ee_gg[:, 0] - p_ee_gg[:, 1],
+        "inversion": (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real,
         "field_eff_dim": d_f,
     }
 
@@ -529,12 +513,17 @@ def residual_tangle_batch(
 
 
 def _pair_tangle_generic(
-    rho: DensityMatrix, rank_tol: float, roof_options: Optional[RoofOptions]
+    state: PureState, pair: tuple[int, int], rank_tol: float, roof_options: Optional[RoofOptions]
 ) -> float:
-    """Mixed pair tangle: Wootters for qubit pairs, rank-2 closed form when
-    applicable, convex roof otherwise."""
-    if rho.dims == (2, 2):
-        return wootters_tangle(rho)
+    """Mixed tangle of two factors of a pure state: Wootters for qubit pairs,
+    on the state's own amplitude factor; the rank-2 closed form when
+    applicable; the convex roof otherwise."""
+    i, j = pair
+    tens = state.tensor()
+    if (tens.shape[i], tens.shape[j]) == (2, 2):
+        factor = np.moveaxis(tens, (i, j), (0, 1)).reshape(4, -1)
+        return float(_wootters_batch(factor[None])[0])
+    rho = partial_trace(state, pair)
     if effective_rank(rho, rank_tol) <= 2:
         return rank2_itangle(rho, rank_tol)
     return convex_roof_itangle(rho, roof_options or RoofOptions())
@@ -553,8 +542,6 @@ def i_residual_tangle(
     of the term's two sides.  Values are reported as computed; tiny
     negative dust is not clamped.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     dims = state.shape.dims
     if len(dims) != 3:
         raise ValueError("residual tangle needs exactly three factors")
@@ -571,8 +558,7 @@ def i_residual_tangle(
 
     pairwise = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        rho_pair = partial_trace(state, (i, j))
         d = min(eff[i], eff[j])
-        pairwise += d / 2.0 * _pair_tangle_generic(rho_pair, rank_tol, roof_options)
+        pairwise += d / 2.0 * _pair_tangle_generic(state, (i, j), rank_tol, roof_options)
 
     return (one_vs_rest - 2.0 * pairwise) / 3.0

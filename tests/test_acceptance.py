@@ -287,12 +287,10 @@ def _haar_batch(rng, count, dim):
 def _ckw_min_residual(rng, count):
     """Smallest one-vs-rest minus pairwise-tangle margin over qubit triples."""
     tens = _haar_batch(rng, count, 8).reshape(count, 2, 2, 2)
-    rho_ab = np.einsum("nabc,nxyc->nabxy", tens, tens.conj()).reshape(count, 4, 4)
-    rho_ac = np.einsum("nabc,nxby->nacxy", tens, tens.conj()).reshape(count, 4, 4)
-    rho_bc = np.einsum("nabc,naxy->nbcxy", tens, tens.conj()).reshape(count, 4, 4)
-    tau_ab = _wootters_batch(rho_ab)
-    tau_ac = _wootters_batch(rho_ac)
-    tau_bc = _wootters_batch(rho_bc)
+    # each pair's 4 x 2 amplitude factor: rho_pair = W W^H
+    tau_ab = _wootters_batch(tens.reshape(count, 4, 2))
+    tau_ac = _wootters_batch(tens.transpose(0, 1, 3, 2).reshape(count, 4, 2))
+    tau_bc = _wootters_batch(tens.transpose(0, 2, 3, 1).reshape(count, 4, 2))
 
     def one_vs_rest(subscript):
         rho = np.einsum(subscript, tens, tens.conj())
@@ -311,7 +309,7 @@ def _tangle_bound_margin(rng, count):
     """min of tr(rho rho~) - tau_2 over induced-measure two-qubit states."""
     v = _haar_batch(rng, count, 16).reshape(count, 4, 4)
     rho = np.einsum("nik,njk->nij", v, v.conj())
-    tau2 = _wootters_batch(rho)
+    tau2 = _wootters_batch(v)
     four = rho.reshape(count, 2, 2, 2, 2)
     rho_a = np.einsum("nabcb->nac", four)
     rho_b = np.einsum("nabad->nbd", four)
@@ -450,17 +448,19 @@ def test_criterion_08_property_suite(announce):
     trajectory_err = _rank2_vs_roof_error_along_trajectory()
     perm_err = _permutation_error(rng, 50)
 
-    # the residual combines eigenvalue-route pair tangles, each with
-    # ~sqrt(eps) noise, so its invariance checks get a 1e-7 floor
+    # the residual's qubit-pair tangles come from amplitude factors, so its
+    # invariance checks hold to roundoff; the component checks call the
+    # density-matrix API, whose Wootters tangle carries ~sqrt(eps) noise
+    # near rank deficiency, and keep a 1e-7 floor
     checks = {
         "ckw_margin": ckw_margin >= -1e-9,
         "tangle_bound_margin": bound_margin >= -1e-9,
         "inversion_identity": identity_err < 1e-12,
-        "local_unitary_residual": lu_residual_err < 1e-7,
+        "local_unitary_residual": lu_residual_err < 1e-12,
         "local_unitary_components": lu_component_err < 1e-7,
         "roof_vs_wootters": roof_err < 1e-6,
         "rank2_vs_roof": trajectory_err < 1e-6,
-        "permutation": perm_err < 1e-7,
+        "permutation": perm_err < 1e-12,
     }
     ok = all(checks.values())
     msg = announce(

@@ -89,7 +89,7 @@ def test_sweep_argument_validation():
         tt.positivity_sweep((2, 2, 3), samples=10, measure="uniform")
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 3), samples=10, chunk=0)
-    for rank_tol in (-1.0, 0.0, float("nan"), float("inf")):
+    for rank_tol in (-1.0, 0.0, float("nan"), float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError, match="rank_tol"):
             tt.positivity_sweep((2, 2, 3), samples=10, rank_tol=rank_tol)
 

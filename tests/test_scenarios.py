@@ -1,7 +1,11 @@
+import contextlib
+import io
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
 from tcm_tangles import dynamics
@@ -82,6 +86,10 @@ def test_preset_overrides_and_unknown_name():
         dict(omega=math.nan),
         dict(omega=-math.inf),
         dict(field="coherent", n=None, mean_n=math.inf),
+        dict(rank_tol=math.inf),
+        dict(rank_tol=math.nan),
+        dict(rank_tol=1.0),
+        dict(rank_tol=2.0),
     ],
 )
 def test_config_validation(overrides):
@@ -447,3 +455,35 @@ def test_cli_scaling(tmp_path):
     assert header == ["n", "peak_tau_AA"]
     assert data.shape == (3, 2)
     assert main(["scaling", "--n", "5,x", "--out", str(out)]) == 1
+
+
+_CLI_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300, -1e300]),
+    st.floats(),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS)
+@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0)  # the phases overflow
+@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300)  # tau_res leaves its range
+@example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan)
+def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol):
+    # any float for these flags either succeeds or exits 1 or 2 with one
+    # stderr line; numpy floating-point warnings, which would add stderr
+    # lines on the command line, are raised here and fail like a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [
+            ["scenario", "--preset", "fig1", "--steps", "3", f"--rank-tol={rank_tol!r}",
+             f"--t-max={t_max!r}", "--out", f"{tmp}/s.csv"],
+            ["sweep", "--dims", "2x2x3", "--samples", "10", f"--rank-tol={sweep_rank_tol!r}",
+             "--out", f"{tmp}/w.txt"],
+        ]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with np.errstate(all="raise", under="ignore"):
+                    code = main(argv)
+            assert code in (0, 1, 2)
+            if code:
+                assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()

@@ -1,8 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
 
 import tcm_tangles as tt
-from tcm_tangles.tangles import SCENARIO_COLUMNS, _roof_objective, check_tangle_columns
+from tcm_tangles.scenarios import _build_initial, preset_config
+from tcm_tangles.tangles import (
+    SCENARIO_COLUMNS,
+    _roof_objective,
+    _tcm_columns,
+    _wootters_batch,
+    check_tangle_columns,
+)
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 GHZ = np.zeros(8)
@@ -72,15 +80,81 @@ def test_wootters_edge_cases():
 
 
 def test_wootters_pure_closed_form():
-    # for |psi> = a|00>+b|01>+c|10>+d|11> the tangle is 4|ad - bc|^2; the
-    # eigenvalue route turns eps-level noise in the three zero modes into
-    # ~sqrt(eps) concurrence noise, so the tolerance reflects that
+    # for |psi> = a|00>+b|01>+c|10>+d|11> the tangle is 4|ad - bc|^2.  A
+    # density-matrix input has eps-level eigenvalue noise in its three zero
+    # modes, and the factor U sqrt(Lambda) of its eigendecomposition turns
+    # that into ~sqrt(eps) concurrence noise, so this limit of the
+    # density-matrix API is pinned at 1e-7; the kernel on the pure state's
+    # own factor is pinned at roundoff below
     rng = np.random.default_rng(23)
     for _ in range(20):
         v = haar_vec(rng, 4)
         rho = tt.DensityMatrix((2, 2), np.outer(v, v.conj()))
         expected = 4.0 * abs(v[0] * v[3] - v[1] * v[2]) ** 2
         assert abs(tt.wootters_tangle(rho) - expected) < 1e-7
+
+
+def test_wootters_kernel_rank1_factors():
+    rng = np.random.default_rng(24)
+    vecs = np.array([haar_vec(rng, 4) for _ in range(200)])
+    vecs[0] = BELL
+    vecs[1] = np.kron(haar_vec(rng, 2), haar_vec(rng, 2))
+    expected = 4.0 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2]) ** 2
+    np.testing.assert_allclose(_wootters_batch(vecs[:, :, None]), expected, atol=1e-14, rtol=0)
+
+
+def test_wootters_kernel_bell_diagonal_mixtures():
+    # sum_i p_i |Bell_i><Bell_i| has C = max(0, 2 p_max - 1) under local
+    # unitaries, and any factor W of rho = W W^H gives the same value:
+    # rank-2 and rank-3 mixtures, as 4 x rank factors and as 4 x 6 ones
+    # built with a random isometry (W V with V V^H = 1)
+    rng = np.random.default_rng(25)
+    s = 1.0 / np.sqrt(2.0)
+    bells = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]).T
+
+    def unitary(d):
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+    for rank in (2, 3):
+        for trial in range(20):
+            # the first trial has p_max <= 1/2, a separable mixture
+            p = np.full(rank, 1.0 / rank) if trial == 0 else rng.dirichlet(np.ones(rank))
+            cols = rng.permutation(4)[:rank]
+            w = np.kron(unitary(2), unitary(2)) @ (bells[:, cols] * np.sqrt(p))
+            wide = w @ unitary(6)[:rank]
+            expected = max(0.0, 2.0 * p.max() - 1.0) ** 2
+            for factor in (w, wide):
+                assert abs(_wootters_batch(factor[None])[0] - expected) < 1e-14
+
+
+# The four fig3 points where the square-root form of the Wootters tangle,
+# the eigenvalues of sqrt(rho) rho~ sqrt(rho), errs most (1.8e-8, 1.4e-8,
+# 1.3e-8 and 1.2e-8 against the reference below): early times, when rho_AA
+# is nearly pure and the dust in its zero eigenvalues sets the error.
+FIG3_WORST_TAU_AA_POINTS = (1, 6, 15, 25)
+
+
+def _mpmath_wootters(m):
+    """tau of rho = M M^H from the eigenvalues of rho (sigma_y x sigma_y)
+    rho* (sigma_y x sigma_y), at 40 digits."""
+    with mpmath.workdps(40):
+        mat = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+        rho = mat * mat.H
+        yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        evals = mpmath.eig(rho * (yy * rho.conjugate() * yy), left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in evals), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]) ** 2)
+
+
+def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
+    config = preset_config("fig3")
+    state, params = _build_initial(config)
+    gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
+    series = tt.TcmPropagator(params).evolve_series(state, gts)
+    amps = np.concatenate([chunk for _, chunk in series])
+    tau_aa = _tcm_columns(amps)["tau_AA"]
+    reference = [_mpmath_wootters(row.reshape(4, -1)) for row in amps]
+    np.testing.assert_allclose(tau_aa, reference, atol=1e-12, rtol=0)
 
 
 # --- pure-state cuts -------------------------------------------------------
@@ -285,6 +359,11 @@ def test_tangle_report_cross_checks():
     for i in (7, 23, 41):
         row = {name: result.column(name)[i] for name in SCENARIO_COLUMNS}
         cases.append((tt.evolve(state, result.gt[i], params), row))
+    # the states above are symmetric under swapping the atoms; a Haar state
+    # is not, so it tells the two atom-field purifications apart
+    haar = pure_state((2, 2, 5), haar_vec(np.random.default_rng(66), 20))
+    haar_report = tt.tangle_report(haar)
+    cases.append((haar, {name: getattr(haar_report, name) for name in SCENARIO_COLUMNS}))
 
     for evolved, row in cases:
         rho_aa = tt.partial_trace(evolved, (0, 1))
@@ -333,8 +412,7 @@ def test_residual_permutation_invariant():
     for perm in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
         dims = tuple(np.array((2, 2, 3))[list(perm)])
         permuted = pure_state(dims, np.transpose(tens, perm).ravel())
-        # pair tangles inside the residual carry ~sqrt(eps) eigenvalue noise
-        assert abs(tt.i_residual_tangle(permuted) - base) < 1e-7
+        assert abs(tt.i_residual_tangle(permuted) - base) < 1e-12
 
 
 def test_residual_fast_path_matches_generic():
@@ -356,6 +434,26 @@ def test_residual_batch_matches_scalar():
         batch = tt.residual_tangle_batch(states, dims)
         scalar = [tt.i_residual_tangle(pure_state(dims, s)) for s in states]
         np.testing.assert_allclose(batch, scalar, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, -1.0, np.nan, np.inf, 1.0, 2.0])
+def test_library_entry_points_validate_rank_tol(rank_tol):
+    # a cutoff of nan, inf or >= 1 counts no eigenvalue, which silently
+    # zeroed the residual of this state (0.699 at a valid cutoff)
+    vec = haar_vec(np.random.default_rng(0), 12)
+    state = pure_state((2, 2, 3), vec)
+    assert abs(tt.i_residual_tangle(state) - 0.699) < 1e-3
+    rho_af = tt.partial_trace(state, (0, 2))
+    calls = [
+        lambda: tt.i_residual_tangle(state, rank_tol),
+        lambda: tt.residual_tangle_batch(vec[None], (2, 2, 3), rank_tol),
+        lambda: tt.tangle_report(state, rank_tol=rank_tol),
+        lambda: tt.effective_rank(rho_af, rank_tol),
+        lambda: tt.rank2_itangle(rho_af, rank_tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="rank_tol must be finite and positive"):
+            call()
 
 
 def test_residual_nonnegative_on_qubit_triples():
