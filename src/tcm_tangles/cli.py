@@ -20,6 +20,7 @@ from .dynamics import TruncationError
 from .random_states import SWEEP_DIMS, positivity_sweep
 from .scenarios import (
     PRESETS,
+    SCENARIO_TYPES,
     ConfigError,
     ScenarioConfig,
     compare_exact_vs_approx,
@@ -78,33 +79,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-_SCENARIO_KEYS = (
-    "atomic",
-    "field",
-    "n",
-    "mean_n",
-    "g",
-    "omega",
-    "t_max",
-    "steps",
-    "tail_tol",
-    "rank_tol",
-    "approx_compare",
-)
-
-
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
-    merged: dict = {}
-    if args.preset:
-        merged.update(PRESETS[args.preset])
+    merged = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
-        file_values = load_config(args.config)
-        unknown = set(file_values) - set(_SCENARIO_KEYS)
-        if unknown:
-            raise ConfigError(f"config keys {sorted(unknown)} do not apply to scenarios")
-        merged.update(file_values)
-    for key in ("atomic", "field", "n", "mean_n", "t_max", "steps", "tail_tol", "rank_tol"):
-        value = getattr(args, key)
+        merged.update(load_config(args.config, SCENARIO_TYPES))
+    for key in SCENARIO_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     # choosing a field kind explicitly drops the other kind's inherited value
@@ -138,11 +118,7 @@ def _run_sweep(args: argparse.Namespace) -> None:
         raise ConfigError("samples must be >= 1")
     settings = {"measure": "haar", "rank_tol": 1e-10}
     if args.config:
-        file_values = load_config(args.config)
-        unknown = set(file_values) - set(settings)
-        if unknown:
-            raise ConfigError(f"config keys {sorted(unknown)} do not apply to sweeps")
-        settings.update(file_values)
+        settings.update(load_config(args.config, {"measure": str, "rank_tol": float}))
     if args.rank_tol is not None:
         settings["rank_tol"] = args.rank_tol
     measure, rank_tol = settings["measure"], settings["rank_tol"]

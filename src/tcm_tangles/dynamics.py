@@ -1,9 +1,8 @@
 """Exact dynamics of two identical two-level atoms coupled to one cavity mode.
 
-The resonant rotating-wave Hamiltonian (hbar = 1)
+The resonant rotating-wave coupling (hbar = 1, interaction picture)
 
-    H = omega * (a^dag a + sz1/2 + sz2/2)
-        + g * ((sm1 + sm2) a^dag + (sp1 + sp2) a)
+    H = g * ((sm1 + sm2) a^dag + (sp1 + sp2) a)
 
 conserves the excitation number K = a^dag a + (sz1 + sz2 + 2)/2, so it is
 block diagonal over K.  Each block is spanned by
@@ -14,10 +13,13 @@ block diagonal over K.  Each block is spanned by
 block's coupling has spectrum {0, 0, +-Omega_K}, so evolution is exact in
 closed form per block (see ``TcmPropagator``).
 
+The bare-frequency term omega * (a^dag a + sz1/2 + sz2/2) = omega * (K - 1)
+is left out: it commutes with H and is a sum of one-party terms, so
+exp(-i omega (K - 1) t) is a product of local unitaries on atom 1, atom 2
+and the field, and changes no tangle, population or excitation distribution.
+
 Basis conventions: atom states are ordered (e, g), so a state vector over
 (atom 1, atom 2, field) has C-order layout with the photon index fastest.
-By default omega = 0, i.e. amplitudes are carried in the interaction
-picture; a nonzero omega only adds the per-block phase omega*(K-1).
 """
 
 from __future__ import annotations
@@ -55,11 +57,10 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling g, photon cutoff n_max and (optional) common frequency omega."""
+    """Coupling g and photon cutoff n_max."""
 
     g: float
     n_max: int
-    omega: float = 0.0
 
     def __post_init__(self):
         if not self.g > 0:
@@ -68,7 +69,6 @@ class ModelParams:
             raise ValueError("n_max must be at least 1")
         object.__setattr__(self, "g", float(self.g))
         object.__setattr__(self, "n_max", int(self.n_max))
-        object.__setattr__(self, "omega", float(self.omega))
 
     @property
     def field_dim(self) -> int:
@@ -200,8 +200,8 @@ class TcmPropagator:
         exp(-i H_K t) = 1 - 2 sin^2(Omega_K t/2) H_K^2/Omega_K^2
                         - i sin(Omega_K t) H_K/Omega_K,
 
-    times the free phase exp(-i omega (K-1) t), so evolving a state needs
-    H psi and H^2 psi once and elementwise work per time.
+    so evolving a state needs H psi and H^2 psi once and elementwise work
+    per time.
     """
 
     def __init__(self, params: ModelParams):
@@ -222,22 +222,15 @@ class TcmPropagator:
             )
         return amps
 
-    def evolve(self, state: PureState, t: float) -> PureState:
-        """Propagate ``state`` by time ``t`` (exact per-block evolution)."""
-        for _, out in self.evolve_series(state, [t]):
-            return PureState(state.shape, out[0])
-        raise AssertionError("unreachable")
+    def evolve_series(self, state: PureState, times: Sequence[float]) -> Iterator[np.ndarray]:
+        """Yield the evolved amplitudes over the requested times, in order.
 
-    def evolve_series(
-        self, state: PureState, times: Sequence[float]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (t_chunk, amplitudes) over the requested times, in order.
-
-        ``amplitudes`` has one row of length 4*D per entry of ``t_chunk``;
-        a chunk holds at most ``CHUNK_BUDGET`` bytes of amplitudes (and at
-        least one time), so memory stays bounded however long the grid is.
-        Norm conservation and the photon truncation guard are checked at
-        every emitted time; times whose phases overflow raise OverflowError.
+        Each chunk has one row of length 4*D per time, consecutive times
+        filling consecutive rows; a chunk holds at most ``CHUNK_BUDGET``
+        bytes (and at least one time), so memory stays bounded however long
+        the grid is.  Norm conservation and the photon truncation guard are
+        checked at every emitted time; times whose phases overflow raise
+        OverflowError.
         """
         amps = self._check_state(state)
         p = self.params
@@ -245,7 +238,7 @@ class TcmPropagator:
         times = np.asarray(times, dtype=float).ravel()
         # Python floats overflow to inf without a warning
         t_max = float(np.max(np.abs(times), initial=0.0))
-        if not math.isfinite(t_max * max(float(self.rabi.max()), abs(p.omega) * (d + 1))):
+        if not math.isfinite(t_max * float(self.rabi.max())):
             raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = max(1, CHUNK_BUDGET // amps.nbytes)
         k = excitation_map(d)
@@ -253,16 +246,11 @@ class TcmPropagator:
         safe = np.where(self.rabi > 0.0, self.rabi, 1.0)[k]
         h1 = _coupling(amps, p.g, d) / safe  # H psi / Omega, block by block
         h2 = _coupling(h1, p.g, d) / safe  # H^2 psi / Omega^2
-        free = np.arange(d + 2) - 1.0  # K - 1
+        ih1 = 1j * h1
         for start in range(0, times.size, step):
             t = times[start:start + step]
             wt = t[:, None] * self.rabi
-            phase = np.exp(-1j * p.omega * t[:, None] * free)
-            out = (
-                phase[:, k] * amps
-                - (2.0 * np.sin(0.5 * wt) ** 2 * phase)[:, k] * h2
-                - (1j * np.sin(wt) * phase)[:, k] * h1
-            )
+            out = amps - (2.0 * np.sin(0.5 * wt) ** 2)[:, k] * h2 - np.sin(wt)[:, k] * ih1
             drift = np.abs(np.linalg.norm(out, axis=1) - 1.0)
             bad = ~(drift <= NORM_DRIFT_TOL)
             if bad.any():
@@ -276,20 +264,13 @@ class TcmPropagator:
                     f"population {top[bad][0]:.3e} within {GUARD_BAND} photon indices of the "
                     f"cutoff at t={t[bad][0]:g}; raise n_max or tighten tail_tol"
                 )
-            yield t, out
+            yield out
 
 
 def evolve(state: PureState, t: float, params: ModelParams) -> PureState:
     """Evolve ``state`` under the block Hamiltonian for time ``t``."""
-    return TcmPropagator(params).evolve(state, t)
-
-
-def atomic_inversion(state: PureState) -> float:
-    """P(both atoms excited) - P(both atoms in the ground state)."""
-    tens = state.tensor()
-    p_ee = float(np.sum(np.abs(tens[0, 0]) ** 2))
-    p_gg = float(np.sum(np.abs(tens[1, 1]) ** 2))
-    return p_ee - p_gg
+    (out,) = TcmPropagator(params).evolve_series(state, [t])
+    return PureState(state.shape, out[0])
 
 
 def excitation_map(field_dim: int) -> np.ndarray:
@@ -316,9 +297,6 @@ def excitation_rows(amps: np.ndarray, field_dim: int) -> np.ndarray:
 
 
 def energy_expectation(state: PureState, params: ModelParams) -> float:
-    """<H> = <psi|H_int psi> + omega <K - 1> (conserved under evolve)."""
+    """<psi|H psi> (conserved under evolve)."""
     amps = state.amplitudes
-    d = params.field_dim
-    coupling = np.vdot(amps, _coupling(amps, params.g, d)).real
-    free = np.sum(np.abs(amps) ** 2 * (excitation_map(d) - 1))
-    return float(coupling + params.omega * free)
+    return float(np.vdot(amps, _coupling(amps, params.g, params.field_dim)).real)

@@ -10,8 +10,8 @@ Presets:
 * ``fig1`` -- both atoms excited, 10-photon number state, gt up to 5.
 * ``fig2`` -- both atoms excited, coherent field mean 100, gt up to 80.
 * ``fig3`` -- symmetric atomic superposition, coherent mean 100.
-* ``fig4`` -- both atoms excited, coherent mean 500, with the
-  large-field approximation overlaid (exact-vs-approx comparison).
+* ``fig4`` -- both atoms excited, coherent mean 500; the ``compare-approx``
+  subcommand overlays the large-field approximation on it.
 """
 
 from __future__ import annotations
@@ -41,10 +41,16 @@ CONSERVATION_TOL = 1e-10
 FOCK_PAD = 5
 COHERENT_PAD = 2
 CSV_DUST_FLOOR = -1e-9
+MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
 
 
 class ConfigError(ValueError):
     """Invalid scenario or CLI configuration."""
+
+
+def _check_steps(steps: int) -> None:
+    if not 2 <= steps <= MAX_STEPS:
+        raise ConfigError(f"steps must lie in 2 .. {MAX_STEPS}, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -59,21 +65,18 @@ class ScenarioConfig:
     n: Optional[int] = None
     mean_n: Optional[float] = None
     g: float = 1.0
-    omega: float = 0.0
     t_max: float = 5.0
     steps: int = 2000
     out: Optional[str] = None
-    approx_compare: bool = False
     tail_tol: float = 1e-10
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("t_max", "g", "omega", "mean_n"):
+        for name in ("t_max", "g", "mean_n"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.steps < 2:
-            raise ConfigError("steps must be >= 2")
+        _check_steps(self.steps)
         if not self.t_max > 0:
             raise ConfigError("t_max must be positive")
         if not self.g > 0:
@@ -99,18 +102,25 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from None
 
 
+# what a scenario config file may set, and the type each value is read as
+SCENARIO_TYPES = {
+    "atomic": str,
+    "field": str,
+    "n": int,
+    "mean_n": float,
+    "g": float,
+    "t_max": float,
+    "steps": int,
+    "tail_tol": float,
+    "rank_tol": float,
+}
+
+
 PRESETS = {
     "fig1": dict(atomic="ee", field="fock", n=10, t_max=5.0, steps=2000),
     "fig2": dict(atomic="ee", field="coherent", mean_n=100.0, t_max=80.0, steps=4000),
     "fig3": dict(atomic="sym_plus", field="coherent", mean_n=100.0, t_max=80.0, steps=4000),
-    "fig4": dict(
-        atomic="ee",
-        field="coherent",
-        mean_n=500.0,
-        t_max=140.0,
-        steps=4000,
-        approx_compare=True,
-    ),
+    "fig4": dict(atomic="ee", field="coherent", mean_n=500.0, t_max=140.0, steps=4000),
 }
 
 
@@ -131,7 +141,7 @@ def _build_initial(config: ScenarioConfig) -> tuple[PureState, ModelParams]:
         vec, n_field = coherent_state(config.mean_n, config.tail_tol)
         n_max = max(n_field, 3) + COHERENT_PAD
         field = vec
-    params = ModelParams(g=config.g, n_max=n_max, omega=config.omega)
+    params = ModelParams(g=config.g, n_max=n_max)
     return initial_state(config.atomic, field, params), params
 
 
@@ -168,7 +178,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     chunks = []
     max_norm = 0.0
     max_exc = 0.0
-    for _, amps in prop.evolve_series(state, gts / config.g):
+    for amps in prop.evolve_series(state, gts / config.g):
         norm = float(np.max(np.abs(np.linalg.norm(amps, axis=1) - 1.0)))
         exc = float(np.max(np.abs(excitation_rows(amps, params.field_dim) - k_ref)))
         if not (norm <= CONSERVATION_TOL and exc <= CONSERVATION_TOL):
@@ -270,8 +280,7 @@ def scaling_study(
         raise ConfigError("scaling needs at least 3 distinct photon numbers")
     if any(n < 2 for n in ns):
         raise ConfigError("scaling photon numbers must be >= 2")
-    if steps < 2:
-        raise ConfigError("steps must be >= 2")
+    _check_steps(steps)
     if not g > 0:
         raise ConfigError("g must be positive")
 
@@ -283,7 +292,7 @@ def scaling_study(
         times = np.linspace(0.0, period, steps)
         prop = TcmPropagator(params)
         chunks = prop.evolve_series(state, times)
-        peaks.append(max(float(np.max(_tcm_columns(amps)["tau_AA"])) for _, amps in chunks))
+        peaks.append(max(float(np.max(_tcm_columns(amps)["tau_AA"])) for amps in chunks))
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
 
@@ -391,41 +400,12 @@ def _write_scaling_csv(result: ScalingResult, g: float, steps: int, out: str) ->
 # flat key=value config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_TYPES = {
-    "atomic": str,
-    "field": str,
-    "measure": str,
-    "n": int,
-    "steps": int,
-    "mean_n": float,
-    "g": float,
-    "omega": float,
-    "t_max": float,
-    "tail_tol": float,
-    "rank_tol": float,
-    "approx_compare": bool,
-}
+def load_config(path: str, types: Mapping[str, type]) -> dict:
+    """Flat key=value file (``#`` comments, blank lines allowed) -> dict.
 
-
-def _coerce(key: str, raw: str):
-    if key not in _CONFIG_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    kind = _CONFIG_TYPES[key]
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key} expects a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key} expects {kind.__name__}, got {raw!r}") from None
-
-
-def load_config(path: str) -> dict:
-    """Flat key=value file (``#`` comments, blank lines allowed) -> dict."""
+    ``types`` maps each key the caller accepts to the type its value is
+    converted to; any other key is an error.
+    """
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -435,8 +415,15 @@ def load_config(path: str) -> dict:
                     continue
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-                key, _, raw = text.partition("=")
-                values[key.strip()] = _coerce(key.strip(), raw.strip())
+                key, _, raw = (part.strip() for part in text.partition("="))
+                if key not in types:
+                    raise ConfigError(f"unknown config key {key!r}")
+                try:
+                    values[key] = types[key](raw)
+                except ValueError:
+                    raise ConfigError(
+                        f"config key {key} expects {types[key].__name__}, got {raw!r}"
+                    ) from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values

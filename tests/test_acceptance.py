@@ -413,7 +413,7 @@ def _rank2_vs_roof_error_along_trajectory():
     prop = tt.TcmPropagator(params)
     options = tt.RoofOptions(restarts=4, seed=11)
     worst = 0.0
-    for _, chunk in prop.evolve_series(state, times):
+    for chunk in prop.evolve_series(state, times):
         for amps in chunk:
             rho_af = tt.partial_trace(tt.PureState(params.shape, amps), (0, 2))
             worst = max(
@@ -486,8 +486,7 @@ def test_criterion_09_dynamics_oracles(fig1, fig2_ee, fig2_gg, fig3_sym, fig3_ca
             abs(np.vdot(initial.amplitudes, amps)) ** 2
             - math.cos(math.sqrt(2.0) * t) ** 2
         )
-        for ts, chunk in prop.evolve_series(initial, times)
-        for t, amps in zip(ts, chunk)
+        for t, amps in zip(times, np.concatenate(list(prop.evolve_series(initial, times))))
     )
 
     singlet_err = max(

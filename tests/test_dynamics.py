@@ -83,8 +83,9 @@ def test_initial_state_pads_field():
 
 
 def _dense_model(params):
-    """Coupling, free part and excitation number as dense 4D x 4D matrices,
-    built from the operators of the model in the (e, g) x (e, g) x photon basis."""
+    """Coupling, bare-frequency term a^dag a + sz1/2 + sz2/2 and excitation number
+    as dense 4D x 4D matrices, built from the operators of the model in the
+    (e, g) x (e, g) x photon basis."""
     d = params.field_dim
     sm = np.array([[0.0, 0.0], [1.0, 0.0]])  # |g><e|
     jm = np.kron(sm, np.eye(2)) + np.kron(np.eye(2), sm)
@@ -93,7 +94,7 @@ def _dense_model(params):
     number = np.kron(np.eye(4), np.diag(np.arange(float(d))))
     coupling = params.g * np.kron(jm, adag)
     coupling = coupling + coupling.T
-    free = params.omega * (number + 0.5 * np.kron(jz, np.eye(d)))
+    free = number + 0.5 * np.kron(jz, np.eye(d))
     excitation = np.diag(number + 0.5 * np.kron(jz + 2.0 * np.eye(4), np.eye(d)))
     return coupling, free, excitation.round().astype(int)
 
@@ -171,10 +172,10 @@ def test_evolve_matches_dense_expm():
     from scipy.linalg import expm
 
     n_max = 8
-    for g, omega in ((1.0, 0.0), (0.7, 2.5)):
-        params = tt.ModelParams(g=g, n_max=n_max, omega=omega)
+    for g in (1.0, 0.7):
+        params = tt.ModelParams(g=g, n_max=n_max)
         d = params.field_dim
-        coupling, free, excitation = _dense_model(params)
+        h, _, excitation = _dense_model(params)
         # raw complex atomic state x photons 0..3 fills blocks K = 0 .. 5 ...
         field = np.zeros(d, dtype=complex)
         field[:4] = [0.6, 0.5j, -0.4, 0.3 + 0.2j]
@@ -185,7 +186,6 @@ def test_evolve_matches_dense_expm():
         amps[edge] = [3e-5, -2e-5j, 1e-5 + 2e-5j, 2e-5]
         amps /= np.linalg.norm(amps)
         state = tt.PureState(params.shape, amps)
-        h = coupling + free
         assert abs(tt.energy_expectation(state, params) - np.vdot(amps, h @ amps).real) < 1e-12
         for t in (0.0, 0.37, 2.9, 13.1):
             got = tt.evolve(state, t, params).amplitudes
@@ -238,14 +238,22 @@ def test_singlet_is_stationary():
 
 
 def test_detuning_free_phase_only():
-    # a nonzero bare frequency multiplies each excitation block by a phase:
-    # per-basis-state populations and all tangles are unchanged
-    resonant = tt.ModelParams(g=1.0, n_max=8)
-    rotated = tt.ModelParams(g=1.0, n_max=8, omega=5.0)
-    s0 = tt.initial_state("ee", tt.fock_state(2, 8), resonant)
+    # the bare-frequency term that evolve leaves out commutes with the
+    # coupling and is a sum of one-party terms: with it, the state differs
+    # from evolve's by local phases only, so populations and tangles agree
+    from scipy.linalg import expm
+
+    params = tt.ModelParams(g=1.0, n_max=8)
+    coupling, free, _ = _dense_model(params)
+    omega = 5.0
+    s0 = tt.initial_state("ee", tt.fock_state(2, 8), params)
     for t in (0.4, 1.9):
-        a = tt.evolve(s0, t, resonant)
-        b = tt.evolve(s0, t, rotated)
+        a = tt.evolve(s0, t, params)
+        b = tt.PureState(params.shape, expm(-1j * (coupling + omega * free) * t) @ s0.amplitudes)
+        atom = np.exp(-0.5j * omega * t * np.array([1.0, -1.0]))  # exp(-i omega t sz/2)
+        photons = np.exp(-1j * omega * t * np.arange(params.field_dim))
+        local = np.kron(np.kron(atom, atom), photons)
+        np.testing.assert_allclose(b.amplitudes, local * a.amplitudes, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
             np.abs(a.amplitudes), np.abs(b.amplitudes), atol=1e-12
         )
@@ -255,12 +263,12 @@ def test_detuning_free_phase_only():
 
 
 def test_energy_conserved():
-    params = tt.ModelParams(g=0.8, n_max=9, omega=3.0)
+    params = tt.ModelParams(g=0.8, n_max=9)
     state = tt.initial_state("sym_plus", tt.fock_state(4, 9), params)
     prop = tt.TcmPropagator(params)
     energies = [
         tt.energy_expectation(tt.PureState(params.shape, amps), params)
-        for _, chunk in prop.evolve_series(state, np.linspace(0.0, 5.0, 40))
+        for chunk in prop.evolve_series(state, np.linspace(0.0, 5.0, 40))
         for amps in chunk
     ]
     assert np.max(np.abs(np.diff(energies))) < 1e-11
@@ -272,7 +280,7 @@ def test_norm_conserved_along_series():
     prop = tt.TcmPropagator(params)
     drifts = [
         abs(np.linalg.norm(amps) - 1.0)
-        for _, chunk in prop.evolve_series(state, np.linspace(0.0, 8.0, 50))
+        for chunk in prop.evolve_series(state, np.linspace(0.0, 8.0, 50))
         for amps in chunk
     ]
     assert max(drifts) < 1e-12

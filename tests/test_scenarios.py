@@ -11,8 +11,10 @@ import tcm_tangles as tt
 from tcm_tangles import dynamics
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
+    MAX_STEPS,
     PRESETS,
     SCENARIO_COLUMNS,
+    SCENARIO_TYPES,
     ConfigError,
     _fmt,
     load_config,
@@ -52,9 +54,8 @@ def test_preset_catalog():
     assert fig3.atomic == "sym_plus"
     assert (fig3.field, fig3.mean_n) == ("coherent", 100.0)
     fig4 = preset_config("fig4")
-    assert (fig4.mean_n, fig4.t_max) == (500.0, 140.0)
-    assert fig4.approx_compare is True
-    assert not fig1.approx_compare
+    assert (fig4.atomic, fig4.field) == ("ee", "coherent")
+    assert (fig4.mean_n, fig4.t_max, fig4.steps) == (500.0, 140.0, 4000)
 
 
 def test_preset_overrides_and_unknown_name():
@@ -83,8 +84,8 @@ def test_preset_overrides_and_unknown_name():
         dict(t_max=math.inf),
         dict(t_max=math.nan),
         dict(g=math.inf),
-        dict(omega=math.nan),
-        dict(omega=-math.inf),
+        dict(g=math.nan),
+        dict(steps=MAX_STEPS + 1),
         dict(field="coherent", n=None, mean_n=math.inf),
         dict(rank_tol=math.inf),
         dict(rank_tol=math.nan),
@@ -283,16 +284,18 @@ def test_load_config_parses_types(tmp_path):
         "field=coherent\n"
         "mean_n = 25.5\n"
         "steps = 300\n"
-        "approx_compare = true\n"
+        "rank_tol = 1e-8\n"
     )
-    values = load_config(str(path))
+    values = load_config(str(path), SCENARIO_TYPES)
     assert values == {
         "atomic": "gg",
         "field": "coherent",
         "mean_n": 25.5,
         "steps": 300,
-        "approx_compare": True,
+        "rank_tol": 1e-8,
     }
+    assert load_config(str(path), {"atomic": str, "field": str, "mean_n": str,
+                                   "steps": str, "rank_tol": str})["steps"] == "300"
 
 
 @pytest.mark.parametrize(
@@ -301,20 +304,22 @@ def test_load_config_parses_types(tmp_path):
         ("steps 300\n", "expected key=value"),
         ("volume = 3\n", "unknown config key"),
         ("steps = many\n", "expects int"),
-        ("approx_compare = maybe\n", "expects a boolean"),
+        ("approx_compare = maybe\n", "unknown config key"),
         ("preset = fig2\n", "unknown config key"),
+        ("omega = 0.5\n", "unknown config key 'omega'"),
+        ("measure = haar\n", "unknown config key 'measure'"),
     ],
 )
 def test_load_config_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=fragment):
-        load_config(str(path))
+        load_config(str(path), SCENARIO_TYPES)
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config("/no/such/file.cfg")
+        load_config("/no/such/file.cfg", SCENARIO_TYPES)
 
 
 # --- command line --------------------------------------------------------
@@ -337,7 +342,7 @@ def test_cli_scenario_runs(tmp_path, capsys):
 
 def test_cli_merge_order(tmp_path):
     cfg = tmp_path / "o.cfg"
-    cfg.write_text("steps = 77\nomega = 0.5\n")
+    cfg.write_text("steps = 77\ntail_tol = 1e-12\n")
     out = tmp_path / "m.csv"
     code = main(
         ["scenario", "--preset", "fig1", "--config", str(cfg),
@@ -346,7 +351,7 @@ def test_cli_merge_order(tmp_path):
     assert code == 0
     echo, _, data = read_csv(out)
     assert "# steps = 88" in echo  # flag beats config file
-    assert "# omega = 0.5" in echo  # config file beats preset
+    assert "# tail_tol = 1e-12" in echo  # config file beats preset
     assert data.shape == (88, 8)
 
 
@@ -372,6 +377,34 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert main(["scenario", "--preset", "nope", "--out", str(out)]) == 1
     # fock scenario without a photon number
     assert main(["scenario", "--atomic", "ee", "--field", "fock", "--out", str(out)]) == 1
+    capsys.readouterr()
+    # a config file key the subcommand does not read is named in one stderr line
+    cfg = tmp_path / "k.cfg"
+    scenario = ["scenario", "--preset", "fig1", "--steps", "5", "--config", str(cfg)]
+    sweep = ["sweep", "--dims", "2x2x3", "--samples", "5", "--config", str(cfg)]
+    for argv, key in ((scenario, "measure"), (scenario, "omega"),
+                      (scenario, "approx_compare"), (sweep, "atomic")):
+        cfg.write_text(f"{key} = 1\n")
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unknown config key {key!r}" in err
+        assert not out.exists()
+
+
+def test_steps_are_bounded(tmp_path, capsys):
+    assert small_config(steps=MAX_STEPS).steps == MAX_STEPS  # builds the config only
+    with pytest.raises(ConfigError, match="steps must lie in 2 .. 10000000"):
+        small_config(steps=MAX_STEPS + 1)
+    with pytest.raises(ConfigError, match="steps"):
+        tt.scaling_study((4, 8, 16), steps=MAX_STEPS + 1)
+    out = tmp_path / "big.csv"
+    for argv in (["scenario", "--preset", "fig1", "--steps", "1000000000"],
+                 ["compare-approx", "--preset", "fig4", "--steps", "1000000000"],
+                 ["scaling", "--n", "4,8,16", "--steps", "1000000000"]):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "steps must lie in 2 .. 10000000" in err
+        assert not out.exists()
 
 
 def test_cli_non_finite_input_exits_1(tmp_path, capsys):
@@ -463,19 +496,25 @@ _CLI_FLOATS = st.one_of(
 )
 
 
+# small grids, or grids over the bound, which are refused before anything is allocated
+_CLI_STEPS = st.one_of(st.integers(-2, 6), st.integers(MAX_STEPS + 1, 10**18))
+
+
 @settings(max_examples=50, deadline=None)
-@given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS)
-@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0)  # the phases overflow
-@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300)  # tau_res leaves its range
-@example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan)
-def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol):
+@given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS, steps=_CLI_STEPS)
+@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3)  # the phases overflow
+@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3)  # tau_res leaves its range
+@example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan, steps=3)
+@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9)  # 8 GB grid
+def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps):
     # any float for these flags either succeeds or exits 1 or 2 with one
     # stderr line; numpy floating-point warnings, which would add stderr
     # lines on the command line, are raised here and fail like a traceback
     with tempfile.TemporaryDirectory() as tmp:
         runs = [
-            ["scenario", "--preset", "fig1", "--steps", "3", f"--rank-tol={rank_tol!r}",
+            ["scenario", "--preset", "fig1", f"--steps={steps}", f"--rank-tol={rank_tol!r}",
              f"--t-max={t_max!r}", "--out", f"{tmp}/s.csv"],
+            ["scaling", "--n", "4,8,16", f"--steps={steps}", "--out", f"{tmp}/c.csv"],
             ["sweep", "--dims", "2x2x3", "--samples", "10", f"--rank-tol={sweep_rank_tol!r}",
              "--out", f"{tmp}/w.txt"],
         ]

@@ -151,7 +151,7 @@ def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
     state, params = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
     series = tt.TcmPropagator(params).evolve_series(state, gts)
-    amps = np.concatenate([chunk for _, chunk in series])
+    amps = np.concatenate(list(series))
     tau_aa = _tcm_columns(amps)["tau_AA"]
     reference = [_mpmath_wootters(row.reshape(4, -1)) for row in amps]
     np.testing.assert_allclose(tau_aa, reference, atol=1e-12, rtol=0)
