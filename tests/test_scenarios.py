@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import tempfile
@@ -252,6 +253,8 @@ def test_scaling_validation():
     with pytest.raises(ConfigError):
         tt.scaling_study((5, 10, 20), steps=1)
     with pytest.raises(ConfigError):
+        tt.scaling_study((5, 10, 20), steps=MAX_STEPS + 1)
+    with pytest.raises(ConfigError):
         tt.scaling_study((5, 10, 20), g=0.0)
 
 
@@ -294,8 +297,10 @@ def test_load_config_parses_types(tmp_path):
         "steps": 300,
         "rank_tol": 1e-8,
     }
-    assert load_config(str(path), {"atomic": str, "field": str, "mean_n": str,
-                                   "steps": str, "rank_tol": str})["steps"] == "300"
+    assert load_config(str(path), dict.fromkeys(values, str))["steps"] == "300"
+    # a scenario file may set every ScenarioConfig field but the output path
+    fields = {f.name for f in dataclasses.fields(tt.ScenarioConfig)}
+    assert set(SCENARIO_TYPES) == fields - {"out"}
 
 
 @pytest.mark.parametrize(
@@ -393,10 +398,6 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
 
 def test_steps_are_bounded(tmp_path, capsys):
     assert small_config(steps=MAX_STEPS).steps == MAX_STEPS  # builds the config only
-    with pytest.raises(ConfigError, match="steps must lie in 2 .. 10000000"):
-        small_config(steps=MAX_STEPS + 1)
-    with pytest.raises(ConfigError, match="steps"):
-        tt.scaling_study((4, 8, 16), steps=MAX_STEPS + 1)
     out = tmp_path / "big.csv"
     for argv in (["scenario", "--preset", "fig1", "--steps", "1000000000"],
                  ["compare-approx", "--preset", "fig4", "--steps", "1000000000"],
@@ -505,7 +506,7 @@ _CLI_STEPS = st.one_of(st.integers(-2, 6), st.integers(MAX_STEPS + 1, 10**18))
 @example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3)  # the phases overflow
 @example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3)  # tau_res leaves its range
 @example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan, steps=3)
-@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9)  # 8 GB grid
+@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9)  # an 8 GB grid
 def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps):
     # any float for these flags either succeeds or exits 1 or 2 with one
     # stderr line; numpy floating-point warnings, which would add stderr
