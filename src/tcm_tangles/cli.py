@@ -4,10 +4,10 @@ Subcommands: ``scenario`` (tangle time series), ``compare-approx`` (exact
 vs large-field approximation), ``sweep`` (residual-tangle positivity
 search), ``scaling`` (peak atom-atom tangle vs photon number).
 
-Settings resolve in order: preset < config file (--config, flat
-key=value) < explicit flags.  Exit codes: 0 success, 1 configuration
-error (including a time grid whose phases overflow), 2 photon-truncation
-guard abort.
+Scenario settings resolve in order: preset < config file (--config, flat
+key=value) < explicit flags; a sweep takes flags only.  Exit codes: 0
+success, 1 configuration error (including a time grid whose phases
+overflow), 2 photon-truncation guard abort.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .dynamics import TruncationError
-from .random_states import SWEEP_DIMS, positivity_sweep
+from .random_states import format_amplitudes, positivity_sweep
 from .scenarios import (
     PRESETS,
     SCENARIO_TYPES,
@@ -28,7 +28,7 @@ from .scenarios import (
     run_scenario,
     scaling_study,
 )
-from .tensor import check_rank_tol
+from .tensor import DEFAULT_RANK_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,8 +68,10 @@ def build_parser() -> _Parser:
     sweep.add_argument("--dims", required=True, help="factor dims, e.g. 2x2x3")
     sweep.add_argument("--samples", type=int, required=True, help="number of random states")
     sweep.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sweep.add_argument("--config", help="flat key=value config file (e.g. measure=product)")
-    sweep.add_argument("--rank-tol", type=float, help="effective-dimension eigenvalue cutoff")
+    sweep.add_argument(
+        "--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+        help="effective-dimension eigenvalue cutoff",
+    )
     sweep.add_argument("--out", required=True, help="summary file path")
 
     scaling = commands.add_parser("scaling", help="peak atom-atom tangle vs photon number")
@@ -100,56 +102,34 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    for sep in ("x", ","):
-        if sep in text:
-            try:
-                dims = tuple(int(p) for p in text.split(sep))
-            except ValueError:
-                raise ConfigError(f"cannot parse dims {text!r}") from None
-            if dims in SWEEP_DIMS:
-                return dims
-            raise ConfigError(f"unsupported dims {text!r}; choose from 2x2x3, 2x2x4")
-    raise ConfigError(f"cannot parse dims {text!r} (expected e.g. 2x2x3)")
+    sep = "x" if "x" in text else ","
+    try:
+        return tuple(int(p) for p in text.split(sep))
+    except ValueError:
+        raise ConfigError(f"cannot parse dims {text!r} (expected e.g. 2x2x3)") from None
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
     dims = _parse_dims(args.dims)
-    if args.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    settings = {"measure": "haar", "rank_tol": 1e-10}
-    if args.config:
-        settings.update(load_config(args.config, {"measure": str, "rank_tol": float}))
-    if args.rank_tol is not None:
-        settings["rank_tol"] = args.rank_tol
-    measure, rank_tol = settings["measure"], settings["rank_tol"]
-    if measure not in ("haar", "product"):
-        raise ConfigError(f"unknown measure {measure!r}")
     try:
-        check_rank_tol(rank_tol)
+        result = positivity_sweep(
+            dims,
+            args.samples,
+            seed=args.seed,
+            rank_tol=args.rank_tol,
+            dump_path=args.out + ".counterexamples",
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    result = positivity_sweep(
-        dims,
-        args.samples,
-        seed=args.seed,
-        measure=measure,
-        rank_tol=rank_tol,
-        dump_path=args.out + ".counterexamples",
-    )
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# tcm-tangles sweep\n")
         fh.write(f"# dims = {' '.join(str(d) for d in dims)}\n")
         fh.write(f"# seed = {args.seed}\n")
-        fh.write(f"# measure = {measure}\n")
-        fh.write(f"# rank_tol = {rank_tol:g}\n")
+        fh.write("# measure = haar\n")  # fixed; readers of the summary expect the key
+        fh.write(f"# rank_tol = {args.rank_tol:g}\n")
         fh.write("samples,min_value,negative_count\n")
         fh.write(f"{result.samples},{result.min_value:.17g},{result.negative_count}\n")
-        amps = result.argmin_state.amplitudes
-        fh.write(
-            "# argmin_state: "
-            + " ".join(f"({a.real:.17g},{a.imag:.17g})" for a in amps)
-            + "\n"
-        )
+        fh.write(f"# argmin_state: {format_amplitudes(result.argmin_state.amplitudes)}\n")
     print(
         f"sweep {dims}: {result.samples} samples, min {result.min_value:.3e}, "
         f"{result.negative_count} below -1e-9 -> {args.out}"

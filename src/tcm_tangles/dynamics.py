@@ -35,10 +35,9 @@ from .tensor import PureState, SystemShape
 
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
-NORM_DRIFT_TOL = 1e-10
+CONSERVATION_TOL = 1e-10  # largest drift of the norm or of the excitation distribution
 CHUNK_BUDGET = 1 << 20  # bytes of amplitudes per evolve_series chunk
 
-ATOMIC_LABELS = ("ee", "eg", "ge", "gg")
 _SQRT2 = math.sqrt(2.0)
 
 # Atomic basis order is (ee, eg, ge, gg); "e" is index 0 on each atom.
@@ -252,7 +251,7 @@ class TcmPropagator:
             wt = t[:, None] * self.rabi
             out = amps - (2.0 * np.sin(0.5 * wt) ** 2)[:, k] * h2 - np.sin(wt)[:, k] * ih1
             drift = np.abs(np.linalg.norm(out, axis=1) - 1.0)
-            bad = ~(drift <= NORM_DRIFT_TOL)
+            bad = ~(drift <= CONSERVATION_TOL)
             if bad.any():
                 raise RuntimeError(
                     f"norm drifted by {drift[bad][0]!r} at t={t[bad][0]:g} during evolution"

@@ -7,7 +7,8 @@ atomic pointer states -- J_x eigenstates slowly rotating about J_z, each
 weighted by its initial population |d_m|^2 -- so the field-ensemble tangle
 depends only on the moduli |d_m| through a constant ``c`` and a pointer
 overlap oscillation ``h`` in the scaled time
-t' = g*t / (2*sqrt(mean_n - N/2 + 1/2)):
+t' = g*t / (2*sqrt(mean_n - 1/2)) (the N-atom radicand mean_n - N/2 + 1/2
+at N = 2; every formula here is a two-atom one):
 
     tau_approx(t) = 2 * (1 - [c - h(t')] / 4)
 
@@ -105,20 +106,19 @@ def h_of_t(d: JxCoefficients, t_prime) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def scaled_time(g: float, t, mean_n: float, n_atoms: int = 2):
-    """t' = g*t / (2*sqrt(mean_n - n_atoms/2 + 1/2))."""
-    radicand = mean_n - n_atoms / 2.0 + 0.5
+def scaled_time(g: float, t, mean_n: float):
+    """t' = g*t / (2*sqrt(mean_n - 1/2))."""
+    radicand = mean_n - 0.5
     if radicand <= 0:
         raise ValueError(
-            f"mean photon number {mean_n} too small for {n_atoms} atoms "
-            "(nonpositive radicand)"
+            f"mean photon number {mean_n} too small for two atoms (nonpositive radicand)"
         )
     t = np.asarray(t, dtype=float)
     out = g * t / (2.0 * math.sqrt(radicand))
     return float(out) if out.ndim == 0 else out
 
 
-def approx_tau_F_AA(d: JxCoefficients, g: float, t, mean_n: float, n_atoms: int = 2):
+def approx_tau_F_AA(d: JxCoefficients, g: float, t, mean_n: float):
     """Approximate field-versus-atoms tangle 2{1 - [c - h(t')]/4}.
 
     Valid for strong fields up to times of order 2*pi*sqrt(mean_n)/g; the
@@ -132,5 +132,5 @@ def approx_tau_F_AA(d: JxCoefficients, g: float, t, mean_n: float, n_atoms: int 
             "approximate tangle assumes no population in the dark singlet; "
             f"got |singlet_amp|^2 = {abs(d.singlet_amp)**2:.3e}"
         )
-    tp = scaled_time(g, t, mean_n, n_atoms)
+    tp = scaled_time(g, t, mean_n)
     return 2.0 * (1.0 - (constant_c(d) - h_of_t(d, tp)) / 4.0)

@@ -1,10 +1,7 @@
 """Random pure states and the residual-tangle positivity sweep.
 
 States are drawn from the unitarily invariant (Haar) measure by
-normalizing vectors of independent standard complex Gaussians.  An
-alternative product measure (independent Haar state per factor) is
-available as a sensitivity check, since a positivity search is only as
-convincing as its sampling distribution.
+normalizing vectors of independent standard complex Gaussians.
 
 The sweep streams batches through the vectorized residual-tangle kernel,
 tracks the running minimum and the count of values below the -1e-9
@@ -14,16 +11,15 @@ roundoff threshold, and serializes any sub-threshold state in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tangles import residual_tangle_batch
+from .tangles import TANGLE_FLOOR, residual_tangle_batch
 from .tensor import DEFAULT_RANK_TOL, PureState, SystemShape, check_rank_tol
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
-NEGATIVE_THRESHOLD = -1e-9
-DEFAULT_CHUNK = 20_000
+DEFAULT_CHUNK = 20_000  # states per kernel call; no result depends on it
 
 
 def haar_pure(dims: Union[SystemShape, Sequence[int]], seed) -> PureState:
@@ -46,15 +42,6 @@ def haar_pure_batch(total_dim: int, count: int, rng: np.random.Generator) -> np.
     return vecs
 
 
-def product_haar_batch(dims: Sequence[int], count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, prod(dims)) product states with an independent Haar factor each."""
-    out = np.ones((count, 1), dtype=complex)
-    for d in dims:
-        factor = haar_pure_batch(d, count, rng)
-        out = np.einsum("ni,nj->nij", out, factor).reshape(count, -1)
-    return out
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Summary of a residual-tangle sweep; min_value is raw (never clamped)."""
@@ -69,41 +56,41 @@ class SweepResult:
             raise ValueError("a sweep needs at least one sample")
 
 
+def format_amplitudes(amps: np.ndarray) -> str:
+    """Space-separated (re,im) pairs at 17 significant digits, which
+    round-trip every float64 exactly."""
+    return " ".join(f"({a.real:.17g},{a.imag:.17g})" for a in amps)
+
+
 def _dump_states(path: str, dims: Sequence[int], states: np.ndarray) -> None:
-    """Append sub-threshold states: dims header, one state per line as
-    (re,im) amplitude pairs at 17 significant digits."""
+    """Append sub-threshold states: dims header, then one state per line
+    in the ``format_amplitudes`` form."""
     with open(path, "a", encoding="ascii") as fh:
         fh.write("# dims: " + " ".join(str(d) for d in dims) + "\n")
         for row in states:
-            fh.write(
-                " ".join(f"({a.real:.17g},{a.imag:.17g})" for a in row) + "\n"
-            )
+            fh.write(format_amplitudes(row) + "\n")
 
 
 def positivity_sweep(
     dims: Sequence[int],
     samples: int,
     seed: int = 0,
-    measure: str = "haar",
     rank_tol: float = DEFAULT_RANK_TOL,
-    chunk: int = DEFAULT_CHUNK,
     dump_path: Optional[str] = None,
 ) -> SweepResult:
-    """Evaluate the residual tangle on random states and report the minimum.
+    """Evaluate the residual tangle on Haar-random states and report the minimum.
 
     Only the 2x2x3 and 2x2x4 systems are supported (smaller third factors
     make the residual trivial, larger ones leave the rank-2 regime).
-    Results depend on (dims, samples, seed, measure) but not on ``chunk``.
+    Results depend on (dims, samples, seed, rank_tol) but not on
+    ``DEFAULT_CHUNK``.  States below ``TANGLE_FLOOR`` (-1e-9) are counted
+    and, when ``dump_path`` is set, appended to that file.
     """
     dims = tuple(int(d) for d in dims)
     if dims not in SWEEP_DIMS:
         raise ValueError(f"unsupported dims {dims}; choose from {SWEEP_DIMS}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if measure not in ("haar", "product"):
-        raise ValueError(f"unknown measure {measure!r}")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     check_rank_tol(rank_tol)
 
     total = int(np.prod(dims))
@@ -113,11 +100,8 @@ def positivity_sweep(
     negative_count = 0
     done = 0
     while done < samples:
-        n = min(chunk, samples - done)
-        if measure == "haar":
-            batch = haar_pure_batch(total, n, rng)
-        else:
-            batch = product_haar_batch(dims, n, rng)
+        n = min(DEFAULT_CHUNK, samples - done)
+        batch = haar_pure_batch(total, n, rng)
         values = residual_tangle_batch(batch, dims, rank_tol)
         finite = np.isfinite(values)
         if not finite.all():
@@ -129,7 +113,7 @@ def positivity_sweep(
         if values[i] < best_value:
             best_value = float(values[i])
             best_state = batch[i].copy()
-        below = values < NEGATIVE_THRESHOLD
+        below = values < TANGLE_FLOOR
         negative_count += int(np.count_nonzero(below))
         if dump_path is not None and below.any():
             _dump_states(dump_path, dims, batch[below])
@@ -142,22 +126,3 @@ def positivity_sweep(
         negative_count=negative_count,
     )
 
-
-def merge_sweep_results(results: Iterable[SweepResult]) -> SweepResult:
-    """Min/sum reduction over shard results (associative, order-free)."""
-    results = list(results)
-    if not results:
-        raise ValueError("nothing to merge")
-    best = min(results, key=lambda r: r.min_value)
-    return SweepResult(
-        samples=sum(r.samples for r in results),
-        min_value=best.min_value,
-        argmin_state=best.argmin_state,
-        negative_count=sum(r.negative_count for r in results),
-    )
-
-
-def shard_seeds(seed: int, shards: int) -> tuple[int, ...]:
-    """Independent child seeds for parallel sweep shards."""
-    children = np.random.SeedSequence(seed).spawn(shards)
-    return tuple(int(c.generate_state(1)[0]) for c in children)

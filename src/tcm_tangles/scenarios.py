@@ -24,6 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import (
+    CONSERVATION_TOL,
     ModelParams,
     TcmPropagator,
     atomic_state,
@@ -34,14 +35,13 @@ from .dynamics import (
     initial_state,
 )
 from .markoff import approx_tau_F_AA, jx_coefficients
-from .tangles import SCENARIO_COLUMNS, _tcm_columns, check_tangle_columns
-from .tensor import PureState, check_rank_tol
+from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, _tcm_columns, check_tangle_columns
+from .tensor import DEFAULT_RANK_TOL, PureState, check_rank_tol
 
-CONSERVATION_TOL = 1e-10
 FOCK_PAD = 5
 COHERENT_PAD = 2
-CSV_DUST_FLOOR = -1e-9
 MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
+MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
 
 
 class ConfigError(ValueError):
@@ -51,6 +51,17 @@ class ConfigError(ValueError):
 def _check_steps(steps: int) -> None:
     if not 2 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must lie in 2 .. {MAX_STEPS}, got {steps}")
+
+
+def _check_photons(name: str, value, low: int = 0) -> None:
+    """Bound a photon number before any field vector is allocated.
+
+    The field cutoff D grows with it, and a run holds several 4*D-wide
+    amplitude vectors: about 560 bytes per photon, so a run at MAX_PHOTONS
+    peaks at 55 MiB of allocations (139 MiB RSS with the interpreter).
+    """
+    if not low <= value <= MAX_PHOTONS:
+        raise ConfigError(f"{name} must lie in {low} .. {MAX_PHOTONS}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ class ScenarioConfig:
     steps: int = 2000
     out: Optional[str] = None
     tail_tol: float = 1e-10
-    rank_tol: float = 1e-10
+    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         for name in ("t_max", "g", "mean_n"):
@@ -86,13 +97,11 @@ class ScenarioConfig:
         if self.field == "fock":
             if self.n is None or self.mean_n is not None:
                 raise ConfigError("a fock field takes n and no mean_n")
-            if int(self.n) < 0:
-                raise ConfigError("photon number n must be >= 0")
+            _check_photons("n", int(self.n))
         else:
             if self.mean_n is None or self.n is not None:
                 raise ConfigError("a coherent field takes mean_n and no n")
-            if not self.mean_n >= 0:
-                raise ConfigError("mean_n must be >= 0")
+            _check_photons("mean_n", self.mean_n)
         if not 0.0 < self.tail_tol < 1.0:
             raise ConfigError("tail_tol must lie strictly between 0 and 1")
         try:
@@ -232,7 +241,10 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     scenario = run_scenario(dataclasses.replace(config, out=None))
     exact = scenario.column("tau_F_AA")
     coeffs = jx_coefficients(atomic_state(config.atomic))
-    approx = approx_tau_F_AA(coeffs, config.g, scenario.gt / config.g, config.mean_n)
+    try:  # a singlet component, or mean_n <= 1/2, is outside the approximation
+        approx = approx_tau_F_AA(coeffs, config.g, scenario.gt / config.g, config.mean_n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     revival_gt = 2.0 * math.pi * math.sqrt(config.mean_n)
     window = (0.2 * revival_gt, 0.8 * revival_gt)
     mask = (scenario.gt >= window[0]) & (scenario.gt <= window[1])
@@ -278,8 +290,8 @@ def scaling_study(
     ns = tuple(int(n) for n in ns)
     if len(set(ns)) < 3:
         raise ConfigError("scaling needs at least 3 distinct photon numbers")
-    if any(n < 2 for n in ns):
-        raise ConfigError("scaling photon numbers must be >= 2")
+    for n in ns:
+        _check_photons("scaling photon numbers", n, low=2)
     _check_steps(steps)
     if not g > 0:
         raise ConfigError("g must be positive")
@@ -338,7 +350,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     x = float(value)
-    if CSV_DUST_FLOOR < x < 0.0:
+    if TANGLE_FLOOR < x < 0.0:
         x = 0.0
     return f"{x:.12g}"
 

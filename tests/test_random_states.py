@@ -3,12 +3,12 @@ import pytest
 
 import tcm_tangles as tt
 from tcm_tangles import random_states
-from tcm_tangles.random_states import (
-    haar_pure_batch,
-    merge_sweep_results,
-    product_haar_batch,
-    shard_seeds,
-)
+from tcm_tangles.cli import main
+from tcm_tangles.random_states import haar_pure_batch
+
+
+def parse_amplitudes(line):
+    return np.array([complex(*map(float, tok[1:-1].split(","))) for tok in line.split()])
 
 
 def test_haar_pure_basics():
@@ -43,16 +43,6 @@ def test_haar_mean_marginal_purity():
         assert abs(purities.mean() - expected) < 0.02 * expected
 
 
-def test_product_measure_gives_product_states():
-    rng = np.random.default_rng(13)
-    batch = product_haar_batch((2, 2, 3), 20, rng)
-    np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
-    for row in batch:
-        mat = row.reshape(2, 6)
-        rho = mat @ mat.conj().T
-        assert abs(np.trace(rho @ rho).real - 1.0) < 1e-10
-
-
 def test_sweep_finds_no_negatives():
     result = tt.positivity_sweep((2, 2, 3), samples=300, seed=1)
     assert result.samples == 300
@@ -64,9 +54,11 @@ def test_sweep_finds_no_negatives():
     assert abs(direct - result.min_value) < 1e-9
 
 
-def test_sweep_deterministic_and_chunk_invariant():
-    a = tt.positivity_sweep((2, 2, 4), samples=120, seed=5, chunk=120)
-    b = tt.positivity_sweep((2, 2, 4), samples=120, seed=5, chunk=37)
+def test_sweep_deterministic_and_chunk_invariant(monkeypatch):
+    monkeypatch.setattr(random_states, "DEFAULT_CHUNK", 120)
+    a = tt.positivity_sweep((2, 2, 4), samples=120, seed=5)
+    monkeypatch.setattr(random_states, "DEFAULT_CHUNK", 37)
+    b = tt.positivity_sweep((2, 2, 4), samples=120, seed=5)
     assert a.min_value == b.min_value
     assert a.negative_count == b.negative_count
     np.testing.assert_array_equal(
@@ -74,21 +66,16 @@ def test_sweep_deterministic_and_chunk_invariant():
     )
 
 
-def test_sweep_product_measure_runs():
-    result = tt.positivity_sweep((2, 2, 3), samples=100, seed=2, measure="product")
-    assert result.negative_count == 0
-    assert result.min_value >= -1e-12
-
-
 def test_sweep_argument_validation():
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 5), samples=10)
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 3), samples=0)
-    with pytest.raises(ValueError):
-        tt.positivity_sweep((2, 2, 3), samples=10, measure="uniform")
-    with pytest.raises(ValueError):
-        tt.positivity_sweep((2, 2, 3), samples=10, chunk=0)
+    # Haar sampling and the chunk size are fixed, not arguments
+    with pytest.raises(TypeError):
+        tt.positivity_sweep((2, 2, 3), samples=10, measure="haar")
+    with pytest.raises(TypeError):
+        tt.positivity_sweep((2, 2, 3), samples=10, chunk=10)
     for rank_tol in (-1.0, 0.0, float("nan"), float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError, match="rank_tol"):
             tt.positivity_sweep((2, 2, 3), samples=10, rank_tol=rank_tol)
@@ -113,24 +100,6 @@ def test_sweep_rejects_non_finite_values(monkeypatch):
         tt.positivity_sweep((2, 2, 3), samples=10)
 
 
-def test_merge_sweep_results():
-    seeds = shard_seeds(99, 3)
-    assert len(seeds) == 3
-    assert len(set(seeds)) == 3
-    shards = [tt.positivity_sweep((2, 2, 3), samples=50, seed=s) for s in seeds]
-    merged = merge_sweep_results(shards)
-    assert merged.samples == 150
-    assert merged.min_value == min(s.min_value for s in shards)
-    assert merged.negative_count == sum(s.negative_count for s in shards)
-    with pytest.raises(ValueError):
-        merge_sweep_results([])
-
-
-def test_shard_seeds_deterministic():
-    assert shard_seeds(7, 4) == shard_seeds(7, 4)
-    assert shard_seeds(7, 4) != shard_seeds(8, 4)
-
-
 def test_dump_writes_subthreshold_states(tmp_path):
     # force dumping by raising the threshold via a tiny monkeypatch-free
     # route: call the private writer directly and parse the format back
@@ -143,10 +112,41 @@ def test_dump_writes_subthreshold_states(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# dims: 2 2 3"
     assert len(lines) == 4
-    parsed = np.array(
-        [
-            [complex(*map(float, tok[1:-1].split(","))) for tok in line.split()]
-            for line in lines[1:]
-        ]
-    )
+    parsed = np.array([parse_amplitudes(line) for line in lines[1:]])
     np.testing.assert_allclose(parsed, states, atol=1e-16)
+
+
+def test_sweep_counts_and_dumps_counterexamples(monkeypatch, tmp_path, capsys):
+    # one state per run comes back below the -1e-9 threshold
+    real = random_states.residual_tangle_batch
+    flagged = []
+
+    def one_negative(batch, dims, rank_tol):
+        values = real(batch, dims, rank_tol)
+        values[4] = -1e-6
+        flagged.append(batch[4].copy())
+        return values
+
+    monkeypatch.setattr(random_states, "residual_tangle_batch", one_negative)
+    dump = tmp_path / "bad_states.txt"
+    result = tt.positivity_sweep((2, 2, 3), samples=10, seed=2, dump_path=str(dump))
+    assert (result.negative_count, result.min_value) == (1, -1e-6)
+    np.testing.assert_array_equal(result.argmin_state.amplitudes, flagged[0])
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "# dims: 2 2 3" and len(lines) == 2
+    np.testing.assert_array_equal(parse_amplitudes(lines[1]), flagged[0])
+
+    # the command line writes the same state next to its summary
+    out = tmp_path / "sweep.txt"
+    assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert "1 below -1e-9" in capsys.readouterr().out
+    assert (tmp_path / "sweep.txt.counterexamples").read_text() == dump.read_text()
+    summary = out.read_text().splitlines()
+    assert summary[summary.index("samples,min_value,negative_count") + 1] == "10,-9.9999999999999995e-07,1"
+    assert summary[-1] == "# argmin_state: " + lines[1]
+
+
+def test_star_import_resolves_every_export():
+    # a stale __all__ entry makes the star import raise AttributeError
+    exec("from tcm_tangles import *", {})

@@ -12,6 +12,7 @@ import tcm_tangles as tt
 from tcm_tangles import dynamics
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
+    MAX_PHOTONS,
     MAX_STEPS,
     PRESETS,
     SCENARIO_COLUMNS,
@@ -92,6 +93,9 @@ def test_preset_overrides_and_unknown_name():
         dict(rank_tol=math.nan),
         dict(rank_tol=1.0),
         dict(rank_tol=2.0),
+        dict(n=MAX_PHOTONS + 1),
+        dict(field="coherent", n=None, mean_n=MAX_PHOTONS + 0.5),
+        dict(field="coherent", n=None, mean_n=math.nan),
     ],
 )
 def test_config_validation(overrides):
@@ -256,6 +260,8 @@ def test_scaling_validation():
         tt.scaling_study((5, 10, 20), steps=MAX_STEPS + 1)
     with pytest.raises(ConfigError):
         tt.scaling_study((5, 10, 20), g=0.0)
+    with pytest.raises(ConfigError, match="scaling photon numbers must lie in 2 .. 100000"):
+        tt.scaling_study((5, 10, MAX_PHOTONS + 1))
 
 
 def test_scaling_small_run(tmp_path):
@@ -383,17 +389,28 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     # fock scenario without a photon number
     assert main(["scenario", "--atomic", "ee", "--field", "fock", "--out", str(out)]) == 1
     capsys.readouterr()
+    # a singlet component is outside the large-field approximation
+    assert main(["compare-approx", "--atomic", "singlet", "--field", "coherent",
+                 "--mean-n", "4", "--t-max", "12", "--steps", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dark singlet" in err
+    assert not out.exists()
     # a config file key the subcommand does not read is named in one stderr line
     cfg = tmp_path / "k.cfg"
     scenario = ["scenario", "--preset", "fig1", "--steps", "5", "--config", str(cfg)]
-    sweep = ["sweep", "--dims", "2x2x3", "--samples", "5", "--config", str(cfg)]
-    for argv, key in ((scenario, "measure"), (scenario, "omega"),
-                      (scenario, "approx_compare"), (sweep, "atomic")):
+    for key in ("measure", "omega", "approx_compare"):
         cfg.write_text(f"{key} = 1\n")
-        assert main(argv + ["--out", str(out)]) == 1
+        assert main(scenario + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"unknown config key {key!r}" in err
         assert not out.exists()
+    # a sweep takes no config file at all
+    cfg.write_text("rank_tol = 1e-6\n")
+    assert main(["sweep", "--dims", "2x2x3", "--samples", "5", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unrecognized arguments: --config" in err
+    assert not out.exists()
 
 
 def test_steps_are_bounded(tmp_path, capsys):
@@ -405,6 +422,23 @@ def test_steps_are_bounded(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "steps must lie in 2 .. 10000000" in err
+        assert not out.exists()
+
+
+def test_photon_numbers_are_bounded(tmp_path, capsys):
+    # configs at the bound build (nothing runs); the CLI refuses one past it
+    assert small_config(n=MAX_PHOTONS).n == MAX_PHOTONS
+    assert small_config(field="coherent", n=None, mean_n=MAX_PHOTONS).mean_n == MAX_PHOTONS
+    out = tmp_path / "big.csv"
+    over = str(MAX_PHOTONS + 1)
+    for argv, name in ((["scenario", "--preset", "fig1", "--n", over], "n"),
+                       (["scenario", "--preset", "fig1", "--n", "1000000000"], "n"),
+                       (["scenario", "--preset", "fig2", "--mean-n", "1e9"], "mean_n"),
+                       (["compare-approx", "--preset", "fig4", "--mean-n", over], "mean_n"),
+                       (["scaling", "--n", f"4,8,{over}"], "scaling photon numbers")):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{name} must lie in" in err and "100000" in err
         assert not out.exists()
 
 
@@ -457,24 +491,16 @@ def test_cli_sweep(tmp_path, capsys):
     assert row[0] == "50"
     assert float(row[1]) >= 0.0
     assert row[2] == "0"
+    assert "# rank_tol = 1e-10" in lines and "# measure = haar" in lines
     # comma separator works too, unsupported shapes do not
     assert main(["sweep", "--dims", "2,2,4", "--samples", "10", "--out", str(out)]) == 0
     assert main(["sweep", "--dims", "2x2x5", "--samples", "10", "--out", str(out)]) == 1
     assert main(["sweep", "--dims", "2x2x3", "--samples", "0", "--out", str(out)]) == 1
-    # the flag beats the config file, which takes only measure and rank_tol
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("measure = product\nrank_tol = 1e-6\n")
-    base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--config", str(cfg), "--out", str(out)]
-    assert main(base) == 0
-    assert "# rank_tol = 1e-06" in out.read_text().splitlines()
+    base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", str(out)]
     assert main(base + ["--rank-tol", "1e-8"]) == 0
     lines = out.read_text().splitlines()
-    assert "# rank_tol = 1e-08" in lines and "# measure = product" in lines
+    assert "# rank_tol = 1e-08" in lines and "# measure = haar" in lines
     capsys.readouterr()
-    for text in ("samples = 7\n", "atomic = ee\n", "rank_tol = nan\n"):
-        cfg.write_text(text)
-        assert main(base) == 1
-        assert capsys.readouterr().err.count("\n") == 1
     for bad in ("-1", "0", "nan", "inf"):
         argv = ["sweep", "--dims", "2x2x3", "--samples", "10", "--rank-tol", bad, "--out", str(out)]
         assert main(argv) == 1
@@ -500,14 +526,25 @@ _CLI_FLOATS = st.one_of(
 # small grids, or grids over the bound, which are refused before anything is allocated
 _CLI_STEPS = st.one_of(st.integers(-2, 6), st.integers(MAX_STEPS + 1, 10**18))
 
+# likewise small fields, or fields over the bound
+_CLI_PHOTONS = st.one_of(st.integers(-2, 6), st.integers(MAX_PHOTONS + 1, 10**18))
+_CLI_MEAN_N = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1.0, 0.5, 1e300]),
+    st.floats(0.0, 6.0),
+    st.floats(MAX_PHOTONS, 1e300, exclude_min=True),
+)
+
 
 @settings(max_examples=50, deadline=None)
-@given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS, steps=_CLI_STEPS)
-@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3)  # the phases overflow
-@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3)  # tau_res leaves its range
-@example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan, steps=3)
-@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9)  # an 8 GB grid
-def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps):
+@given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS, steps=_CLI_STEPS,
+       n=_CLI_PHOTONS, mean_n=_CLI_MEAN_N)
+@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3, n=3, mean_n=2.0)  # the phases overflow
+@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3, n=3, mean_n=2.0)  # tau_res leaves its range
+@example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan, steps=3, n=3, mean_n=2.0)
+@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9, n=3, mean_n=2.0)  # an 8 GB grid
+@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=3, n=10**9, mean_n=1e9)  # 134 GB fields
+@example(rank_tol=1e-10, t_max=0.5, sweep_rank_tol=1e-10, steps=3, n=3, mean_n=0.3)  # no scaled time
+def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps, n, mean_n):
     # any float for these flags either succeeds or exits 1 or 2 with one
     # stderr line; numpy floating-point warnings, which would add stderr
     # lines on the command line, are raised here and fail like a traceback
@@ -516,6 +553,11 @@ def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps):
             ["scenario", "--preset", "fig1", f"--steps={steps}", f"--rank-tol={rank_tol!r}",
              f"--t-max={t_max!r}", "--out", f"{tmp}/s.csv"],
             ["scaling", "--n", "4,8,16", f"--steps={steps}", "--out", f"{tmp}/c.csv"],
+            ["scenario", "--atomic", "ee", "--field", "fock", f"--n={n}", f"--steps={steps}",
+             f"--t-max={t_max!r}", "--out", f"{tmp}/f.csv"],
+            ["compare-approx", "--atomic", "ee", "--field", "coherent", f"--mean-n={mean_n!r}",
+             f"--steps={steps}", f"--t-max={t_max!r}", "--out", f"{tmp}/a.csv"],
+            ["scaling", "--n", f"4,8,{n}", "--steps=3", "--out", f"{tmp}/p.csv"],
             ["sweep", "--dims", "2x2x3", "--samples", "10", f"--rank-tol={sweep_rank_tol!r}",
              "--out", f"{tmp}/w.txt"],
         ]
