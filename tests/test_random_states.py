@@ -143,7 +143,8 @@ def test_sweep_counts_and_dumps_counterexamples(monkeypatch, tmp_path, capsys):
     assert "1 below -1e-9" in capsys.readouterr().out
     assert (tmp_path / "sweep.txt.counterexamples").read_text() == dump.read_text()
     summary = out.read_text().splitlines()
-    assert summary[summary.index("samples,min_value,negative_count") + 1] == "10,-9.9999999999999995e-07,1"
+    row = summary[summary.index("samples,min_value,negative_count") + 1]
+    assert row == "10,-9.9999999999999995e-07,1"
     assert summary[-1] == "# argmin_state: " + lines[1]
 
 

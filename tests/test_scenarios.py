@@ -538,12 +538,14 @@ _CLI_MEAN_N = st.one_of(
 @settings(max_examples=50, deadline=None)
 @given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS, steps=_CLI_STEPS,
        n=_CLI_PHOTONS, mean_n=_CLI_MEAN_N)
-@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3, n=3, mean_n=2.0)  # the phases overflow
-@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3, n=3, mean_n=2.0)  # tau_res leaves its range
+# in order: the phases overflow; tau_res leaves its range; non-finite floats;
+# an 8 GB grid; fields of about 134 GB; a mean_n too small for the scaled time
+@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3, n=3, mean_n=2.0)
+@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3, n=3, mean_n=2.0)
 @example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan, steps=3, n=3, mean_n=2.0)
-@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9, n=3, mean_n=2.0)  # an 8 GB grid
-@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=3, n=10**9, mean_n=1e9)  # 134 GB fields
-@example(rank_tol=1e-10, t_max=0.5, sweep_rank_tol=1e-10, steps=3, n=3, mean_n=0.3)  # no scaled time
+@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9, n=3, mean_n=2.0)
+@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=3, n=10**9, mean_n=1e9)
+@example(rank_tol=1e-10, t_max=0.5, sweep_rank_tol=1e-10, steps=3, n=3, mean_n=0.3)
 def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps, n, mean_n):
     # any float for these flags either succeeds or exits 1 or 2 with one
     # stderr line; numpy floating-point warnings, which would add stderr
