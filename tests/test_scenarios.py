@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import dynamics
+from tcm_tangles import dynamics, scenarios
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
@@ -245,6 +248,25 @@ def test_compare_grid_must_reach_window():
     with pytest.raises(ConfigError):
         tt.compare_exact_vs_approx(config)
 
+
+
+def test_compare_checks_config_before_the_exact_run(monkeypatch):
+    # a fock field, a singlet component, mean_n <= 1/2 and a grid that misses
+    # the window all fail from the config alone; none may wait for the run
+    def no_run(config):
+        raise AssertionError("the exact run started")
+
+    monkeypatch.setattr(scenarios, "run_scenario", no_run)
+    base = dict(atomic="ee", field="coherent", mean_n=100.0, t_max=140.0, steps=50)
+    bad_configs = [
+        dict(field="fock", mean_n=None, n=3),
+        dict(atomic="singlet"),
+        dict(mean_n=0.3),
+        dict(t_max=1.0),
+    ]
+    for bad in bad_configs:
+        with pytest.raises(ConfigError):
+            tt.compare_exact_vs_approx(tt.ScenarioConfig(**{**base, **bad}))
 
 # --- scaling -------------------------------------------------------------
 
@@ -571,3 +593,22 @@ def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps, 
             assert code in (0, 1, 2)
             if code:
                 assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_scipy():
+    # only the convex roof (pairs of rank > 2) uses scipy, and it imports it
+    # itself: a CLI call that never reaches it does not pay for the import
+    src = os.path.dirname(os.path.dirname(tt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, tcm_tangles, tcm_tangles.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

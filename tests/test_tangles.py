@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
+from tcm_tangles import tangles
 from tcm_tangles.scenarios import _build_initial, preset_config
 from tcm_tangles.tangles import (
     SCENARIO_COLUMNS,
@@ -223,6 +224,8 @@ def test_rank2_rank1_reduces_to_pure_value():
     dm = tt.DensityMatrix((2, 3), np.outer(v, v.conj()))
     pure = tt.pure_itangle(pure_state((2, 3), v), tt.Cut((0,), (1,)))
     assert abs(tt.rank2_itangle(dm) - pure) < 1e-12
+    # a 1-dimensional pair space has a single eigenpair
+    assert tt.rank2_itangle(tt.DensityMatrix((1, 1), np.ones((1, 1)))) == 0.0
 
 
 def test_rank2_local_unitary_invariant():
@@ -235,6 +238,122 @@ def test_rank2_local_unitary_invariant():
     u = np.kron(ua, ub)
     rotated = tt.DensityMatrix((2, 4), u @ rho @ u.conj().T)
     assert abs(tt.rank2_itangle(dm) - tt.rank2_itangle(rotated)) < 1e-10
+
+
+# Impurities of one atom, from a pure pair up to 1e-4.  In double precision
+# the Lorentz-boost form of the rank-2 minimum (the reference below) loses
+# about eps / impurity to cancellation, up to 1.6e-6 on these states, and
+# needs a separate formula for a pure pair; 1e-10 and 2e-10 straddle the
+# switch |b| >= 1 - 2 rank_tol at rank_tol = 1e-10.
+IMPURITIES = (0.0, 1e-14, 1e-12, 1e-10, 2e-10, 1e-9, 1e-8, 1e-6, 1e-4)
+
+
+def impure_atom_states(rng, field_dim, atom, impurities=IMPURITIES):
+    """(N, 4 * field_dim) states whose ``atom`` (0 or 1) has the reduced
+    state diag(1 - eps, eps) in its (e, g) basis, one per impurity, with the
+    other atom and the field Haar-random: the other atom-field pair then
+    has impurity eps, and is exactly pure at eps = 0."""
+    states = []
+    for eps in impurities:
+        z = rng.standard_normal((2 * field_dim, 2, 2)) @ np.array([1.0, 1j])
+        phi = np.linalg.qr(z)[0].T.reshape(2, 2, field_dim)
+        psi = np.stack([np.sqrt(1.0 - eps) * phi[0], np.sqrt(eps) * phi[1]], axis=atom)
+        states.append(psi.ravel())
+    return np.array(states)
+
+
+def _mpmath_rank2_tangle(psi, purifier):
+    """tau_AF of the (other atom, field) pair of a (2, 2, D) state purified
+    by atom ``purifier``, from the Lorentz-boost form at 40 digits.  That
+    route differs from the kernel's whitened Gram form, and 40 digits leave
+    it accurate to about 1e-26 at the smallest impurity, 1e-14.  A pair
+    that is pure at this precision takes 2(1 - tr rho_A^2) directly."""
+    psi = np.moveaxis(psi.reshape(2, 2, -1), purifier, 0)
+    with mpmath.workdps(40):
+        w = [mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in wj]) for wj in psi]
+        norm = sum(mpmath.re((wj * wj.H)[a, a]) for wj in w for a in range(2))
+        r = [[wj * wk.H / norm for wk in w] for wj in w]
+        s_mu = [
+            r[0][0] + r[1][1],
+            r[0][1] + r[1][0],
+            1j * (r[0][1] - r[1][0]),
+            r[0][0] - r[1][1],
+        ]
+        q = mpmath.matrix(4, 4)
+        for mu in range(4):
+            for nu in range(4):
+                q[mu, nu] = mpmath.re(sum((s_mu[mu] * s_mu[nu])[a, a] for a in range(2)))
+        b = [mpmath.re(s_mu[i][0, 0] + s_mu[i][1, 1]) for i in (1, 2, 3)]
+        delta2 = sum(x**2 for x in b)
+        if 1 - delta2 < mpmath.mpf(10) ** -30:
+            return float(2 - 2 * q[0, 0])
+        delta = mpmath.sqrt(delta2)
+        gamma = 1 / mpmath.sqrt(1 - delta2)
+        nhat = [x / delta for x in b]
+        boost = mpmath.matrix(4, 4)
+        boost[0, 0] = gamma
+        for i in range(3):
+            boost[0, i + 1] = boost[i + 1, 0] = -gamma * delta * nhat[i]
+            for j in range(3):
+                boost[i + 1, j + 1] = (i == j) + (gamma - 1) * nhat[i] * nhat[j]
+        boosted = boost * q * boost
+        spatial = mpmath.matrix([[boosted[i, j] for j in (1, 2, 3)] for i in (1, 2, 3)])
+        lam_max = max(mpmath.eigsy(spatial, eigvals_only=True))
+        return float(2 - 2 * q[0, 0] - 2 * lam_max)
+
+
+def _kernel_pair_tangles(monkeypatch, amps):
+    """(tau_A1F, tau_A2F) of a state stack: the two rank-2 kernel calls of
+    ``_tcm_columns``, recorded in order (A1-field purified by atom 2, then
+    A2-field purified by atom 1)."""
+    calls = []
+    core = tangles._rank2_tangle_core
+    monkeypatch.setattr(
+        tangles, "_rank2_tangle_core", lambda *args: calls.append(core(*args)) or calls[-1]
+    )
+    columns = _tcm_columns(amps)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[0], columns["tau_AF"])
+    return calls
+
+
+@pytest.mark.parametrize("field_dim", [2, 3, 4, 5, 6])
+def test_rank2_kernel_matches_mpmath_near_pure_pairs(monkeypatch, field_dim):
+    rng = np.random.default_rng(100 + field_dim)
+    amps = np.concatenate([impure_atom_states(rng, field_dim, atom) for atom in (1, 0)])
+    references = [[_mpmath_rank2_tangle(psi, purifier) for psi in amps] for purifier in (1, 0)]
+    for view, kernel in enumerate(_kernel_pair_tangles(monkeypatch, amps)):
+        np.testing.assert_allclose(
+            kernel, references[view], atol=1e-12, rtol=0, err_msg=f"view {view}"
+        )
+    # the density-matrix API purifies the A1-field pair from its eigenpairs
+    pairs = [tt.partial_trace(pure_state((2, 2, field_dim), psi), (0, 2)) for psi in amps]
+    np.testing.assert_allclose(
+        [tt.rank2_itangle(rho) for rho in pairs], references[0], atol=1e-12, rtol=0
+    )
+
+
+def test_fig1_tau_af_matches_mpmath_at_first_points():
+    # at gt = 0 atom 2 is exactly excited, so the A1-field pair is pure, and
+    # its impurity grows from 0 over the first grid points
+    config = preset_config("fig1")
+    state, params = _build_initial(config)
+    gts = np.linspace(0.0, config.t_max, config.steps)[:8]
+    amps = np.concatenate(list(tt.TcmPropagator(params).evolve_series(state, gts)))
+    reference = [_mpmath_rank2_tangle(psi, 1) for psi in amps]
+    np.testing.assert_allclose(_tcm_columns(amps)["tau_AF"], reference, atol=1e-12, rtol=0)
+
+
+def test_rank2_kernel_matches_wootters_on_qubit_fields():
+    # at D = 2 the A1-field pair is two qubits: its tangle is the Wootters
+    # tangle of the state's own (A1 F) x A2 amplitude factor
+    rng = np.random.default_rng(7)
+    for atom in (1, 0):
+        amps = impure_atom_states(rng, 2, atom)
+        factor = amps.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 4, 2)
+        np.testing.assert_allclose(
+            _tcm_columns(amps)["tau_AF"], _wootters_batch(factor), atol=1e-13, rtol=0
+        )
 
 
 # --- convex roof -----------------------------------------------------------
