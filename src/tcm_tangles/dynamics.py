@@ -47,6 +47,7 @@ ATOMIC_STATES = {
     "cat_plus": np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / _SQRT2,
     "singlet": np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _SQRT2,
 }
+ATOM_EXCITATIONS = (2, 1, 1, 0)  # atomic excitations of ee, eg, ge, gg
 
 
 class TruncationError(RuntimeError):
@@ -185,12 +186,6 @@ def rabi_frequencies(params: ModelParams) -> np.ndarray:
     return params.g * np.sqrt(2.0 * (upper + lower))
 
 
-def _top_band_population(amps: np.ndarray, field_dim: int, band: int = GUARD_BAND) -> np.ndarray:
-    """Population within ``band`` photon indices of the cutoff, per row of an (N, 4*D) stack."""
-    tens = amps.reshape(-1, 4, field_dim)
-    return np.sum(np.abs(tens[..., max(0, field_dim - band):]) ** 2, axis=(1, 2))
-
-
 class TcmPropagator:
     """Exact propagator of one parameter set, in closed form per block.
 
@@ -200,26 +195,13 @@ class TcmPropagator:
                         - i sin(Omega_K t) H_K/Omega_K,
 
     so evolving a state needs H psi and H^2 psi once and elementwise work
-    per time.
+    per time.  ``max_norm_drift`` and ``max_excitation_drift`` hold the
+    largest drifts seen by the latest ``evolve_series`` call.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.rabi = rabi_frequencies(params)
-
-    def _check_state(self, state: PureState) -> np.ndarray:
-        if state.shape.dims != (2, 2, self.params.field_dim):
-            raise ValueError(
-                f"state dims {state.shape.dims} do not match params (2, 2, {self.params.field_dim})"
-            )
-        amps = state.amplitudes
-        top = _top_band_population(amps, self.params.field_dim)[0]
-        if not top <= GUARD_TOL:
-            raise TruncationError(
-                f"population {top:.3e} within {GUARD_BAND} photon indices of the cutoff "
-                f"n_max={self.params.n_max} exceeds {GUARD_TOL:g}; raise n_max or tighten tail_tol"
-            )
-        return amps
 
     def evolve_series(self, state: PureState, times: Sequence[float]) -> Iterator[np.ndarray]:
         """Yield the evolved amplitudes over the requested times, in order.
@@ -227,43 +209,63 @@ class TcmPropagator:
         Each chunk has one row of length 4*D per time, consecutive times
         filling consecutive rows; a chunk holds at most ``CHUNK_BUDGET``
         bytes (and at least one time), so memory stays bounded however long
-        the grid is.  Norm conservation and the photon truncation guard are
-        checked at every emitted time; times whose phases overflow raise
-        OverflowError.
+        the grid is.  Times whose phases overflow raise OverflowError.  One
+        pass over the populations checks every emitted time: the norm and the
+        excitation distribution to ``CONSERVATION_TOL`` (else RuntimeError) and
+        the guard band, as for the initial state (else TruncationError).
         """
-        amps = self._check_state(state)
-        p = self.params
-        d = p.field_dim
+        g, d = self.params.g, self.params.field_dim
+        if state.shape.dims != (2, 2, d):
+            raise ValueError(f"state dims {state.shape.dims} do not match params (2, 2, {d})")
+        amps = state.amplitudes
+        k_ref = excitation_distribution(state)
+        self.max_norm_drift = self.max_excitation_drift = 0.0
+        self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1))
         times = np.asarray(times, dtype=float).ravel()
         # Python floats overflow to inf without a warning
         t_max = float(np.max(np.abs(times), initial=0.0))
         if not math.isfinite(t_max * float(self.rabi.max())):
             raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = max(1, CHUNK_BUDGET // amps.nbytes)
-        k = excitation_map(d)
         # H_K is zero where Omega_K is, so any nonzero divisor works there
-        safe = np.where(self.rabi > 0.0, self.rabi, 1.0)[k]
-        h1 = _coupling(amps, p.g, d) / safe  # H psi / Omega, block by block
-        h2 = _coupling(h1, p.g, d) / safe  # H^2 psi / Omega^2
-        ih1 = 1j * h1
+        safe = np.where(self.rabi > 0.0, self.rabi, 1.0)[excitation_map(d)]
+        h1 = _coupling(amps, g, d) / safe  # H psi / Omega, block by block
+        h2 = _coupling(h1, g, d) / safe  # H^2 psi / Omega^2
+        psi0, h2, ih1 = (x.reshape(4, d) for x in (amps, h2, 1j * h1))
         for start in range(0, times.size, step):
             t = times[start:start + step]
             wt = t[:, None] * self.rabi
-            out = amps - (2.0 * np.sin(0.5 * wt) ** 2)[:, k] * h2 - np.sin(wt)[:, k] * ih1
-            drift = np.abs(np.linalg.norm(out, axis=1) - 1.0)
-            bad = ~(drift <= CONSERVATION_TOL)
-            if bad.any():
+            c, s = 2.0 * np.sin(0.5 * wt) ** 2, np.sin(wt)
+            out = np.empty((t.size, 4, d), dtype=complex)
+            for a, e in enumerate(ATOM_EXCITATIONS):  # row a, photon n lies in block K = e + n
+                out[:, a] = psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a]
+            self._check_times(out, k_ref, t)
+            yield out.reshape(t.size, 4 * d)
+
+    def _check_times(self, psi: np.ndarray, k_ref: np.ndarray, t: np.ndarray) -> None:
+        """Check each row of an (N, 4, D) stack at times t in one pass over its populations,
+        raising at the first time past a limit, and update the largest drifts."""
+        pop = np.abs(psi) ** 2
+        dist = _excitation_populations(pop)
+        norm = np.abs(np.sqrt(dist.sum(axis=1)) - 1.0)
+        exc = np.max(np.abs(dist - k_ref), axis=1)
+        top = pop[..., -GUARD_BAND:].sum(axis=(1, 2))
+        kept = (norm <= CONSERVATION_TOL) & (exc <= CONSERVATION_TOL)
+        bad = ~(kept & (top <= GUARD_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not kept[i]:
                 raise RuntimeError(
-                    f"norm drifted by {drift[bad][0]!r} at t={t[bad][0]:g} during evolution"
+                    f"conservation violated at t={t[i]:g}: norm drift {norm[i]:.3e}, "
+                    f"excitation drift {exc[i]:.3e}"
                 )
-            top = _top_band_population(out, d)
-            bad = ~(top <= GUARD_TOL)
-            if bad.any():
-                raise TruncationError(
-                    f"population {top[bad][0]:.3e} within {GUARD_BAND} photon indices of the "
-                    f"cutoff at t={t[bad][0]:g}; raise n_max or tighten tail_tol"
-                )
-            yield out
+            raise TruncationError(
+                f"population {top[i]:.3e} within {GUARD_BAND} photon indices of the cutoff "
+                f"n_max={self.params.n_max} at t={t[i]:g} exceeds {GUARD_TOL:g}; "
+                "raise n_max or tighten tail_tol"
+            )
+        self.max_norm_drift = max(self.max_norm_drift, float(norm.max()))
+        self.max_excitation_drift = max(self.max_excitation_drift, float(exc.max()))
 
 
 def evolve(state: PureState, t: float, params: ModelParams) -> PureState:
@@ -274,25 +276,23 @@ def evolve(state: PureState, t: float, params: ModelParams) -> PureState:
 
 def excitation_map(field_dim: int) -> np.ndarray:
     """Excitation number K of each flat (atom1, atom2, photon) index."""
-    atom_exc = np.array([2, 1, 1, 0])  # ee, eg, ge, gg
-    return np.add.outer(atom_exc, np.arange(field_dim)).ravel()
+    return np.add.outer(ATOM_EXCITATIONS, np.arange(field_dim)).ravel()
 
 
 def excitation_distribution(state: PureState) -> np.ndarray:
     """Probability of each excitation number K = 0 .. n_max + 2."""
-    dims = state.shape.dims
-    if dims[:2] != (2, 2):
+    if len(state.shape.dims) != 3 or state.shape.dims[:2] != (2, 2):
         raise ValueError("expected a (2, 2, field) state")
-    return excitation_rows(state.amplitudes[None], dims[2])[0]
+    return _excitation_populations(np.abs(state.amplitudes.reshape(1, 4, -1)) ** 2)[0]
 
 
-def excitation_rows(amps: np.ndarray, field_dim: int) -> np.ndarray:
-    """``excitation_distribution`` of each row of an (N, 4*D) amplitude stack."""
-    n_k = field_dim + 2
-    index = np.arange(amps.shape[0])[:, None] * n_k + excitation_map(field_dim)
-    weights = np.abs(amps) ** 2
-    counts = np.bincount(index.ravel(), weights=weights.ravel(), minlength=amps.shape[0] * n_k)
-    return counts.reshape(-1, n_k)
+def _excitation_populations(pop: np.ndarray) -> np.ndarray:
+    """P_K = sum_a pop[:, a, K - e_a] of an (N, 4, D) population stack, one row per state."""
+    n, _, d = pop.shape
+    dist = np.zeros((n, d + 2))
+    for a, e in enumerate(ATOM_EXCITATIONS):
+        dist[:, e:e + d] += pop[:, a]
+    return dist
 
 
 def energy_expectation(state: PureState, params: ModelParams) -> float:

@@ -402,6 +402,18 @@ class TangleReport:
     field_eff_dim: int
 
 
+def _cut_tangles(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a stack of pure-state marginals and each cut's tangle 2*(1 - sum lam^2)."""
+    evals = np.linalg.eigvalsh(rho)
+    return evals, 2.0 * (1.0 - np.sum(evals**2, axis=-1))
+
+
+def _atom_marginal(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, rho_AA = M @ M^H) of an (N, 4*D) stack, M its (N, 4, D) view."""
+    m = amps.reshape(len(amps), 4, -1)
+    return m, m @ m.conj().swapaxes(-1, -2)
+
+
 def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, np.ndarray]:
     """Every ``SCENARIO_COLUMNS`` entry of an (N, 4*D) stack of (2, 2, D) states.
 
@@ -413,15 +425,13 @@ def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[s
     form needs only its purifier correlations, a transposed view of rho_AA.
     """
     check_rank_tol(rank_tol)
-    m = amps.reshape(len(amps), 4, -1)
-    rho_aa = m @ m.conj().swapaxes(-1, -2)
+    m, rho_aa = _atom_marginal(amps)
     rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
     rho_a1 = np.einsum("nabcb->nac", rho4)
     rho_a2 = np.einsum("nabad->nbd", rho4)
 
-    evals = [np.linalg.eigvalsh(rho) for rho in (rho_aa, rho_a1, rho_a2)]
+    evals, (tau_f_aa, tau_a_rest, tau_a2_rest) = zip(*map(_cut_tangles, (rho_aa, rho_a1, rho_a2)))
     d_f, d_a1, d_a2 = (np.count_nonzero(ev > rank_tol, axis=-1) for ev in evals)
-    tau_f_aa, tau_a_rest, tau_a2_rest = (2.0 * (1.0 - np.sum(ev**2, axis=-1)) for ev in evals)
     tau_aa = _wootters_batch(m)
     # two calls at N states each: one call on 2N doubles the kernel's peak memory
     tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3))
@@ -445,14 +455,14 @@ def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[s
 
 
 def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
-    """Raise ValueError if any value of a ``_tcm_columns`` result is out of range.
+    """Raise ValueError if any value of the given ``_tcm_columns`` columns is out of range.
 
     Tangles must clear ``TANGLE_FLOOR``; ``tau_AA`` and ``tau_A_rest`` may
     not exceed 1 and the inversion must lie in [-1, 1], both up to 1e-9.
     NaN and infinite values fail every check.
     """
-    for name, (low, high) in _COLUMN_RANGES.items():
-        values = np.asarray(columns[name])
+    for name, values in columns.items():
+        low, high = _COLUMN_RANGES.get(name, (-np.inf, np.inf))
         bad = ~(np.isfinite(values) & (values >= low) & (values <= high))
         if bad.any():
             raise ValueError(f"{name} = {values[bad][0]!r} outside [{low:g}, {high:g}]")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
+from tcm_tangles import dynamics
 from tcm_tangles.dynamics import excitation_map, rabi_frequencies
 
 SQRT2 = math.sqrt(2.0)
@@ -309,3 +310,35 @@ def test_excitation_distribution_conserved():
     before = tt.excitation_distribution(state)
     after = tt.excitation_distribution(tt.evolve(state, 3.7, params))
     np.testing.assert_allclose(after, before, atol=1e-12)
+
+
+def test_excitation_slice_sums_match_scatter_add():
+    # P_K from four shifted slice adds against a scatter over the flat map
+    rng = np.random.default_rng(7)
+    for n, d in ((1, 2), (5, 3), (17, 11)):
+        amps = rng.standard_normal((n, 4 * d)) + 1j * rng.standard_normal((n, 4 * d))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        pop = np.abs(amps) ** 2
+        want = np.zeros((n, d + 2))
+        for row in range(n):
+            np.add.at(want[row], excitation_map(d), pop[row])
+        got = dynamics._excitation_populations(pop.reshape(n, 4, d))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_series_reports_drift_maxima_over_every_chunk(monkeypatch):
+    params = tt.ModelParams(g=1.0, n_max=12)
+    state = tt.initial_state("cat_plus", tt.fock_state(5, 12), params)
+    times = np.linspace(0.0, 6.0, 90)
+    prop = tt.TcmPropagator(params)
+    amps = np.concatenate(list(prop.evolve_series(state, times)))
+    drifts = (prop.max_norm_drift, prop.max_excitation_drift)
+    k_ref = tt.excitation_distribution(state)
+    worst = max(
+        np.max(np.abs(tt.excitation_distribution(tt.PureState(params.shape, a)) - k_ref))
+        for a in amps
+    )
+    assert drifts[1] == worst and 0.0 < max(drifts) < 1e-12
+    monkeypatch.setattr(dynamics, "CHUNK_BUDGET", 1)  # one time per chunk
+    list(prop.evolve_series(state, times))
+    assert (prop.max_norm_drift, prop.max_excitation_drift) == drifts

@@ -253,10 +253,10 @@ def test_compare_grid_must_reach_window():
 def test_compare_checks_config_before_the_exact_run(monkeypatch):
     # a fock field, a singlet component, mean_n <= 1/2 and a grid that misses
     # the window all fail from the config alone; none may wait for the run
-    def no_run(config):
+    def no_run(self, state, times):
         raise AssertionError("the exact run started")
 
-    monkeypatch.setattr(scenarios, "run_scenario", no_run)
+    monkeypatch.setattr(tt.TcmPropagator, "evolve_series", no_run)
     base = dict(atomic="ee", field="coherent", mean_n=100.0, t_max=140.0, steps=50)
     bad_configs = [
         dict(field="fock", mean_n=None, n=3),
@@ -267,6 +267,31 @@ def test_compare_checks_config_before_the_exact_run(monkeypatch):
     for bad in bad_configs:
         with pytest.raises(ConfigError):
             tt.compare_exact_vs_approx(tt.ScenarioConfig(**{**base, **bad}))
+
+
+
+@pytest.mark.parametrize(
+    "atomic", ["ee", "sym_plus", "cat_plus", (0.3 + 0.4j, 0.5 - 0.1j, 0.5 - 0.1j, -0.2j)]
+)
+def test_compare_exact_is_the_scenario_column(atomic):
+    config = tt.ScenarioConfig(
+        atomic=atomic, field="coherent", mean_n=4.0, t_max=12.0, steps=120, tail_tol=1e-13
+    )
+    exact = tt.compare_exact_vs_approx(config).exact
+    assert np.array_equal(exact, tt.run_scenario(config).column("tau_F_AA"))
+
+
+def test_evolution_checks_reach_scenario_and_compare(monkeypatch):
+    config = tt.ScenarioConfig(
+        atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=60, tail_tol=1e-13
+    )
+    for name, error in (("CONSERVATION_TOL", RuntimeError), ("GUARD_TOL", tt.TruncationError)):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, name, -1.0)
+            for run in (tt.run_scenario, tt.compare_exact_vs_approx):
+                with pytest.raises(error) as info:
+                    run(config)
+                assert info.type is error  # TruncationError is a RuntimeError too
 
 # --- scaling -------------------------------------------------------------
 
