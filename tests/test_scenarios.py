@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import dynamics, scenarios
+from tcm_tangles import dynamics
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
@@ -269,7 +269,6 @@ def test_compare_checks_config_before_the_exact_run(monkeypatch):
             tt.compare_exact_vs_approx(tt.ScenarioConfig(**{**base, **bad}))
 
 
-
 @pytest.mark.parametrize(
     "atomic", ["ee", "sym_plus", "cat_plus", (0.3 + 0.4j, 0.5 - 0.1j, 0.5 - 0.1j, -0.2j)]
 )
@@ -292,6 +291,7 @@ def test_evolution_checks_reach_scenario_and_compare(monkeypatch):
                 with pytest.raises(error) as info:
                     run(config)
                 assert info.type is error  # TruncationError is a RuntimeError too
+
 
 # --- scaling -------------------------------------------------------------
 
