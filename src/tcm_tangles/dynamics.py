@@ -4,8 +4,10 @@ The resonant rotating-wave coupling (hbar = 1, interaction picture)
 
     H = g * ((sm1 + sm2) a^dag + (sp1 + sp2) a)
 
-conserves the excitation number K = a^dag a + (sz1 + sz2 + 2)/2, so it is
-block diagonal over K.  Each block is spanned by
+sets only the unit of time, so H is written in units of g (g = 1 below) and
+every time here is the dimensionless gt.  H conserves the excitation number
+K = a^dag a + (sz1 + sz2 + 2)/2, so it is block diagonal over K.  Each
+block is spanned by
 
     { |ee, K-2>, |eg, K-1>, |ge, K-1>, |gg, K> }
 
@@ -25,7 +27,6 @@ Basis conventions: atom states are ordered (e, g), so a state vector over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -52,30 +53,6 @@ ATOM_EXCITATIONS = (2, 1, 1, 0)  # atomic excitations of ee, eg, ge, gg
 
 class TruncationError(RuntimeError):
     """Raised when population piles up against the photon-number cutoff."""
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Coupling g and photon cutoff n_max."""
-
-    g: float
-    n_max: int
-
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError("coupling g must be positive")
-        if int(self.n_max) < 1:
-            raise ValueError("n_max must be at least 1")
-        object.__setattr__(self, "g", float(self.g))
-        object.__setattr__(self, "n_max", int(self.n_max))
-
-    @property
-    def field_dim(self) -> int:
-        return self.n_max + 1
-
-    @property
-    def shape(self) -> SystemShape:
-        return SystemShape((2, 2, self.field_dim))
 
 
 def fock_state(n: int, n_max: int) -> np.ndarray:
@@ -146,24 +123,24 @@ def atomic_state(spec: Union[str, Sequence[complex], np.ndarray]) -> np.ndarray:
     return vec / norm
 
 
-def initial_state(atomic, field: np.ndarray, params: ModelParams) -> PureState:
-    """Product state (two atoms) x (field vector), zero-padded to the cutoff."""
+def initial_state(atomic, field: np.ndarray, n_max: int) -> PureState:
+    """Product state (two atoms) x (field vector), zero-padded to the photon cutoff n_max."""
     at = atomic_state(atomic)
     fv = np.asarray(field, dtype=complex).ravel()
-    if fv.size > params.field_dim:
+    d = int(n_max) + 1
+    if fv.size > d:
         raise ValueError("field vector longer than the declared truncation")
-    if fv.size < params.field_dim:
-        fv = np.concatenate([fv, np.zeros(params.field_dim - fv.size, dtype=complex)])
+    fv = np.concatenate([fv, np.zeros(d - fv.size, dtype=complex)])
     amps = np.kron(at, fv)
     amps /= np.linalg.norm(amps)
-    return PureState(params.shape, amps)
+    return PureState(SystemShape((2, 2, d)), amps)
 
 
-def _coupling(amps: np.ndarray, g: float, field_dim: int) -> np.ndarray:
-    """g*((sm1 + sm2) a^dag + h.c.) applied to each row of a (..., 4*D) amplitude stack."""
+def _coupling(amps: np.ndarray, field_dim: int) -> np.ndarray:
+    """(sm1 + sm2) a^dag + h.c. applied to each row of a (..., 4*D) amplitude stack."""
     psi = amps.reshape(amps.shape[:-1] + (2, 2, field_dim))
     out = np.zeros_like(psi)
-    root = g * np.sqrt(np.arange(1, field_dim))
+    root = np.sqrt(np.arange(1, field_dim))
     out[..., 1, :, 1:] += root * psi[..., 0, :, :-1]  # sm1 a^dag: |e, n> -> |g, n+1>
     out[..., :, 1, 1:] += root * psi[..., :, 0, :-1]  # sm2 a^dag
     out[..., 0, :, :-1] += root * psi[..., 1, :, 1:]  # sp1 a: |g, n+1> -> |e, n>
@@ -171,23 +148,22 @@ def _coupling(amps: np.ndarray, g: float, field_dim: int) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
-def rabi_frequencies(params: ModelParams) -> np.ndarray:
-    """Omega_K of each excitation block K = 0 .. n_max + 2.
+def rabi_frequencies(field_dim: int) -> np.ndarray:
+    """Omega_K of each excitation block K = 0 .. n_max + 2 at field dimension D = n_max + 1.
 
     Block K holds the dark singlet and the ladder |ee, K-2> - |sym, K-1> -
     |gg, K>, so its coupling H_K has spectrum {0, 0, +-Omega_K} and obeys
     H_K^3 = Omega_K^2 H_K.  The indicators drop the two ladder couplings
-    that the photon cutoff removes; inside it Omega_K = g*sqrt(4K - 2).
+    that the photon cutoff removes; inside it Omega_K = sqrt(4K - 2).
     """
-    d = params.field_dim
-    k = np.arange(d + 2)
-    upper = (k - 1) * ((k >= 2) & (k <= d))  # |ee, K-2> <-> |sym, K-1>
-    lower = k * ((k >= 1) & (k <= d - 1))  # |sym, K-1> <-> |gg, K>
-    return params.g * np.sqrt(2.0 * (upper + lower))
+    k = np.arange(field_dim + 2)
+    upper = (k - 1) * ((k >= 2) & (k <= field_dim))  # |ee, K-2> <-> |sym, K-1>
+    lower = k * ((k >= 1) & (k < field_dim))  # |sym, K-1> <-> |gg, K>
+    return np.sqrt(2.0 * (upper + lower))
 
 
 class TcmPropagator:
-    """Exact propagator of one parameter set, in closed form per block.
+    """Exact propagator in closed form per block, at the photon cutoff of each evolved state.
 
     Since H_K^3 = Omega_K^2 H_K (see ``rabi_frequencies``),
 
@@ -198,10 +174,6 @@ class TcmPropagator:
     per time.  ``max_norm_drift`` and ``max_excitation_drift`` hold the
     largest drifts seen by the latest ``evolve_series`` call.
     """
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.rabi = rabi_frequencies(params)
 
     def evolve_series(self, state: PureState, times: Sequence[float]) -> Iterator[np.ndarray]:
         """Yield the evolved amplitudes over the requested times, in order.
@@ -214,27 +186,26 @@ class TcmPropagator:
         excitation distribution to ``CONSERVATION_TOL`` (else RuntimeError) and
         the guard band, as for the initial state (else TruncationError).
         """
-        g, d = self.params.g, self.params.field_dim
-        if state.shape.dims != (2, 2, d):
-            raise ValueError(f"state dims {state.shape.dims} do not match params (2, 2, {d})")
+        d = _field_dim(state)
         amps = state.amplitudes
         k_ref = excitation_distribution(state)
+        rabi = rabi_frequencies(d)
         self.max_norm_drift = self.max_excitation_drift = 0.0
         self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1))
         times = np.asarray(times, dtype=float).ravel()
         # Python floats overflow to inf without a warning
         t_max = float(np.max(np.abs(times), initial=0.0))
-        if not math.isfinite(t_max * float(self.rabi.max())):
+        if not math.isfinite(t_max * float(rabi.max())):
             raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = max(1, CHUNK_BUDGET // amps.nbytes)
         # H_K is zero where Omega_K is, so any nonzero divisor works there
-        safe = np.where(self.rabi > 0.0, self.rabi, 1.0)[excitation_map(d)]
-        h1 = _coupling(amps, g, d) / safe  # H psi / Omega, block by block
-        h2 = _coupling(h1, g, d) / safe  # H^2 psi / Omega^2
+        safe = np.where(rabi > 0.0, rabi, 1.0)[excitation_map(d)]
+        h1 = _coupling(amps, d) / safe  # H psi / Omega, block by block
+        h2 = _coupling(h1, d) / safe  # H^2 psi / Omega^2
         psi0, h2, ih1 = (x.reshape(4, d) for x in (amps, h2, 1j * h1))
         for start in range(0, times.size, step):
             t = times[start:start + step]
-            wt = t[:, None] * self.rabi
+            wt = t[:, None] * rabi
             c, s = 2.0 * np.sin(0.5 * wt) ** 2, np.sin(wt)
             out = np.empty((t.size, 4, d), dtype=complex)
             for a, e in enumerate(ATOM_EXCITATIONS):  # row a, photon n lies in block K = e + n
@@ -261,17 +232,25 @@ class TcmPropagator:
                 )
             raise TruncationError(
                 f"population {top[i]:.3e} within {GUARD_BAND} photon indices of the cutoff "
-                f"n_max={self.params.n_max} at t={t[i]:g} exceeds {GUARD_TOL:g}; "
+                f"n_max={psi.shape[-1] - 1} at t={t[i]:g} exceeds {GUARD_TOL:g}; "
                 "raise n_max or tighten tail_tol"
             )
         self.max_norm_drift = max(self.max_norm_drift, float(norm.max()))
         self.max_excitation_drift = max(self.max_excitation_drift, float(exc.max()))
 
 
-def evolve(state: PureState, t: float, params: ModelParams) -> PureState:
-    """Evolve ``state`` under the block Hamiltonian for time ``t``."""
-    (out,) = TcmPropagator(params).evolve_series(state, [t])
+def evolve(state: PureState, t: float) -> PureState:
+    """Evolve ``state`` under the block Hamiltonian for time ``t`` (that is, gt)."""
+    (out,) = TcmPropagator().evolve_series(state, [t])
     return PureState(state.shape, out[0])
+
+
+def _field_dim(state: PureState) -> int:
+    """Field dimension D of a (2, 2, D) state; ValueError for any other shape."""
+    dims = state.shape.dims
+    if len(dims) != 3 or dims[:2] != (2, 2):
+        raise ValueError("expected a (2, 2, field) state")
+    return dims[2]
 
 
 def excitation_map(field_dim: int) -> np.ndarray:
@@ -281,8 +260,7 @@ def excitation_map(field_dim: int) -> np.ndarray:
 
 def excitation_distribution(state: PureState) -> np.ndarray:
     """Probability of each excitation number K = 0 .. n_max + 2."""
-    if len(state.shape.dims) != 3 or state.shape.dims[:2] != (2, 2):
-        raise ValueError("expected a (2, 2, field) state")
+    _field_dim(state)
     return _excitation_populations(np.abs(state.amplitudes.reshape(1, 4, -1)) ** 2)[0]
 
 
@@ -295,7 +273,7 @@ def _excitation_populations(pop: np.ndarray) -> np.ndarray:
     return dist
 
 
-def energy_expectation(state: PureState, params: ModelParams) -> float:
-    """<psi|H psi> (conserved under evolve)."""
+def energy_expectation(state: PureState) -> float:
+    """<psi|H psi> in units of g (conserved under evolve)."""
     amps = state.amplitudes
-    return float(np.vdot(amps, _coupling(amps, params.g, params.field_dim)).real)
+    return float(np.vdot(amps, _coupling(amps, _field_dim(state))).real)

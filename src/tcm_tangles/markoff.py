@@ -7,12 +7,12 @@ atomic pointer states -- J_x eigenstates slowly rotating about J_z, each
 weighted by its initial population |d_m|^2 -- so the field-ensemble tangle
 depends only on the moduli |d_m| through a constant ``c`` and a pointer
 overlap oscillation ``h`` in the scaled time
-t' = g*t / (2*sqrt(mean_n - 1/2)) (the N-atom radicand mean_n - N/2 + 1/2
+t' = gt / (2*sqrt(mean_n - 1/2)) (the N-atom radicand mean_n - N/2 + 1/2
 at N = 2; every formula here is a two-atom one):
 
-    tau_approx(t) = 2 * (1 - [c - h(t')] / 4)
+    tau_approx(gt) = 2 * (1 - [c - h(t')] / 4)
 
-The formula is built for times past the initial transient; at t = 0 it
+The formula is built for times past the initial transient; at gt = 0 it
 does not reproduce the exact value 0.
 """
 
@@ -106,31 +106,31 @@ def h_of_t(d: JxCoefficients, t_prime) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def scaled_time(g: float, t, mean_n: float):
-    """t' = g*t / (2*sqrt(mean_n - 1/2))."""
+def scaled_time(gt, mean_n: float):
+    """t' = gt / (2*sqrt(mean_n - 1/2))."""
     radicand = mean_n - 0.5
     if radicand <= 0:
         raise ValueError(
             f"mean photon number {mean_n} too small for two atoms (nonpositive radicand)"
         )
-    t = np.asarray(t, dtype=float)
-    out = g * t / (2.0 * math.sqrt(radicand))
+    gt = np.asarray(gt, dtype=float)
+    out = gt / (2.0 * math.sqrt(radicand))
     return float(out) if out.ndim == 0 else out
 
 
-def approx_tau_F_AA(d: JxCoefficients, g: float, t, mean_n: float):
+def approx_tau_F_AA(d: JxCoefficients, gt, mean_n: float):
     """Approximate field-versus-atoms tangle 2{1 - [c - h(t')]/4}.
 
-    Valid for strong fields up to times of order 2*pi*sqrt(mean_n)/g; the
-    t = 0 transient is intentionally not reproduced (the formula starts at
+    Valid for strong fields up to gt of order 2*pi*sqrt(mean_n); the
+    gt = 0 transient is intentionally not reproduced (the formula starts at
     the dephased-mixture value 2(1 - sum|d_m|^4) instead of the exact 0),
     and the brief purity revival when the counter-rotating pointer fields
-    collide at g*t = pi*sqrt(mean_n) is not captured.
+    collide at gt = pi*sqrt(mean_n) is not captured.
     """
     if abs(d.singlet_amp) > 1e-12:
         raise ValueError(
             "approximate tangle assumes no population in the dark singlet; "
             f"got |singlet_amp|^2 = {abs(d.singlet_amp)**2:.3e}"
         )
-    tp = scaled_time(g, t, mean_n)
+    tp = scaled_time(gt, mean_n)
     return 2.0 * (1.0 - (constant_c(d) - h_of_t(d, tp)) / 4.0)

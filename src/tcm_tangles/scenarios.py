@@ -24,7 +24,6 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import (
-    ModelParams,
     TcmPropagator,
     atomic_state,
     coherent_state,
@@ -47,15 +46,29 @@ FOCK_PAD = 5
 COHERENT_PAD = 2
 MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
+# every time is gt; the echo keeps the unit line, which readers of the CSVs expect
+_G_ECHO = "# g = 1.0"
 
 
 class ConfigError(ValueError):
     """Invalid scenario or CLI configuration."""
 
 
-def _check_steps(steps: int) -> None:
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number (NaN and inf are not)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_steps(steps) -> int:
+    steps = _integer("steps", steps)
     if not 2 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must lie in 2 .. {MAX_STEPS}, got {steps}")
+    return steps
 
 
 def _check_photons(name: str, value, low: int = 0) -> None:
@@ -73,14 +86,13 @@ def _check_photons(name: str, value, low: int = 0) -> None:
 class ScenarioConfig:
     """One scenario: initial state, grid, output path and tolerances.
 
-    ``t_max`` is in units of 1/g, i.e. the grid covers gt in [0, t_max].
+    The grid covers gt in [0, t_max].
     """
 
     atomic: Union[str, tuple]
     field: str
     n: Optional[int] = None
     mean_n: Optional[float] = None
-    g: float = 1.0
     t_max: float = 5.0
     steps: int = 2000
     out: Optional[str] = None
@@ -88,21 +100,20 @@ class ScenarioConfig:
     rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        for name in ("t_max", "g", "mean_n"):
+        for name in ("t_max", "mean_n"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        _check_steps(self.steps)
+        object.__setattr__(self, "steps", _check_steps(self.steps))
         if not self.t_max > 0:
             raise ConfigError("t_max must be positive")
-        if not self.g > 0:
-            raise ConfigError("g must be positive")
         if self.field not in ("fock", "coherent"):
             raise ConfigError(f"field must be 'fock' or 'coherent', got {self.field!r}")
         if self.field == "fock":
             if self.n is None or self.mean_n is not None:
                 raise ConfigError("a fock field takes n and no mean_n")
-            _check_photons("n", int(self.n))
+            object.__setattr__(self, "n", _integer("n", self.n))
+            _check_photons("n", self.n)
         else:
             if self.mean_n is None or self.n is not None:
                 raise ConfigError("a coherent field takes mean_n and no n")
@@ -122,7 +133,6 @@ SCENARIO_TYPES = {
     "field": str,
     "n": int,
     "mean_n": float,
-    "g": float,
     "t_max": float,
     "steps": int,
     "tail_tol": float,
@@ -145,18 +155,16 @@ def preset_config(name: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(**{**PRESETS[name], **overrides})
 
 
-def _build_initial(config: ScenarioConfig) -> tuple[PureState, ModelParams]:
+def _build_initial(config: ScenarioConfig) -> PureState:
     """Initial product state with a field truncation that keeps the
     guard band clear for number states yet still watches coherent tails."""
     if config.field == "fock":
-        n_max = int(config.n) + FOCK_PAD
-        field = fock_state(int(config.n), n_max)
+        n_max = config.n + FOCK_PAD
+        field = fock_state(config.n, n_max)
     else:
-        vec, n_field = coherent_state(config.mean_n, config.tail_tol)
+        field, n_field = coherent_state(config.mean_n, config.tail_tol)
         n_max = max(n_field, 3) + COHERENT_PAD
-        field = vec
-    params = ModelParams(g=config.g, n_max=n_max)
-    return initial_state(config.atomic, field, params), params
+    return initial_state(config.atomic, field, n_max)
 
 
 @dataclass(frozen=True)
@@ -184,10 +192,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     is range-checked (ConfigError naming ``rank_tol``: a coarse cutoff
     pushes ``tau_res`` below its floor).  Writes CSV to ``config.out``.
     """
-    state, params = _build_initial(config)
+    state = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)
-    prop = TcmPropagator(params)
-    chunks = [_tcm_columns(a, config.rank_tol) for a in prop.evolve_series(state, gts / config.g)]
+    prop = TcmPropagator()
+    chunks = [_tcm_columns(a, config.rank_tol) for a in prop.evolve_series(state, gts)]
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in SCENARIO_COLUMNS}
     try:
         check_tangle_columns(columns)
@@ -230,14 +238,16 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
 
     Everything that can make the comparison fail (the field, the
     approximation's domain and the window on the grid) depends only on
-    the config and is checked before the exact run, which computes only
-    ``tau_F_AA`` under ``run_scenario``'s checks and never reads ``rank_tol``.
+    the config and is checked before the exact run.  That run computes only
+    ``tau_F_AA``, under ``TcmPropagator.evolve_series``'s per-point checks
+    (norm, excitation distribution, truncation guard) and the column range
+    check, and never reads ``rank_tol``.
     """
     if config.field != "coherent":
         raise ConfigError("the approximation comparison needs a coherent field")
     coeffs = jx_coefficients(atomic_state(config.atomic))
     try:  # a singlet component, or mean_n <= 1/2, is outside the approximation
-        approx_tau_F_AA(coeffs, config.g, 0.0, config.mean_n)
+        approx_tau_F_AA(coeffs, 0.0, config.mean_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     gts = np.linspace(0.0, config.t_max, config.steps)
@@ -246,12 +256,11 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     mask = (gts >= window[0]) & (gts <= window[1])
     if not mask.any():
         raise ConfigError(f"grid [0, {config.t_max}] misses the comparison window {window}")
-    state, params = _build_initial(config)
     # the exact run raises OverflowError first for a grid too long to evolve
-    series = TcmPropagator(params).evolve_series(state, gts / config.g)
+    series = TcmPropagator().evolve_series(_build_initial(config), gts)
     exact = np.concatenate([_cut_tangles(_atom_marginal(amps)[1])[1] for amps in series])
     check_tangle_columns({"tau_F_AA": exact})
-    approx = approx_tau_F_AA(coeffs, config.g, gts / config.g, config.mean_n)
+    approx = approx_tau_F_AA(coeffs, gts, config.mean_n)
     sup = float(np.max(np.abs(exact - approx)[mask]))
     result = CompareResult(
         config=config,
@@ -277,39 +286,35 @@ class ScalingResult:
 
 def scaling_study(
     ns: Sequence[int],
-    g: float = 1.0,
     steps: int = 400,
     out: Optional[str] = None,
 ) -> ScalingResult:
     """Peak atom-atom tangle of (both ground) x |n> over one beat period.
 
-    The three coupled levels beat at sqrt(4n-2)*g, so one period of the
+    The three coupled levels beat at sqrt(4n-2) in gt, so one period of the
     slowest harmonic is scanned per n and the peak Wootters tangle
     recorded; the log-log slope against n estimates the falloff power.
     """
-    ns = tuple(int(n) for n in ns)
+    ns = tuple(_integer("scaling photon numbers", n) for n in ns)
     if len(set(ns)) < 3:
         raise ConfigError("scaling needs at least 3 distinct photon numbers")
     for n in ns:
         _check_photons("scaling photon numbers", n, low=2)
-    _check_steps(steps)
-    if not g > 0:
-        raise ConfigError("g must be positive")
+    steps = _check_steps(steps)
 
     peaks = []
     for n in ns:
-        params = ModelParams(g=g, n_max=n + FOCK_PAD)
-        state = initial_state("gg", fock_state(n, params.n_max), params)
-        period = 2.0 * math.pi / (g * math.sqrt(4.0 * n - 2.0))
+        state = initial_state("gg", fock_state(n, n + FOCK_PAD), n + FOCK_PAD)
+        period = 2.0 * math.pi / math.sqrt(4.0 * n - 2.0)
         times = np.linspace(0.0, period, steps)
-        chunks = TcmPropagator(params).evolve_series(state, times)
+        chunks = TcmPropagator().evolve_series(state, times)
         peaks.append(max(float(np.max(_wootters_batch(a.reshape(len(a), 4, -1)))) for a in chunks))
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
 
     result = ScalingResult(ns=ns, peaks=peaks, slope=slope)
     if out:
-        _write_scaling_csv(result, g, steps, out)
+        _write_scaling_csv(result, steps, out)
     return result
 
 
@@ -326,6 +331,10 @@ def revival_peak_time(
     """
     gt = np.asarray(gt, dtype=float)
     inversion = np.asarray(inversion, dtype=float)
+    if gt.size < 2:
+        raise ValueError(f"the grid needs at least 2 points, got {gt.size}")
+    if inversion.shape != gt.shape:
+        raise ValueError(f"inversion shape {inversion.shape} does not match grid shape {gt.shape}")
     dt = gt[1] - gt[0]
     w = max(3, int(round(window_gt / dt)))
     if w > gt.size:
@@ -357,6 +366,8 @@ def _fmt(value) -> str:
 def _config_echo(config: ScenarioConfig) -> list[str]:
     lines = ["# tcm-tangles"]
     for field in dataclasses.fields(config):
+        if field.name == "t_max":
+            lines.append(_G_ECHO)
         if field.name == "out":
             continue
         lines.append(f"# {field.name} = {getattr(config, field.name)}")
@@ -392,11 +403,11 @@ def _write_compare_csv(result: CompareResult) -> None:
     )
 
 
-def _write_scaling_csv(result: ScalingResult, g: float, steps: int, out: str) -> None:
+def _write_scaling_csv(result: ScalingResult, steps: int, out: str) -> None:
     lines = [
         "# tcm-tangles scaling",
         "# atomic = gg",
-        f"# g = {g}",
+        _G_ECHO,
         f"# steps = {steps}",
         f"# loglog_slope = {result.slope:.12g}",
     ]

@@ -157,8 +157,8 @@ def test_criterion_02_collapse_and_revival(fig2_ee, announce):
 #
 # Neither the height of the peak nor its half-width (about 3 in gt) shrinks
 # with mean_n, and beyond a distance of 4 the residual is down to the
-# background at every mean_n.  The band is therefore fixed in gt, that is
-# 4/g in time, and does not depend on the time grid of any preset.
+# background at every mean_n.  The band is therefore fixed in gt and does
+# not depend on the time grid of any preset.
 COLLISION_HALF_WIDTH_GT = 4.0
 
 
@@ -205,7 +205,7 @@ def test_criterion_04_large_field_approximation(compare500, announce):
     sup = float(np.max(np.abs(compare500.exact - compare500.approx)[mask]))
     coeffs = tt.jx_coefficients(tt.atomic_state("ee"))
     c_value = tt.constant_c(coeffs)
-    t_prime = tt.scaled_time(1.0, compare500.gt, 500.0)
+    t_prime = tt.scaled_time(compare500.gt, 500.0)
     recomputed = 2.0 * (1.0 - (c_value - tt.h_of_t(coeffs, t_prime)) / 4.0)
     curve_matches = bool(np.max(np.abs(recomputed - compare500.approx)) < 1e-12)
     c_pinned = abs(c_value - 35.0 / 16.0) < 1e-12
@@ -407,15 +407,14 @@ def _roof_vs_wootters_error(rng, count):
 
 def _rank2_vs_roof_error_along_trajectory():
     config = preset_config("fig1")
-    params = tt.ModelParams(g=1.0, n_max=15)
-    state = tt.initial_state("ee", tt.fock_state(10, 15), params)
+    state = tt.initial_state("ee", tt.fock_state(10, 15), 15)
     times = np.linspace(0.0, config.t_max, config.steps)[::5]
-    prop = tt.TcmPropagator(params)
+    prop = tt.TcmPropagator()
     options = tt.RoofOptions(restarts=4, seed=11)
     worst = 0.0
     for chunk in prop.evolve_series(state, times):
         for amps in chunk:
-            rho_af = tt.partial_trace(tt.PureState(params.shape, amps), (0, 2))
+            rho_af = tt.partial_trace(tt.PureState(state.shape, amps), (0, 2))
             worst = max(
                 worst,
                 abs(tt.rank2_itangle(rho_af) - tt.convex_roof_itangle(rho_af, options)),
@@ -477,10 +476,9 @@ def test_criterion_08_property_suite(announce):
 
 
 def test_criterion_09_dynamics_oracles(fig1, fig2_ee, fig2_gg, fig3_sym, fig3_cat, singlet_run, announce):
-    params = tt.ModelParams(g=1.0, n_max=6)
-    initial = tt.initial_state("gg", tt.fock_state(1, 6), params)
+    initial = tt.initial_state("gg", tt.fock_state(1, 6), 6)
     times = np.linspace(0.0, 6.0, 200)
-    prop = tt.TcmPropagator(params)
+    prop = tt.TcmPropagator()
     return_err = max(
         abs(
             abs(np.vdot(initial.amplitudes, amps)) ** 2

@@ -10,18 +10,6 @@ from tcm_tangles.dynamics import excitation_map, rabi_frequencies
 SQRT2 = math.sqrt(2.0)
 
 
-def test_model_params_validation():
-    params = tt.ModelParams(g=1.0, n_max=5)
-    assert params.field_dim == 6
-    assert params.shape.dims == (2, 2, 6)
-    with pytest.raises(ValueError):
-        tt.ModelParams(g=0.0, n_max=5)
-    with pytest.raises(ValueError):
-        tt.ModelParams(g=1.0, n_max=0)
-    # hashable
-    assert {tt.ModelParams(g=1.0, n_max=5): 1}[params] == 1
-
-
 def test_fock_state():
     vec = tt.fock_state(2, 4)
     assert vec.shape == (5,)
@@ -74,26 +62,25 @@ def test_atomic_state_names_and_vectors():
 
 
 def test_initial_state_pads_field():
-    params = tt.ModelParams(g=1.0, n_max=6)
-    state = tt.initial_state("gg", tt.fock_state(1, 3), params)
+    state = tt.initial_state("gg", tt.fock_state(1, 3), 6)
     assert state.shape.dims == (2, 2, 7)
     tens = state.tensor()
     assert abs(tens[1, 1, 1] - 1.0) < 1e-14
     with pytest.raises(ValueError):
-        tt.initial_state("gg", tt.fock_state(1, 8), params)
+        tt.initial_state("gg", tt.fock_state(1, 8), 6)
 
 
-def _dense_model(params):
-    """Coupling, bare-frequency term a^dag a + sz1/2 + sz2/2 and excitation number
-    as dense 4D x 4D matrices, built from the operators of the model in the
-    (e, g) x (e, g) x photon basis."""
-    d = params.field_dim
+def _dense_model(n_max):
+    """Coupling (in units of g), bare-frequency term a^dag a + sz1/2 + sz2/2 and
+    excitation number as dense 4D x 4D matrices, built from the operators of
+    the model in the (e, g) x (e, g) x photon basis."""
+    d = n_max + 1
     sm = np.array([[0.0, 0.0], [1.0, 0.0]])  # |g><e|
     jm = np.kron(sm, np.eye(2)) + np.kron(np.eye(2), sm)
     jz = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([1.0, -1.0]))
     adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
     number = np.kron(np.eye(4), np.diag(np.arange(float(d))))
-    coupling = params.g * np.kron(jm, adag)
+    coupling = np.kron(jm, adag)
     coupling = coupling + coupling.T
     free = number + 0.5 * np.kron(jz, np.eye(d))
     excitation = np.diag(number + 0.5 * np.kron(jz + 2.0 * np.eye(4), np.eye(d)))
@@ -111,8 +98,8 @@ def _block_labels(k, n_max):
     )
 
 
-def _dense_block_spectrum(k, params):
-    coupling, _, excitation = _dense_model(params)
+def _dense_block_spectrum(k, n_max):
+    coupling, _, excitation = _dense_model(n_max)
     sel = excitation == k
     return np.linalg.eigvalsh(coupling[np.ix_(sel, sel)])
 
@@ -128,55 +115,59 @@ def test_block_basis_clipping():
 
 @pytest.mark.parametrize("g", [1.0, 0.7])
 def test_single_excitation_block_spectrum(g):
-    params = tt.ModelParams(g=g, n_max=4)
+    # a coupling g only rescales time: g*H_1 has spectrum 0, +-sqrt(2)*g, and
+    # exp(-i g H t) is evolve over gt = g*t
+    from scipy.linalg import expm
+
     np.testing.assert_allclose(
-        _dense_block_spectrum(1, params), [-SQRT2 * g, 0.0, SQRT2 * g], atol=1e-12
+        g * _dense_block_spectrum(1, 4), [-SQRT2 * g, 0.0, SQRT2 * g], atol=1e-12
     )
-    assert abs(rabi_frequencies(params)[1] - SQRT2 * g) < 1e-14
+    assert abs(g * rabi_frequencies(5)[1] - SQRT2 * g) < 1e-14
+    h = _dense_model(4)[0]
+    state = tt.initial_state("sym_plus", tt.fock_state(0, 4), 4)
+    for t in (0.3, 2.2):
+        want = expm(-1j * g * h * t) @ state.amplitudes
+        np.testing.assert_allclose(tt.evolve(state, g * t).amplitudes, want, rtol=0, atol=1e-12)
 
 
 def test_two_excitation_block_spectrum():
-    # coupled triplet ladder gives 0, +-sqrt(4K-2)*g; the dark state adds 0
-    params = tt.ModelParams(g=1.0, n_max=4)
+    # coupled triplet ladder gives 0, +-sqrt(4K-2); the dark state adds 0
     np.testing.assert_allclose(
-        _dense_block_spectrum(2, params),
+        _dense_block_spectrum(2, 4),
         [-math.sqrt(6.0), 0.0, 0.0, math.sqrt(6.0)],
         atol=1e-12,
     )
-    assert abs(rabi_frequencies(params)[2] - math.sqrt(6.0)) < 1e-14
+    assert abs(rabi_frequencies(5)[2] - math.sqrt(6.0)) < 1e-14
 
 
 def test_rabi_frequencies_match_dense_blocks():
     # every block is a dark state plus a three-level ladder: spectrum 0, +-Omega_K
     n_max = 6
-    for g in (1.0, 0.7):
-        params = tt.ModelParams(g=g, n_max=n_max)
-        coupling, _, excitation = _dense_model(params)
-        np.testing.assert_array_equal(excitation, excitation_map(params.field_dim))
-        rabi = rabi_frequencies(params)
-        assert rabi.shape == (n_max + 3,)
-        for k in range(n_max + 3):
-            sel = excitation == k
-            assert not np.any(coupling[np.ix_(sel, ~sel)])  # H conserves K
-            h = coupling[np.ix_(sel, sel)]
-            spectrum = np.zeros(h.shape[0])
-            spectrum[[0, -1]] = -rabi[k], rabi[k]
-            np.testing.assert_allclose(np.linalg.eigvalsh(h), spectrum, atol=1e-12)
-            np.testing.assert_allclose(h @ h @ h, rabi[k] ** 2 * h, atol=1e-12)
-        assert rabi[0] == 0.0 and rabi[n_max + 2] == 0.0  # |gg, 0> and |ee, n_max>
-        assert abs(rabi[1] - SQRT2 * g) < 1e-14
-        inside = np.arange(1, n_max + 1)  # both ladder couplings below the cutoff
-        np.testing.assert_allclose(rabi[inside], g * np.sqrt(4.0 * inside - 2.0), rtol=1e-14)
+    coupling, _, excitation = _dense_model(n_max)
+    np.testing.assert_array_equal(excitation, excitation_map(n_max + 1))
+    rabi = rabi_frequencies(n_max + 1)
+    assert rabi.shape == (n_max + 3,)
+    for k in range(n_max + 3):
+        sel = excitation == k
+        assert not np.any(coupling[np.ix_(sel, ~sel)])  # H conserves K
+        h = coupling[np.ix_(sel, sel)]
+        spectrum = np.zeros(h.shape[0])
+        spectrum[[0, -1]] = -rabi[k], rabi[k]
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), spectrum, atol=1e-12)
+        np.testing.assert_allclose(h @ h @ h, rabi[k] ** 2 * h, atol=1e-12)
+    assert rabi[0] == 0.0 and rabi[n_max + 2] == 0.0  # |gg, 0> and |ee, n_max>
+    assert abs(rabi[1] - SQRT2) < 1e-14
+    inside = np.arange(1, n_max + 1)  # both ladder couplings below the cutoff
+    np.testing.assert_allclose(rabi[inside], np.sqrt(4.0 * inside - 2.0), rtol=1e-14)
 
 
 def test_evolve_matches_dense_expm():
     from scipy.linalg import expm
 
     n_max = 8
-    for g in (1.0, 0.7):
-        params = tt.ModelParams(g=g, n_max=n_max)
-        d = params.field_dim
-        h, _, excitation = _dense_model(params)
+    d = n_max + 1
+    h, _, excitation = _dense_model(n_max)
+    for g in (1.0, 0.7):  # a coupling g is evolve over gt = g*t
         # raw complex atomic state x photons 0..3 fills blocks K = 0 .. 5 ...
         field = np.zeros(d, dtype=complex)
         field[:4] = [0.6, 0.5j, -0.4, 0.3 + 0.2j]
@@ -186,11 +177,11 @@ def test_evolve_matches_dense_expm():
         edge = [n_max - 1, d + n_max, 2 * d + n_max, n_max]
         amps[edge] = [3e-5, -2e-5j, 1e-5 + 2e-5j, 2e-5]
         amps /= np.linalg.norm(amps)
-        state = tt.PureState(params.shape, amps)
-        assert abs(tt.energy_expectation(state, params) - np.vdot(amps, h @ amps).real) < 1e-12
+        state = tt.PureState(tt.SystemShape((2, 2, d)), amps)
+        assert abs(tt.energy_expectation(state) - np.vdot(amps, h @ amps).real) < 1e-12
         for t in (0.0, 0.37, 2.9, 13.1):
-            got = tt.evolve(state, t, params).amplitudes
-            want = expm(-1j * h * t) @ amps
+            got = tt.evolve(state, g * t).amplitudes
+            want = expm(-1j * g * h * t) @ amps
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             for k in (0, 1, n_max + 1, n_max + 2):
                 sel = excitation == k
@@ -199,26 +190,24 @@ def test_evolve_matches_dense_expm():
 
 
 def test_ground_pair_single_photon_return_probability():
-    g = 1.0
-    params = tt.ModelParams(g=g, n_max=4)
-    state = tt.initial_state("gg", tt.fock_state(1, 4), params)
+    state = tt.initial_state("gg", tt.fock_state(1, 4), 4)
     idx = np.flatnonzero(state.amplitudes)[0]
     for gt in np.linspace(0.0, 6.0, 31):
-        evolved = tt.evolve(state, gt / g, params)
+        evolved = tt.evolve(state, gt)
         expected = math.cos(SQRT2 * gt) ** 2
         assert abs(abs(evolved.amplitudes[idx]) ** 2 - expected) < 1e-12
 
 
 def test_doubly_excited_fock_block_amplitudes():
-    # |ee, n> couples only to the symmetric ladder of its own block
+    # |ee, n> couples only to the symmetric ladder of its own block; a
+    # coupling g scales u, v and omega, and is evolve over gt = g*t
     n, g = 3, 1.3
-    params = tt.ModelParams(g=g, n_max=10)
-    state = tt.initial_state("ee", tt.fock_state(n, 10), params)
+    state = tt.initial_state("ee", tt.fock_state(n, 10), 10)
     u = g * math.sqrt(2.0 * (n + 1))
     v = g * math.sqrt(2.0 * (n + 2))
     omega = math.hypot(u, v)
     for t in (0.13, 0.55, 1.7):
-        tens = tt.evolve(state, t, params).tensor()
+        tens = tt.evolve(state, g * t).tensor()
         p_ee = abs(tens[0, 0, n]) ** 2
         p_sym = abs(tens[0, 1, n + 1]) ** 2 + abs(tens[1, 0, n + 1]) ** 2
         p_gg = abs(tens[1, 1, n + 2]) ** 2
@@ -232,9 +221,8 @@ def test_doubly_excited_fock_block_amplitudes():
 
 
 def test_singlet_is_stationary():
-    params = tt.ModelParams(g=1.0, n_max=6)
-    state = tt.initial_state("singlet", tt.fock_state(3, 6), params)
-    evolved = tt.evolve(state, 2.31, params)
+    state = tt.initial_state("singlet", tt.fock_state(3, 6), 6)
+    evolved = tt.evolve(state, 2.31)
     np.testing.assert_allclose(evolved.amplitudes, state.amplitudes, atol=1e-13)
 
 
@@ -244,15 +232,14 @@ def test_detuning_free_phase_only():
     # from evolve's by local phases only, so populations and tangles agree
     from scipy.linalg import expm
 
-    params = tt.ModelParams(g=1.0, n_max=8)
-    coupling, free, _ = _dense_model(params)
+    coupling, free, _ = _dense_model(8)
     omega = 5.0
-    s0 = tt.initial_state("ee", tt.fock_state(2, 8), params)
+    s0 = tt.initial_state("ee", tt.fock_state(2, 8), 8)
     for t in (0.4, 1.9):
-        a = tt.evolve(s0, t, params)
-        b = tt.PureState(params.shape, expm(-1j * (coupling + omega * free) * t) @ s0.amplitudes)
+        a = tt.evolve(s0, t)
+        b = tt.PureState(s0.shape, expm(-1j * (coupling + omega * free) * t) @ s0.amplitudes)
         atom = np.exp(-0.5j * omega * t * np.array([1.0, -1.0]))  # exp(-i omega t sz/2)
-        photons = np.exp(-1j * omega * t * np.arange(params.field_dim))
+        photons = np.exp(-1j * omega * t * np.arange(9))
         local = np.kron(np.kron(atom, atom), photons)
         np.testing.assert_allclose(b.amplitudes, local * a.amplitudes, rtol=0, atol=1e-12)
         np.testing.assert_allclose(
@@ -264,21 +251,21 @@ def test_detuning_free_phase_only():
 
 
 def test_energy_conserved():
-    params = tt.ModelParams(g=0.8, n_max=9)
-    state = tt.initial_state("sym_plus", tt.fock_state(4, 9), params)
-    prop = tt.TcmPropagator(params)
+    # coupling g = 0.8: energy g*<H> over gt = g*t
+    g = 0.8
+    state = tt.initial_state("sym_plus", tt.fock_state(4, 9), 9)
+    prop = tt.TcmPropagator()
     energies = [
-        tt.energy_expectation(tt.PureState(params.shape, amps), params)
-        for chunk in prop.evolve_series(state, np.linspace(0.0, 5.0, 40))
+        g * tt.energy_expectation(tt.PureState(state.shape, amps))
+        for chunk in prop.evolve_series(state, g * np.linspace(0.0, 5.0, 40))
         for amps in chunk
     ]
     assert np.max(np.abs(np.diff(energies))) < 1e-11
 
 
 def test_norm_conserved_along_series():
-    params = tt.ModelParams(g=1.0, n_max=12)
-    state = tt.initial_state("ee", tt.fock_state(6, 12), params)
-    prop = tt.TcmPropagator(params)
+    state = tt.initial_state("ee", tt.fock_state(6, 12), 12)
+    prop = tt.TcmPropagator()
     drifts = [
         abs(np.linalg.norm(amps) - 1.0)
         for chunk in prop.evolve_series(state, np.linspace(0.0, 8.0, 50))
@@ -288,27 +275,28 @@ def test_norm_conserved_along_series():
 
 
 def test_truncation_guard_trips():
-    params = tt.ModelParams(g=1.0, n_max=5)
-    state = tt.initial_state("ee", tt.fock_state(5, 5), params)
+    state = tt.initial_state("ee", tt.fock_state(5, 5), 5)
     with pytest.raises(tt.TruncationError):
-        tt.evolve(state, 0.5, params)
+        tt.evolve(state, 0.5)
+    # n_max = 0 leaves only the guard band, so even the initial state trips it
+    vacuum = tt.initial_state("gg", tt.fock_state(0, 0), 0)
+    with pytest.raises(tt.TruncationError, match="n_max=0"):
+        tt.evolve(vacuum, 0.0)
 
 
 def test_excitation_distribution():
-    params = tt.ModelParams(g=1.0, n_max=2)
-    state = tt.initial_state("ee", tt.fock_state(1, 2), params)
+    state = tt.initial_state("ee", tt.fock_state(1, 2), 2)
     dist = tt.excitation_distribution(state)
     # |ee,1> carries excitation number 3
     assert abs(dist[3] - 1.0) < 1e-14
     assert abs(dist.sum() - 1.0) < 1e-14
-    assert dist.shape == (params.n_max + 3,)
+    assert dist.shape == (2 + 3,)
 
 
 def test_excitation_distribution_conserved():
-    params = tt.ModelParams(g=1.0, n_max=8)
-    state = tt.initial_state("cat_plus", tt.fock_state(3, 8), params)
+    state = tt.initial_state("cat_plus", tt.fock_state(3, 8), 8)
     before = tt.excitation_distribution(state)
-    after = tt.excitation_distribution(tt.evolve(state, 3.7, params))
+    after = tt.excitation_distribution(tt.evolve(state, 3.7))
     np.testing.assert_allclose(after, before, atol=1e-12)
 
 
@@ -327,15 +315,14 @@ def test_excitation_slice_sums_match_scatter_add():
 
 
 def test_series_reports_drift_maxima_over_every_chunk(monkeypatch):
-    params = tt.ModelParams(g=1.0, n_max=12)
-    state = tt.initial_state("cat_plus", tt.fock_state(5, 12), params)
+    state = tt.initial_state("cat_plus", tt.fock_state(5, 12), 12)
     times = np.linspace(0.0, 6.0, 90)
-    prop = tt.TcmPropagator(params)
+    prop = tt.TcmPropagator()
     amps = np.concatenate(list(prop.evolve_series(state, times)))
     drifts = (prop.max_norm_drift, prop.max_excitation_drift)
     k_ref = tt.excitation_distribution(state)
     worst = max(
-        np.max(np.abs(tt.excitation_distribution(tt.PureState(params.shape, a)) - k_ref))
+        np.max(np.abs(tt.excitation_distribution(tt.PureState(state.shape, a)) - k_ref))
         for a in amps
     )
     assert drifts[1] == worst and 0.0 < max(drifts) < 1e-12

@@ -72,7 +72,7 @@ def test_frozen_constants_stretched():
     d = tt.jx_coefficients(tt.atomic_state("ee"))
     assert abs(tt.constant_c(d) - 35.0 / 16.0) < 1e-12
     assert abs(tt.h_of_t(d, 0.0) - 11.0 / 16.0) < 1e-12
-    assert abs(tt.approx_tau_F_AA(d, 1.0, 0.0, 100.0) - 1.25) < 1e-12
+    assert abs(tt.approx_tau_F_AA(d, 0.0, 100.0) - 1.25) < 1e-12
 
 
 def test_frozen_constants_symmetric():
@@ -80,14 +80,14 @@ def test_frozen_constants_symmetric():
     d = tt.jx_coefficients(tt.atomic_state("sym_plus"))
     assert abs(tt.constant_c(d) - 11.0 / 4.0) < 1e-12
     assert abs(tt.h_of_t(d, 0.0) - 3.0 / 4.0) < 1e-12
-    assert abs(tt.approx_tau_F_AA(d, 1.0, 0.0, 100.0) - 1.0) < 1e-12
+    assert abs(tt.approx_tau_F_AA(d, 0.0, 100.0) - 1.0) < 1e-12
 
 
 def test_single_pointer_never_entangles():
     d = tt.jx_coefficients(JX_BASIS["zero"].astype(complex))
     assert abs(tt.constant_c(d) - 4.0) < 1e-14
     t = np.linspace(0.0, 50.0, 101)
-    np.testing.assert_allclose(tt.approx_tau_F_AA(d, 1.0, t, 100.0), 0.0, atol=1e-13)
+    np.testing.assert_allclose(tt.approx_tau_F_AA(d, t, 100.0), 0.0, atol=1e-13)
 
 
 def test_purity_identity_at_t_zero():
@@ -114,8 +114,8 @@ def test_shapes_follow_input():
     d = tt.jx_coefficients(tt.atomic_state("gg"))
     assert isinstance(tt.h_of_t(d, 0.3), float)
     assert tt.h_of_t(d, np.zeros((5, 2))).shape == (5, 2)
-    assert isinstance(tt.approx_tau_F_AA(d, 1.0, 0.3, 50.0), float)
-    assert tt.approx_tau_F_AA(d, 1.0, np.zeros(7), 50.0).shape == (7,)
+    assert isinstance(tt.approx_tau_F_AA(d, 0.3, 50.0), float)
+    assert tt.approx_tau_F_AA(d, np.zeros(7), 50.0).shape == (7,)
 
 
 def test_global_phase_blindness():
@@ -131,13 +131,13 @@ def test_global_phase_blindness():
 
 
 def test_scaled_time_value_and_guard():
-    # t' = g*t / (2*sqrt(mean_n - 1/2)) for two atoms
-    expected = 2.0 * 3.0 / (2.0 * math.sqrt(10.0 - 0.5))
-    assert abs(tt.scaled_time(2.0, 3.0, 10.0) - expected) < 1e-14
-    out = tt.scaled_time(1.0, np.array([0.0, 1.0]), 5.0)
+    # t' = gt / (2*sqrt(mean_n - 1/2)) for two atoms
+    expected = 6.0 / (2.0 * math.sqrt(10.0 - 0.5))
+    assert abs(tt.scaled_time(6.0, 10.0) - expected) < 1e-14
+    out = tt.scaled_time(np.array([0.0, 1.0]), 5.0)
     assert out.shape == (2,)
     with pytest.raises(ValueError):
-        tt.scaled_time(1.0, 1.0, 0.5)
+        tt.scaled_time(1.0, 0.5)
 
 
 def test_approx_rejects_singlet_population():
@@ -146,7 +146,7 @@ def test_approx_rejects_singlet_population():
     amps /= np.linalg.norm(amps)
     d = tt.jx_coefficients(synthesize(*amps))
     with pytest.raises(ValueError):
-        tt.approx_tau_F_AA(d, 1.0, 1.0, 100.0)
+        tt.approx_tau_F_AA(d, 1.0, 100.0)
 
 
 def test_time_average_over_one_period():

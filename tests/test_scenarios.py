@@ -64,10 +64,12 @@ def test_preset_catalog():
 
 
 def test_preset_overrides_and_unknown_name():
-    cfg = preset_config("fig1", steps=100, g=2.0)
-    assert cfg.steps == 100 and cfg.g == 2.0 and cfg.n == 10
+    cfg = preset_config("fig1", steps=100)
+    assert cfg.steps == 100 and cfg.n == 10
     with pytest.raises(ConfigError):
         preset_config("fig9")
+    with pytest.raises(TypeError):  # every time is gt: there is no coupling to set
+        preset_config("fig1", g=2.0)
 
 
 @pytest.mark.parametrize(
@@ -75,7 +77,7 @@ def test_preset_overrides_and_unknown_name():
     [
         dict(steps=1),
         dict(t_max=0.0),
-        dict(g=0.0),
+        dict(n=10.7),
         dict(field="thermal", n=None),
         dict(n=None),  # fock without n
         dict(mean_n=3.0),  # fock with mean_n
@@ -88,8 +90,8 @@ def test_preset_overrides_and_unknown_name():
         dict(atomic="xx"),
         dict(t_max=math.inf),
         dict(t_max=math.nan),
-        dict(g=math.inf),
-        dict(g=math.nan),
+        dict(n=math.nan),
+        dict(steps=10.5),
         dict(steps=MAX_STEPS + 1),
         dict(field="coherent", n=None, mean_n=math.inf),
         dict(rank_tol=math.inf),
@@ -99,11 +101,20 @@ def test_preset_overrides_and_unknown_name():
         dict(n=MAX_PHOTONS + 1),
         dict(field="coherent", n=None, mean_n=MAX_PHOTONS + 0.5),
         dict(field="coherent", n=None, mean_n=math.nan),
+        dict(steps=math.nan),
+        dict(n=math.inf),
+        dict(steps="40"),
     ],
 )
 def test_config_validation(overrides):
     with pytest.raises(ConfigError):
         small_config(**overrides)
+
+
+def test_config_whole_number_floats_become_ints():
+    config = small_config(n=3.0, steps=40.0)
+    assert (config.n, config.steps) == (3, 40)
+    assert type(config.n) is int and type(config.steps) is int
 
 
 def test_config_error_is_value_error():
@@ -169,6 +180,18 @@ def test_scenario_csv_round_trip(tmp_path):
         np.testing.assert_allclose(data[:, j], result.column(name), atol=2e-9)
 
 
+def test_scenario_echo_keys_in_order(tmp_path):
+    # readers of the echo (bench/checks.py among them) expect these keys; the
+    # g line is fixed, and states the unit of every time, gt
+    out = tmp_path / "fig1.csv"
+    tt.run_scenario(preset_config("fig1", steps=20, out=str(out)))
+    echo, _, _ = read_csv(out)
+    assert echo[0] == "# tcm-tangles"
+    keys = [line[2:].split(" = ")[0] for line in echo[1:]]
+    assert keys == ["atomic", "field", "n", "mean_n", "g", "t_max", "steps", "tail_tol", "rank_tol"]
+    assert echo[5:7] == ["# g = 1.0", "# t_max = 5.0"]
+
+
 def test_scenario_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     tt.run_scenario(small_config(out=str(a)))
@@ -203,6 +226,18 @@ def test_revival_peak_time_errors():
         revival_peak_time(gt, signal, window_gt=1000.0)
 
 
+def test_revival_peak_time_rejects_short_grid():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            revival_peak_time(np.zeros(n), np.zeros(n))
+
+
+def test_revival_peak_time_rejects_mismatched_lengths():
+    gt = np.linspace(0.0, 100.0, 4001)
+    with pytest.raises(ValueError, match="does not match"):
+        revival_peak_time(gt, np.cos(10.0 * gt)[:-1])
+
+
 # --- exact vs approximate ----------------------------------------------------
 
 
@@ -227,7 +262,7 @@ def test_compare_small_coherent(tmp_path):
 
     coeffs = tt.jx_coefficients(tt.atomic_state("ee"))
     np.testing.assert_array_equal(
-        result.approx, tt.approx_tau_F_AA(coeffs, 1.0, result.gt, 4.0)
+        result.approx, tt.approx_tau_F_AA(coeffs, result.gt, 4.0)
     )
     mask = (result.gt >= result.window[0]) & (result.gt <= result.window[1])
     sup = np.max(np.abs(result.exact - result.approx)[mask])
@@ -305,8 +340,10 @@ def test_scaling_validation():
         tt.scaling_study((5, 10, 20), steps=1)
     with pytest.raises(ConfigError):
         tt.scaling_study((5, 10, 20), steps=MAX_STEPS + 1)
-    with pytest.raises(ConfigError):
-        tt.scaling_study((5, 10, 20), g=0.0)
+    with pytest.raises(ConfigError, match="steps must be an integer"):
+        tt.scaling_study((5, 10, 20), steps=10.5)
+    with pytest.raises(ConfigError, match="scaling photon numbers must be an integer"):
+        tt.scaling_study((5, 10.5, 20))
     with pytest.raises(ConfigError, match="scaling photon numbers must lie in 2 .. 100000"):
         tt.scaling_study((5, 10, MAX_PHOTONS + 1))
 
@@ -322,6 +359,7 @@ def test_scaling_small_run(tmp_path):
     assert result.slope < -1.0
 
     echo, header, data = read_csv(out)
+    assert echo[:4] == ["# tcm-tangles scaling", "# atomic = gg", "# g = 1.0", "# steps = 200"]
     assert any(line.startswith("# loglog_slope = ") for line in echo)
     assert header == ["n", "peak_tau_AA"]
     assert data.shape == (3, 2)
@@ -366,6 +404,7 @@ def test_load_config_parses_types(tmp_path):
         ("preset = fig2\n", "unknown config key"),
         ("omega = 0.5\n", "unknown config key 'omega'"),
         ("measure = haar\n", "unknown config key 'measure'"),
+        ("g = 2\n", "unknown config key 'g'"),
     ],
 )
 def test_load_config_errors(tmp_path, text, fragment):
@@ -445,8 +484,8 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     # a config file key the subcommand does not read is named in one stderr line
     cfg = tmp_path / "k.cfg"
     scenario = ["scenario", "--preset", "fig1", "--steps", "5", "--config", str(cfg)]
-    for key in ("measure", "omega", "approx_compare"):
-        cfg.write_text(f"{key} = 1\n")
+    for key, value in (("measure", 1), ("omega", 1), ("approx_compare", 1), ("g", 2)):
+        cfg.write_text(f"{key} = {value}\n")
         assert main(scenario + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"unknown config key {key!r}" in err

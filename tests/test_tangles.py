@@ -149,9 +149,9 @@ def _mpmath_wootters(m):
 
 def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
     config = preset_config("fig3")
-    state, params = _build_initial(config)
+    state = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
-    series = tt.TcmPropagator(params).evolve_series(state, gts)
+    series = tt.TcmPropagator().evolve_series(state, gts)
     amps = np.concatenate(list(series))
     tau_aa = _tcm_columns(amps)["tau_AA"]
     reference = [_mpmath_wootters(row.reshape(4, -1)) for row in amps]
@@ -337,9 +337,9 @@ def test_fig1_tau_af_matches_mpmath_at_first_points():
     # at gt = 0 atom 2 is exactly excited, so the A1-field pair is pure, and
     # its impurity grows from 0 over the first grid points
     config = preset_config("fig1")
-    state, params = _build_initial(config)
+    state = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[:8]
-    amps = np.concatenate(list(tt.TcmPropagator(params).evolve_series(state, gts)))
+    amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts)))
     reference = [_mpmath_rank2_tangle(psi, 1) for psi in amps]
     np.testing.assert_allclose(_tcm_columns(amps)["tau_AF"], reference, atol=1e-12, rtol=0)
 
@@ -466,9 +466,8 @@ def test_tangle_report_validation():
 def test_tangle_report_cross_checks():
     # one tangle_report and a few rows of a scenario from the same state,
     # each against the generic measures on partial traces
-    params = tt.ModelParams(g=1.0, n_max=8)
-    state = tt.initial_state("ee", tt.fock_state(3, 8), params)
-    evolved = tt.evolve(state, 0.9, params)
+    state = tt.initial_state("ee", tt.fock_state(3, 8), 8)
+    evolved = tt.evolve(state, 0.9)
     report = tt.tangle_report(evolved, t=0.9)
     assert report.t == 0.9
     cases = [(evolved, {name: getattr(report, name) for name in SCENARIO_COLUMNS})]
@@ -477,7 +476,7 @@ def test_tangle_report_cross_checks():
     )
     for i in (7, 23, 41):
         row = {name: result.column(name)[i] for name in SCENARIO_COLUMNS}
-        cases.append((tt.evolve(state, result.gt[i], params), row))
+        cases.append((tt.evolve(state, result.gt[i]), row))
     # the states above are symmetric under swapping the atoms; a Haar state
     # is not, so it tells the two atom-field purifications apart
     haar = pure_state((2, 2, 5), haar_vec(np.random.default_rng(66), 20))
@@ -536,10 +535,9 @@ def test_residual_permutation_invariant():
 
 def test_residual_fast_path_matches_generic():
     # tangle_report takes block shortcuts; i_residual_tangle walks every cut
-    params = tt.ModelParams(g=1.0, n_max=9)
-    state = tt.initial_state("ee", tt.fock_state(4, 9), params)
+    state = tt.initial_state("ee", tt.fock_state(4, 9), 9)
     for gt in (0.3, 1.1, 2.6):
-        evolved = tt.evolve(state, gt, params)
+        evolved = tt.evolve(state, gt)
         fast = tt.tangle_report(evolved, t=gt).tau_res
         slow = tt.i_residual_tangle(evolved)
         assert abs(fast - slow) < 1e-10
