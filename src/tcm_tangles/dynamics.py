@@ -55,9 +55,19 @@ class TruncationError(RuntimeError):
     """Raised when population piles up against the photon-number cutoff."""
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a whole number (NaN and inf are not)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def fock_state(n: int, n_max: int) -> np.ndarray:
     """Photon-number state |n> as a vector of length n_max + 1."""
-    n = int(n)
+    n, n_max = whole_number("fock label", n), whole_number("n_max", n_max)
     if not 0 <= n <= n_max:
         raise ValueError(f"fock label {n} outside truncation 0..{n_max}")
     vec = np.zeros(n_max + 1, dtype=complex)
@@ -127,7 +137,7 @@ def initial_state(atomic, field: np.ndarray, n_max: int) -> PureState:
     """Product state (two atoms) x (field vector), zero-padded to the photon cutoff n_max."""
     at = atomic_state(atomic)
     fv = np.asarray(field, dtype=complex).ravel()
-    d = int(n_max) + 1
+    d = whole_number("n_max", n_max) + 1
     if fv.size > d:
         raise ValueError("field vector longer than the declared truncation")
     fv = np.concatenate([fv, np.zeros(d - fv.size, dtype=complex)])

@@ -29,17 +29,10 @@ from .dynamics import (
     coherent_state,
     fock_state,
     initial_state,
+    whole_number,
 )
 from .markoff import approx_tau_F_AA, jx_coefficients
-from .tangles import (
-    SCENARIO_COLUMNS,
-    TANGLE_FLOOR,
-    _atom_marginal,
-    _cut_tangles,
-    _tcm_columns,
-    _wootters_batch,
-    check_tangle_columns,
-)
+from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
 from .tensor import DEFAULT_RANK_TOL, PureState, check_rank_tol
 
 FOCK_PAD = 5
@@ -57,11 +50,9 @@ class ConfigError(ValueError):
 def _integer(name: str, value) -> int:
     """``value`` as an int; ConfigError unless it is a whole number (NaN and inf are not)."""
     try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return whole_number(name, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_steps(steps) -> int:
@@ -169,8 +160,8 @@ def _build_initial(config: ScenarioConfig) -> PureState:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Evolved time series as one array per ``SCENARIO_COLUMNS`` entry,
-    plus the measured conservation drifts."""
+    """Evolved time series as one array per named column (``SCENARIO_COLUMNS``
+    for a scenario), plus the measured conservation drifts."""
 
     config: ScenarioConfig
     gt: np.ndarray
@@ -182,33 +173,39 @@ class ScenarioResult:
         return self.columns[name]
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Evolve the configured state and compute every column at each grid point.
+def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioResult:
+    """Evolve the configured state over gt in [0, t_max] and compute the named columns.
 
     The grid is evolved and measured in bounded chunks by
     ``TcmPropagator.evolve_series``, whose one pass per chunk checks the
     norm and excitation distribution (to 1e-10) and the truncation guard
-    at every point; the result reports its largest drifts.  Every column
-    is range-checked (ConfigError naming ``rank_tol``: a coarse cutoff
-    pushes ``tau_res`` below its floor).  Writes CSV to ``config.out``.
+    at every point; the result reports its largest drifts.  ``tcm_columns``
+    computes only what the named columns need, and every column is
+    range-checked once (ConfigError naming ``rank_tol``: a coarse cutoff
+    pushes ``tau_res`` below its floor).
     """
-    state = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator()
-    chunks = [_tcm_columns(a, config.rank_tol) for a in prop.evolve_series(state, gts)]
-    columns = {name: np.concatenate([c[name] for c in chunks]) for name in SCENARIO_COLUMNS}
+    series = prop.evolve_series(_build_initial(config), gts)
+    chunks = [tcm_columns(amps, names, config.rank_tol) for amps in series]
+    columns = {name: np.concatenate([c[name] for c in chunks]) for name in names}
     try:
         check_tangle_columns(columns)
     except ValueError as exc:
         raise ConfigError(f"{exc} at rank_tol = {config.rank_tol:g}") from None
-
-    result = ScenarioResult(
+    return ScenarioResult(
         config=config,
         gt=gts,
         columns=columns,
         max_norm_drift=prop.max_norm_drift,
         max_excitation_drift=prop.max_excitation_drift,
     )
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Every ``SCENARIO_COLUMNS`` entry at each grid point, checked as in
+    ``_evolve_columns``; writes CSV to ``config.out``."""
+    result = _evolve_columns(config, SCENARIO_COLUMNS)
     if config.out:
         _write_scenario_csv(result)
     return result
@@ -236,12 +233,9 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     that does not fall with mean_n.  Away from that collision the
     residual falls roughly as 1/mean_n.
 
-    Everything that can make the comparison fail (the field, the
-    approximation's domain and the window on the grid) depends only on
-    the config and is checked before the exact run.  That run computes only
-    ``tau_F_AA``, under ``TcmPropagator.evolve_series``'s per-point checks
-    (norm, excitation distribution, truncation guard) and the column range
-    check, and never reads ``rank_tol``.
+    The field, the approximation's domain and the window on the grid
+    depend only on the config and are checked before the exact run, which
+    computes only ``tau_F_AA`` through ``_evolve_columns``.
     """
     if config.field != "coherent":
         raise ConfigError("the approximation comparison needs a coherent field")
@@ -257,9 +251,7 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     if not mask.any():
         raise ConfigError(f"grid [0, {config.t_max}] misses the comparison window {window}")
     # the exact run raises OverflowError first for a grid too long to evolve
-    series = TcmPropagator().evolve_series(_build_initial(config), gts)
-    exact = np.concatenate([_cut_tangles(_atom_marginal(amps)[1])[1] for amps in series])
-    check_tangle_columns({"tau_F_AA": exact})
+    exact = _evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
     approx = approx_tau_F_AA(coeffs, gts, config.mean_n)
     sup = float(np.max(np.abs(exact - approx)[mask]))
     result = CompareResult(
@@ -304,11 +296,9 @@ def scaling_study(
 
     peaks = []
     for n in ns:
-        state = initial_state("gg", fock_state(n, n + FOCK_PAD), n + FOCK_PAD)
         period = 2.0 * math.pi / math.sqrt(4.0 * n - 2.0)
-        times = np.linspace(0.0, period, steps)
-        chunks = TcmPropagator().evolve_series(state, times)
-        peaks.append(max(float(np.max(_wootters_batch(a.reshape(len(a), 4, -1)))) for a in chunks))
+        config = ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=steps)
+        peaks.append(_evolve_columns(config, ("tau_AA",)).column("tau_AA").max())
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
 

@@ -43,6 +43,7 @@ from .tensor import (
 )
 
 ROOF_WEIGHT_FLOOR = 1e-14
+ROOF_TOL = 1e-8
 
 # sigma_y (x) sigma_y is real: the reversed identity with signs -, +, +, -.
 _SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]
@@ -202,27 +203,18 @@ def rank2_itangle(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> flo
 class RoofOptions:
     """Search budget for the convex-roof minimization.
 
-    ``ensemble_sizes`` defaults to every length from rank to rank**2;
-    restarts cycle through the sizes, restart 0 starting at the plain
-    eigendecomposition.  Results are deterministic per seed, and the best
-    value after k restarts is a prefix of the best values after k' > k.
+    Restarts cycle through the ensemble lengths rank .. rank**2, restart 0
+    starting at the plain eigendecomposition.  Results are deterministic
+    per seed, and the best value after k restarts is a prefix of the best
+    values after k' > k.
     """
 
     restarts: int = 20
-    ensemble_sizes: Optional[tuple[int, ...]] = None
-    tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.ensemble_sizes is not None:
-            sizes = tuple(int(m) for m in self.ensemble_sizes)
-            if not sizes or any(m < 1 for m in sizes):
-                raise ValueError("ensemble sizes must be positive")
-            object.__setattr__(self, "ensemble_sizes", sizes)
 
 
 @dataclass(frozen=True)
@@ -299,11 +291,8 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
     vecs = evecs[:, keep][:, ::-1]
     wm = (np.sqrt(lam)[:, None] * vecs.T).astype(complex)
 
-    sizes = options.ensemble_sizes or tuple(range(rank, rank * rank + 1))
-    if min(sizes) < rank:
-        raise ValueError(f"ensemble sizes {sizes} fall below the state rank {rank}")
-
-    lbfgs_opts = {"maxiter": 1000, "ftol": options.tol * 1e-4, "gtol": options.tol * 0.1}
+    sizes = tuple(range(rank, rank * rank + 1))
+    lbfgs_opts = {"maxiter": 1000, "ftol": ROOF_TOL * 1e-4, "gtol": ROOF_TOL * 0.1}
     children = np.random.SeedSequence(options.seed).spawn(options.restarts)
     best = (np.inf, None, None)
     restart_values = []
@@ -354,7 +343,7 @@ def convex_roof_itangle(rho: DensityMatrix, options: RoofOptions = RoofOptions()
 
 
 # ---------------------------------------------------------------------------
-# the (2, 2, D) kernel, its records and the residual tangle
+# the (2, 2, D) kernel and the residual tangle
 # ---------------------------------------------------------------------------
 
 TANGLE_FLOOR = -1e-9
@@ -380,82 +369,70 @@ _COLUMN_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class TangleReport:
-    """All tangles of one two-atom/field pure state at one instant.
-
-    ``tau_F_AA``: field versus both atoms; ``tau_A_rest``: atom 1 versus
-    everything else; ``tau_AA``: atom-atom Wootters tangle; ``tau_AF``:
-    atom 1 versus field (mixed-state tangle); ``tau_res``: residual
-    three-party tangle; ``inversion``: P(ee) - P(gg); ``field_eff_dim``:
-    effective dimension of the field marginal, logged because the
-    residual's rescaling depends on it.
-    """
-
-    t: float
-    tau_F_AA: float
-    tau_A_rest: float
-    tau_AA: float
-    tau_AF: float
-    tau_res: float
-    inversion: float
-    field_eff_dim: int
-
-
 def _cut_tangles(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of a stack of pure-state marginals and each cut's tangle 2*(1 - sum lam^2)."""
     evals = np.linalg.eigvalsh(rho)
     return evals, 2.0 * (1.0 - np.sum(evals**2, axis=-1))
 
 
-def _atom_marginal(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, rho_AA = M @ M^H) of an (N, 4*D) stack, M its (N, 4, D) view."""
-    m = amps.reshape(len(amps), 4, -1)
-    return m, m @ m.conj().swapaxes(-1, -2)
+def tcm_columns(
+    amps: np.ndarray,
+    names: Sequence[str] = SCENARIO_COLUMNS,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> dict[str, np.ndarray]:
+    """The named ``SCENARIO_COLUMNS`` of an (N, 4*D) stack of (2, 2, D) states, in ``names`` order.
 
-
-def _tcm_columns(amps: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, np.ndarray]:
-    """Every ``SCENARIO_COLUMNS`` entry of an (N, 4*D) stack of (2, 2, D) states.
-
-    Only rho_AA = M @ M^H (the product ``partial_trace`` forms) and the
-    Wootters kernel's QR of M contract over D; the rest is 4 x 4 work on
-    rho_AA.  Both sides of a pure-state cut share their nonzero spectrum,
-    so the field's purity and effective dimension come from rho_AA.  Each
-    atom-field pair is purified by the spare atom, and the rank-2 closed
-    form needs only its purifier correlations, a transposed view of rho_AA.
+    Only what the named columns need is computed: ``tau_AA`` is the
+    Wootters kernel on the (N, 4, D) amplitude view M, and ``tau_F_AA``,
+    ``field_eff_dim`` and ``inversion`` need rho_AA = M @ M^H (the product
+    ``partial_trace`` forms), its spectrum and its diagonal.  Both sides of
+    a pure-state cut share their nonzero spectrum, so the field's purity
+    and effective dimension come from rho_AA.  Only ``tau_A_rest``,
+    ``tau_AF`` and ``tau_res`` run the one-atom spectra and the rank-2
+    closed form, which needs only the purifier correlations of each
+    atom-field pair (purified by the spare atom), a transposed view of
+    rho_AA.  Each column is bit-identical whichever others are named.
     """
     check_rank_tol(rank_tol)
-    m, rho_aa = _atom_marginal(amps)
-    rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
-    rho_a1 = np.einsum("nabcb->nac", rho4)
-    rho_a2 = np.einsum("nabad->nbd", rho4)
+    unknown = set(names) - set(SCENARIO_COLUMNS)
+    if unknown:
+        raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
+    full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
+    m = amps.reshape(len(amps), 4, -1)
+    cols = {}
+    if full or "tau_AA" in names:
+        cols["tau_AA"] = _wootters_batch(m)
+    if full or set(names) - {"tau_AA"}:
+        rho_aa = m @ m.conj().swapaxes(-1, -2)
+        evals, cols["tau_F_AA"] = _cut_tangles(rho_aa)
+        cols["field_eff_dim"] = np.count_nonzero(evals > rank_tol, axis=-1)
+        cols["inversion"] = (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real
+    if full:
+        rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
+        ev_a1, tau_a_rest = _cut_tangles(np.einsum("nabcb->nac", rho4))
+        ev_a2, tau_a2_rest = _cut_tangles(np.einsum("nabad->nbd", rho4))
+        d_f = cols["field_eff_dim"]
+        d_a1, d_a2 = (np.count_nonzero(ev > rank_tol, axis=-1) for ev in (ev_a1, ev_a2))
+        # two calls at N states each: one call on 2N doubles the kernel's peak memory
+        tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3))
+        tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4))
 
-    evals, (tau_f_aa, tau_a_rest, tau_a2_rest) = zip(*map(_cut_tangles, (rho_aa, rho_a1, rho_a2)))
-    d_f, d_a1, d_a2 = (np.count_nonzero(ev > rank_tol, axis=-1) for ev in evals)
-    tau_aa = _wootters_batch(m)
-    # two calls at N states each: one call on 2N doubles the kernel's peak memory
-    tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3))
-    tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4))
-
-    one_vs_rest = d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * tau_f_aa
-    pairwise = (
-        np.minimum(d_a1, d_a2) / 2.0 * tau_aa
-        + np.minimum(d_a1, d_f) / 2.0 * tau_a1f
-        + np.minimum(d_a2, d_f) / 2.0 * tau_a2f
-    )
-    return {
-        "tau_F_AA": tau_f_aa,
-        "tau_A_rest": tau_a_rest,
-        "tau_AA": tau_aa,
-        "tau_AF": tau_a1f,
-        "tau_res": (one_vs_rest - 2.0 * pairwise) / 3.0,
-        "inversion": (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real,
-        "field_eff_dim": d_f,
-    }
+        one_vs_rest = (
+            d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * cols["tau_F_AA"]
+        )
+        pairwise = (
+            np.minimum(d_a1, d_a2) / 2.0 * cols["tau_AA"]
+            + np.minimum(d_a1, d_f) / 2.0 * tau_a1f
+            + np.minimum(d_a2, d_f) / 2.0 * tau_a2f
+        )
+        cols["tau_A_rest"] = tau_a_rest
+        cols["tau_AF"] = tau_a1f
+        cols["tau_res"] = (one_vs_rest - 2.0 * pairwise) / 3.0
+    return {name: cols[name] for name in names}
 
 
 def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
-    """Raise ValueError if any value of the given ``_tcm_columns`` columns is out of range.
+    """Raise ValueError if any value of the given ``tcm_columns`` columns is out of range.
 
     Tangles must clear ``TANGLE_FLOOR``; ``tau_AA`` and ``tau_A_rest`` may
     not exceed 1 and the inversion must lie in [-1, 1], both up to 1e-9.
@@ -468,20 +445,23 @@ def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
             raise ValueError(f"{name} = {values[bad][0]!r} outside [{low:g}, {high:g}]")
 
 
-def tangle_report(
-    state: PureState, t: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL
-) -> TangleReport:
-    """All tangles of a two-atom/field pure state, range-checked.
+def tangle_report(state: PureState, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, float]:
+    """Every ``SCENARIO_COLUMNS`` value of one two-atom/field pure state, range-checked.
 
-    The atom-field pair state has rank <= 2 (its complement is a qubit),
-    so ``tau_AF`` comes from the rank-2 closed form.
+    ``tau_F_AA``: field versus both atoms; ``tau_A_rest``: atom 1 versus
+    everything else; ``tau_AA``: atom-atom Wootters tangle; ``tau_AF``:
+    atom 1 versus field (the pair has rank <= 2, its complement being a
+    qubit, so this is the rank-2 closed form); ``tau_res``: residual
+    three-party tangle; ``inversion``: P(ee) - P(gg); ``field_eff_dim``
+    (an int): effective dimension of the field marginal, on which the
+    residual's rescaling depends.
     """
     dims = state.shape.dims
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ValueError("expected a (2, 2, field) pure state")
-    columns = _tcm_columns(state.amplitudes[None], rank_tol)
+    columns = tcm_columns(state.amplitudes[None], rank_tol=rank_tol)
     check_tangle_columns(columns)
-    return TangleReport(t=t, **{name: col[0].item() for name, col in columns.items()})
+    return {name: col[0].item() for name, col in columns.items()}
 
 
 def residual_tangle_batch(
@@ -496,7 +476,7 @@ def residual_tangle_batch(
     d1, d2, dfield = dims
     if (d1, d2) != (2, 2):
         raise ValueError("batch residual supports (2, 2, D) systems only")
-    return _tcm_columns(states.reshape(-1, 4 * dfield), rank_tol)["tau_res"]
+    return tcm_columns(states.reshape(-1, 4 * dfield), ("tau_res",), rank_tol)["tau_res"]
 
 
 def _pair_tangle_generic(

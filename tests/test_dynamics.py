@@ -18,6 +18,11 @@ def test_fock_state():
         tt.fock_state(5, 4)
     with pytest.raises(ValueError):
         tt.fock_state(-1, 4)
+    # whole floats and numpy integers are photon numbers; other values are not
+    np.testing.assert_array_equal(tt.fock_state(2.0, np.int64(4)), vec)
+    for n, n_max in [(2.5, 4), (2, 4.5), (np.nan, 4), (2, np.inf), ("2", 4)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            tt.fock_state(n, n_max)
 
 
 def test_coherent_state_moments():
@@ -68,6 +73,10 @@ def test_initial_state_pads_field():
     assert abs(tens[1, 1, 1] - 1.0) < 1e-14
     with pytest.raises(ValueError):
         tt.initial_state("gg", tt.fock_state(1, 8), 6)
+    assert tt.initial_state("gg", tt.fock_state(1, 3), np.int32(6)).shape.dims == (2, 2, 7)
+    assert tt.initial_state("gg", tt.fock_state(1, 3), 6.0).shape.dims == (2, 2, 7)
+    with pytest.raises(ValueError, match="n_max must be an integer, got 4.9"):
+        tt.initial_state("ee", tt.fock_state(1, 4), 4.9)
 
 
 def _dense_model(n_max):
@@ -245,9 +254,9 @@ def test_detuning_free_phase_only():
         np.testing.assert_allclose(
             np.abs(a.amplitudes), np.abs(b.amplitudes), atol=1e-12
         )
-        ra, rb = tt.tangle_report(a, t=t), tt.tangle_report(b, t=t)
+        ra, rb = tt.tangle_report(a), tt.tangle_report(b)
         for name in ("tau_F_AA", "tau_A_rest", "tau_AA", "tau_AF", "tau_res"):
-            assert abs(getattr(ra, name) - getattr(rb, name)) < 1e-11
+            assert abs(ra[name] - rb[name]) < 1e-11
 
 
 def test_energy_conserved():

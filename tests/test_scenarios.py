@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import dynamics
+from tcm_tangles import dynamics, tangles
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
@@ -366,6 +366,20 @@ def test_scaling_small_run(tmp_path):
     np.testing.assert_array_equal(data[:, 0], [4, 8, 16])
 
 
+def test_scaling_runs_the_scenario_loop(monkeypatch):
+    # each peak is the largest tau_AA of the same gg x |n> scenario, and the
+    # column range check covers it
+    ns = (4, 8, 16)
+    peaks = tt.scaling_study(ns, steps=200).peaks
+    for n, peak in zip(ns, peaks):
+        period = 2.0 * math.pi / math.sqrt(4.0 * n - 2.0)
+        config = tt.ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=200)
+        assert peak == tt.run_scenario(config).column("tau_AA").max()
+    monkeypatch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
+    with pytest.raises(ConfigError, match="tau_AA = .*nan"):
+        tt.scaling_study(ns, steps=200)
+
+
 # --- config files --------------------------------------------------------
 
 
@@ -550,17 +564,23 @@ def test_cli_truncation_guard_exits_2(tmp_path, capsys):
     assert "truncation guard" in capsys.readouterr().err
 
 
-def test_cli_compare_approx(tmp_path, capsys):
+def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
     out = tmp_path / "c.csv"
-    code = main(
-        ["compare-approx", "--atomic", "ee", "--field", "coherent",
-         "--mean-n", "4.0", "--t-max", "12.0", "--steps", "200",
-         "--tail-tol", "1e-13", "--out", str(out)]
-    )
+    argv = ["compare-approx", "--atomic", "ee", "--field", "coherent",
+            "--mean-n", "4.0", "--t-max", "12.0", "--steps", "200",
+            "--tail-tol", "1e-13", "--out", str(out)]
+    code = main(argv)
     assert code == 0
     assert "window sup-norm" in capsys.readouterr().out
     _, header, _ = read_csv(out)
     assert header == ["gt", "tau_F_AA_exact", "tau_F_AA_approx", "abs_diff"]
+    # a non-finite exact tangle fails the range check: exit 1, one line
+    monkeypatch.setattr(
+        tangles, "_cut_tangles", lambda rho: (np.linalg.eigvalsh(rho), np.full(len(rho), np.nan))
+    )
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tau_F_AA = " in err and "nan" in err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -8,9 +8,9 @@ from tcm_tangles.scenarios import _build_initial, preset_config
 from tcm_tangles.tangles import (
     SCENARIO_COLUMNS,
     _roof_objective,
-    _tcm_columns,
     _wootters_batch,
     check_tangle_columns,
+    tcm_columns,
 )
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -147,13 +147,13 @@ def _mpmath_wootters(m):
         return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]) ** 2)
 
 
-def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
+def testtcm_columns_tau_aa_matches_mpmath_at_fig3():
     config = preset_config("fig3")
     state = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
     series = tt.TcmPropagator().evolve_series(state, gts)
     amps = np.concatenate(list(series))
-    tau_aa = _tcm_columns(amps)["tau_AA"]
+    tau_aa = tcm_columns(amps)["tau_AA"]
     reference = [_mpmath_wootters(row.reshape(4, -1)) for row in amps]
     np.testing.assert_allclose(tau_aa, reference, atol=1e-12, rtol=0)
 
@@ -302,16 +302,49 @@ def _mpmath_rank2_tangle(psi, purifier):
         return float(2 - 2 * q[0, 0] - 2 * lam_max)
 
 
+def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
+    # on an evolved fig1 stack and on Haar (2, 2, 5) states, each subset is
+    # bit-identical to the full call, and a tau_AA-only call runs no
+    # eigensolve, a tau_F_AA-only call neither Wootters nor rank-2
+    config = preset_config("fig1")
+    gts = np.linspace(0.0, config.t_max, config.steps)[::50]
+    fig1 = np.concatenate(list(tt.TcmPropagator().evolve_series(_build_initial(config), gts)))
+    rng = np.random.default_rng(67)
+    haar = np.array([haar_vec(rng, 20) for _ in range(30)])
+
+    def refuse(*args):
+        raise AssertionError("not needed for the named columns")
+
+    for amps in (fig1, haar):
+        full = tcm_columns(amps)
+        assert list(full) == list(SCENARIO_COLUMNS)
+        for names, unused in [
+            (("tau_F_AA",), ("_wootters_batch", "_rank2_tangle_core")),
+            (("tau_AA",), ("_cut_tangles", "_rank2_tangle_core")),
+            (("tau_res",), ()),
+            (SCENARIO_COLUMNS, ()),
+        ]:
+            with monkeypatch.context() as patch:
+                for name in unused:
+                    patch.setattr(tangles, name, refuse)
+                part = tcm_columns(amps, names)
+            assert list(part) == list(names)
+            for name in names:
+                assert np.array_equal(part[name], full[name]), name
+    with pytest.raises(ValueError, match="unknown columns"):
+        tcm_columns(haar, ("tau_XY",))
+
+
 def _kernel_pair_tangles(monkeypatch, amps):
     """(tau_A1F, tau_A2F) of a state stack: the two rank-2 kernel calls of
-    ``_tcm_columns``, recorded in order (A1-field purified by atom 2, then
+    ``tcm_columns``, recorded in order (A1-field purified by atom 2, then
     A2-field purified by atom 1)."""
     calls = []
     core = tangles._rank2_tangle_core
     monkeypatch.setattr(
         tangles, "_rank2_tangle_core", lambda *args: calls.append(core(*args)) or calls[-1]
     )
-    columns = _tcm_columns(amps)
+    columns = tcm_columns(amps)
     assert len(calls) == 2
     np.testing.assert_array_equal(calls[0], columns["tau_AF"])
     return calls
@@ -341,7 +374,7 @@ def test_fig1_tau_af_matches_mpmath_at_first_points():
     gts = np.linspace(0.0, config.t_max, config.steps)[:8]
     amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts)))
     reference = [_mpmath_rank2_tangle(psi, 1) for psi in amps]
-    np.testing.assert_allclose(_tcm_columns(amps)["tau_AF"], reference, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(tcm_columns(amps)["tau_AF"], reference, atol=1e-12, rtol=0)
 
 
 def test_rank2_kernel_matches_wootters_on_qubit_fields():
@@ -352,7 +385,7 @@ def test_rank2_kernel_matches_wootters_on_qubit_fields():
         amps = impure_atom_states(rng, 2, atom)
         factor = amps.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 4, 2)
         np.testing.assert_allclose(
-            _tcm_columns(amps)["tau_AF"], _wootters_batch(factor), atol=1e-13, rtol=0
+            tcm_columns(amps)["tau_AF"], _wootters_batch(factor), atol=1e-13, rtol=0
         )
 
 
@@ -416,13 +449,6 @@ def test_roof_identity_start_bounds_eigendecomposition():
 def test_roof_options_validation():
     with pytest.raises(ValueError):
         tt.RoofOptions(restarts=0)
-    with pytest.raises(ValueError):
-        tt.RoofOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        tt.RoofOptions(ensemble_sizes=(0,))
-    dm = tt.DensityMatrix((2, 2), werner(0.5))
-    with pytest.raises(ValueError):
-        tt.convex_roof_itangle(dm, options=tt.RoofOptions(ensemble_sizes=(2,)))
 
 
 def test_roof_gradient_matches_finite_differences():
@@ -468,9 +494,9 @@ def test_tangle_report_cross_checks():
     # each against the generic measures on partial traces
     state = tt.initial_state("ee", tt.fock_state(3, 8), 8)
     evolved = tt.evolve(state, 0.9)
-    report = tt.tangle_report(evolved, t=0.9)
-    assert report.t == 0.9
-    cases = [(evolved, {name: getattr(report, name) for name in SCENARIO_COLUMNS})]
+    report = tt.tangle_report(evolved)
+    assert list(report) == list(SCENARIO_COLUMNS)
+    cases = [(evolved, report)]
     result = tt.run_scenario(
         tt.ScenarioConfig(atomic="ee", field="fock", n=3, t_max=4.0, steps=50)
     )
@@ -480,8 +506,7 @@ def test_tangle_report_cross_checks():
     # the states above are symmetric under swapping the atoms; a Haar state
     # is not, so it tells the two atom-field purifications apart
     haar = pure_state((2, 2, 5), haar_vec(np.random.default_rng(66), 20))
-    haar_report = tt.tangle_report(haar)
-    cases.append((haar, {name: getattr(haar_report, name) for name in SCENARIO_COLUMNS}))
+    cases.append((haar, tt.tangle_report(haar)))
 
     for evolved, row in cases:
         rho_aa = tt.partial_trace(evolved, (0, 1))
@@ -538,7 +563,7 @@ def test_residual_fast_path_matches_generic():
     state = tt.initial_state("ee", tt.fock_state(4, 9), 9)
     for gt in (0.3, 1.1, 2.6):
         evolved = tt.evolve(state, gt)
-        fast = tt.tangle_report(evolved, t=gt).tau_res
+        fast = tt.tangle_report(evolved)["tau_res"]
         slow = tt.i_residual_tangle(evolved)
         assert abs(fast - slow) < 1e-10
 
