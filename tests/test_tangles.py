@@ -147,7 +147,7 @@ def _mpmath_wootters(m):
         return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]) ** 2)
 
 
-def testtcm_columns_tau_aa_matches_mpmath_at_fig3():
+def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
     config = preset_config("fig3")
     state = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
