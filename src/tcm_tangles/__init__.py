@@ -62,7 +62,6 @@ from .tangles import (
     wootters_tangle,
 )
 from .tensor import (
-    Cut,
     DensityMatrix,
     PureState,
     SystemShape,
@@ -78,7 +77,6 @@ __all__ = [
     "ATOMIC_STATES",
     "CompareResult",
     "ConfigError",
-    "Cut",
     "DensityMatrix",
     "JxCoefficients",
     "PRESETS",

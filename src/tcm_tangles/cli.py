@@ -7,7 +7,8 @@ search), ``scaling`` (peak atom-atom tangle vs photon number).
 Scenario settings resolve in order: preset < config file (--config, flat
 key=value) < explicit flags; a sweep takes flags only.  Exit codes: 0
 success, 1 configuration error (including a time grid whose phases
-overflow), 2 photon-truncation guard abort.
+overflow) or an output file that cannot be written, 2 photon-truncation
+guard abort.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def build_parser() -> _Parser:
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     merged = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
-        merged.update(load_config(args.config, SCENARIO_TYPES))
+        merged.update(load_config(args.config))
     for key in SCENARIO_TYPES:
         value = getattr(args, key, None)
         if value is not None:
@@ -166,6 +167,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_scaling(args)
     except (ConfigError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except TruncationError as exc:
         print(f"truncation guard: {exc}", file=sys.stderr)

@@ -75,22 +75,19 @@ def fock_state(n: int, n_max: int) -> np.ndarray:
     return vec
 
 
-def coherent_state(mean_n: float, tail_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+def coherent_state(mean_n: float, tail_tol: float = 1e-10) -> np.ndarray:
     """Coherent state with real amplitude alpha = sqrt(mean_n).
 
     The cutoff is the smallest n_max whose discarded Poisson tail mass is
-    below ``tail_tol``; the truncated vector is re-normalized.
-
-    Returns
-    -------
-    (vector, n_max) : the field vector of length n_max + 1 and the cutoff.
+    below ``tail_tol``; the truncated vector, of length n_max + 1, is
+    re-normalized.
     """
     if mean_n < 0:
         raise ValueError("mean photon number must be >= 0")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie strictly between 0 and 1")
     if mean_n == 0:
-        return np.ones(1, dtype=complex), 0
+        return np.ones(1, dtype=complex)
     # P(n) from logs to stay finite at large mean_n.  The tail mass beyond
     # each n is accumulated from above so tiny tolerances survive roundoff.
     hard_cap = int(mean_n + 20.0 * math.sqrt(mean_n) + 200)
@@ -106,7 +103,7 @@ def coherent_state(mean_n: float, tail_tol: float = 1e-10) -> tuple[np.ndarray, 
     n_max = int(small[0])
     amps = np.exp(0.5 * log_p[: n_max + 1]).astype(complex)
     amps /= np.linalg.norm(amps)
-    return amps, n_max
+    return amps
 
 
 def atomic_state(spec: Union[str, Sequence[complex], np.ndarray]) -> np.ndarray:

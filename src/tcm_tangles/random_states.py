@@ -95,6 +95,8 @@ def positivity_sweep(
         raise ValueError(f"unsupported dims {dims}; choose from {SWEEP_DIMS}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_rank_tol(rank_tol)
 
     total = int(np.prod(dims))

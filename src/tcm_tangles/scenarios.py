@@ -153,8 +153,8 @@ def _build_initial(config: ScenarioConfig) -> PureState:
         n_max = config.n + FOCK_PAD
         field = fock_state(config.n, n_max)
     else:
-        field, n_field = coherent_state(config.mean_n, config.tail_tol)
-        n_max = max(n_field, 3) + COHERENT_PAD
+        field = coherent_state(config.mean_n, config.tail_tol)
+        n_max = max(field.size - 1, 3) + COHERENT_PAD
     return initial_state(config.atomic, field, n_max)
 
 
@@ -181,18 +181,20 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     norm and excitation distribution (to 1e-10) and the truncation guard
     at every point; the result reports its largest drifts.  ``tcm_columns``
     computes only what the named columns need, and every column is
-    range-checked once (ConfigError naming ``rank_tol``: a coarse cutoff
-    pushes ``tau_res`` below its floor).
+    range-checked once (ConfigError; a ``tau_res`` failure names
+    ``rank_tol``, since a coarse cutoff pushes it below its floor).
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator()
     series = prop.evolve_series(_build_initial(config), gts)
     chunks = [tcm_columns(amps, names, config.rank_tol) for amps in series]
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in names}
-    try:
-        check_tangle_columns(columns)
-    except ValueError as exc:
-        raise ConfigError(f"{exc} at rank_tol = {config.rank_tol:g}") from None
+    for name, values in columns.items():
+        try:
+            check_tangle_columns({name: values})
+        except ValueError as exc:
+            hint = f" at rank_tol = {config.rank_tol:g}" if name == "tau_res" else ""
+            raise ConfigError(f"{exc}{hint}") from None
     return ScenarioResult(
         config=config,
         gt=gts,
@@ -207,7 +209,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ``_evolve_columns``; writes CSV to ``config.out``."""
     result = _evolve_columns(config, SCENARIO_COLUMNS)
     if config.out:
-        _write_scenario_csv(result)
+        _write_rows(config.out, _config_echo(config), {"gt": result.gt, **result.columns})
     return result
 
 
@@ -253,8 +255,15 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     # the exact run raises OverflowError first for a grid too long to evolve
     exact = _evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
     approx = approx_tau_F_AA(coeffs, gts, config.mean_n)
-    sup = float(np.max(np.abs(exact - approx)[mask]))
-    result = CompareResult(
+    abs_diff = np.abs(exact - approx)
+    sup = float(np.max(abs_diff[mask]))
+    if config.out:
+        lines = _config_echo(config)
+        lines.append(f"# window_gt = [{window[0]:.12g}, {window[1]:.12g}]")
+        lines.append(f"# window_sup_norm = {sup:.12g}")
+        columns = dict(gt=gts, tau_F_AA_exact=exact, tau_F_AA_approx=approx, abs_diff=abs_diff)
+        _write_rows(config.out, lines, columns)
+    return CompareResult(
         config=config,
         gt=gts,
         exact=exact,
@@ -262,9 +271,6 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
         window=window,
         window_sup_norm=sup,
     )
-    if config.out:
-        _write_compare_csv(result)
-    return result
 
 
 @dataclass(frozen=True)
@@ -301,11 +307,16 @@ def scaling_study(
         peaks.append(_evolve_columns(config, ("tau_AA",)).column("tau_AA").max())
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
-
-    result = ScalingResult(ns=ns, peaks=peaks, slope=slope)
     if out:
-        _write_scaling_csv(result, steps, out)
-    return result
+        lines = [
+            "# tcm-tangles scaling",
+            "# atomic = gg",
+            _G_ECHO,
+            f"# steps = {steps}",
+            f"# loglog_slope = {slope:.12g}",
+        ]
+        _write_rows(out, lines, {"n": ns, "peak_tau_AA": peaks})
+    return ScalingResult(ns=ns, peaks=peaks, slope=slope)
 
 
 def revival_peak_time(
@@ -364,56 +375,25 @@ def _config_echo(config: ScenarioConfig) -> list[str]:
     return lines
 
 
-def _write_rows(path: str, lines: list[str], header: str, rows) -> None:
+def _write_rows(path: str, lines: list[str], columns: Mapping[str, Sequence]) -> None:
+    """The comment ``lines``, a header of the ``columns`` names, then one row per index."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
-        fh.write(header + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_scenario_csv(result: ScenarioResult) -> None:
-    rows = zip(result.gt, *(result.columns[name] for name in SCENARIO_COLUMNS))
-    _write_rows(
-        result.config.out,
-        _config_echo(result.config),
-        "gt," + ",".join(SCENARIO_COLUMNS),
-        rows,
-    )
-
-
-def _write_compare_csv(result: CompareResult) -> None:
-    rows = zip(result.gt, result.exact, result.approx, np.abs(result.exact - result.approx))
-    lines = _config_echo(result.config)
-    lines.append(f"# window_gt = [{result.window[0]:.12g}, {result.window[1]:.12g}]")
-    lines.append(f"# window_sup_norm = {result.window_sup_norm:.12g}")
-    _write_rows(
-        result.config.out, lines, "gt,tau_F_AA_exact,tau_F_AA_approx,abs_diff", rows
-    )
-
-
-def _write_scaling_csv(result: ScalingResult, steps: int, out: str) -> None:
-    lines = [
-        "# tcm-tangles scaling",
-        "# atomic = gg",
-        _G_ECHO,
-        f"# steps = {steps}",
-        f"# loglog_slope = {result.slope:.12g}",
-    ]
-    rows = [[n, p] for n, p in zip(result.ns, result.peaks)]
-    _write_rows(out, lines, "n,peak_tau_AA", rows)
 
 
 # ---------------------------------------------------------------------------
 # flat key=value config files
 # ---------------------------------------------------------------------------
 
-def load_config(path: str, types: Mapping[str, type]) -> dict:
-    """Flat key=value file (``#`` comments, blank lines allowed) -> dict.
+def load_config(path: str) -> dict:
+    """Flat key=value scenario file (``#`` comments, blank lines allowed) -> dict.
 
-    ``types`` maps each key the caller accepts to the type its value is
-    converted to; any other key is an error.
+    Each key must be one of ``SCENARIO_TYPES`` and its value is converted
+    to that type; any other key is an error.
     """
     values = {}
     try:
@@ -425,13 +405,13 @@ def load_config(path: str, types: Mapping[str, type]) -> dict:
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
                 key, _, raw = (part.strip() for part in text.partition("="))
-                if key not in types:
+                if key not in SCENARIO_TYPES:
                     raise ConfigError(f"unknown config key {key!r}")
                 try:
-                    values[key] = types[key](raw)
+                    values[key] = SCENARIO_TYPES[key](raw)
                 except ValueError:
                     raise ConfigError(
-                        f"config key {key} expects {types[key].__name__}, got {raw!r}"
+                        f"config key {key} expects {SCENARIO_TYPES[key].__name__}, got {raw!r}"
                     ) from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

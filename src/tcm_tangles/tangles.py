@@ -5,7 +5,7 @@ Bipartite measures, all normalized so a Bell pair scores 1:
 * ``wootters_tangle`` -- squared concurrence of a two-qubit density matrix
   in Wootters' ensemble form: for rho = W W^H the l_i are the singular
   values of W^T (sigma_y x sigma_y) W, so no square root of rho is taken.
-* ``pure_itangle`` -- 2*nu*[1 - tr(rho_A^2)] across any cut of a pure state;
+* ``pure_itangle`` -- 2*[1 - tr(rho_A^2)] across any cut of a pure state;
   reduces to the Wootters tangle on two qubits and makes sense for factors
   of any dimension.
 * ``convex_roof_itangle`` -- mixed-state extension as the minimum average
@@ -32,7 +32,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .tensor import (
-    Cut,
     DEFAULT_RANK_TOL,
     DensityMatrix,
     PureState,
@@ -50,12 +49,12 @@ _SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def universal_inversion(rho: DensityMatrix, nu_a: float = 1.0, nu_b: float = 1.0) -> np.ndarray:
-    """nu_a*nu_b * (I(x)I - rho_A(x)I - I(x)rho_B + rho) for a two-factor state.
+def universal_inversion(rho: DensityMatrix) -> np.ndarray:
+    """I(x)I - rho_A(x)I - I(x)rho_B + rho for a two-factor state.
 
     Generalizes the two-qubit spin flip to arbitrary dimensions; the
     overlap tr(rho * inversion) equals
-    nu_a*nu_b*[1 - tr(rho_A^2) - tr(rho_B^2) + tr(rho^2)].
+    1 - tr(rho_A^2) - tr(rho_B^2) + tr(rho^2).
     """
     if len(rho.dims) != 2:
         raise ValueError("universal inversion needs exactly two factors")
@@ -63,18 +62,16 @@ def universal_inversion(rho: DensityMatrix, nu_a: float = 1.0, nu_b: float = 1.0
     rho_a = partial_trace(rho, (0,)).matrix
     rho_b = partial_trace(rho, (1,)).matrix
     eye = np.eye(da * db)
-    return nu_a * nu_b * (
-        eye - np.kron(rho_a, np.eye(db)) - np.kron(np.eye(da), rho_b) + rho.matrix
-    )
+    return eye - np.kron(rho_a, np.eye(db)) - np.kron(np.eye(da), rho_b) + rho.matrix
 
 
-def inversion_overlap(rho: DensityMatrix, nu_a: float = 1.0, nu_b: float = 1.0) -> float:
+def inversion_overlap(rho: DensityMatrix) -> float:
     """tr(rho * universal_inversion(rho)) from purities alone."""
     if len(rho.dims) != 2:
         raise ValueError("inversion overlap needs exactly two factors")
     pa = purity(partial_trace(rho, (0,)))
     pb = purity(partial_trace(rho, (1,)))
-    return nu_a * nu_b * (1.0 - pa - pb + purity(rho))
+    return 1.0 - pa - pb + purity(rho)
 
 
 def _wootters_batch(w: np.ndarray) -> np.ndarray:
@@ -108,15 +105,15 @@ def wootters_tangle(rho: DensityMatrix) -> float:
     return float(_wootters_batch(factor[None])[0])
 
 
-def pure_itangle(state: PureState, cut: Cut, nu_product: float = 1.0) -> float:
-    """Tangle of a pure state across ``cut``: 2*nu_product*[1 - tr(rho_A^2)].
+def pure_itangle(state: PureState, side: Sequence[int]) -> float:
+    """Tangle 2*[1 - tr(rho_A^2)] of a pure state between the factors in
+    ``side`` and the rest, with ``side`` as ``partial_trace`` takes it.
 
     Symmetric in the two sides because both marginals of a pure state
     share their nonzero spectrum.
     """
-    cut.validate_for(state.shape)
-    rho_a = partial_trace(state, cut.side_a)
-    return 2.0 * nu_product * (1.0 - purity(rho_a))
+    rho_a = partial_trace(state, side)
+    return 2.0 * (1.0 - purity(rho_a))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
         low, high = _COLUMN_RANGES.get(name, (-np.inf, np.inf))
         bad = ~(np.isfinite(values) & (values >= low) & (values <= high))
         if bad.any():
-            raise ValueError(f"{name} = {values[bad][0]!r} outside [{low:g}, {high:g}]")
+            raise ValueError(f"{name} = {float(values[bad][0])} outside [{low:g}, {high:g}]")
 
 
 def tangle_report(state: PureState, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, float]:

@@ -108,40 +108,13 @@ class DensityMatrix:
         return math.prod(self.dims)
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Bipartition of the factor indices of a multipartite state."""
-
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-    def __post_init__(self):
-        a = tuple(int(i) for i in self.side_a)
-        b = tuple(int(i) for i in self.side_b)
-        if not a or not b:
-            raise ValueError("both sides of a cut must be non-empty")
-        if set(a) & set(b):
-            raise ValueError(f"cut sides overlap: {a} / {b}")
-        object.__setattr__(self, "side_a", a)
-        object.__setattr__(self, "side_b", b)
-
-    def validate_for(self, shape: SystemShape) -> None:
-        """Check the cut partitions exactly the factors of ``shape``."""
-        if set(self.side_a) | set(self.side_b) != set(range(shape.n_factors)):
-            raise ValueError(
-                f"cut {self.side_a}/{self.side_b} does not partition {shape.n_factors} factors"
-            )
-
-
-def tensor_product(factors: Sequence[np.ndarray], shape: SystemShape | None = None) -> PureState:
+def tensor_product(factors: Sequence[np.ndarray]) -> PureState:
     """Kronecker product of normalized single-factor vectors.
 
     Parameters
     ----------
     factors : sequence of array_like
         One normalized state vector per factor.
-    shape : SystemShape, optional
-        If given, the factor lengths must match ``shape.dims``.
 
     Returns
     -------
@@ -155,8 +128,6 @@ def tensor_product(factors: Sequence[np.ndarray], shape: SystemShape | None = No
         if abs(np.linalg.norm(v) - 1.0) > 1e-10:
             raise ValueError(f"factor {i} is not normalized")
     dims = tuple(v.size for v in vecs)
-    if shape is not None and dims != shape.dims:
-        raise ValueError(f"factor dimensions {dims} do not match declared shape {shape.dims}")
     out = vecs[0]
     for v in vecs[1:]:
         out = np.kron(out, v)

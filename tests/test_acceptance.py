@@ -384,9 +384,8 @@ def _local_unitary_errors(rng, batch_count, component_count):
                 vb = tt.rank2_itangle(tt.partial_trace(b, keep))
             component_err = max(component_err, abs(va - vb))
         for lone in (0, 1, 2):
-            cut = tt.Cut((lone,), tuple(i for i in range(3) if i != lone))
             component_err = max(
-                component_err, abs(tt.pure_itangle(a, cut) - tt.pure_itangle(b, cut))
+                component_err, abs(tt.pure_itangle(a, (lone,)) - tt.pure_itangle(b, (lone,)))
             )
     return residual_err, component_err
 

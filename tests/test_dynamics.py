@@ -26,22 +26,22 @@ def test_fock_state():
 
 
 def test_coherent_state_moments():
-    vec, n_max = tt.coherent_state(20.0)
-    ns = np.arange(n_max + 1)
+    vec = tt.coherent_state(20.0)
+    ns = np.arange(vec.size)
     assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
     assert abs(float(ns @ (np.abs(vec) ** 2)) - 20.0) < 1e-6
     assert np.all(vec.real >= 0.0) and np.all(vec.imag == 0.0)
 
 
 def test_coherent_state_cutoff_tracks_tail_tol():
-    _, loose = tt.coherent_state(30.0, tail_tol=1e-6)
-    _, tight = tt.coherent_state(30.0, tail_tol=1e-12)
-    assert tight > loose
+    loose = tt.coherent_state(30.0, tail_tol=1e-6)
+    tight = tt.coherent_state(30.0, tail_tol=1e-12)
+    assert tight.size > loose.size
     # discarded Poisson mass above the cutoff really is below the tolerance
-    vec, n_max = tt.coherent_state(30.0, tail_tol=1e-8)
+    vec = tt.coherent_state(30.0, tail_tol=1e-8)
     from scipy.stats import poisson
 
-    assert poisson.sf(n_max, 30.0) < 1e-8
+    assert poisson.sf(vec.size - 1, 30.0) < 1e-8
     with pytest.raises(ValueError):
         tt.coherent_state(-1.0)
 

@@ -71,6 +71,8 @@ def test_sweep_argument_validation():
         tt.positivity_sweep((2, 2, 5), samples=10)
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 3), samples=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        tt.positivity_sweep((2, 2, 3), samples=10, seed=-1)
     # Haar sampling and the chunk size are fixed, not arguments
     with pytest.raises(TypeError):
         tt.positivity_sweep((2, 2, 3), samples=10, measure="haar")

@@ -38,6 +38,17 @@ def read_csv(path):
     return echo, header, data
 
 
+def echo_value(echo, key):
+    """The number on the ``# key = ...`` echo line."""
+    (line,) = [l for l in echo if l.startswith(f"# {key} = ")]
+    return float(line.split(" = ", 1)[1])
+
+
+def printed(values):
+    """``values`` as the CSV prints them: 12 digits, dust clamped, read back."""
+    return np.array([float(_fmt(v)) for v in np.atleast_1d(values)])
+
+
 def small_config(**overrides):
     base = dict(atomic="ee", field="fock", n=2, t_max=3.0, steps=40)
     base.update(overrides)
@@ -270,10 +281,15 @@ def test_compare_small_coherent(tmp_path):
 
     echo, header, data = read_csv(out)
     assert header == ["gt", "tau_F_AA_exact", "tau_F_AA_approx", "abs_diff"]
-    assert any(line.startswith("# window_gt = [") for line in echo)
-    assert any(line.startswith("# window_sup_norm = ") for line in echo)
     assert data.shape == (300, 4)
+    np.testing.assert_array_equal(data[:, 0], printed(result.gt))
+    np.testing.assert_array_equal(data[:, 1], printed(result.exact))
+    np.testing.assert_array_equal(data[:, 2], printed(result.approx))
     np.testing.assert_allclose(data[:, 3], np.abs(data[:, 1] - data[:, 2]), atol=2e-9)
+    (window_line,) = [l for l in echo if l.startswith("# window_gt = [")]
+    window = [float(v) for v in window_line[len("# window_gt = ["):-1].split(", ")]
+    np.testing.assert_array_equal(window, printed(result.window))
+    assert echo_value(echo, "window_sup_norm") == printed(result.window_sup_norm)[0]
 
 
 def test_compare_grid_must_reach_window():
@@ -360,10 +376,11 @@ def test_scaling_small_run(tmp_path):
 
     echo, header, data = read_csv(out)
     assert echo[:4] == ["# tcm-tangles scaling", "# atomic = gg", "# g = 1.0", "# steps = 200"]
-    assert any(line.startswith("# loglog_slope = ") for line in echo)
+    assert echo_value(echo, "loglog_slope") == printed(result.slope)[0]
     assert header == ["n", "peak_tau_AA"]
     assert data.shape == (3, 2)
     np.testing.assert_array_equal(data[:, 0], [4, 8, 16])
+    np.testing.assert_array_equal(data[:, 1], printed(result.peaks))
 
 
 def test_scaling_runs_the_scenario_loop(monkeypatch):
@@ -376,8 +393,25 @@ def test_scaling_runs_the_scenario_loop(monkeypatch):
         config = tt.ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=200)
         assert peak == tt.run_scenario(config).column("tau_AA").max()
     monkeypatch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
-    with pytest.raises(ConfigError, match="tau_AA = .*nan"):
+    with pytest.raises(ConfigError) as info:
         tt.scaling_study(ns, steps=200)
+    assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
+
+
+def test_range_check_names_rank_tol_only_for_tau_res(monkeypatch):
+    # only tau_res depends on rank_tol, so only its failure names the cutoff
+    with monkeypatch.context() as patch:
+        patch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
+        with pytest.raises(ConfigError) as info:
+            tt.run_scenario(small_config())
+    assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
+    # a large pairwise atom-field tangle passes its own check but drives tau_res negative
+    monkeypatch.setattr(tangles, "_rank2_tangle_core", lambda r: np.full(len(r), 10.0))
+    with pytest.raises(ConfigError) as info:
+        tt.run_scenario(small_config(rank_tol=1e-8))
+    message = str(info.value)
+    assert message.startswith("tau_res = -")
+    assert message.endswith(" outside [-1e-09, inf] at rank_tol = 1e-08")
 
 
 # --- config files --------------------------------------------------------
@@ -394,7 +428,7 @@ def test_load_config_parses_types(tmp_path):
         "steps = 300\n"
         "rank_tol = 1e-8\n"
     )
-    values = load_config(str(path), SCENARIO_TYPES)
+    values = load_config(str(path))
     assert values == {
         "atomic": "gg",
         "field": "coherent",
@@ -402,7 +436,6 @@ def test_load_config_parses_types(tmp_path):
         "steps": 300,
         "rank_tol": 1e-8,
     }
-    assert load_config(str(path), dict.fromkeys(values, str))["steps"] == "300"
     # a scenario file may set every ScenarioConfig field but the output path
     fields = {f.name for f in dataclasses.fields(tt.ScenarioConfig)}
     assert set(SCENARIO_TYPES) == fields - {"out"}
@@ -425,12 +458,12 @@ def test_load_config_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=fragment):
-        load_config(str(path), SCENARIO_TYPES)
+        load_config(str(path))
 
 
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
-        load_config("/no/such/file.cfg", SCENARIO_TYPES)
+        load_config("/no/such/file.cfg")
 
 
 # --- command line --------------------------------------------------------
@@ -579,8 +612,7 @@ def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
         tangles, "_cut_tangles", lambda rho: (np.linalg.eigvalsh(rho), np.full(len(rho), np.nan))
     )
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "tau_F_AA = " in err and "nan" in err
+    assert capsys.readouterr().err == "config error: tau_F_AA = nan outside [-1e-09, inf]\n"
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -607,6 +639,8 @@ def test_cli_sweep(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert "# rank_tol = 1e-08" in lines and "# measure = haar" in lines
     capsys.readouterr()
+    assert main(base + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     for bad in ("-1", "0", "nan", "inf"):
         argv = ["sweep", "--dims", "2x2x3", "--samples", "10", "--rank-tol", bad, "--out", str(out)]
         assert main(argv) == 1
@@ -621,6 +655,24 @@ def test_cli_scaling(tmp_path):
     assert header == ["n", "peak_tau_AA"]
     assert data.shape == (3, 2)
     assert main(["scaling", "--n", "5,x", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "--preset", "fig1", "--steps", "20"],
+        ["compare-approx", "--preset", "fig4", "--mean-n", "4", "--t-max", "12",
+         "--steps", "20", "--tail-tol", "1e-13"],
+        ["sweep", "--dims", "2x2x3", "--samples", "10"],
+        ["scaling", "--n", "4,8,16", "--steps", "20"],
+    ],
+)
+def test_cli_unwritable_out_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"output error: [Errno 2] No such file or directory: '{out}'\n"
+    assert captured.out == ""
 
 
 _CLI_FLOATS = st.one_of(

@@ -57,13 +57,6 @@ def test_inversion_overlap_matches_explicit_trace():
         assert abs(tt.inversion_overlap(rho) - explicit) < 1e-12
 
 
-def test_inversion_overlap_scaling_factors():
-    rng = np.random.default_rng(4)
-    rho = tt.partial_trace(pure_state((2, 2, 2), haar_vec(rng, 8)), (0, 1))
-    base = tt.inversion_overlap(rho)
-    assert abs(tt.inversion_overlap(rho, nu_a=2.0, nu_b=3.0) - 6.0 * base) < 1e-12
-
-
 # --- two-qubit tangle ------------------------------------------------------
 
 
@@ -163,24 +156,34 @@ def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
 
 def test_pure_itangle_anchors():
     w = pure_state((2, 2, 2), W)
-    assert abs(tt.pure_itangle(w, tt.Cut((0,), (1, 2))) - 8.0 / 9.0) < 1e-12
+    assert abs(tt.pure_itangle(w, (0,)) - 8.0 / 9.0) < 1e-12
     ghz = pure_state((2, 2, 2), GHZ)
-    for cut in (tt.Cut((0,), (1, 2)), tt.Cut((1,), (0, 2)), tt.Cut((2,), (0, 1))):
-        assert abs(tt.pure_itangle(ghz, cut) - 1.0) < 1e-12
+    for side in ((0,), (1,), (2,)):
+        assert abs(tt.pure_itangle(ghz, side) - 1.0) < 1e-12
 
 
 def test_pure_itangle_product_is_zero():
     rng = np.random.default_rng(31)
     prod = tt.tensor_product([haar_vec(rng, 2), haar_vec(rng, 6)])
-    assert abs(tt.pure_itangle(prod, tt.Cut((0,), (1,)))) < 1e-12
+    assert abs(tt.pure_itangle(prod, (0,))) < 1e-12
 
 
 def test_pure_itangle_side_symmetric():
     rng = np.random.default_rng(32)
     psi = pure_state((2, 2, 3), haar_vec(rng, 12))
-    a = tt.pure_itangle(psi, tt.Cut((0, 1), (2,)))
-    b = tt.pure_itangle(psi, tt.Cut((2,), (0, 1)))
+    a = tt.pure_itangle(psi, (0, 1))
+    b = tt.pure_itangle(psi, (2,))
     assert abs(a - b) < 1e-12
+
+
+def test_pure_itangle_side_errors():
+    psi = pure_state((2, 2, 3), haar_vec(np.random.default_rng(33), 12))
+    with pytest.raises(ValueError, match="at least one factor"):
+        tt.pure_itangle(psi, ())
+    with pytest.raises(ValueError, match="discard at least one factor"):
+        tt.pure_itangle(psi, (0, 1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        tt.pure_itangle(psi, (0, 3))
 
 
 # --- rank-2 closed form ----------------------------------------------------
@@ -222,7 +225,7 @@ def test_rank2_rank1_reduces_to_pure_value():
     rng = np.random.default_rng(43)
     v = haar_vec(rng, 6)
     dm = tt.DensityMatrix((2, 3), np.outer(v, v.conj()))
-    pure = tt.pure_itangle(pure_state((2, 3), v), tt.Cut((0,), (1,)))
+    pure = tt.pure_itangle(pure_state((2, 3), v), (0,))
     assert abs(tt.rank2_itangle(dm) - pure) < 1e-12
     # a 1-dimensional pair space has a single eigenpair
     assert tt.rank2_itangle(tt.DensityMatrix((1, 1), np.ones((1, 1)))) == 0.0
@@ -513,7 +516,7 @@ def test_tangle_report_cross_checks():
         assert abs(row["tau_AA"] - tt.wootters_tangle(rho_aa)) < 1e-12
         assert abs(row["tau_F_AA"] - 2.0 * (1.0 - tt.purity(rho_aa))) < 1e-12
         assert abs(
-            row["tau_A_rest"] - tt.pure_itangle(evolved, tt.Cut((0,), (1, 2)))
+            row["tau_A_rest"] - tt.pure_itangle(evolved, (0,))
         ) < 1e-12
         rho_af = tt.partial_trace(evolved, (0, 2))
         assert abs(row["tau_AF"] - tt.rank2_itangle(rho_af)) < 1e-12

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tcm_tangles import (
-    Cut,
     DensityMatrix,
     PureState,
     SystemShape,
@@ -72,8 +71,6 @@ def test_tensor_product_matches_kron():
     np.testing.assert_allclose(state.amplitudes, np.kron(a, b), atol=1e-14)
     with pytest.raises(ValueError):
         tensor_product([a, 2.0 * b])
-    with pytest.raises(ValueError):
-        tensor_product([a, b], shape=SystemShape((3, 2)))
 
 
 def test_partial_trace_pure_and_mixed_agree():
@@ -129,16 +126,3 @@ def test_effective_rank():
     assert effective_rank(pure) == 1
     with pytest.raises(ValueError):
         effective_rank(pure, tol=0.0)
-
-
-def test_cut_validation():
-    with pytest.raises(ValueError):
-        Cut((0,), ())
-    with pytest.raises(ValueError):
-        Cut((0, 1), (1,))
-    cut = Cut((0,), (1, 2))
-    cut.validate_for(SystemShape((2, 2, 3)))
-    with pytest.raises(ValueError):
-        cut.validate_for(SystemShape((2, 2)))
-    with pytest.raises(ValueError):
-        Cut((0,), (1,)).validate_for(SystemShape((2, 2, 3)))
