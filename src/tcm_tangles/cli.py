@@ -14,6 +14,8 @@ guard abort.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -29,7 +31,7 @@ from .scenarios import (
     run_scenario,
     scaling_study,
 )
-from .tensor import DEFAULT_RANK_TOL
+from .tensor import RANK_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +51,6 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t-max", type=float, help="grid end in gt")
     sub.add_argument("--steps", type=int, help="number of grid points")
     sub.add_argument("--tail-tol", type=float, help="coherent-state truncation tail mass")
-    sub.add_argument("--rank-tol", type=float, help="effective-dimension eigenvalue cutoff")
     sub.add_argument("--out", required=True, help="output CSV path")
 
 
@@ -69,10 +70,6 @@ def build_parser() -> _Parser:
     sweep.add_argument("--dims", required=True, help="factor dims, e.g. 2x2x3")
     sweep.add_argument("--samples", type=int, required=True, help="number of random states")
     sweep.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sweep.add_argument(
-        "--rank-tol", type=float, default=DEFAULT_RANK_TOL,
-        help="effective-dimension eigenvalue cutoff",
-    )
     sweep.add_argument("--out", required=True, help="summary file path")
 
     scaling = commands.add_parser("scaling", help="peak atom-atom tangle vs photon number")
@@ -103,9 +100,8 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    sep = "x" if "x" in text else ","
     try:
-        return tuple(int(p) for p in text.split(sep))
+        return tuple(int(p) for p in text.split("x"))
     except ValueError:
         raise ConfigError(f"cannot parse dims {text!r} (expected e.g. 2x2x3)") from None
 
@@ -117,7 +113,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
             dims,
             args.samples,
             seed=args.seed,
-            rank_tol=args.rank_tol,
             dump_path=args.out + ".counterexamples",
         )
     except ValueError as exc:
@@ -127,7 +122,7 @@ def _run_sweep(args: argparse.Namespace) -> None:
         fh.write(f"# dims = {' '.join(str(d) for d in dims)}\n")
         fh.write(f"# seed = {args.seed}\n")
         fh.write("# measure = haar\n")  # fixed; readers of the summary expect the key
-        fh.write(f"# rank_tol = {args.rank_tol:g}\n")
+        fh.write(f"# rank_tol = {RANK_TOL:g}\n")  # fixed, like the measure line
         fh.write("samples,min_value,negative_count\n")
         fh.write(f"{result.samples},{result.min_value:.17g},{result.negative_count}\n")
         fh.write(f"# argmin_state: {format_amplitudes(result.argmin_state.amplitudes)}\n")
@@ -150,6 +145,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # an output directory that does not exist fails here, before any run
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         if args.command == "scenario":
             config = _scenario_config(args)
             result = run_scenario(config)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .tangles import TANGLE_FLOOR, residual_tangle_batch
-from .tensor import DEFAULT_RANK_TOL, PureState, SystemShape, check_rank_tol
+from .tensor import PureState, SystemShape
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
 DEFAULT_CHUNK = 20_000  # states per kernel call; no result depends on it
@@ -75,14 +75,13 @@ def positivity_sweep(
     dims: Sequence[int],
     samples: int,
     seed: int = 0,
-    rank_tol: float = DEFAULT_RANK_TOL,
     dump_path: Optional[str] = None,
 ) -> SweepResult:
     """Evaluate the residual tangle on Haar-random states and report the minimum.
 
     Only the 2x2x3 and 2x2x4 systems are supported (smaller third factors
     make the residual trivial, larger ones leave the rank-2 regime).
-    Results depend on (dims, samples, seed, rank_tol) but not on
+    Results depend on (dims, samples, seed) but not on
     ``DEFAULT_CHUNK``.  States below ``TANGLE_FLOOR`` (-1e-9) are counted
     and, when ``dump_path`` is set, appended to that file.  That threshold
     is about 2.8e5 times the worst error measured for either tangle kernel
@@ -97,7 +96,6 @@ def positivity_sweep(
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    check_rank_tol(rank_tol)
 
     total = int(np.prod(dims))
     rng = np.random.default_rng(seed)
@@ -108,7 +106,7 @@ def positivity_sweep(
     while done < samples:
         n = min(DEFAULT_CHUNK, samples - done)
         batch = haar_pure_batch(total, n, rng)
-        values = residual_tangle_batch(batch, dims, rank_tol)
+        values = residual_tangle_batch(batch, dims)
         finite = np.isfinite(values)
         if not finite.all():
             raise RuntimeError(

@@ -33,7 +33,7 @@ from .dynamics import (
 )
 from .markoff import approx_tau_F_AA, jx_coefficients
 from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
-from .tensor import DEFAULT_RANK_TOL, PureState, check_rank_tol
+from .tensor import RANK_TOL, PureState
 
 FOCK_PAD = 5
 COHERENT_PAD = 2
@@ -75,7 +75,7 @@ def _check_photons(name: str, value, low: int = 0) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario: initial state, grid, output path and tolerances.
+    """One scenario: initial state, grid, output path and coherent tail tolerance.
 
     The grid covers gt in [0, t_max].
     """
@@ -88,7 +88,6 @@ class ScenarioConfig:
     steps: int = 2000
     out: Optional[str] = None
     tail_tol: float = 1e-10
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         for name in ("t_max", "mean_n"):
@@ -112,7 +111,6 @@ class ScenarioConfig:
         if not 0.0 < self.tail_tol < 1.0:
             raise ConfigError("tail_tol must lie strictly between 0 and 1")
         try:
-            check_rank_tol(self.rank_tol)
             atomic_state(self.atomic)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -127,7 +125,6 @@ SCENARIO_TYPES = {
     "t_max": float,
     "steps": int,
     "tail_tol": float,
-    "rank_tol": float,
 }
 
 
@@ -181,20 +178,17 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     norm and excitation distribution (to 1e-10) and the truncation guard
     at every point; the result reports its largest drifts.  ``tcm_columns``
     computes only what the named columns need, and every column is
-    range-checked once (ConfigError; a ``tau_res`` failure names
-    ``rank_tol``, since a coarse cutoff pushes it below its floor).
+    range-checked once (ConfigError).
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator()
     series = prop.evolve_series(_build_initial(config), gts)
-    chunks = [tcm_columns(amps, names, config.rank_tol) for amps in series]
+    chunks = [tcm_columns(amps, names) for amps in series]
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in names}
-    for name, values in columns.items():
-        try:
-            check_tangle_columns({name: values})
-        except ValueError as exc:
-            hint = f" at rank_tol = {config.rank_tol:g}" if name == "tau_res" else ""
-            raise ConfigError(f"{exc}{hint}") from None
+    try:
+        check_tangle_columns(columns)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return ScenarioResult(
         config=config,
         gt=gts,
@@ -372,6 +366,7 @@ def _config_echo(config: ScenarioConfig) -> list[str]:
         if field.name == "out":
             continue
         lines.append(f"# {field.name} = {getattr(config, field.name)}")
+    lines.append(f"# rank_tol = {RANK_TOL:g}")  # fixed, like the unit line
     return lines
 
 

@@ -27,15 +27,14 @@ sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .tensor import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     DensityMatrix,
     PureState,
-    check_rank_tol,
     effective_rank,
     partial_trace,
     purity,
@@ -161,25 +160,24 @@ def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
     return 2.0 - 2.0 * purity - 2.0 * lam_max
 
 
-def rank2_itangle(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def rank2_itangle(rho: DensityMatrix) -> float:
     """Closed-form tangle of a two-factor density matrix of rank <= 2.
 
     The state is purified with a qubit ancilla from its top two
     eigenpairs and handed to the whitened Gram form of
     ``_rank2_tangle_core``, which needs no special case for a pure state.
-    ``rank_tol`` only decides whether the rank exceeds 2.  Accurate to
+    ``RANK_TOL`` only decides whether the rank exceeds 2.  Accurate to
     roundoff on the eigenpairs it is given (the kernel is pinned at 1e-12
     against a 40-digit reference, rank 1 included); agrees with
     ``convex_roof_itangle`` to optimizer accuracy.
     """
     if len(rho.dims) != 2:
         raise ValueError("rank-2 tangle needs exactly two factors")
-    check_rank_tol(rank_tol)
     evals, evecs = np.linalg.eigh(rho.matrix)
     evals, evecs = evals[::-1], evecs[:, ::-1]
-    if rho.matrix.shape[0] > 2 and evals[2] > rank_tol:
+    if rho.matrix.shape[0] > 2 and evals[2] > RANK_TOL:
         raise ValueError(
-            f"state has effective rank > 2 at tolerance {rank_tol:g}; "
+            f"state has effective rank > 2 at tolerance {RANK_TOL:g}; "
             "use convex_roof_itangle"
         )
     # a 1-dimensional pair space has one eigenpair: its second purifier component is 0
@@ -280,7 +278,7 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
         raise ValueError("convex roof needs exactly two factors")
     da, db = rho.dims
     evals, evecs = np.linalg.eigh(rho.matrix)
-    keep = evals > DEFAULT_RANK_TOL
+    keep = evals > RANK_TOL
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         raise ValueError("density matrix has no weight above the rank tolerance")
@@ -375,7 +373,6 @@ def _cut_tangles(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tcm_columns(
     amps: np.ndarray,
     names: Sequence[str] = SCENARIO_COLUMNS,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> dict[str, np.ndarray]:
     """The named ``SCENARIO_COLUMNS`` of an (N, 4*D) stack of (2, 2, D) states, in ``names`` order.
 
@@ -390,7 +387,6 @@ def tcm_columns(
     atom-field pair (purified by the spare atom), a transposed view of
     rho_AA.  Each column is bit-identical whichever others are named.
     """
-    check_rank_tol(rank_tol)
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
         raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
@@ -402,14 +398,14 @@ def tcm_columns(
     if full or set(names) - {"tau_AA"}:
         rho_aa = m @ m.conj().swapaxes(-1, -2)
         evals, cols["tau_F_AA"] = _cut_tangles(rho_aa)
-        cols["field_eff_dim"] = np.count_nonzero(evals > rank_tol, axis=-1)
+        cols["field_eff_dim"] = np.count_nonzero(evals > RANK_TOL, axis=-1)
         cols["inversion"] = (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real
     if full:
         rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
         ev_a1, tau_a_rest = _cut_tangles(np.einsum("nabcb->nac", rho4))
         ev_a2, tau_a2_rest = _cut_tangles(np.einsum("nabad->nbd", rho4))
         d_f = cols["field_eff_dim"]
-        d_a1, d_a2 = (np.count_nonzero(ev > rank_tol, axis=-1) for ev in (ev_a1, ev_a2))
+        d_a1, d_a2 = (np.count_nonzero(ev > RANK_TOL, axis=-1) for ev in (ev_a1, ev_a2))
         # two calls at N states each: one call on 2N doubles the kernel's peak memory
         tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3))
         tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4))
@@ -442,7 +438,7 @@ def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
             raise ValueError(f"{name} = {float(values[bad][0])} outside [{low:g}, {high:g}]")
 
 
-def tangle_report(state: PureState, rank_tol: float = DEFAULT_RANK_TOL) -> dict[str, float]:
+def tangle_report(state: PureState) -> dict[str, float]:
     """Every ``SCENARIO_COLUMNS`` value of one two-atom/field pure state, range-checked.
 
     ``tau_F_AA``: field versus both atoms; ``tau_A_rest``: atom 1 versus
@@ -456,14 +452,12 @@ def tangle_report(state: PureState, rank_tol: float = DEFAULT_RANK_TOL) -> dict[
     dims = state.shape.dims
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ValueError("expected a (2, 2, field) pure state")
-    columns = tcm_columns(state.amplitudes[None], rank_tol=rank_tol)
+    columns = tcm_columns(state.amplitudes[None])
     check_tangle_columns(columns)
     return {name: col[0].item() for name, col in columns.items()}
 
 
-def residual_tangle_batch(
-    states: np.ndarray, dims: Sequence[int], rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
+def residual_tangle_batch(states: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     """i_residual_tangle over a (N, total_dim) stack of (2, 2, D) states.
 
     The ``tau_res`` column of the shared (2, 2, D) kernel; agrees with the
@@ -473,12 +467,10 @@ def residual_tangle_batch(
     d1, d2, dfield = dims
     if (d1, d2) != (2, 2):
         raise ValueError("batch residual supports (2, 2, D) systems only")
-    return tcm_columns(states.reshape(-1, 4 * dfield), ("tau_res",), rank_tol)["tau_res"]
+    return tcm_columns(states.reshape(-1, 4 * dfield), ("tau_res",))["tau_res"]
 
 
-def _pair_tangle_generic(
-    state: PureState, pair: tuple[int, int], rank_tol: float, roof_options: Optional[RoofOptions]
-) -> float:
+def _pair_tangle_generic(state: PureState, pair: tuple[int, int]) -> float:
     """Mixed tangle of two factors of a pure state: Wootters for qubit pairs,
     on the state's own amplitude factor; the rank-2 closed form when
     applicable; the convex roof otherwise."""
@@ -488,21 +480,17 @@ def _pair_tangle_generic(
         factor = np.moveaxis(tens, (i, j), (0, 1)).reshape(4, -1)
         return float(_wootters_batch(factor[None])[0])
     rho = partial_trace(state, pair)
-    if effective_rank(rho, rank_tol) <= 2:
-        return rank2_itangle(rho, rank_tol)
-    return convex_roof_itangle(rho, roof_options or RoofOptions())
+    if effective_rank(rho) <= 2:
+        return rank2_itangle(rho)
+    return convex_roof_itangle(rho)
 
 
-def i_residual_tangle(
-    state: PureState,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    roof_options: Optional[RoofOptions] = None,
-) -> float:
+def i_residual_tangle(state: PureState) -> float:
     """Residual three-party tangle of a tripartite pure state.
 
     (1/3) * sum of the three one-versus-rest tangles minus (2/3) * sum of
     the three pairwise mixed tangles, every term rescaled by d/2 with d
-    the smaller effective dimension (rank of the marginal at ``rank_tol``)
+    the smaller effective dimension (rank of the marginal at ``RANK_TOL``)
     of the term's two sides.  Values are reported as computed; tiny
     negative dust is not clamped.
     """
@@ -511,18 +499,18 @@ def i_residual_tangle(
         raise ValueError("residual tangle needs exactly three factors")
 
     marg = [partial_trace(state, (i,)) for i in range(3)]
-    eff = [effective_rank(m, rank_tol) for m in marg]
+    eff = [effective_rank(m) for m in marg]
     pur = [purity(m) for m in marg]
 
     one_vs_rest = 0.0
     for i in range(3):
         rest = tuple(j for j in range(3) if j != i)
-        d = min(eff[i], effective_rank(partial_trace(state, rest), rank_tol))
+        d = min(eff[i], effective_rank(partial_trace(state, rest)))
         one_vs_rest += d / 2.0 * 2.0 * (1.0 - pur[i])
 
     pairwise = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         d = min(eff[i], eff[j])
-        pairwise += d / 2.0 * _pair_tangle_generic(state, (i, j), rank_tol, roof_options)
+        pairwise += d / 2.0 * _pair_tangle_generic(state, (i, j))
 
     return (one_vs_rest - 2.0 * pairwise) / 3.0

@@ -16,7 +16,7 @@ import numpy as np
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10  # eigenvalues above it count toward a marginal's effective rank
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.einsum("ij,ji->", m, m).real)
 
 
-def check_rank_tol(rank_tol: float) -> None:
-    """Raise ValueError unless 0 < ``rank_tol`` < 1: eigenvalues of a density
-    matrix lie in [0, 1], so any other cutoff, NaN included, counts all or none."""
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError(f"rank_tol must be finite and positive and below 1, got {rank_tol!r}")
-
-
-def effective_rank(rho: DensityMatrix, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of eigenvalues of ``rho`` exceeding ``tol`` (see ``check_rank_tol``)."""
-    check_rank_tol(tol)
-    return int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > tol))
+def effective_rank(rho: DensityMatrix) -> int:
+    """Number of eigenvalues of ``rho`` exceeding ``RANK_TOL``."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > RANK_TOL))

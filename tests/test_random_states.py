@@ -78,17 +78,14 @@ def test_sweep_argument_validation():
         tt.positivity_sweep((2, 2, 3), samples=10, measure="haar")
     with pytest.raises(TypeError):
         tt.positivity_sweep((2, 2, 3), samples=10, chunk=10)
-    for rank_tol in (-1.0, 0.0, float("nan"), float("inf"), 1.0, 2.0):
-        with pytest.raises(ValueError, match="rank_tol"):
-            tt.positivity_sweep((2, 2, 3), samples=10, rank_tol=rank_tol)
 
 
 def test_sweep_rejects_non_finite_values(monkeypatch):
     # a NaN must not win the argmin and hide a negative value in its chunk
     real = random_states.residual_tangle_batch
 
-    def poisoned(batch, dims, rank_tol):
-        values = real(batch, dims, rank_tol)
+    def poisoned(batch, dims):
+        values = real(batch, dims)
         values[3], values[5] = np.nan, -1.0
         return values
 
@@ -123,8 +120,8 @@ def test_sweep_counts_and_dumps_counterexamples(monkeypatch, tmp_path, capsys):
     real = random_states.residual_tangle_batch
     flagged = []
 
-    def one_negative(batch, dims, rank_tol):
-        values = real(batch, dims, rank_tol)
+    def one_negative(batch, dims):
+        values = real(batch, dims)
         values[4] = -1e-6
         flagged.append(batch[4].copy())
         return values

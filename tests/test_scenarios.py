@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import dynamics, tangles
+from tcm_tangles import cli, dynamics, tangles
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
@@ -97,7 +97,7 @@ def test_preset_overrides_and_unknown_name():
         dict(field="coherent", mean_n=-2.0, n=None),
         dict(tail_tol=0.0),
         dict(tail_tol=1.0),
-        dict(rank_tol=0.0),
+        dict(tail_tol=math.nan),
         dict(atomic="xx"),
         dict(t_max=math.inf),
         dict(t_max=math.nan),
@@ -105,10 +105,10 @@ def test_preset_overrides_and_unknown_name():
         dict(steps=10.5),
         dict(steps=MAX_STEPS + 1),
         dict(field="coherent", n=None, mean_n=math.inf),
-        dict(rank_tol=math.inf),
-        dict(rank_tol=math.nan),
-        dict(rank_tol=1.0),
-        dict(rank_tol=2.0),
+        dict(t_max=-1.0),
+        dict(tail_tol=math.inf),
+        dict(mean_n=math.nan),  # fock with a non-finite mean_n
+        dict(field="coherent", n=None, mean_n=-math.inf),
         dict(n=MAX_PHOTONS + 1),
         dict(field="coherent", n=None, mean_n=MAX_PHOTONS + 0.5),
         dict(field="coherent", n=None, mean_n=math.nan),
@@ -193,7 +193,8 @@ def test_scenario_csv_round_trip(tmp_path):
 
 def test_scenario_echo_keys_in_order(tmp_path):
     # readers of the echo (bench/checks.py among them) expect these keys; the
-    # g line is fixed, and states the unit of every time, gt
+    # g line is fixed, and states the unit of every time, gt, and the rank_tol
+    # line is fixed at the effective-rank cutoff RANK_TOL
     out = tmp_path / "fig1.csv"
     tt.run_scenario(preset_config("fig1", steps=20, out=str(out)))
     echo, _, _ = read_csv(out)
@@ -201,6 +202,7 @@ def test_scenario_echo_keys_in_order(tmp_path):
     keys = [line[2:].split(" = ")[0] for line in echo[1:]]
     assert keys == ["atomic", "field", "n", "mean_n", "g", "t_max", "steps", "tail_tol", "rank_tol"]
     assert echo[5:7] == ["# g = 1.0", "# t_max = 5.0"]
+    assert echo[-1] == "# rank_tol = 1e-10"
 
 
 def test_scenario_csv_deterministic(tmp_path):
@@ -398,8 +400,8 @@ def test_scaling_runs_the_scenario_loop(monkeypatch):
     assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
 
 
-def test_range_check_names_rank_tol_only_for_tau_res(monkeypatch):
-    # only tau_res depends on rank_tol, so only its failure names the cutoff
+def test_range_check_message_has_no_suffix(monkeypatch):
+    # a failure names the column, its first bad value and the range, nothing more
     with monkeypatch.context() as patch:
         patch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
         with pytest.raises(ConfigError) as info:
@@ -408,10 +410,9 @@ def test_range_check_names_rank_tol_only_for_tau_res(monkeypatch):
     # a large pairwise atom-field tangle passes its own check but drives tau_res negative
     monkeypatch.setattr(tangles, "_rank2_tangle_core", lambda r: np.full(len(r), 10.0))
     with pytest.raises(ConfigError) as info:
-        tt.run_scenario(small_config(rank_tol=1e-8))
-    message = str(info.value)
-    assert message.startswith("tau_res = -")
-    assert message.endswith(" outside [-1e-09, inf] at rank_tol = 1e-08")
+        tt.run_scenario(small_config())
+    # at gt = 0 every tangle but the patched pair is 0 and every rank is 1: -(2/3) * 10
+    assert str(info.value) == "tau_res = -6.666666666666667 outside [-1e-09, inf]"
 
 
 # --- config files --------------------------------------------------------
@@ -426,7 +427,6 @@ def test_load_config_parses_types(tmp_path):
         "field=coherent\n"
         "mean_n = 25.5\n"
         "steps = 300\n"
-        "rank_tol = 1e-8\n"
     )
     values = load_config(str(path))
     assert values == {
@@ -434,7 +434,6 @@ def test_load_config_parses_types(tmp_path):
         "field": "coherent",
         "mean_n": 25.5,
         "steps": 300,
-        "rank_tol": 1e-8,
     }
     # a scenario file may set every ScenarioConfig field but the output path
     fields = {f.name for f in dataclasses.fields(tt.ScenarioConfig)}
@@ -630,22 +629,41 @@ def test_cli_sweep(tmp_path, capsys):
     assert float(row[1]) >= 0.0
     assert row[2] == "0"
     assert "# rank_tol = 1e-10" in lines and "# measure = haar" in lines
-    # comma separator works too, unsupported shapes do not
-    assert main(["sweep", "--dims", "2,2,4", "--samples", "10", "--out", str(out)]) == 0
+    # dims are written 2x2x4 only; the comma form and unsupported shapes exit 1
+    assert main(["sweep", "--dims", "2x2x4", "--samples", "10", "--out", str(out)]) == 0
+    assert "# dims = 2 2 4" in out.read_text().splitlines()
+    capsys.readouterr()
+    assert main(["sweep", "--dims", "2,2,4", "--samples", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: cannot parse dims '2,2,4' (expected e.g. 2x2x3)\n"
+    )
     assert main(["sweep", "--dims", "2x2x5", "--samples", "10", "--out", str(out)]) == 1
     assert main(["sweep", "--dims", "2x2x3", "--samples", "0", "--out", str(out)]) == 1
-    base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", str(out)]
-    assert main(base + ["--rank-tol", "1e-8"]) == 0
-    lines = out.read_text().splitlines()
-    assert "# rank_tol = 1e-08" in lines and "# measure = haar" in lines
     capsys.readouterr()
+    base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", str(out)]
     assert main(base + ["--seed", "-1"]) == 1
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
-    for bad in ("-1", "0", "nan", "inf"):
-        argv = ["sweep", "--dims", "2x2x3", "--samples", "10", "--rank-tol", bad, "--out", str(out)]
-        assert main(argv) == 1
+
+
+def test_rank_tol_is_not_a_setting(tmp_path, capsys):
+    # the effective-rank cutoff is the constant RANK_TOL: no flag and no
+    # config key sets it, and asking for one exits 1 before any run
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["scenario", "--preset", "fig1", "--steps", "5"],
+        ["compare-approx", "--preset", "fig4", "--steps", "5"],
+        ["sweep", "--dims", "2x2x3", "--samples", "5"],
+    ):
+        assert main(argv + ["--rank-tol", "1e-10", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "rank_tol must be finite and positive" in err
+        assert err.count("\n") == 1 and "unrecognized arguments: --rank-tol 1e-10" in err
+        assert not out.exists()
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("rank_tol = 1e-8\n")
+    argv = ["scenario", "--preset", "fig1", "--steps", "5", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'rank_tol'\n"
+    assert not out.exists()
 
 
 def test_cli_scaling(tmp_path):
@@ -667,12 +685,19 @@ def test_cli_scaling(tmp_path):
         ["scaling", "--n", "4,8,16", "--steps", "20"],
     ],
 )
-def test_cli_unwritable_out_exits_1(tmp_path, capsys, argv):
+def test_cli_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # the missing directory is found before any run starts, and no file is made
+    def never(*args, **kwargs):
+        raise AssertionError("a run started before the output directory was checked")
+
+    for name in ("run_scenario", "compare_exact_vs_approx", "scaling_study", "positivity_sweep"):
+        monkeypatch.setattr(cli, name, never)
     out = tmp_path / "missing_dir" / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"output error: [Errno 2] No such file or directory: '{out}'\n"
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 _CLI_FLOATS = st.one_of(
@@ -694,32 +719,29 @@ _CLI_MEAN_N = st.one_of(
 
 
 @settings(max_examples=50, deadline=None)
-@given(rank_tol=_CLI_FLOATS, t_max=_CLI_FLOATS, sweep_rank_tol=_CLI_FLOATS, steps=_CLI_STEPS,
-       n=_CLI_PHOTONS, mean_n=_CLI_MEAN_N)
-# in order: the phases overflow; tau_res leaves its range; non-finite floats;
+@given(t_max=_CLI_FLOATS, steps=_CLI_STEPS, n=_CLI_PHOTONS, mean_n=_CLI_MEAN_N)
+# in order: the phases overflow; a small run; a huge grid end that still evolves;
 # an 8 GB grid; fields of about 134 GB; a mean_n too small for the scaled time
-@example(rank_tol=1e-10, t_max=1.7e308, sweep_rank_tol=2.0, steps=3, n=3, mean_n=2.0)
-@example(rank_tol=0.3, t_max=5.0, sweep_rank_tol=1e-300, steps=3, n=3, mean_n=2.0)
-@example(rank_tol=math.inf, t_max=1e300, sweep_rank_tol=math.nan, steps=3, n=3, mean_n=2.0)
-@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=10**9, n=3, mean_n=2.0)
-@example(rank_tol=1e-10, t_max=5.0, sweep_rank_tol=1e-10, steps=3, n=10**9, mean_n=1e9)
-@example(rank_tol=1e-10, t_max=0.5, sweep_rank_tol=1e-10, steps=3, n=3, mean_n=0.3)
-def test_cli_numeric_flags_exit_cleanly(rank_tol, t_max, sweep_rank_tol, steps, n, mean_n):
+@example(t_max=1.7e308, steps=3, n=3, mean_n=2.0)
+@example(t_max=5.0, steps=3, n=3, mean_n=2.0)
+@example(t_max=1e300, steps=3, n=3, mean_n=2.0)
+@example(t_max=5.0, steps=10**9, n=3, mean_n=2.0)
+@example(t_max=5.0, steps=3, n=10**9, mean_n=1e9)
+@example(t_max=0.5, steps=3, n=3, mean_n=0.3)
+def test_cli_numeric_flags_exit_cleanly(t_max, steps, n, mean_n):
     # any float for these flags either succeeds or exits 1 or 2 with one
     # stderr line; numpy floating-point warnings, which would add stderr
     # lines on the command line, are raised here and fail like a traceback
     with tempfile.TemporaryDirectory() as tmp:
         runs = [
-            ["scenario", "--preset", "fig1", f"--steps={steps}", f"--rank-tol={rank_tol!r}",
-             f"--t-max={t_max!r}", "--out", f"{tmp}/s.csv"],
+            ["scenario", "--preset", "fig1", f"--steps={steps}", f"--t-max={t_max!r}",
+             "--out", f"{tmp}/s.csv"],
             ["scaling", "--n", "4,8,16", f"--steps={steps}", "--out", f"{tmp}/c.csv"],
             ["scenario", "--atomic", "ee", "--field", "fock", f"--n={n}", f"--steps={steps}",
              f"--t-max={t_max!r}", "--out", f"{tmp}/f.csv"],
             ["compare-approx", "--atomic", "ee", "--field", "coherent", f"--mean-n={mean_n!r}",
              f"--steps={steps}", f"--t-max={t_max!r}", "--out", f"{tmp}/a.csv"],
             ["scaling", "--n", f"4,8,{n}", "--steps=3", "--out", f"{tmp}/p.csv"],
-            ["sweep", "--dims", "2x2x3", "--samples", "10", f"--rank-tol={sweep_rank_tol!r}",
-             "--out", f"{tmp}/w.txt"],
         ]
         for argv in runs:
             err = io.StringIO()

@@ -247,7 +247,7 @@ def test_rank2_local_unitary_invariant():
 # the Lorentz-boost form of the rank-2 minimum (the reference below) loses
 # about eps / impurity to cancellation, up to 1.6e-6 on these states, and
 # needs a separate formula for a pure pair; 1e-10 and 2e-10 straddle the
-# switch |b| >= 1 - 2 rank_tol at rank_tol = 1e-10.
+# switch |b| >= 1 - 2 RANK_TOL, with RANK_TOL = 1e-10.
 IMPURITIES = (0.0, 1e-14, 1e-12, 1e-10, 2e-10, 1e-9, 1e-8, 1e-6, 1e-4)
 
 
@@ -579,26 +579,6 @@ def test_residual_batch_matches_scalar():
         batch = tt.residual_tangle_batch(states, dims)
         scalar = [tt.i_residual_tangle(pure_state(dims, s)) for s in states]
         np.testing.assert_allclose(batch, scalar, atol=1e-12, rtol=0)
-
-
-@pytest.mark.parametrize("rank_tol", [0.0, -1.0, np.nan, np.inf, 1.0, 2.0])
-def test_library_entry_points_validate_rank_tol(rank_tol):
-    # a cutoff of nan, inf or >= 1 counts no eigenvalue, which silently
-    # zeroed the residual of this state (0.699 at a valid cutoff)
-    vec = haar_vec(np.random.default_rng(0), 12)
-    state = pure_state((2, 2, 3), vec)
-    assert abs(tt.i_residual_tangle(state) - 0.699) < 1e-3
-    rho_af = tt.partial_trace(state, (0, 2))
-    calls = [
-        lambda: tt.i_residual_tangle(state, rank_tol),
-        lambda: tt.residual_tangle_batch(vec[None], (2, 2, 3), rank_tol),
-        lambda: tt.tangle_report(state, rank_tol=rank_tol),
-        lambda: tt.effective_rank(rho_af, rank_tol),
-        lambda: tt.rank2_itangle(rho_af, rank_tol),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="rank_tol must be finite and positive"):
-            call()
 
 
 def test_residual_nonnegative_on_qubit_triples():

@@ -124,5 +124,3 @@ def test_effective_rank():
     assert effective_rank(bell) == 2
     pure = DensityMatrix((2,), np.diag([1.0, 0.0]))
     assert effective_rank(pure) == 1
-    with pytest.raises(ValueError):
-        effective_rank(pure, tol=0.0)
