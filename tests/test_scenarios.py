@@ -742,6 +742,7 @@ def test_cli_numeric_flags_exit_cleanly(t_max, steps, n, mean_n):
             ["compare-approx", "--atomic", "ee", "--field", "coherent", f"--mean-n={mean_n!r}",
              f"--steps={steps}", f"--t-max={t_max!r}", "--out", f"{tmp}/a.csv"],
             ["scaling", "--n", f"4,8,{n}", "--steps=3", "--out", f"{tmp}/p.csv"],
+            ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", f"{tmp}/w.txt"],
         ]
         for argv in runs:
             err = io.StringIO()
