@@ -11,9 +11,15 @@ block is spanned by
 
     { |ee, K-2>, |eg, K-1>, |ge, K-1>, |gg, K> }
 
-(dropping entries with negative or over-truncation photon labels).  Each
+(dropping entries whose photon labels fall outside the field window).  Each
 block's coupling has spectrum {0, 0, +-Omega_K}, so evolution is exact in
 closed form per block (see ``TcmPropagator``).
+
+The field runs over a window of D photons: field index i is photon n0 + i.
+Since block K spans photons K-2 .. K, a field on photons lo .. hi never
+leaves lo-2 .. hi+2, so a window holding that reach loses nothing.  ``n0``
+(default 0) enters only the sqrt(n) factors and messages; excitation
+numbers are counted from n0.
 
 The bare-frequency term omega * (a^dag a + sz1/2 + sz2/2) = omega * (K - 1)
 is left out: it commutes with H and is a sum of one-party terms, so
@@ -52,7 +58,7 @@ ATOM_EXCITATIONS = (2, 1, 1, 0)  # atomic excitations of ee, eg, ge, gg
 
 
 class TruncationError(RuntimeError):
-    """Raised when population piles up against the photon-number cutoff."""
+    """Raised when population piles up against an edge of the photon window."""
 
 
 def whole_number(name: str, value) -> int:
@@ -143,11 +149,19 @@ def initial_state(atomic, field: np.ndarray, n_max: int) -> PureState:
     return PureState(SystemShape((2, 2, d)), amps)
 
 
-def _coupling(amps: np.ndarray, field_dim: int) -> np.ndarray:
-    """(sm1 + sm2) a^dag + h.c. applied to each row of a (..., 4*D) amplitude stack."""
+def _check_offset(n0) -> int:
+    n0 = whole_number("n0", n0)
+    if n0 < 0:
+        raise ValueError(f"n0 must be at least 0, got {n0}")
+    return n0
+
+
+def _coupling(amps: np.ndarray, field_dim: int, n0: int = 0) -> np.ndarray:
+    """(sm1 + sm2) a^dag + h.c. applied to each row of a (..., 4*D) amplitude
+    stack whose field index 0 is photon n0."""
     psi = amps.reshape(amps.shape[:-1] + (2, 2, field_dim))
     out = np.zeros_like(psi)
-    root = np.sqrt(np.arange(1, field_dim))
+    root = np.sqrt(np.arange(n0 + 1, n0 + field_dim))
     out[..., 1, :, 1:] += root * psi[..., 0, :, :-1]  # sm1 a^dag: |e, n> -> |g, n+1>
     out[..., :, 1, 1:] += root * psi[..., :, 0, :-1]  # sm2 a^dag
     out[..., 0, :, :-1] += root * psi[..., 1, :, 1:]  # sp1 a: |g, n+1> -> |e, n>
@@ -155,22 +169,24 @@ def _coupling(amps: np.ndarray, field_dim: int) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
-def rabi_frequencies(field_dim: int) -> np.ndarray:
-    """Omega_K of each excitation block K = 0 .. n_max + 2 at field dimension D = n_max + 1.
+def rabi_frequencies(field_dim: int, n0: int = 0) -> np.ndarray:
+    """Omega_K of the excitation blocks K = n0 + k, k = 0 .. D + 1, of a field
+    window of D photons starting at photon n0.
 
     Block K holds the dark singlet and the ladder |ee, K-2> - |sym, K-1> -
     |gg, K>, so its coupling H_K has spectrum {0, 0, +-Omega_K} and obeys
-    H_K^3 = Omega_K^2 H_K.  The indicators drop the two ladder couplings
-    that the photon cutoff removes; inside it Omega_K = sqrt(4K - 2).
+    H_K^3 = Omega_K^2 H_K.  The indicators drop the ladder couplings that
+    either edge of the window cuts; inside it Omega_K = sqrt(4K - 2).
     """
     k = np.arange(field_dim + 2)
-    upper = (k - 1) * ((k >= 2) & (k <= field_dim))  # |ee, K-2> <-> |sym, K-1>
-    lower = k * ((k >= 1) & (k < field_dim))  # |sym, K-1> <-> |gg, K>
+    big_k = k + n0
+    upper = (big_k - 1) * ((k >= 2) & (k <= field_dim))  # |ee, K-2> <-> |sym, K-1>
+    lower = big_k * ((k >= 1) & (k < field_dim))  # |sym, K-1> <-> |gg, K>
     return np.sqrt(2.0 * (upper + lower))
 
 
 class TcmPropagator:
-    """Exact propagator in closed form per block, at the photon cutoff of each evolved state.
+    """Exact propagator in closed form per block, on the photon window of each evolved state.
 
     Since H_K^3 = Omega_K^2 H_K (see ``rabi_frequencies``),
 
@@ -182,23 +198,29 @@ class TcmPropagator:
     largest drifts seen by the latest ``evolve_series`` call.
     """
 
-    def evolve_series(self, state: PureState, times: Sequence[float]) -> Iterator[np.ndarray]:
+    def evolve_series(
+        self, state: PureState, times: Sequence[float], n0: int = 0
+    ) -> Iterator[np.ndarray]:
         """Yield the evolved amplitudes over the requested times, in order.
 
-        Each chunk has one row of length 4*D per time, consecutive times
-        filling consecutive rows; a chunk holds at most ``CHUNK_BUDGET``
-        bytes (and at least one time), so memory stays bounded however long
-        the grid is.  Times whose phases overflow raise OverflowError.  One
-        pass over the populations checks every emitted time: the norm and the
-        excitation distribution to ``CONSERVATION_TOL`` (else RuntimeError) and
-        the guard band, as for the initial state (else TruncationError).
+        The state's field index 0 is photon n0.  Each chunk has one row of
+        length 4*D per time, consecutive times filling consecutive rows; a
+        chunk holds at most ``CHUNK_BUDGET`` bytes (and at least one time),
+        so memory stays bounded however long the grid is.  Times whose
+        phases overflow raise OverflowError.  One pass over the populations
+        checks every emitted time: the norm and the excitation distribution
+        to ``CONSERVATION_TOL`` (else RuntimeError) and the guard bands, as
+        for the initial state (else TruncationError).  The guard band is the
+        top ``GUARD_BAND`` photons of the window, and the bottom ones too
+        when n0 > 0; photon 0 is a true edge of the field.
         """
         d = _field_dim(state)
+        n0 = _check_offset(n0)
         amps = state.amplitudes
         k_ref = excitation_distribution(state)
-        rabi = rabi_frequencies(d)
+        rabi = rabi_frequencies(d, n0)
         self.max_norm_drift = self.max_excitation_drift = 0.0
-        self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1))
+        self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1), n0)
         times = np.asarray(times, dtype=float).ravel()
         # Python floats overflow to inf without a warning
         t_max = float(np.max(np.abs(times), initial=0.0))
@@ -207,8 +229,8 @@ class TcmPropagator:
         step = max(1, CHUNK_BUDGET // amps.nbytes)
         # H_K is zero where Omega_K is, so any nonzero divisor works there
         safe = np.where(rabi > 0.0, rabi, 1.0)[excitation_map(d)]
-        h1 = _coupling(amps, d) / safe  # H psi / Omega, block by block
-        h2 = _coupling(h1, d) / safe  # H^2 psi / Omega^2
+        h1 = _coupling(amps, d, n0) / safe  # H psi / Omega, block by block
+        h2 = _coupling(h1, d, n0) / safe  # H^2 psi / Omega^2
         psi0, h2, ih1 = (x.reshape(4, d) for x in (amps, h2, 1j * h1))
         for start in range(0, times.size, step):
             t = times[start:start + step]
@@ -217,10 +239,10 @@ class TcmPropagator:
             out = np.empty((t.size, 4, d), dtype=complex)
             for a, e in enumerate(ATOM_EXCITATIONS):  # row a, photon n lies in block K = e + n
                 out[:, a] = psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a]
-            self._check_times(out, k_ref, t)
+            self._check_times(out, k_ref, t, n0)
             yield out.reshape(t.size, 4 * d)
 
-    def _check_times(self, psi: np.ndarray, k_ref: np.ndarray, t: np.ndarray) -> None:
+    def _check_times(self, psi: np.ndarray, k_ref: np.ndarray, t: np.ndarray, n0: int) -> None:
         """Check each row of an (N, 4, D) stack at times t in one pass over its populations,
         raising at the first time past a limit, and update the largest drifts."""
         pop = np.abs(psi) ** 2
@@ -228,8 +250,10 @@ class TcmPropagator:
         norm = np.abs(np.sqrt(dist.sum(axis=1)) - 1.0)
         exc = np.max(np.abs(dist - k_ref), axis=1)
         top = pop[..., -GUARD_BAND:].sum(axis=(1, 2))
+        # photon 0 is a true edge of the field; a window above it has a second guard band
+        bottom = pop[..., :GUARD_BAND].sum(axis=(1, 2)) if n0 > 0 else np.zeros_like(top)
         kept = (norm <= CONSERVATION_TOL) & (exc <= CONSERVATION_TOL)
-        bad = ~(kept & (top <= GUARD_TOL))
+        bad = ~(kept & (top <= GUARD_TOL) & (bottom <= GUARD_TOL))
         if bad.any():
             i = int(np.argmax(bad))
             if not kept[i]:
@@ -237,10 +261,14 @@ class TcmPropagator:
                     f"conservation violated at t={t[i]:g}: norm drift {norm[i]:.3e}, "
                     f"excitation drift {exc[i]:.3e}"
                 )
+            if top[i] > GUARD_TOL:
+                edge, band, photon = "top", top, n0 + psi.shape[-1] - 1
+            else:
+                edge, band, photon = "bottom", bottom, n0
             raise TruncationError(
-                f"population {top[i]:.3e} within {GUARD_BAND} photon indices of the cutoff "
-                f"n_max={psi.shape[-1] - 1} at t={t[i]:g} exceeds {GUARD_TOL:g}; "
-                "raise n_max or tighten tail_tol"
+                f"population {band[i]:.3e} within {GUARD_BAND} photons of the {edge} edge "
+                f"of the field window (photon {photon}) at t={t[i]:g} exceeds {GUARD_TOL:g}; "
+                "tighten tail_tol"
             )
         self.max_norm_drift = max(self.max_norm_drift, float(norm.max()))
         self.max_excitation_drift = max(self.max_excitation_drift, float(exc.max()))
@@ -261,12 +289,13 @@ def _field_dim(state: PureState) -> int:
 
 
 def excitation_map(field_dim: int) -> np.ndarray:
-    """Excitation number K of each flat (atom1, atom2, photon) index."""
+    """Excitation number K - n0 of each flat (atom1, atom2, field index) index."""
     return np.add.outer(ATOM_EXCITATIONS, np.arange(field_dim)).ravel()
 
 
 def excitation_distribution(state: PureState) -> np.ndarray:
-    """Probability of each excitation number K = 0 .. n_max + 2."""
+    """Probability of each excitation number K = n0 + k, k = 0 .. D + 1, on a
+    field window of D photons from photon n0."""
     _field_dim(state)
     return _excitation_populations(np.abs(state.amplitudes.reshape(1, 4, -1)) ** 2)[0]
 
@@ -280,7 +309,8 @@ def _excitation_populations(pop: np.ndarray) -> np.ndarray:
     return dist
 
 
-def energy_expectation(state: PureState) -> float:
-    """<psi|H psi> in units of g (conserved under evolve)."""
+def energy_expectation(state: PureState, n0: int = 0) -> float:
+    """<psi|H psi> in units of g (conserved under evolve), for a state whose
+    field index 0 is photon n0."""
     amps = state.amplitudes
-    return float(np.vdot(amps, _coupling(amps, _field_dim(state))).real)
+    return float(np.vdot(amps, _coupling(amps, _field_dim(state), _check_offset(n0))).real)

@@ -24,10 +24,10 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import (
+    GUARD_BAND,
     TcmPropagator,
     atomic_state,
     coherent_state,
-    fock_state,
     initial_state,
     whole_number,
 )
@@ -35,8 +35,8 @@ from .markoff import approx_tau_F_AA, jx_coefficients
 from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
 from .tensor import RANK_TOL, PureState
 
-FOCK_PAD = 5
-COHERENT_PAD = 2
+REACH = 2  # block K spans photons K-2 .. K, so evolution moves a field edge by at most 2
+LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
 MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
 # every time is gt; the echo keeps the unit line, which readers of the CSVs expect
@@ -65,9 +65,12 @@ def _check_steps(steps) -> int:
 def _check_photons(name: str, value, low: int = 0) -> None:
     """Bound a photon number before any field vector is allocated.
 
-    The field cutoff D grows with it, and a run holds several 4*D-wide
-    amplitude vectors: about 560 bytes per photon, so a run at MAX_PHOTONS
-    peaks at 55 MiB of allocations (139 MiB RSS with the interpreter).
+    A run holds several 4*D-wide amplitude vectors over its photon window
+    of D photons.  D is 11 for a number state at any n >= 5 and grows about
+    as 18 sqrt(mean_n) for a coherent field, but ``coherent_state`` builds
+    the Poisson weights from photon 0, so the bound keeps that O(n) work
+    small: a 2000-point scenario at MAX_PHOTONS peaks at 3.5 MiB of
+    allocations for a number state and 6.7 MiB for a coherent field.
     """
     if not low <= value <= MAX_PHOTONS:
         raise ConfigError(f"{name} must lie in {low} .. {MAX_PHOTONS}, got {value}")
@@ -143,16 +146,28 @@ def preset_config(name: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(**{**PRESETS[name], **overrides})
 
 
-def _build_initial(config: ScenarioConfig) -> PureState:
-    """Initial product state with a field truncation that keeps the
-    guard band clear for number states yet still watches coherent tails."""
-    if config.field == "fock":
-        n_max = config.n + FOCK_PAD
-        field = fock_state(config.n, n_max)
-    else:
+def _build_initial(config: ScenarioConfig) -> tuple[PureState, int]:
+    """Initial product state on the photon window its evolution can reach,
+    and n0, the photon number of the window's field index 0.
+
+    A field on photons lo .. hi never leaves lo - REACH .. hi + REACH, and
+    the window holds exactly that, clipped at photon 0, plus a guard band
+    at every exact edge.  A coherent field is kept from where its
+    cumulative mass reaches ``LOW_TAIL_MASS`` up to its ``tail_tol``
+    cutoff, and each cut tail is padded by REACH alone, so its guard band
+    holds the tail and trips if population piles up there.  A number
+    state |N> (the vacuum at mean_n = 0) has exact edges, padded by REACH
+    + GUARD_BAND so that its guard bands stay empty: photons N - 5 .. N + 5.
+    """
+    if config.field == "coherent" and config.mean_n > 0:
         field = coherent_state(config.mean_n, config.tail_tol)
-        n_max = max(field.size - 1, 3) + COHERENT_PAD
-    return initial_state(config.atomic, field, n_max)
+        lo = int(np.argmax(np.cumsum(np.abs(field) ** 2) >= LOW_TAIL_MASS))
+        field, pad = field[lo:], REACH
+    else:
+        field, lo, pad = np.ones(1, dtype=complex), config.n or 0, REACH + GUARD_BAND
+    n0 = max(0, lo - pad)
+    window = np.concatenate([np.zeros(lo - n0, dtype=complex), field])
+    return initial_state(config.atomic, window, lo + field.size - 1 + pad - n0), n0
 
 
 @dataclass(frozen=True)
@@ -182,7 +197,8 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator()
-    series = prop.evolve_series(_build_initial(config), gts)
+    state, n0 = _build_initial(config)
+    series = prop.evolve_series(state, gts, n0)
     chunks = [tcm_columns(amps, names) for amps in series]
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in names}
     try:

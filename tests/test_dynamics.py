@@ -79,16 +79,17 @@ def test_initial_state_pads_field():
         tt.initial_state("ee", tt.fock_state(1, 4), 4.9)
 
 
-def _dense_model(n_max):
+def _dense_model(n_max, n0=0):
     """Coupling (in units of g), bare-frequency term a^dag a + sz1/2 + sz2/2 and
     excitation number as dense 4D x 4D matrices, built from the operators of
-    the model in the (e, g) x (e, g) x photon basis."""
-    d = n_max + 1
+    the model in the (e, g) x (e, g) x photon basis, on photons n0 .. n_max
+    (D = n_max - n0 + 1; the excitation number is absolute)."""
+    d = n_max - n0 + 1
     sm = np.array([[0.0, 0.0], [1.0, 0.0]])  # |g><e|
     jm = np.kron(sm, np.eye(2)) + np.kron(np.eye(2), sm)
     jz = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([1.0, -1.0]))
-    adag = np.diag(np.sqrt(np.arange(1.0, d)), -1)
-    number = np.kron(np.eye(4), np.diag(np.arange(float(d))))
+    adag = np.diag(np.sqrt(np.arange(n0 + 1.0, n_max + 1.0)), -1)
+    number = np.kron(np.eye(4), np.diag(np.arange(float(n0), n_max + 1.0)))
     coupling = np.kron(jm, adag)
     coupling = coupling + coupling.T
     free = number + 0.5 * np.kron(jz, np.eye(d))
@@ -198,6 +199,95 @@ def test_evolve_matches_dense_expm():
                 assert scale > 0 and np.linalg.norm(got[sel] - want[sel]) < 1e-12 * scale
 
 
+# a window of photons 7 .. 19: bulk on 12 .. 14, which evolution spreads over
+# 10 .. 16, clear of both guard bands (7 .. 9 and 17 .. 19)
+_N0, _N_TOP = 7, 19
+
+
+def _offset_window_state():
+    """A raw complex state on photons _N0 .. _N_TOP with small amplitudes,
+    below the guard, in the blocks cut by either edge of the window."""
+    d = _N_TOP - _N0 + 1
+    field = np.zeros(d, dtype=complex)
+    field[5:8] = [0.6, 0.5j - 0.1, -0.4 + 0.3j]
+    amps = np.kron(tt.atomic_state([0.3 + 0.4j, -0.5, 0.2j, 0.6]), field)
+    # bottom: |gg, n0> (K = n0), |eg, n0>, |ge, n0> (K = n0 + 1), |ee, n0> (K = n0 + 2);
+    # top: |ee, top-1>, |eg, top>, |ge, top> (K = top + 1), |ee, top> (K = top + 2)
+    edge = [3 * d, d, 2 * d, 0, d - 2, 2 * d - 1, 3 * d - 1, d - 1]
+    amps[edge] = [2e-5, 1e-5j, -1e-5, 2e-5, 3e-5, -2e-5j, 1e-5 + 2e-5j, 2e-5]
+    return tt.PureState(tt.SystemShape((2, 2, d)), amps / np.linalg.norm(amps))
+
+
+def test_rabi_frequencies_match_dense_blocks_on_an_offset_window():
+    coupling, _, excitation = _dense_model(_N_TOP, _N0)
+    d = _N_TOP - _N0 + 1
+    np.testing.assert_array_equal(excitation, _N0 + excitation_map(d))
+    rabi = rabi_frequencies(d, _N0)
+    assert rabi.shape == (d + 2,)
+    for k in range(d + 2):
+        sel = excitation == _N0 + k
+        assert not np.any(coupling[np.ix_(sel, ~sel)])
+        h = coupling[np.ix_(sel, sel)]
+        spectrum = np.zeros(h.shape[0])
+        spectrum[[0, -1]] = -rabi[k], rabi[k]
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), spectrum, atol=1e-12)
+    # both edges cut a ladder coupling; inside, Omega_K = sqrt(4K - 2) at the absolute K
+    assert rabi[0] == 0.0 and rabi[d + 1] == 0.0  # |gg, n0> and |ee, top>
+    np.testing.assert_allclose(rabi[1], math.sqrt(2.0 * (_N0 + 1)), rtol=1e-14)
+    inside = np.arange(2, d)
+    np.testing.assert_allclose(rabi[inside], np.sqrt(4.0 * (_N0 + inside) - 2.0), rtol=1e-14)
+
+
+def test_evolve_matches_dense_expm_on_an_offset_window():
+    from scipy.linalg import expm
+
+    h, _, excitation = _dense_model(_N_TOP, _N0)
+    state = _offset_window_state()
+    amps = state.amplitudes
+    assert abs(tt.energy_expectation(state, _N0) - np.vdot(amps, h @ amps).real) < 1e-12
+    # read from photon 0, the same amplitudes carry a different energy
+    assert abs(tt.energy_expectation(state) - np.vdot(amps, h @ amps).real) > 0.1
+    times = [0.0, 0.37, 2.9, 13.1]
+    got = np.concatenate(list(tt.TcmPropagator().evolve_series(state, times, _N0)))
+    for t, row in zip(times, got):
+        want = expm(-1j * h * t) @ amps
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+        for k in (0, 1, 2, _N_TOP - _N0 + 1):  # the blocks cut by an edge
+            sel = excitation == _N0 + k
+            scale = np.linalg.norm(want[sel])
+            assert scale > 0 and np.linalg.norm(row[sel] - want[sel]) < 1e-12 * scale
+
+
+def test_bottom_guard_band_trips_on_an_offset_window():
+    d = _N_TOP - _N0 + 1
+    # |gg, n0 + 4> spreads to |ee, n0 + 2>, inside the bottom guard band
+    state = tt.initial_state("gg", tt.fock_state(4, d - 1), d - 1)
+    with pytest.raises(tt.TruncationError, match=r"bottom edge of the field window \(photon 7\)"):
+        list(tt.TcmPropagator().evolve_series(state, np.linspace(0.0, 2.0, 20), _N0))
+    # from photon 0 the same amplitudes are photons 0 .. 12, and photon 0 has no guard band
+    list(tt.TcmPropagator().evolve_series(state, np.linspace(0.0, 2.0, 20)))
+    # population already in the bottom band trips it at t = 0
+    low = tt.initial_state("ee", tt.fock_state(1, d - 1), d - 1)
+    with pytest.raises(tt.TruncationError, match=r"bottom edge .* at t=0 "):
+        list(tt.TcmPropagator().evolve_series(low, [0.5], _N0))
+    with pytest.raises(ValueError, match="n0 must be at least 0"):
+        list(tt.TcmPropagator().evolve_series(low, [0.5], -1))
+
+
+def test_windowed_fock_state_matches_the_window_from_photon_0():
+    # |N> with N = 12 on photons 7 .. 17 against photons 0 .. 17
+    n, n0, top = 12, 7, 17
+    atomic = [0.3 + 0.4j, -0.5, 0.2j, 0.6]
+    full = tt.initial_state(atomic, tt.fock_state(n, top), top)
+    window = tt.initial_state(atomic, tt.fock_state(n - n0, top - n0), top - n0)
+    times = np.linspace(0.0, 9.0, 60)
+    want = np.concatenate(list(tt.TcmPropagator().evolve_series(full, times)))
+    got = np.concatenate(list(tt.TcmPropagator().evolve_series(window, times, n0)))
+    want, got = want.reshape(-1, 4, top + 1), got.reshape(-1, 4, top - n0 + 1)
+    np.testing.assert_allclose(got, want[..., n0:], rtol=0, atol=1e-14)
+    assert not np.any(want[..., :n0])
+
+
 def test_ground_pair_single_photon_return_probability():
     state = tt.initial_state("gg", tt.fock_state(1, 4), 4)
     idx = np.flatnonzero(state.amplitudes)[0]
@@ -287,9 +377,9 @@ def test_truncation_guard_trips():
     state = tt.initial_state("ee", tt.fock_state(5, 5), 5)
     with pytest.raises(tt.TruncationError):
         tt.evolve(state, 0.5)
-    # n_max = 0 leaves only the guard band, so even the initial state trips it
+    # a one-photon window is all guard band, so even the initial state trips it
     vacuum = tt.initial_state("gg", tt.fock_state(0, 0), 0)
-    with pytest.raises(tt.TruncationError, match="n_max=0"):
+    with pytest.raises(tt.TruncationError, match=r"top edge of the field window \(photon 0\)"):
         tt.evolve(vacuum, 0.0)
 
 

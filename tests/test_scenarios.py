@@ -385,6 +385,36 @@ def test_scaling_small_run(tmp_path):
     np.testing.assert_array_equal(data[:, 1], printed(result.peaks))
 
 
+def _single_block_peak_tau_aa(n, steps):
+    """Peak tau_AA of gg x |n> over scaling_study's grid, in closed form.
+
+    Only block K = n is populated: a|gg, n> + b|sym, n-1> + c|ee, n-2> with
+    ladder couplings v = sqrt(2n) (gg-sym) and u = sqrt(2(n-1)) (sym-ee).
+    Tracing out the field leaves rho_AA diagonal in {ee, sym, gg}, whose
+    concurrence is max(0, p_sym - 2 sqrt(p_ee p_gg)).
+    """
+    omega = math.sqrt(4.0 * n - 2.0)
+    gts = np.linspace(0.0, 2.0 * math.pi / omega, steps)
+    u2, v2 = 2.0 * (n - 1), 2.0 * n
+    cos = np.cos(omega * gts)
+    p_gg = ((u2 + v2 * cos) / omega**2) ** 2
+    p_sym = v2 / omega**2 * np.sin(omega * gts) ** 2
+    p_ee = u2 * v2 * ((cos - 1.0) / omega**2) ** 2
+    return float(np.max(np.maximum(0.0, p_sym - 2.0 * np.sqrt(p_ee * p_gg)) ** 2))
+
+
+def test_scaling_peaks_match_the_single_block_closed_form():
+    # the window of gg x |n> has 11 photons at every n >= 5, so n near
+    # MAX_PHOTONS costs no more than n = 5; the concurrence C = sqrt(tau_AA)
+    # comes from a difference of O(1) populations, so it is compared
+    # absolutely (measured: within 1e-16 at n = 99,999, where C = 1e-5)
+    ns = (2, 5, 40, 1000, MAX_PHOTONS - 1)
+    peaks = tt.scaling_study(ns).peaks
+    closed = [_single_block_peak_tau_aa(n, 400) for n in ns]
+    np.testing.assert_allclose(np.sqrt(peaks), np.sqrt(closed), rtol=0, atol=1e-14)
+    assert 0.999 < peaks[-1] * (MAX_PHOTONS - 1) ** 2 < 1.0
+
+
 def test_scaling_runs_the_scenario_loop(monkeypatch):
     # each peak is the largest tau_AA of the same gg x |n> scenario, and the
     # column range check covers it

@@ -142,9 +142,9 @@ def _mpmath_wootters(m):
 
 def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
     config = preset_config("fig3")
-    state = _build_initial(config)
+    state, n0 = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
-    series = tt.TcmPropagator().evolve_series(state, gts)
+    series = tt.TcmPropagator().evolve_series(state, gts, n0)
     amps = np.concatenate(list(series))
     tau_aa = tcm_columns(amps)["tau_AA"]
     reference = [_mpmath_wootters(row.reshape(4, -1)) for row in amps]
@@ -311,7 +311,8 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
     # eigensolve, a tau_F_AA-only call neither Wootters nor rank-2
     config = preset_config("fig1")
     gts = np.linspace(0.0, config.t_max, config.steps)[::50]
-    fig1 = np.concatenate(list(tt.TcmPropagator().evolve_series(_build_initial(config), gts)))
+    state, n0 = _build_initial(config)
+    fig1 = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts, n0)))
     rng = np.random.default_rng(67)
     haar = np.array([haar_vec(rng, 20) for _ in range(30)])
 
@@ -373,9 +374,9 @@ def test_fig1_tau_af_matches_mpmath_at_first_points():
     # at gt = 0 atom 2 is exactly excited, so the A1-field pair is pure, and
     # its impurity grows from 0 over the first grid points
     config = preset_config("fig1")
-    state = _build_initial(config)
+    state, n0 = _build_initial(config)
     gts = np.linspace(0.0, config.t_max, config.steps)[:8]
-    amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts)))
+    amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts, n0)))
     reference = [_mpmath_rank2_tangle(psi, 1) for psi in amps]
     np.testing.assert_allclose(tcm_columns(amps)["tau_AF"], reference, atol=1e-12, rtol=0)
 
