@@ -66,11 +66,12 @@ def _check_photons(name: str, value, low: int = 0) -> None:
     """Bound a photon number before any field vector is allocated.
 
     A run holds several 4*D-wide amplitude vectors over its photon window
-    of D photons.  D is 11 for a number state at any n >= 5 and grows about
-    as 18 sqrt(mean_n) for a coherent field, but ``coherent_state`` builds
-    the Poisson weights from photon 0, so the bound keeps that O(n) work
-    small: a 2000-point scenario at MAX_PHOTONS peaks at 3.5 MiB of
-    allocations for a number state and 6.7 MiB for a coherent field.
+    of D photons.  D is 11 for a number state at any n >= 5 and about
+    18 sqrt(mean_n) for a coherent field at the default tail_tol, but
+    ``coherent_state`` builds the Poisson weights from photon 0, so the
+    bound keeps that O(n) work small.  A 2000-point scenario at MAX_PHOTONS
+    peaks at 3.5 MiB of allocations (36 MiB RSS) for a number state and
+    6.7 MiB (44 MiB RSS) for a coherent field.
     """
     if not low <= value <= MAX_PHOTONS:
         raise ConfigError(f"{name} must lie in {low} .. {MAX_PHOTONS}, got {value}")
@@ -152,22 +153,27 @@ def _build_initial(config: ScenarioConfig) -> tuple[PureState, int]:
 
     A field on photons lo .. hi never leaves lo - REACH .. hi + REACH, and
     the window holds exactly that, clipped at photon 0, plus a guard band
-    at every exact edge.  A coherent field is kept from where its
-    cumulative mass reaches ``LOW_TAIL_MASS`` up to its ``tail_tol``
-    cutoff, and each cut tail is padded by REACH alone, so its guard band
-    holds the tail and trips if population piles up there.  A number
-    state |N> (the vacuum at mean_n = 0) has exact edges, padded by REACH
-    + GUARD_BAND so that its guard bands stay empty: photons N - 5 .. N + 5.
+    at every exact edge.  A number state |N> has exact edges, padded by
+    REACH + GUARD_BAND so that its guard bands stay empty: photons
+    N - 5 .. N + 5.  A coherent field is kept from where its cumulative
+    mass reaches ``LOW_TAIL_MASS`` up to its ``tail_tol`` cutoff, and each
+    cut tail is padded by REACH alone, so its guard band holds the tail
+    and trips if population piles up there.  Every window reaches at
+    least the top of the vacuum's, photon REACH + GUARD_BAND: a coherent
+    field cut below that puts more than GUARD_TOL of its bulk in, or within
+    reach of, its own guard band (mean_n = 1e-6 keeps photons 0 .. 1, and
+    photon 1 holds 1e-6).
     """
-    if config.field == "coherent" and config.mean_n > 0:
+    if config.field == "fock":
+        field, lo, pad = np.ones(1, dtype=complex), config.n, REACH + GUARD_BAND
+    else:
         field = coherent_state(config.mean_n, config.tail_tol)
         lo = int(np.argmax(np.cumsum(np.abs(field) ** 2) >= LOW_TAIL_MASS))
         field, pad = field[lo:], REACH
-    else:
-        field, lo, pad = np.ones(1, dtype=complex), config.n or 0, REACH + GUARD_BAND
     n0 = max(0, lo - pad)
+    top = max(lo + field.size - 1 + pad, REACH + GUARD_BAND)
     window = np.concatenate([np.zeros(lo - n0, dtype=complex), field])
-    return initial_state(config.atomic, window, lo + field.size - 1 + pad - n0), n0
+    return initial_state(config.atomic, window, top - n0), n0
 
 
 @dataclass(frozen=True)

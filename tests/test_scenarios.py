@@ -21,6 +21,7 @@ from tcm_tangles.scenarios import (
     SCENARIO_COLUMNS,
     SCENARIO_TYPES,
     ConfigError,
+    _build_initial,
     _fmt,
     load_config,
     preset_config,
@@ -148,6 +149,38 @@ def test_run_scenario_small():
     assert abs(result.column("tau_F_AA")[0]) < 1e-12
     assert result.column("tau_F_AA")[1:].max() > 0.01
     assert result.column("field_eff_dim").min() >= 1
+
+
+def test_photon_window_of_each_field():
+    # (D, n0): a number state runs on N +- 5, a coherent field from its 1e-32
+    # lower tail to its tail_tol cutoff, each padded by 2; no window ends
+    # below photon 5, the top of the vacuum's
+    cases = [
+        (preset_config("fig1"), (11, 5)),
+        (preset_config("fig2"), (167, 6)),
+        (preset_config("fig4"), (395, 257)),
+        (small_config(n=3), (9, 0)),
+        (small_config(n=MAX_PHOTONS), (11, MAX_PHOTONS - 5)),
+        (small_config(field="coherent", n=None, mean_n=4.0), (25, 0)),
+        (small_config(field="coherent", n=None, mean_n=0.0), (6, 0)),
+        (small_config(field="coherent", n=None, mean_n=1e-6), (6, 0)),
+    ]
+    for config, want in cases:
+        state, n0 = _build_initial(config)
+        assert (state.shape.dims[2], n0) == want, config
+    # fig4's window holds the coherent amplitudes from lo = n0 + 2 up to the
+    # cutoff, with 2 empty photons at each end, and drops a lower tail below 1e-32
+    field = tt.coherent_state(500.0)
+    state, n0 = _build_initial(preset_config("fig4"))
+    ee = state.tensor()[0, 0]
+    assert ee.size == field.size - n0 + 2
+    np.testing.assert_allclose(ee[2:-2], field[n0 + 2:], rtol=1e-14, atol=0)
+    assert not ee[:2].any() and not ee[-2:].any()
+    mass = np.cumsum(np.abs(field) ** 2)
+    assert mass[n0 + 1] < 1e-32 <= mass[n0 + 2]
+    # a near-vacuum field holds 1e-6 at its cutoff, photon 1; the vacuum's
+    # window keeps that out of the guard band, so the run completes
+    tt.run_scenario(small_config(atomic="sym_plus", field="coherent", n=None, mean_n=1e-6))
 
 
 def test_run_scenario_chunk_invariant(monkeypatch):
