@@ -55,6 +55,7 @@ ATOMIC_STATES = {
     "singlet": np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _SQRT2,
 }
 ATOM_EXCITATIONS = (2, 1, 1, 0)  # atomic excitations of ee, eg, ge, gg
+REACH = max(ATOM_EXCITATIONS)  # block K spans photons K-2 .. K: a field edge moves by at most 2
 
 
 class TruncationError(RuntimeError):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .dynamics import (
     GUARD_BAND,
+    REACH,
     TcmPropagator,
     atomic_state,
     coherent_state,
@@ -35,7 +36,6 @@ from .markoff import approx_tau_F_AA, jx_coefficients
 from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
 from .tensor import RANK_TOL, PureState
 
-REACH = 2  # block K spans photons K-2 .. K, so evolution moves a field edge by at most 2
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
 MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons

@@ -184,10 +184,16 @@ def test_photon_window_of_each_field():
 
 
 def test_run_scenario_chunk_invariant(monkeypatch):
-    # D = 46, so the default budget splits these 800 points into 3 chunks
-    config = small_config(n=40, steps=800)
+    # a coherent field on an offset window, wide enough that the default
+    # budget splits these 800 points into full multi-point chunks and a
+    # partial last one (a point is 4 * D complex128 amplitudes, 64 * D bytes)
+    config = small_config(field="coherent", n=None, mean_n=100.0, steps=800)
+    state, n0 = _build_initial(config)
+    d = state.shape.dims[2]
+    step = dynamics.CHUNK_BUDGET // (64 * d)
+    assert n0 > 0 and 800 * 64 * d > dynamics.CHUNK_BUDGET
+    assert step > 1 and 800 % step
     default = tt.run_scenario(config)
-    assert 800 * 64 * 46 > dynamics.CHUNK_BUDGET
     for budget in (1, 10**9):  # one point per chunk, then the whole grid
         monkeypatch.setattr(dynamics, "CHUNK_BUDGET", budget)
         other = tt.run_scenario(config)

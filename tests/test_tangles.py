@@ -39,6 +39,19 @@ def pure_state(dims, vec):
     return tt.PureState(tt.SystemShape(dims), vec)
 
 
+def evolve_preset(config, rows):
+    """A preset's amplitudes at the given rows of its grid, evolved on its
+    photon window; their columns are checked against run_scenario's, so an
+    offset n0 lost on the way to evolve_series fails here."""
+    state, n0 = _build_initial(config)
+    gts = np.linspace(0.0, config.t_max, config.steps)[rows]
+    amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts, n0)))
+    ran = tt.run_scenario(config)
+    for name, column in tcm_columns(amps).items():
+        np.testing.assert_allclose(column, ran.column(name)[rows], atol=1e-13, rtol=0, err_msg=name)
+    return amps
+
+
 # --- universal inversion ---------------------------------------------------
 
 
@@ -141,11 +154,7 @@ def _mpmath_wootters(m):
 
 
 def test_tcm_columns_tau_aa_matches_mpmath_at_fig3():
-    config = preset_config("fig3")
-    state, n0 = _build_initial(config)
-    gts = np.linspace(0.0, config.t_max, config.steps)[list(FIG3_WORST_TAU_AA_POINTS)]
-    series = tt.TcmPropagator().evolve_series(state, gts, n0)
-    amps = np.concatenate(list(series))
+    amps = evolve_preset(preset_config("fig3"), list(FIG3_WORST_TAU_AA_POINTS))
     tau_aa = tcm_columns(amps)["tau_AA"]
     reference = [_mpmath_wootters(row.reshape(4, -1)) for row in amps]
     np.testing.assert_allclose(tau_aa, reference, atol=1e-12, rtol=0)
@@ -309,10 +318,7 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
     # on an evolved fig1 stack and on Haar (2, 2, 5) states, each subset is
     # bit-identical to the full call, and a tau_AA-only call runs no
     # eigensolve, a tau_F_AA-only call neither Wootters nor rank-2
-    config = preset_config("fig1")
-    gts = np.linspace(0.0, config.t_max, config.steps)[::50]
-    state, n0 = _build_initial(config)
-    fig1 = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts, n0)))
+    fig1 = evolve_preset(preset_config("fig1"), slice(None, None, 50))
     rng = np.random.default_rng(67)
     haar = np.array([haar_vec(rng, 20) for _ in range(30)])
 
@@ -373,10 +379,7 @@ def test_rank2_kernel_matches_mpmath_near_pure_pairs(monkeypatch, field_dim):
 def test_fig1_tau_af_matches_mpmath_at_first_points():
     # at gt = 0 atom 2 is exactly excited, so the A1-field pair is pure, and
     # its impurity grows from 0 over the first grid points
-    config = preset_config("fig1")
-    state, n0 = _build_initial(config)
-    gts = np.linspace(0.0, config.t_max, config.steps)[:8]
-    amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts, n0)))
+    amps = evolve_preset(preset_config("fig1"), slice(8))
     reference = [_mpmath_rank2_tangle(psi, 1) for psi in amps]
     np.testing.assert_allclose(tcm_columns(amps)["tau_AF"], reference, atol=1e-12, rtol=0)
 
