@@ -7,8 +7,9 @@ search), ``scaling`` (peak atom-atom tangle vs photon number).
 Scenario settings resolve in order: preset < config file (--config, flat
 key=value) < explicit flags; a sweep takes flags only.  Exit codes: 0
 success, 1 configuration error (including a time grid whose phases
-overflow) or an output file that cannot be written, 2 photon-truncation
-guard abort.
+overflow) or an output file that cannot be written, 2 a run that stopped
+(photon-truncation guard, non-finite value, conservation drift, or a sweep
+worker that died).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ def build_parser() -> _Parser:
     sweep.add_argument("--dims", required=True, help="factor dims, e.g. 2x2x3")
     sweep.add_argument("--samples", type=int, required=True, help="number of random states")
     sweep.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sweep.add_argument(
+        "--workers", type=int, help="worker processes (default: every CPU this process may use)"
+    )
     sweep.add_argument("--out", required=True, help="summary file path")
 
     scaling = commands.add_parser("scaling", help="peak atom-atom tangle vs photon number")
@@ -114,6 +118,7 @@ def _run_sweep(args: argparse.Namespace) -> None:
             args.samples,
             seed=args.seed,
             dump_path=args.out + ".counterexamples",
+            workers=args.workers,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -171,6 +176,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except TruncationError as exc:
         print(f"truncation guard: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a non-finite value, a conservation drift, a dead worker
+        print(f"run error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -3,13 +3,18 @@
 States are drawn from the unitarily invariant (Haar) measure by
 normalizing vectors of independent standard complex Gaussians.
 
-The sweep streams batches through the vectorized residual-tangle kernel,
-tracks the running minimum and the count of values below the -1e-9
-roundoff threshold, and serializes any sub-threshold state in full.
+The sweep splits its samples into fixed blocks, each with its own random
+stream and one call of the vectorized residual-tangle kernel, runs the
+blocks on worker processes, and merges their minima, counts of values
+below the -1e-9 roundoff threshold and sub-threshold states in block
+order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -19,7 +24,7 @@ from .tangles import TANGLE_FLOOR, residual_tangle_batch
 from .tensor import PureState, SystemShape
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
-DEFAULT_CHUNK = 20_000  # states per kernel call; no result depends on it
+BLOCK = 10_000  # states per random stream and per kernel call
 
 
 def haar_pure(dims: Union[SystemShape, Sequence[int]], seed) -> PureState:
@@ -71,23 +76,57 @@ def _dump_states(path: str, dims: Sequence[int], states: np.ndarray) -> None:
             fh.write(format_amplitudes(row) + "\n")
 
 
+def _sweep_block(
+    dims: tuple[int, ...], samples: int, seed: int, index: int
+) -> tuple[float, np.ndarray, int, np.ndarray]:
+    """Block ``index`` of a sweep: its minimum, argmin state, count below
+    ``TANGLE_FLOOR`` and the states below it.
+
+    The block draws from its own stream, ``SeedSequence(seed,
+    spawn_key=(index,))``, the same as ``SeedSequence(seed).spawn(k)[index]``
+    for any k > index, so it does not matter which process runs it.
+    """
+    start = index * BLOCK
+    count = min(BLOCK, samples - start)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    batch = haar_pure_batch(int(np.prod(dims)), count, rng)
+    values = residual_tangle_batch(batch, dims)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise RuntimeError(
+            f"{np.count_nonzero(~finite)} non-finite residual tangle values "
+            f"among samples {start}..{start + count - 1}"
+        )
+    i = int(np.argmin(values))
+    below = values < TANGLE_FLOOR
+    return float(values[i]), batch[i].copy(), int(np.count_nonzero(below)), batch[below]
+
+
 def positivity_sweep(
     dims: Sequence[int],
     samples: int,
     seed: int = 0,
     dump_path: Optional[str] = None,
+    workers: Optional[int] = None,
 ) -> SweepResult:
     """Evaluate the residual tangle on Haar-random states and report the minimum.
 
     Only the 2x2x3 and 2x2x4 systems are supported (smaller third factors
     make the residual trivial, larger ones leave the rank-2 regime).
-    Results depend on (dims, samples, seed) but not on
-    ``DEFAULT_CHUNK``.  States below ``TANGLE_FLOOR`` (-1e-9) are counted
+    The samples are split into blocks of ``BLOCK`` states; block i draws
+    from ``SeedSequence(seed, spawn_key=(i,))`` and is one kernel call.
+    The blocks run on ``workers`` forked processes (default: every CPU
+    this process may use, at most one per block; one worker runs them in
+    this process) and are merged in block order: the first block wins a
+    tied minimum, and dumped states keep block order.  So results depend
+    on (dims, samples, seed) alone, not on the worker count.
+    States below ``TANGLE_FLOOR`` (-1e-9) are counted
     and, when ``dump_path`` is set, appended to that file.  That threshold
     is about 2.8e5 times the worst error measured for either tangle kernel
     against a 40-digit reference (3.6e-15 for the rank-2 kernel on nearly
     pure atom-field pairs, 1.3e-15 for Wootters), so a count measures the
-    residual tangle, not roundoff.
+    residual tangle, not roundoff.  A non-finite value, or a worker that
+    dies, raises ``RuntimeError``; no worker outlives the call.
     """
     dims = tuple(int(d) for d in dims)
     if dims not in SWEEP_DIMS:
@@ -96,32 +135,34 @@ def positivity_sweep(
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    cpus = len(os.sched_getaffinity(0))
+    if workers is not None and not 1 <= workers <= cpus:
+        raise ValueError(
+            f"workers must be in 1..{cpus} (the CPUs this process may use), got {workers}"
+        )
 
-    total = int(np.prod(dims))
-    rng = np.random.default_rng(seed)
+    blocks = range((samples + BLOCK - 1) // BLOCK)
+    workers = min(cpus if workers is None else workers, len(blocks))
     best_value = np.inf
     best_state: Optional[np.ndarray] = None
     negative_count = 0
-    done = 0
-    while done < samples:
-        n = min(DEFAULT_CHUNK, samples - done)
-        batch = haar_pure_batch(total, n, rng)
-        values = residual_tangle_batch(batch, dims)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise RuntimeError(
-                f"{np.count_nonzero(~finite)} non-finite residual tangle values "
-                f"among samples {done}..{done + n - 1}"
-            )
-        i = int(np.argmin(values))
-        if values[i] < best_value:
-            best_value = float(values[i])
-            best_state = batch[i].copy()
-        below = values < TANGLE_FLOOR
-        negative_count += int(np.count_nonzero(below))
-        if dump_path is not None and below.any():
-            _dump_states(dump_path, dims, batch[below])
-        done += n
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            # imported here: a one-worker sweep need not pay for the pool's modules
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: a spawned worker would import numpy again
+            context = multiprocessing.get_context("fork")
+            run = stack.enter_context(ProcessPoolExecutor(workers, mp_context=context)).map
+        job = functools.partial(_sweep_block, dims, samples, seed)
+        for value, state, negatives, dumped in run(job, blocks):
+            if value < best_value:
+                best_value, best_state = value, state
+            negative_count += negatives
+            if dump_path is not None and negatives:
+                _dump_states(dump_path, dims, dumped)
 
     return SweepResult(
         samples=samples,
@@ -129,4 +170,3 @@ def positivity_sweep(
         argmin_state=PureState(SystemShape(dims), best_state),
         negative_count=negative_count,
     )
-

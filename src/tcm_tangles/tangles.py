@@ -45,7 +45,6 @@ ROOF_TOL = 1e-8
 
 # sigma_y (x) sigma_y is real: the reversed identity with signs -, +, +, -.
 _SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def universal_inversion(rho: DensityMatrix) -> np.ndarray:
@@ -148,7 +147,8 @@ def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
     eps up to and including a pure pair (s is clamped at sqrt(eps) only
     to keep 0 * inf out): no branch and no tolerance.
     """
-    s_mu = np.einsum("mkj,...jkac->...mac", _PAULIS, r, optimize=True)
+    (r00, r01), (r10, r11) = np.moveaxis(r, (-4, -3), (0, 1))
+    s_mu = np.stack([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11], axis=-3)
     s0 = s_mu[..., 0, :, :]
     bloch = np.einsum("...maa->...m", s_mu[..., 1:, :, :]).real
     t = s_mu[..., 1:, :, :] - bloch[..., None, None] * s0[..., None, :, :]

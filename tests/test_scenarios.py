@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import cli, dynamics, tangles
+from tcm_tangles import cli, dynamics, random_states, tangles
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
@@ -662,7 +663,46 @@ def test_cli_truncation_guard_exits_2(tmp_path, capsys):
          "--t-max", "3.0", "--steps", "40", "--config", str(cfg), "--out", str(out)]
     )
     assert code == 2
-    assert "truncation guard" in capsys.readouterr().err
+    # TruncationError is a RuntimeError, but keeps its own prefix
+    err = capsys.readouterr().err
+    assert err.startswith("truncation guard: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="starts two sweep workers")
+def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # a RuntimeError that stops a run is one stderr line and exit 2, not a traceback
+    out = tmp_path / "r.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "CONSERVATION_TOL", -1.0)
+        assert main(["scenario", "--preset", "fig1", "--steps", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error: conservation violated at t=0") and err.count("\n") == 1
+
+    monkeypatch.setattr(random_states, "BLOCK", 40)
+    sweep = ["sweep", "--dims", "2x2x3", "--samples", "120", "--out", str(out)]
+    real = random_states.residual_tangle_batch
+    with monkeypatch.context() as patch:
+        patch.setattr(random_states, "residual_tangle_batch",
+                      lambda b, d: np.where(b[:, 0].real > 0, np.nan, real(b, d)))
+        assert main(sweep + ["--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error: ") and err.count("\n") == 1
+    assert "non-finite residual tangle values among samples 0..39" in err
+
+    parent = os.getpid()
+
+    def dies_in_a_worker(batch, dims):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(batch, dims)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(random_states, "residual_tangle_batch", dies_in_a_worker)
+        assert main(sweep + ["--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error: A process in the process pool was terminated abruptly")
+    assert err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
@@ -712,6 +752,11 @@ def test_cli_sweep(tmp_path, capsys):
     base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", str(out)]
     assert main(base + ["--seed", "-1"]) == 1
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    cpus = len(os.sched_getaffinity(0))
+    for workers in ("0", str(cpus + 1), "two"):
+        assert main(base + ["--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "workers" in err and err.count("\n") == 1
 
 
 def test_rank_tol_is_not_a_setting(tmp_path, capsys):
