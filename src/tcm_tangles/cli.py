@@ -71,9 +71,6 @@ def build_parser() -> _Parser:
     sweep.add_argument("--dims", required=True, help="factor dims, e.g. 2x2x3")
     sweep.add_argument("--samples", type=int, required=True, help="number of random states")
     sweep.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sweep.add_argument(
-        "--workers", type=int, help="worker processes (default: every CPU this process may use)"
-    )
     sweep.add_argument("--out", required=True, help="summary file path")
 
     scaling = commands.add_parser("scaling", help="peak atom-atom tangle vs photon number")
@@ -118,7 +115,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
             args.samples,
             seed=args.seed,
             dump_path=args.out + ".counterexamples",
-            workers=args.workers,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

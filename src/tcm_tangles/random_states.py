@@ -76,6 +76,16 @@ def _dump_states(path: str, dims: Sequence[int], states: np.ndarray) -> None:
             fh.write(format_amplitudes(row) + "\n")
 
 
+def _allowed_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (Linux).  Elsewhere 1, so the sweep runs in-process:
+    Windows cannot fork, and macOS cannot fork safely once numpy is loaded.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def _sweep_block(
     dims: tuple[int, ...], samples: int, seed: int, index: int
 ) -> tuple[float, np.ndarray, int, np.ndarray]:
@@ -107,7 +117,6 @@ def positivity_sweep(
     samples: int,
     seed: int = 0,
     dump_path: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> SweepResult:
     """Evaluate the residual tangle on Haar-random states and report the minimum.
 
@@ -115,10 +124,11 @@ def positivity_sweep(
     make the residual trivial, larger ones leave the rank-2 regime).
     The samples are split into blocks of ``BLOCK`` states; block i draws
     from ``SeedSequence(seed, spawn_key=(i,))`` and is one kernel call.
-    The blocks run on ``workers`` forked processes (default: every CPU
-    this process may use, at most one per block; one worker runs them in
-    this process) and are merged in block order: the first block wins a
-    tied minimum, and dumped states keep block order.  So results depend
+    The blocks run on one forked process per CPU in this process's
+    affinity mask, at most one per block; one worker runs them in this
+    process, as on platforms without an affinity mask, and ``taskset -c 0``
+    limits a run to one.  They merge in block order: the first block wins
+    a tied minimum, and dumped states keep block order.  So results depend
     on (dims, samples, seed) alone, not on the worker count.
     States below ``TANGLE_FLOOR`` (-1e-9) are counted
     and, when ``dump_path`` is set, appended to that file.  That threshold
@@ -135,14 +145,9 @@ def positivity_sweep(
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    cpus = len(os.sched_getaffinity(0))
-    if workers is not None and not 1 <= workers <= cpus:
-        raise ValueError(
-            f"workers must be in 1..{cpus} (the CPUs this process may use), got {workers}"
-        )
 
     blocks = range((samples + BLOCK - 1) // BLOCK)
-    workers = min(cpus if workers is None else workers, len(blocks))
+    workers = min(_allowed_cpus(), len(blocks))
     best_value = np.inf
     best_state: Optional[np.ndarray] = None
     negative_count = 0

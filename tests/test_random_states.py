@@ -10,7 +10,7 @@ from tcm_tangles.cli import main
 from tcm_tangles.random_states import haar_pure_batch
 
 needs_two_cpus = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="starts two sweep workers"
+    random_states._allowed_cpus() < 2, reason="starts two sweep workers"
 )
 
 
@@ -61,10 +61,10 @@ def test_sweep_finds_no_negatives():
     assert abs(direct - result.min_value) < 1e-9
 
 
-@needs_two_cpus
 def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     # 3 blocks of 40 states; the kernel returns -1.0 for the states whose first
     # amplitude has real part above 0.1, so every block dumps and the minimum ties
+    cpus = random_states._allowed_cpus()
     monkeypatch.setattr(random_states, "BLOCK", 40)
     real = random_states.residual_tangle_batch
     pids = tmp_path / "pids.txt"
@@ -74,40 +74,39 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()}\n")
         return np.where(batch[:, 0].real > 0.1, -1.0, real(batch, dims))
 
-    runs = {}
-    with monkeypatch.context() as patch:
-        patch.setattr(random_states, "residual_tangle_batch", flag_some)
-        for workers in (1, 2):
-            dump = tmp_path / f"dump{workers}.txt"
-            pids.write_text("")
-            result = tt.positivity_sweep(
-                (2, 2, 4), samples=120, seed=5, dump_path=str(dump), workers=workers
-            )
-            runs[workers] = result, dump.read_bytes(), set(pids.read_text().split())
-    (a, dump_a, pids_a), (b, dump_b, pids_b) = runs[1], runs[2]
-    assert pids_a == {str(os.getpid())} and len(pids_b) == 2 and str(os.getpid()) not in pids_b
-    assert a.min_value == b.min_value == -1.0
-    assert a.negative_count == b.negative_count
-    np.testing.assert_array_equal(a.argmin_state.amplitudes, b.argmin_state.amplitudes)
-    assert dump_a == dump_b
+    def run(workers):
+        monkeypatch.setattr(random_states, "_allowed_cpus", lambda: workers)
+        dump = tmp_path / f"dump{workers}.txt"
+        pids.write_text("")
+        with monkeypatch.context() as patch:
+            patch.setattr(random_states, "residual_tangle_batch", flag_some)
+            result = tt.positivity_sweep((2, 2, 4), samples=120, seed=5, dump_path=str(dump))
+        # the command line's summary, with the real kernel
+        out = tmp_path / f"sweep{workers}.txt"
+        assert main(["sweep", "--dims", "2x2x3", "--samples", "120", "--seed", "5",
+                     "--out", str(out)]) == 0
+        return result, dump.read_bytes(), set(pids.read_text().split()), out.read_bytes()
+
+    a, dump_a, pids_a, summary_a = run(1)
+    assert pids_a == {str(os.getpid())}
     # block i draws from SeedSequence(seed).spawn(k)[i]; the first block wins the
     # tie, and the dumps come in block order
     streams = np.random.SeedSequence(5).spawn(3)
     drawn = np.vstack([haar_pure_batch(16, 40, np.random.default_rng(s)) for s in streams])
     flagged = drawn[drawn[:, 0].real > 0.1]
+    assert a.min_value == -1.0
     assert a.negative_count == len(flagged)
     np.testing.assert_array_equal(a.argmin_state.amplitudes, flagged[0])
     dumped = [parse_amplitudes(l) for l in dump_a.decode().splitlines() if l[0] != "#"]
     np.testing.assert_array_equal(np.array(dumped), flagged)
 
-    # the command line's summary, with the real kernel, is byte-identical too
-    summaries = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"sweep{workers}.txt"
-        assert main(["sweep", "--dims", "2x2x3", "--samples", "120", "--seed", "5",
-                     "--workers", workers, "--out", str(out)]) == 0
-        summaries.append(out.read_bytes())
-    assert summaries[0] == summaries[1]
+    if cpus < 2:
+        pytest.skip("the two-worker leg starts two sweep workers")
+    b, dump_b, pids_b, summary_b = run(2)
+    assert len(pids_b) == 2 and str(os.getpid()) not in pids_b
+    assert b.min_value == a.min_value and b.negative_count == a.negative_count
+    np.testing.assert_array_equal(b.argmin_state.amplitudes, a.argmin_state.amplitudes)
+    assert dump_b == dump_a and summary_b == summary_a
 
 
 @needs_two_cpus
@@ -121,9 +120,10 @@ def test_sweep_worker_failure_leaves_no_process(monkeypatch):
         return values
 
     monkeypatch.setattr(random_states, "residual_tangle_batch", poisoned)
+    monkeypatch.setattr(random_states, "_allowed_cpus", lambda: 2)
     # the first block in block order reports, whichever worker failed first
     with pytest.raises(RuntimeError, match=r"^1 non-finite .* among samples 0\.\.39$"):
-        tt.positivity_sweep((2, 2, 3), samples=120, workers=2)
+        tt.positivity_sweep((2, 2, 3), samples=120)
     assert multiprocessing.active_children() == []
 
 
@@ -134,19 +134,13 @@ def test_sweep_argument_validation():
         tt.positivity_sweep((2, 2, 3), samples=0)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         tt.positivity_sweep((2, 2, 3), samples=10, seed=-1)
-    # Haar sampling and the block size are fixed, not arguments
+    # Haar sampling, the block size and the worker count are fixed, not arguments
     with pytest.raises(TypeError):
         tt.positivity_sweep((2, 2, 3), samples=10, measure="haar")
     with pytest.raises(TypeError):
         tt.positivity_sweep((2, 2, 3), samples=10, chunk=10)
-    # at least one worker, and no more than the CPUs this process may use;
-    # both are rejected before any process starts
-    cpus = len(os.sched_getaffinity(0))
-    for workers in (0, -1, cpus + 1):
-        message = rf"^workers must be in 1\.\.{cpus} .*, got {workers}$"
-        with pytest.raises(ValueError, match=message):
-            tt.positivity_sweep((2, 2, 3), samples=10, workers=workers)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(TypeError):
+        tt.positivity_sweep((2, 2, 3), samples=10, workers=1)
 
 
 def test_sweep_rejects_non_finite_values(monkeypatch):

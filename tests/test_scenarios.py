@@ -668,7 +668,6 @@ def test_cli_truncation_guard_exits_2(tmp_path, capsys):
     assert err.startswith("truncation guard: ") and err.count("\n") == 1
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="starts two sweep workers")
 def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
     # a RuntimeError that stops a run is one stderr line and exit 2, not a traceback
     out = tmp_path / "r.txt"
@@ -678,17 +677,22 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("run error: conservation violated at t=0") and err.count("\n") == 1
 
+    cpus = random_states._allowed_cpus()
     monkeypatch.setattr(random_states, "BLOCK", 40)
+    monkeypatch.setattr(random_states, "_allowed_cpus", lambda: 1)
     sweep = ["sweep", "--dims", "2x2x3", "--samples", "120", "--out", str(out)]
     real = random_states.residual_tangle_batch
     with monkeypatch.context() as patch:
         patch.setattr(random_states, "residual_tangle_batch",
                       lambda b, d: np.where(b[:, 0].real > 0, np.nan, real(b, d)))
-        assert main(sweep + ["--workers", "1"]) == 2
+        assert main(sweep) == 2
     err = capsys.readouterr().err
     assert err.startswith("run error: ") and err.count("\n") == 1
     assert "non-finite residual tangle values among samples 0..39" in err
 
+    if cpus < 2:
+        pytest.skip("the dead-worker leg starts two sweep workers")
+    monkeypatch.setattr(random_states, "_allowed_cpus", lambda: 2)
     parent = os.getpid()
 
     def dies_in_a_worker(batch, dims):
@@ -698,7 +702,7 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(random_states, "residual_tangle_batch", dies_in_a_worker)
-        assert main(sweep + ["--workers", "2"]) == 2
+        assert main(sweep) == 2
     err = capsys.readouterr().err
     assert err.startswith("run error: A process in the process pool was terminated abruptly")
     assert err.count("\n") == 1
@@ -752,11 +756,10 @@ def test_cli_sweep(tmp_path, capsys):
     base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", str(out)]
     assert main(base + ["--seed", "-1"]) == 1
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
-    cpus = len(os.sched_getaffinity(0))
-    for workers in ("0", str(cpus + 1), "two"):
-        assert main(base + ["--workers", workers]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "workers" in err and err.count("\n") == 1
+    # the worker count follows the affinity mask; it is not a flag
+    assert main(base + ["--workers", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unrecognized arguments: --workers 1" in err
 
 
 def test_rank_tol_is_not_a_setting(tmp_path, capsys):
