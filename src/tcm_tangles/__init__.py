@@ -36,12 +36,10 @@ from .scenarios import (
     CompareResult,
     ConfigError,
     PRESETS,
-    SCENARIO_TYPES,
     ScalingResult,
     ScenarioConfig,
     ScenarioResult,
     compare_exact_vs_approx,
-    load_config,
     preset_config,
     revival_peak_time,
     run_scenario,
@@ -83,7 +81,6 @@ __all__ = [
     "PureState",
     "RoofOptions",
     "RoofResult",
-    "SCENARIO_TYPES",
     "ScalingResult",
     "ScenarioConfig",
     "ScenarioResult",
@@ -110,7 +107,6 @@ __all__ = [
     "initial_state",
     "inversion_overlap",
     "jx_coefficients",
-    "load_config",
     "partial_trace",
     "positivity_sweep",
     "preset_config",

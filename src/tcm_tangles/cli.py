@@ -4,17 +4,17 @@ Subcommands: ``scenario`` (tangle time series), ``compare-approx`` (exact
 vs large-field approximation), ``sweep`` (residual-tangle positivity
 search), ``scaling`` (peak atom-atom tangle vs photon number).
 
-Scenario settings resolve in order: preset < config file (--config, flat
-key=value) < explicit flags; a sweep takes flags only.  Exit codes: 0
-success, 1 configuration error (including a time grid whose phases
-overflow) or an output file that cannot be written, 2 a run that stopped
-(photon-truncation guard, non-finite value, conservation drift, or a sweep
-worker that died).
+Scenario settings are a preset overridden by explicit flags; no settings
+file is read, and an unknown flag exits 1.  Exit codes: 0 success, 1
+configuration error (including a time grid whose phases overflow) or an
+output file that cannot be written, 2 a run that stopped (photon-truncation
+guard, non-finite value, conservation drift, or a sweep worker that died).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import os
 import sys
@@ -24,11 +24,9 @@ from .dynamics import TruncationError
 from .random_states import format_amplitudes, positivity_sweep
 from .scenarios import (
     PRESETS,
-    SCENARIO_TYPES,
     ConfigError,
     ScenarioConfig,
     compare_exact_vs_approx,
-    load_config,
     run_scenario,
     scaling_study,
 )
@@ -44,7 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", choices=sorted(PRESETS), help="named scenario preset")
-    sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--atomic", help="ee, gg, sym_plus, cat_plus, singlet")
     sub.add_argument("--field", choices=["fock", "coherent"], help="field kind")
     sub.add_argument("--n", type=int, help="photon number for a fock field")
@@ -82,12 +79,10 @@ def build_parser() -> _Parser:
 
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     merged = dict(PRESETS[args.preset]) if args.preset else {}
-    if args.config:
-        merged.update(load_config(args.config))
-    for key in SCENARIO_TYPES:
-        value = getattr(args, key, None)
+    for field in dataclasses.fields(ScenarioConfig):  # every setting has a flag
+        value = getattr(args, field.name)
         if value is not None:
-            merged[key] = value
+            merged[field.name] = value
     # choosing a field kind explicitly drops the other kind's inherited value
     if (args.field == "fock" or args.n is not None) and args.mean_n is None:
         merged.pop("mean_n", None)
@@ -96,7 +91,6 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
     for key in ("atomic", "field"):
         if merged.get(key) is None:
             raise ConfigError(f"missing required setting {key!r}")
-    merged["out"] = args.out
     return ScenarioConfig(**merged)
 
 

@@ -120,8 +120,12 @@ def positivity_sweep(
 ) -> SweepResult:
     """Evaluate the residual tangle on Haar-random states and report the minimum.
 
-    Only the 2x2x3 and 2x2x4 systems are supported (smaller third factors
-    make the residual trivial, larger ones leave the rank-2 regime).
+    Only the 2x2x3 and 2x2x4 systems are supported.  For 2x2x2 the
+    residual is the three-tangle, non-negative by the three CKW
+    inequalities summed.  A larger third factor finds no new value: the
+    field marginal has rank <= 4, so a 2x2xD state is a 2x2x4 state up
+    to a local isometry on the field, which leaves the residual unchanged;
+    only the sampling measure differs.
     The samples are split into blocks of ``BLOCK`` states; block i draws
     from ``SeedSequence(seed, spawn_key=(i,))`` and is one kernel call.
     The blocks run on one forked process per CPU in this process's

@@ -39,6 +39,7 @@ from .tensor import RANK_TOL, PureState
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
 MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
+CSV_BLOCK = 10_000  # CSV rows formatted at a time; whole-column lists cost about 200 B a row
 # every time is gt; the echo keeps the unit line, which readers of the CSVs expect
 _G_ECHO = "# g = 1.0"
 
@@ -118,18 +119,6 @@ class ScenarioConfig:
             atomic_state(self.atomic)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-
-# what a scenario config file may set, and the type each value is read as
-SCENARIO_TYPES = {
-    "atomic": str,
-    "field": str,
-    "n": int,
-    "mean_n": float,
-    "t_max": float,
-    "steps": int,
-    "tail_tol": float,
-}
 
 
 PRESETS = {
@@ -370,16 +359,6 @@ def revival_peak_time(
 # files
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Presentation formatting; clamps negative dust above -1e-9 to 0."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if TANGLE_FLOOR < x < 0.0:
-        x = 0.0
-    return f"{x:.12g}"
-
-
 def _config_echo(config: ScenarioConfig) -> list[str]:
     lines = ["# tcm-tangles"]
     for field in dataclasses.fields(config):
@@ -393,43 +372,24 @@ def _config_echo(config: ScenarioConfig) -> list[str]:
 
 
 def _write_rows(path: str, lines: list[str], columns: Mapping[str, Sequence]) -> None:
-    """The comment ``lines``, a header of the ``columns`` names, then one row per index."""
+    """The comment ``lines``, a header of the ``columns`` names, then one row per index.
+
+    Integer columns print as integers, float columns to 12 significant
+    digits, with negative dust in (TANGLE_FLOOR, 0) clamped to 0.  Rows are
+    formatted ``CSV_BLOCK`` at a time, so no copy of a whole column is held.
+    """
+    arrays = [np.asarray(values) for values in columns.values()]
+    floats = [a.dtype.kind not in "iu" for a in arrays]
+    template = ",".join("%.12g" if is_float else "%d" for is_float in floats) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# flat key=value config files
-# ---------------------------------------------------------------------------
-
-def load_config(path: str) -> dict:
-    """Flat key=value scenario file (``#`` comments, blank lines allowed) -> dict.
-
-    Each key must be one of ``SCENARIO_TYPES`` and its value is converted
-    to that type; any other key is an error.
-    """
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-                key, _, raw = (part.strip() for part in text.partition("="))
-                if key not in SCENARIO_TYPES:
-                    raise ConfigError(f"unknown config key {key!r}")
-                try:
-                    values[key] = SCENARIO_TYPES[key](raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"config key {key} expects {SCENARIO_TYPES[key].__name__}, got {raw!r}"
-                    ) from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return values
+        for start in range(0, len(arrays[0]), CSV_BLOCK):
+            cells = []
+            for a, is_float in zip(arrays, floats):
+                a = a[start : start + CSV_BLOCK]
+                if is_float:
+                    a = np.where((TANGLE_FLOOR < a) & (a < 0.0), 0.0, a)
+                cells.append(a.tolist())
+            fh.writelines(template % row for row in zip(*cells))

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import math
 import multiprocessing
@@ -13,18 +12,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import cli, dynamics, random_states, tangles
+from tcm_tangles import cli, dynamics, random_states, scenarios, tangles
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
     MAX_STEPS,
     PRESETS,
     SCENARIO_COLUMNS,
-    SCENARIO_TYPES,
     ConfigError,
     _build_initial,
-    _fmt,
-    load_config,
+    _write_rows,
     preset_config,
     revival_peak_time,
 )
@@ -48,7 +45,9 @@ def echo_value(echo, key):
 
 def printed(values):
     """``values`` as the CSV prints them: 12 digits, dust clamped, read back."""
-    return np.array([float(_fmt(v)) for v in np.atleast_1d(values)])
+    a = np.atleast_1d(np.asarray(values, dtype=float))
+    a = np.where((tangles.TANGLE_FLOOR < a) & (a < 0.0), 0.0, a)
+    return np.array([float(f"{v:.12g}") for v in a])
 
 
 def small_config(**overrides):
@@ -252,12 +251,12 @@ def test_scenario_csv_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_csv_formatting_clamps_dust_only():
-    assert _fmt(-5e-10) == "0"
-    assert _fmt(-2e-9) == "-2e-09"
-    assert _fmt(0.25) == "0.25"
-    assert _fmt(np.int64(7)) == "7"
-    assert _fmt(1.0) == "1"
+def test_csv_formatting_clamps_dust_only(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "CSV_BLOCK", 2)  # the five rows span three blocks
+    out = tmp_path / "rows.csv"
+    values = np.array([-5e-10, -2e-9, 0.25, 1.0, -0.0])
+    _write_rows(str(out), ["# echo"], {"x": values, "k": np.full(5, 7, dtype=np.int64)})
+    assert out.read_bytes() == b"# echo\nx,k\n0,7\n-2e-09,7\n0.25,7\n1,7\n-0,7\n"
 
 
 # --- revival location --------------------------------------------------------
@@ -485,56 +484,6 @@ def test_range_check_message_has_no_suffix(monkeypatch):
     assert str(info.value) == "tau_res = -6.666666666666667 outside [-1e-09, inf]"
 
 
-# --- config files --------------------------------------------------------
-
-
-def test_load_config_parses_types(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# comment\n"
-        "\n"
-        "atomic = gg\n"
-        "field=coherent\n"
-        "mean_n = 25.5\n"
-        "steps = 300\n"
-    )
-    values = load_config(str(path))
-    assert values == {
-        "atomic": "gg",
-        "field": "coherent",
-        "mean_n": 25.5,
-        "steps": 300,
-    }
-    # a scenario file may set every ScenarioConfig field but the output path
-    fields = {f.name for f in dataclasses.fields(tt.ScenarioConfig)}
-    assert set(SCENARIO_TYPES) == fields - {"out"}
-
-
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("steps 300\n", "expected key=value"),
-        ("volume = 3\n", "unknown config key"),
-        ("steps = many\n", "expects int"),
-        ("approx_compare = maybe\n", "unknown config key"),
-        ("preset = fig2\n", "unknown config key"),
-        ("omega = 0.5\n", "unknown config key 'omega'"),
-        ("measure = haar\n", "unknown config key 'measure'"),
-        ("g = 2\n", "unknown config key 'g'"),
-    ],
-)
-def test_load_config_errors(tmp_path, text, fragment):
-    path = tmp_path / "bad.cfg"
-    path.write_text(text)
-    with pytest.raises(ConfigError, match=fragment):
-        load_config(str(path))
-
-
-def test_load_config_missing_file():
-    with pytest.raises(ConfigError, match="cannot read"):
-        load_config("/no/such/file.cfg")
-
-
 # --- command line --------------------------------------------------------
 
 
@@ -554,17 +503,16 @@ def test_cli_scenario_runs(tmp_path, capsys):
 
 
 def test_cli_merge_order(tmp_path):
-    cfg = tmp_path / "o.cfg"
-    cfg.write_text("steps = 77\ntail_tol = 1e-12\n")
     out = tmp_path / "m.csv"
     code = main(
-        ["scenario", "--preset", "fig1", "--config", str(cfg),
-         "--steps", "88", "--t-max", "0.5", "--out", str(out)]
+        ["scenario", "--preset", "fig1", "--steps", "88", "--tail-tol", "1e-12",
+         "--t-max", "0.5", "--out", str(out)]
     )
     assert code == 0
     echo, _, data = read_csv(out)
-    assert "# steps = 88" in echo  # flag beats config file
-    assert "# tail_tol = 1e-12" in echo  # config file beats preset
+    assert "# steps = 88" in echo  # the preset's 2000 is overridden
+    assert "# tail_tol = 1e-12" in echo  # the default 1e-10 is overridden
+    assert "# n = 10" in echo  # inherited from the preset
     assert data.shape == (88, 8)
 
 
@@ -597,17 +545,14 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "dark singlet" in err
     assert not out.exists()
-    # a config file key the subcommand does not read is named in one stderr line
+    # no subcommand reads a config file: --config is an unknown flag
     cfg = tmp_path / "k.cfg"
-    scenario = ["scenario", "--preset", "fig1", "--steps", "5", "--config", str(cfg)]
-    for key, value in (("measure", 1), ("omega", 1), ("approx_compare", 1), ("g", 2)):
-        cfg.write_text(f"{key} = {value}\n")
-        assert main(scenario + ["--out", str(out)]) == 1
+    cfg.write_text("steps = 5\n")
+    for argv in (["scenario", "--preset", "fig1"], ["compare-approx", "--preset", "fig4"]):
+        assert main(argv + ["--steps", "5", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"unknown config key {key!r}" in err
+        assert err.count("\n") == 1 and "unrecognized arguments: --config" in err
         assert not out.exists()
-    # a sweep takes no config file at all
-    cfg.write_text("rank_tol = 1e-6\n")
     assert main(["sweep", "--dims", "2x2x3", "--samples", "5", "--config", str(cfg),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -655,12 +600,10 @@ def test_cli_non_finite_input_exits_1(tmp_path, capsys):
 
 
 def test_cli_truncation_guard_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "loose.cfg"
-    cfg.write_text("tail_tol = 0.01\n")
     out = tmp_path / "t.csv"
     code = main(
         ["scenario", "--atomic", "ee", "--field", "coherent", "--mean-n", "20",
-         "--t-max", "3.0", "--steps", "40", "--config", str(cfg), "--out", str(out)]
+         "--t-max", "3.0", "--steps", "40", "--tail-tol", "0.01", "--out", str(out)]
     )
     assert code == 2
     # TruncationError is a RuntimeError, but keeps its own prefix
@@ -763,8 +706,8 @@ def test_cli_sweep(tmp_path, capsys):
 
 
 def test_rank_tol_is_not_a_setting(tmp_path, capsys):
-    # the effective-rank cutoff is the constant RANK_TOL: no flag and no
-    # config key sets it, and asking for one exits 1 before any run
+    # the effective-rank cutoff is the constant RANK_TOL: no flag sets it,
+    # and asking for one exits 1 before any run
     out = tmp_path / "x.csv"
     for argv in (
         ["scenario", "--preset", "fig1", "--steps", "5"],
@@ -775,12 +718,6 @@ def test_rank_tol_is_not_a_setting(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unrecognized arguments: --rank-tol 1e-10" in err
         assert not out.exists()
-    cfg = tmp_path / "r.cfg"
-    cfg.write_text("rank_tol = 1e-8\n")
-    argv = ["scenario", "--preset", "fig1", "--steps", "5", "--config", str(cfg)]
-    assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == "config error: unknown config key 'rank_tol'\n"
-    assert not out.exists()
 
 
 def test_cli_scaling(tmp_path):

@@ -577,7 +577,8 @@ def test_residual_fast_path_matches_generic():
 
 def test_residual_batch_matches_scalar():
     rng = np.random.default_rng(63)
-    for dims in [(2, 2, 3), (2, 2, 4)]:
+    # a field beyond 4 adds no Schmidt rank: each atom-field pair stays rank <= 2
+    for dims in [(2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 8)]:
         total = int(np.prod(dims))
         states = np.array([haar_vec(rng, total) for _ in range(40)])
         batch = tt.residual_tangle_batch(states, dims)
