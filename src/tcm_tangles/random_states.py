@@ -136,9 +136,9 @@ def positivity_sweep(
     on (dims, samples, seed) alone, not on the worker count.
     States below ``TANGLE_FLOOR`` (-1e-9) are counted
     and, when ``dump_path`` is set, appended to that file.  That threshold
-    is about 2.8e5 times the worst error measured for either tangle kernel
-    against a 40-digit reference (3.6e-15 for the rank-2 kernel on nearly
-    pure atom-field pairs, 1.3e-15 for Wootters), so a count measures the
+    is about 3e5 times the worst error measured for either tangle kernel
+    against a 40-digit reference (3.3e-15 for the rank-2 kernel on nearly
+    pure atom-field pairs, 7.8e-16 for Wootters), so a count measures the
     residual tangle, not roundoff.  A non-finite value, or a worker that
     dies, raises ``RuntimeError``; no worker outlives the call.
     """

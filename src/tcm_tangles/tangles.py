@@ -76,12 +76,15 @@ def _wootters_batch(w: np.ndarray) -> np.ndarray:
     """Squared concurrence of the two-qubit states rho = W W^H of a (..., 4, k) stack.
 
     The l_i are the singular values of W^T (sigma_y x sigma_y) W (Wootters,
-    PRL 80, 2245 (1998)).  A thin QR W^T = Q R gives W' = R^T, a factor of
-    the same rho with at most four columns, so the SVD is at most 4 x 4
-    and no square root of rho is taken: accurate to roundoff at any rank.
+    PRL 80, 2245 (1998)).  With more than four columns, a thin QR
+    W^T = Q R first gives W' = R^T, a factor of the same rho with four
+    columns and the same singular values; with at most four the product is
+    already at most 4 x 4 and no QR runs.  No square root of rho is taken:
+    accurate to roundoff at any rank.
     """
-    wp = np.linalg.qr(w.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    lam = np.linalg.svd(wp.swapaxes(-1, -2) @ _SIGMA_YY @ wp, compute_uv=False)
+    if w.shape[-1] > 4:
+        w = np.linalg.qr(w.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+    lam = np.linalg.svd(w.swapaxes(-1, -2) @ _SIGMA_YY @ w, compute_uv=False)
     # svd sorts descending: the largest value minus the others
     c = 2.0 * lam[..., 0] - lam.sum(axis=-1)
     return np.maximum(c, 0.0) ** 2
@@ -118,6 +121,41 @@ def pure_itangle(state: PureState, side: Sequence[int]) -> float:
 # rank-2 mixed states with a qubit purifier: closed form
 # ---------------------------------------------------------------------------
 
+# _sym3_lam_max solves with eigvalsh where r = det(B)/2 < -1 + TOP_PAIR_GUARD.
+# Against 40-digit references on 2,450 3 x 3 matrices with eigenvalues in
+# [0, 1], the arccos form was off by at most 8.9e-16 for 1 + r in
+# [1e-2, 1e-1), 3.0e-15 in [1e-3, 1e-2) and 6.3e-9 below 1e-12; eigvalsh
+# by at most 1.1e-15 anywhere.
+TOP_PAIR_GUARD = 1e-2
+
+
+def _sym3_lam_max(a: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each matrix of a (N, 3, 3) real symmetric stack.
+
+    Trigonometric closed form (O. K. Smith, CACM 4, 168 (1961)): with
+    q = tr(A)/3, p = ||A - q||_F / sqrt(6) and B = (A - q)/p, the
+    eigenvalues are q + 2p cos(phi + 2 pi k/3) with phi = arccos(r)/3 and
+    r = det(B)/2, and k = 0 gives the largest.  As r nears -1 the two
+    largest meet and arccos loses up to about sqrt(eps), so those
+    matrices go to ``eigvalsh`` (the hybrid scheme of J. Kopp, Int. J.
+    Mod. Phys. C 19, 523 (2008)).  A multiple of the identity has p = 0
+    and gets q.
+    """
+    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
+    dev = a - q[..., None, None] * np.eye(3)
+    p = np.sqrt(np.sum(dev**2, axis=(-2, -1)) / 6.0)
+    b = dev / np.where(p > 0.0, p, 1.0)[..., None, None]
+    # the lower triangle, which eigvalsh reads
+    (b00, _, _), (b10, b11, _), (b20, b21, b22) = np.moveaxis(b, (-2, -1), (0, 1))
+    r = (b00 * (b11 * b22 - b21**2) - b10 * (b10 * b22 - b21 * b20)
+         + b20 * (b10 * b21 - b11 * b20)) / 2.0
+    lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    near = r < -1.0 + TOP_PAIR_GUARD
+    if near.any():
+        lam[near] = np.linalg.eigvalsh(a[near])[..., -1]
+    return lam
+
+
 def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
     """Tangle of pair states purified by a qubit, batched.
 
@@ -145,7 +183,9 @@ def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
     subtraction in T_i, on O(1) entries of S, so T_i is off by about eps.
     Along b, T is O(s^2) where W is 1/s, so W C W stays accurate to about
     eps up to and including a pure pair (s is clamped at sqrt(eps) only
-    to keep 0 * inf out): no branch and no tolerance.
+    to keep 0 * inf out).  Its largest eigenvalue comes from the closed
+    form of ``_sym3_lam_max``, which hands the matrices whose top two
+    eigenvalues nearly meet (within ``TOP_PAIR_GUARD``) to ``eigvalsh``.
     """
     (r00, r01), (r10, r11) = np.moveaxis(r, (-4, -3), (0, 1))
     s_mu = np.stack([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11], axis=-3)
@@ -155,7 +195,7 @@ def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
     gram = np.einsum("...iab,...jba->...ij", t, t).real
     s = np.sqrt(np.maximum(1.0 - np.sum(bloch**2, axis=-1), np.finfo(float).eps))
     w = np.eye(3) + bloch[..., :, None] * bloch[..., None, :] / (s * (1.0 + s))[..., None, None]
-    lam_max = np.linalg.eigvalsh(w @ gram @ w)[..., -1]
+    lam_max = _sym3_lam_max(w @ gram @ w)
     purity = np.einsum("...ab,...ba->...", s0, s0).real
     return 2.0 - 2.0 * purity - 2.0 * lam_max
 
@@ -364,10 +404,19 @@ _COLUMN_RANGES = {
 }
 
 
-def _cut_tangles(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a stack of pure-state marginals and each cut's tangle 2*(1 - sum lam^2)."""
-    evals = np.linalg.eigvalsh(rho)
-    return evals, 2.0 * (1.0 - np.sum(evals**2, axis=-1))
+def _qubit_cut(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of a (N, 2, 2) stack of unit-trace one-qubit
+    marginals of pure states, and each cut's tangle 4 det(rho), which is
+    2*(1 - tr rho^2) at unit trace, all in closed form.
+
+    The larger eigenvalue is tr/2 + hypot((a - d)/2, |b|) and the smaller
+    det/lam_max, which stays accurate near a pure state, where
+    tr/2 - hypot would cancel.
+    """
+    a, d, b = rho[:, 0, 0].real, rho[:, 1, 1].real, np.abs(rho[:, 0, 1])
+    det = a * d - b**2
+    lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
+    return np.stack([det / lam_max, lam_max], axis=-1), 4.0 * det
 
 
 def tcm_columns(
@@ -379,9 +428,11 @@ def tcm_columns(
     Only what the named columns need is computed: ``tau_AA`` is the
     Wootters kernel on the (N, 4, D) amplitude view M, and ``tau_F_AA``,
     ``field_eff_dim`` and ``inversion`` need rho_AA = M @ M^H (the product
-    ``partial_trace`` forms), its spectrum and its diagonal.  Both sides of
-    a pure-state cut share their nonzero spectrum, so the field's purity
-    and effective dimension come from rho_AA.  Only ``tau_A_rest``,
+    ``partial_trace`` forms): its purity tr rho_AA^2 = ||rho_AA||_F^2, its
+    spectrum and its diagonal.  Both sides of a pure-state cut share their
+    nonzero spectrum, so the field's purity and effective dimension come
+    from rho_AA.  The 4 x 4 eigensolve runs only for ``field_eff_dim``
+    and the residual, which need its rank.  Only ``tau_A_rest``,
     ``tau_AF`` and ``tau_res`` run the one-atom spectra and the rank-2
     closed form, which needs only the purifier correlations of each
     atom-field pair (purified by the spare atom), a transposed view of
@@ -397,13 +448,14 @@ def tcm_columns(
         cols["tau_AA"] = _wootters_batch(m)
     if full or set(names) - {"tau_AA"}:
         rho_aa = m @ m.conj().swapaxes(-1, -2)
-        evals, cols["tau_F_AA"] = _cut_tangles(rho_aa)
-        cols["field_eff_dim"] = np.count_nonzero(evals > RANK_TOL, axis=-1)
+        cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("nab,nba->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real
+    if full or "field_eff_dim" in names:
+        cols["field_eff_dim"] = np.count_nonzero(np.linalg.eigvalsh(rho_aa) > RANK_TOL, axis=-1)
     if full:
         rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
-        ev_a1, tau_a_rest = _cut_tangles(np.einsum("nabcb->nac", rho4))
-        ev_a2, tau_a2_rest = _cut_tangles(np.einsum("nabad->nbd", rho4))
+        ev_a1, tau_a_rest = _qubit_cut(np.einsum("nabcb->nac", rho4))
+        ev_a2, tau_a2_rest = _qubit_cut(np.einsum("nabad->nbd", rho4))
         d_f = cols["field_eff_dim"]
         d_a1, d_a2 = (np.count_nonzero(ev > RANK_TOL, axis=-1) for ev in (ev_a1, ev_a2))
         # two calls at N states each: one call on 2N doubles the kernel's peak memory

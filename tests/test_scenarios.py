@@ -663,8 +663,11 @@ def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
     _, header, _ = read_csv(out)
     assert header == ["gt", "tau_F_AA_exact", "tau_F_AA_approx", "abs_diff"]
     # a non-finite exact tangle fails the range check: exit 1, one line
+    columns = scenarios.tcm_columns
     monkeypatch.setattr(
-        tangles, "_cut_tangles", lambda rho: (np.linalg.eigvalsh(rho), np.full(len(rho), np.nan))
+        scenarios,
+        "tcm_columns",
+        lambda amps, names: {**columns(amps, names), "tau_F_AA": np.full(len(amps), np.nan)},
     )
     assert main(argv) == 1
     assert capsys.readouterr().err == "config error: tau_F_AA = nan outside [-1e-09, inf]\n"

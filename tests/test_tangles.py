@@ -316,8 +316,9 @@ def _mpmath_rank2_tangle(psi, purifier):
 
 def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
     # on an evolved fig1 stack and on Haar (2, 2, 5) states, each subset is
-    # bit-identical to the full call, and a tau_AA-only call runs no
-    # eigensolve, a tau_F_AA-only call neither Wootters nor rank-2
+    # bit-identical to the full call, a tau_AA-only call runs no marginal
+    # spectrum and no rank-2 kernel, and a tau_F_AA-only call (compare-approx)
+    # runs no eigensolve at all, nor Wootters
     fig1 = evolve_preset(preset_config("fig1"), slice(None, None, 50))
     rng = np.random.default_rng(67)
     haar = np.array([haar_vec(rng, 20) for _ in range(30)])
@@ -325,18 +326,24 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("not needed for the named columns")
 
+    wootters, rank2, qubit_cut, eigvalsh = (
+        "tcm_tangles.tangles._wootters_batch",
+        "tcm_tangles.tangles._rank2_tangle_core",
+        "tcm_tangles.tangles._qubit_cut",
+        "numpy.linalg.eigvalsh",
+    )
     for amps in (fig1, haar):
         full = tcm_columns(amps)
         assert list(full) == list(SCENARIO_COLUMNS)
         for names, unused in [
-            (("tau_F_AA",), ("_wootters_batch", "_rank2_tangle_core")),
-            (("tau_AA",), ("_cut_tangles", "_rank2_tangle_core")),
+            (("tau_F_AA",), (wootters, rank2, qubit_cut, eigvalsh)),
+            (("tau_AA",), (eigvalsh, qubit_cut, rank2)),
             (("tau_res",), ()),
             (SCENARIO_COLUMNS, ()),
         ]:
             with monkeypatch.context() as patch:
-                for name in unused:
-                    patch.setattr(tangles, name, refuse)
+                for target in unused:
+                    patch.setattr(target, refuse)
                 part = tcm_columns(amps, names)
             assert list(part) == list(names)
             for name in names:
@@ -345,19 +352,25 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
         tcm_columns(haar, ("tau_XY",))
 
 
+def _recorded_calls(monkeypatch, name, amps):
+    """[(argument, result)] of each call of ``tangles.<name>`` in one full
+    ``tcm_columns(amps)``, in order, and that call's columns."""
+    calls = []
+    func = getattr(tangles, name)
+    with monkeypatch.context() as patch:
+        patch.setattr(tangles, name, lambda arg: calls.append((arg, func(arg))) or calls[-1][1])
+        columns = tcm_columns(amps)
+    return calls, columns
+
+
 def _kernel_pair_tangles(monkeypatch, amps):
     """(tau_A1F, tau_A2F) of a state stack: the two rank-2 kernel calls of
     ``tcm_columns``, recorded in order (A1-field purified by atom 2, then
     A2-field purified by atom 1)."""
-    calls = []
-    core = tangles._rank2_tangle_core
-    monkeypatch.setattr(
-        tangles, "_rank2_tangle_core", lambda *args: calls.append(core(*args)) or calls[-1]
-    )
-    columns = tcm_columns(amps)
+    calls, columns = _recorded_calls(monkeypatch, "_rank2_tangle_core", amps)
     assert len(calls) == 2
-    np.testing.assert_array_equal(calls[0], columns["tau_AF"])
-    return calls
+    np.testing.assert_array_equal(calls[0][1], columns["tau_AF"])
+    return [result for _, result in calls]
 
 
 @pytest.mark.parametrize("field_dim", [2, 3, 4, 5, 6])
@@ -394,6 +407,102 @@ def test_rank2_kernel_matches_wootters_on_qubit_fields():
         np.testing.assert_allclose(
             tcm_columns(amps)["tau_AF"], _wootters_batch(factor), atol=1e-13, rtol=0
         )
+
+
+def _mpmath_lam_max(a):
+    """Largest eigenvalue of each 3 x 3 of a stack at 40 digits, of the
+    symmetric matrix its lower triangle defines (the triangle eigvalsh reads)."""
+    with mpmath.workdps(40):
+        return np.array([
+            float(max(mpmath.eigsy(mpmath.matrix((np.tril(m) + np.tril(m, -1).T).tolist()),
+                                   eigvals_only=True)))
+            for m in a
+        ])
+
+
+def _rotated(rng, spectrum):
+    """A real symmetric matrix with the given spectrum in a random basis."""
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return (q * spectrum) @ q.T
+
+
+def test_lam_max_matches_mpmath_at_degenerate_tops(monkeypatch):
+    # the closed form's hard cases: a top pair that meets, where arccos alone
+    # is off by about sqrt(eps), and three equal eigenvalues, where p = 0
+    rng = np.random.default_rng(69)
+    # the atom-symmetric |ee>|3> state at gt = 0.9: both W C W have an
+    # exactly degenerate top pair; Bell atoms times a Haar field, atom 1
+    # rotated: each atom is maximally mixed, each W C W is 1/2 times the
+    # identity up to rounding, and each atom-field pair is a product state
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    bell = np.kron(np.kron(u, np.eye(2)) @ BELL, haar_vec(rng, 5))
+    symmetric = tt.evolve(tt.initial_state("ee", tt.fock_state(3, 8), 8), 0.9).amplitudes
+    for amps, reference in [
+        (symmetric[None], [_mpmath_rank2_tangle(symmetric, 1)]),
+        (bell[None], [0.0]),
+    ]:
+        calls, columns = _recorded_calls(monkeypatch, "_sym3_lam_max", amps)
+        assert len(calls) == 2
+        for wcw, lam in calls:
+            np.testing.assert_allclose(lam, _mpmath_lam_max(wcw), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(columns["tau_AF"], reference, atol=1e-12, rtol=0)
+    # constructed: two equal top eigenvalues, three equal ones, and exactly 0.3 I
+    constructed = np.array(
+        [_rotated(rng, [0.7, 0.7, 0.2]) for _ in range(20)]
+        + [_rotated(rng, [0.4, 0.4, 0.4]) for _ in range(20)]
+        + [0.3 * np.eye(3)]
+    )
+    lam = tangles._sym3_lam_max(constructed)
+    np.testing.assert_allclose(lam, _mpmath_lam_max(constructed), atol=1e-12, rtol=0)
+    assert lam[-1] == 0.3
+
+
+def test_lam_max_closed_form_and_fallback_match_eigvalsh(monkeypatch):
+    # the closed form on the W C W of Haar (2, 2, 3) and (2, 2, 4) stacks, and
+    # the eigvalsh fallback on an atom-symmetric scenario, whose top pairs meet
+    rng = np.random.default_rng(70)
+    state = tt.initial_state("ee", tt.fock_state(3, 8), 8)
+    symmetric = np.array([tt.evolve(state, gt).amplitudes for gt in np.linspace(0.0, 4.0, 50)])
+    stacks = [(np.array([haar_vec(rng, 4 * d) for _ in range(2000)]), False) for d in (3, 4)]
+    stacks.append((symmetric, True))
+    eigvalsh = np.linalg.eigvalsh
+    for amps, top_pairs_meet in stacks:
+        calls, _ = _recorded_calls(monkeypatch, "_sym3_lam_max", amps)
+        wcw = np.concatenate([arg for arg, _ in calls])
+        solved = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+            lam = tangles._sym3_lam_max(wcw)
+        np.testing.assert_allclose(lam, eigvalsh(wcw)[:, -1], atol=1e-13, rtol=0)
+        if top_pairs_meet:
+            assert sum(solved) > 0
+        else:
+            assert sum(solved) < 0.01 * len(wcw)
+
+
+def test_qubit_cut_matches_mpmath_across_impurities(monkeypatch):
+    # one-atom spectra and tau_A_rest from a pure atom-field pair up to an
+    # impurity of 1e-4, against 40-digit marginals of the same amplitudes
+    rng = np.random.default_rng(71)
+    amps = np.concatenate([impure_atom_states(rng, 3, atom) for atom in (1, 0)])
+    calls, columns = _recorded_calls(monkeypatch, "_qubit_cut", amps)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[0][1][1], columns["tau_A_rest"])
+    for atom, (_, (spectra, tau)) in enumerate(calls):
+        reference = []
+        with mpmath.workdps(40):
+            for psi in amps:
+                t = np.moveaxis(psi.reshape(2, 2, -1), atom, 0).reshape(2, -1)
+                m = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in t])
+                rho = m * m.H
+                evals = sorted(mpmath.eighe(rho, eigvals_only=True))
+                purity = sum(abs(rho[i, j]) ** 2 for i in range(2) for j in range(2))
+                reference.append([float(evals[0]), float(evals[1]), float(2 - 2 * purity)])
+        reference = np.array(reference)
+        np.testing.assert_allclose(spectra, reference[:, :2], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(tau, reference[:, 2], atol=1e-12, rtol=0)
+        # det / lam_max keeps the small eigenvalue's relative accuracy
+        np.testing.assert_allclose(spectra[:, 0], reference[:, 0], atol=0, rtol=1e-12)
 
 
 # --- convex roof -----------------------------------------------------------
