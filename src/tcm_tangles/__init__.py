@@ -18,14 +18,7 @@ from .dynamics import (
     fock_state,
     initial_state,
 )
-from .markoff import (
-    JxCoefficients,
-    approx_tau_F_AA,
-    constant_c,
-    h_of_t,
-    jx_coefficients,
-    scaled_time,
-)
+from .markoff import approx_tau_F_AA
 from .random_states import (
     SweepResult,
     haar_pure,
@@ -76,7 +69,6 @@ __all__ = [
     "CompareResult",
     "ConfigError",
     "DensityMatrix",
-    "JxCoefficients",
     "PRESETS",
     "PureState",
     "RoofOptions",
@@ -92,7 +84,6 @@ __all__ = [
     "atomic_state",
     "coherent_state",
     "compare_exact_vs_approx",
-    "constant_c",
     "convex_roof_decomposition",
     "convex_roof_itangle",
     "effective_rank",
@@ -100,13 +91,11 @@ __all__ = [
     "evolve",
     "excitation_distribution",
     "fock_state",
-    "h_of_t",
     "haar_pure",
     "haar_pure_batch",
     "i_residual_tangle",
     "initial_state",
     "inversion_overlap",
-    "jx_coefficients",
     "partial_trace",
     "positivity_sweep",
     "preset_config",
@@ -116,7 +105,6 @@ __all__ = [
     "residual_tangle_batch",
     "revival_peak_time",
     "run_scenario",
-    "scaled_time",
     "scaling_study",
     "tangle_report",
     "tensor_product",

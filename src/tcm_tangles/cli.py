@@ -8,7 +8,8 @@ Scenario settings are a preset overridden by explicit flags; no settings
 file is read, and an unknown flag exits 1.  Exit codes: 0 success, 1
 configuration error (including a time grid whose phases overflow) or an
 output file that cannot be written, 2 a run that stopped (photon-truncation
-guard, non-finite value, conservation drift, or a sweep worker that died).
+guard, non-finite or out-of-range value, conservation drift, or a sweep
+worker that died).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TruncationError as exc:
         print(f"truncation guard: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a non-finite value, a conservation drift, a dead worker
+    except RuntimeError as exc:  # a value out of range, a conservation drift, a dead worker
         print(f"run error: {exc}", file=sys.stderr)
         return 2
     return 0

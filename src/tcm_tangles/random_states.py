@@ -25,6 +25,8 @@ from .tensor import PureState, SystemShape
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
 BLOCK = 10_000  # states per random stream and per kernel call
+# the pool queues every block's future (about 2.2 KB) before the first result
+MAX_SAMPLES = 10**8
 
 
 def haar_pure(dims: Union[SystemShape, Sequence[int]], seed) -> PureState:
@@ -126,8 +128,9 @@ def positivity_sweep(
     field marginal has rank <= 4, so a 2x2xD state is a 2x2x4 state up
     to a local isometry on the field, which leaves the residual unchanged;
     only the sampling measure differs.
-    The samples are split into blocks of ``BLOCK`` states; block i draws
-    from ``SeedSequence(seed, spawn_key=(i,))`` and is one kernel call.
+    The samples, at most ``MAX_SAMPLES``, are split into blocks of ``BLOCK``
+    states; block i draws from ``SeedSequence(seed, spawn_key=(i,))`` and
+    is one kernel call.
     The blocks run on one forked process per CPU in this process's
     affinity mask, at most one per block; one worker runs them in this
     process, as on platforms without an affinity mask, and ``taskset -c 0``
@@ -145,8 +148,8 @@ def positivity_sweep(
     dims = tuple(int(d) for d in dims)
     if dims not in SWEEP_DIMS:
         raise ValueError(f"unsupported dims {dims}; choose from {SWEEP_DIMS}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in 1 .. {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 

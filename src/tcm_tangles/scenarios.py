@@ -32,7 +32,7 @@ from .dynamics import (
     initial_state,
     whole_number,
 )
-from .markoff import approx_tau_F_AA, jx_coefficients
+from .markoff import approx_tau_F_AA
 from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
 from .tensor import RANK_TOL, PureState
 
@@ -188,7 +188,7 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     norm and excitation distribution (to 1e-10) and the truncation guard
     at every point; the result reports its largest drifts.  ``tcm_columns``
     computes only what the named columns need, and every column is
-    range-checked once (ConfigError).
+    range-checked once (RuntimeError).
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator()
@@ -196,10 +196,10 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     series = prop.evolve_series(state, gts, n0)
     chunks = [tcm_columns(amps, names) for amps in series]
     columns = {name: np.concatenate([c[name] for c in chunks]) for name in names}
-    try:
+    try:  # no setting causes or fixes an out-of-range value: a run error
         check_tangle_columns(columns)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise RuntimeError(str(exc)) from None
     return ScenarioResult(
         config=config,
         gt=gts,
@@ -246,9 +246,8 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     """
     if config.field != "coherent":
         raise ConfigError("the approximation comparison needs a coherent field")
-    coeffs = jx_coefficients(atomic_state(config.atomic))
     try:  # a singlet component, or mean_n <= 1/2, is outside the approximation
-        approx_tau_F_AA(coeffs, 0.0, config.mean_n)
+        approx_tau_F_AA(config.atomic, 0.0, config.mean_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     gts = np.linspace(0.0, config.t_max, config.steps)
@@ -259,7 +258,7 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
         raise ConfigError(f"grid [0, {config.t_max}] misses the comparison window {window}")
     # the exact run raises OverflowError first for a grid too long to evolve
     exact = _evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
-    approx = approx_tau_F_AA(coeffs, gts, config.mean_n)
+    approx = approx_tau_F_AA(config.atomic, gts, config.mean_n)
     abs_diff = np.abs(exact - approx)
     sup = float(np.max(abs_diff[mask]))
     if config.out:

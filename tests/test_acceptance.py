@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 import tcm_tangles as tt
+from tcm_tangles.markoff import JX_BASIS
 from tcm_tangles.scenarios import preset_config, revival_peak_time
 from tcm_tangles.tangles import _wootters_batch
 
@@ -203,10 +204,14 @@ def test_criterion_03_stretched_symmetric_degeneracy(fig2_ee, fig2_gg, fig3_sym,
 def test_criterion_04_large_field_approximation(compare500, announce):
     mask = _collision_free_window(compare500.gt, compare500.config.mean_n)
     sup = float(np.max(np.abs(compare500.exact - compare500.approx)[mask]))
-    coeffs = tt.jx_coefficients(tt.atomic_state("ee"))
-    c_value = tt.constant_c(coeffs)
-    t_prime = tt.scaled_time(compare500.gt, 500.0)
-    recomputed = 2.0 * (1.0 - (c_value - tt.h_of_t(coeffs, t_prime)) / 4.0)
+    # |ee> has J_x pointer weights w_-1 = w_1 = 1/4, w_0 = 1/2 (markoff docstring)
+    m1, z, p1 = (abs(a) ** 2 for a in JX_BASIS[:3] @ tt.atomic_state("ee"))
+    c_value = 4.0 * (m1**2 + z**2 + p1**2) + 2.0 * z * (m1 + p1) + 3.0 * m1 * p1
+    t_prime = compare500.gt / (2.0 * math.sqrt(500.0 - 0.5))
+    h = (2.0 * z * (m1 + p1) + 4.0 * m1 * p1) * np.cos(4.0 * t_prime) - m1 * p1 * np.cos(
+        8.0 * t_prime
+    )
+    recomputed = 2.0 * (1.0 - (c_value - h) / 4.0)
     curve_matches = bool(np.max(np.abs(recomputed - compare500.approx)) < 1e-12)
     c_pinned = abs(c_value - 35.0 / 16.0) < 1e-12
     ok = sup <= 0.05 and curve_matches and c_pinned

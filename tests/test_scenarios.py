@@ -312,10 +312,7 @@ def test_compare_small_coherent(tmp_path):
     assert abs(result.window[0] - 0.2 * revival_gt) < 1e-12
     assert abs(result.window[1] - 0.8 * revival_gt) < 1e-12
 
-    coeffs = tt.jx_coefficients(tt.atomic_state("ee"))
-    np.testing.assert_array_equal(
-        result.approx, tt.approx_tau_F_AA(coeffs, result.gt, 4.0)
-    )
+    np.testing.assert_array_equal(result.approx, tt.approx_tau_F_AA("ee", result.gt, 4.0))
     mask = (result.gt >= result.window[0]) & (result.gt <= result.window[1])
     sup = np.max(np.abs(result.exact - result.approx)[mask])
     assert result.window_sup_norm == pytest.approx(sup, abs=0)
@@ -464,21 +461,26 @@ def test_scaling_runs_the_scenario_loop(monkeypatch):
         config = tt.ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=200)
         assert peak == tt.run_scenario(config).column("tau_AA").max()
     monkeypatch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(RuntimeError) as info:
         tt.scaling_study(ns, steps=200)
     assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
 
 
-def test_range_check_message_has_no_suffix(monkeypatch):
-    # a failure names the column, its first bad value and the range, nothing more
+def test_range_check_message_has_no_suffix(monkeypatch, tmp_path, capsys):
+    # a failure names the column, its first bad value and the range, nothing
+    # more; no setting causes it, so it is a run error (exit 2), not a config error
     with monkeypatch.context() as patch:
         patch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(RuntimeError) as info:
             tt.run_scenario(small_config())
-    assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
+        assert not isinstance(info.value, ConfigError)
+        assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
+        argv = ["scenario", "--preset", "fig1", "--steps", "20", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "run error: tau_AA = nan outside [-1e-09, 1]\n"
     # a large pairwise atom-field tangle passes its own check but drives tau_res negative
     monkeypatch.setattr(tangles, "_rank2_tangle_core", lambda r: np.full(len(r), 10.0))
-    with pytest.raises(ConfigError) as info:
+    with pytest.raises(RuntimeError) as info:
         tt.run_scenario(small_config())
     # at gt = 0 every tangle but the patched pair is 0 and every rank is 1: -(2/3) * 10
     assert str(info.value) == "tau_res = -6.666666666666667 outside [-1e-09, inf]"
@@ -662,15 +664,15 @@ def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
     assert "window sup-norm" in capsys.readouterr().out
     _, header, _ = read_csv(out)
     assert header == ["gt", "tau_F_AA_exact", "tau_F_AA_approx", "abs_diff"]
-    # a non-finite exact tangle fails the range check: exit 1, one line
+    # a non-finite exact tangle fails the range check: a run error, exit 2, one line
     columns = scenarios.tcm_columns
     monkeypatch.setattr(
         scenarios,
         "tcm_columns",
         lambda amps, names: {**columns(amps, names), "tau_F_AA": np.full(len(amps), np.nan)},
     )
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "config error: tau_F_AA = nan outside [-1e-09, inf]\n"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "run error: tau_F_AA = nan outside [-1e-09, inf]\n"
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -699,6 +701,11 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--dims", "2x2x5", "--samples", "10", "--out", str(out)]) == 1
     assert main(["sweep", "--dims", "2x2x3", "--samples", "0", "--out", str(out)]) == 1
     capsys.readouterr()
+    too_many = str(random_states.MAX_SAMPLES + 1)
+    assert main(["sweep", "--dims", "2x2x3", "--samples", too_many, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: samples must lie in 1 .. {random_states.MAX_SAMPLES}, got {too_many}\n"
+    )
     base = ["sweep", "--dims", "2x2x3", "--samples", "10", "--out", str(out)]
     assert main(base + ["--seed", "-1"]) == 1
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
