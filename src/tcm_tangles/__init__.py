@@ -27,7 +27,6 @@ from .random_states import (
 )
 from .scenarios import (
     CompareResult,
-    ConfigError,
     PRESETS,
     ScalingResult,
     ScenarioConfig,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ATOMIC_STATES",
     "CompareResult",
-    "ConfigError",
     "DensityMatrix",
     "PRESETS",
     "PureState",

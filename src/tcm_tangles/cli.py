@@ -5,11 +5,11 @@ vs large-field approximation), ``sweep`` (residual-tangle positivity
 search), ``scaling`` (peak atom-atom tangle vs photon number).
 
 Scenario settings are a preset overridden by explicit flags; no settings
-file is read, and an unknown flag exits 1.  Exit codes: 0 success, 1
-configuration error (including a time grid whose phases overflow) or an
-output file that cannot be written, 2 a run that stopped (photon-truncation
-guard, non-finite or out-of-range value, conservation drift, or a sweep
-worker that died).
+file is read, and an unknown flag exits 1.  Exit codes: 0 success; 1 bad
+input, a ValueError from whatever reads it (or an OverflowError from a time
+grid whose phases overflow), or an output path that is empty, a directory or
+in a missing directory; 2 a run that stopped, a RuntimeError (truncation
+guard, non-finite or out-of-range value, conservation drift, dead worker).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .dynamics import TruncationError
 from .random_states import format_amplitudes, positivity_sweep
 from .scenarios import (
     PRESETS,
-    ConfigError,
     ScenarioConfig,
     compare_exact_vs_approx,
     run_scenario,
@@ -35,10 +34,10 @@ from .tensor import RANK_TOL
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad usage as ConfigError (exit code 1)."""
+    """argparse that reports bad usage as ValueError (exit code 1)."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -91,7 +90,7 @@ def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
         merged.pop("n", None)
     for key in ("atomic", "field"):
         if merged.get(key) is None:
-            raise ConfigError(f"missing required setting {key!r}")
+            raise ValueError(f"missing required setting {key!r}")
     return ScenarioConfig(**merged)
 
 
@@ -99,20 +98,14 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split("x"))
     except ValueError:
-        raise ConfigError(f"cannot parse dims {text!r} (expected e.g. 2x2x3)") from None
+        raise ValueError(f"cannot parse dims {text!r} (expected e.g. 2x2x3)") from None
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
     dims = _parse_dims(args.dims)
-    try:
-        result = positivity_sweep(
-            dims,
-            args.samples,
-            seed=args.seed,
-            dump_path=args.out + ".counterexamples",
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = positivity_sweep(
+        dims, args.samples, seed=args.seed, dump_path=args.out + ".counterexamples"
+    )
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# tcm-tangles sweep\n")
         fh.write(f"# dims = {' '.join(str(d) for d in dims)}\n")
@@ -132,7 +125,7 @@ def _run_scaling(args: argparse.Namespace) -> None:
     try:
         ns = tuple(int(p) for p in str(args.n).split(","))
     except ValueError:
-        raise ConfigError(f"cannot parse photon numbers {args.n!r}") from None
+        raise ValueError(f"cannot parse photon numbers {args.n!r}") from None
     result = scaling_study(ns, steps=args.steps, out=args.out)
     print(f"scaling {ns}: log-log slope {result.slope:.4f} -> {args.out}")
 
@@ -141,8 +134,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # an output directory that does not exist fails here, before any run
-        if not os.path.isdir(os.path.dirname(args.out) or "."):
+        # an output path that cannot be a file fails here, before any run
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+        if not args.out or not os.path.isdir(os.path.dirname(args.out) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         if args.command == "scenario":
             config = _scenario_config(args)
@@ -159,7 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_sweep(args)
         elif args.command == "scaling":
             _run_scaling(args)
-    except (ConfigError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # bad input
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an output path that cannot be written

@@ -477,17 +477,17 @@ def tcm_columns(
 
 
 def check_tangle_columns(columns: Mapping[str, np.ndarray]) -> None:
-    """Raise ValueError if any value of the given ``tcm_columns`` columns is out of range.
+    """Raise RuntimeError if any value of the given ``tcm_columns`` columns is out of range.
 
     Tangles must clear ``TANGLE_FLOOR``; ``tau_AA`` and ``tau_A_rest`` may
     not exceed 1 and the inversion must lie in [-1, 1], both up to 1e-9.
-    NaN and infinite values fail every check.
+    NaN and infinite values fail every check; no setting causes or fixes one.
     """
     for name, values in columns.items():
         low, high = _COLUMN_RANGES.get(name, (-np.inf, np.inf))
         bad = ~(np.isfinite(values) & (values >= low) & (values <= high))
         if bad.any():
-            raise ValueError(f"{name} = {float(values[bad][0])} outside [{low:g}, {high:g}]")
+            raise RuntimeError(f"{name} = {float(values[bad][0])} outside [{low:g}, {high:g}]")
 
 
 def tangle_report(state: PureState) -> dict[str, float]:

@@ -222,6 +222,16 @@ def test_sweep_counts_and_dumps_counterexamples(monkeypatch, tmp_path, capsys):
     row = summary[summary.index("samples,min_value,negative_count") + 1]
     assert row == "10,-9.9999999999999995e-07,1"
     assert summary[-1] == "# argmin_state: " + lines[1]
+    # a rerun replaces the file rather than appending to it
+    assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert (tmp_path / "sweep.txt.counterexamples").read_text() == dump.read_text()
+    # and a rerun that finds no negatives leaves none
+    monkeypatch.undo()
+    assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert "0 below -1e-9" in capsys.readouterr().out
+    assert not (tmp_path / "sweep.txt.counterexamples").exists()
 
 
 def test_star_import_resolves_every_export():

@@ -19,7 +19,6 @@ from tcm_tangles.scenarios import (
     MAX_STEPS,
     PRESETS,
     SCENARIO_COLUMNS,
-    ConfigError,
     _build_initial,
     _write_rows,
     preset_config,
@@ -78,7 +77,7 @@ def test_preset_catalog():
 def test_preset_overrides_and_unknown_name():
     cfg = preset_config("fig1", steps=100)
     assert cfg.steps == 100 and cfg.n == 10
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         preset_config("fig9")
     with pytest.raises(TypeError):  # every time is gt: there is no coupling to set
         preset_config("fig1", g=2.0)
@@ -119,7 +118,7 @@ def test_preset_overrides_and_unknown_name():
     ],
 )
 def test_config_validation(overrides):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         small_config(**overrides)
 
 
@@ -127,10 +126,6 @@ def test_config_whole_number_floats_become_ints():
     config = small_config(n=3.0, steps=40.0)
     assert (config.n, config.steps) == (3, 40)
     assert type(config.n) is int and type(config.steps) is int
-
-
-def test_config_error_is_value_error():
-    assert issubclass(ConfigError, ValueError)
 
 
 # --- running scenarios -------------------------------------------------------
@@ -294,7 +289,7 @@ def test_revival_peak_time_rejects_mismatched_lengths():
 
 
 def test_compare_needs_coherent_field():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tt.compare_exact_vs_approx(small_config())
 
 
@@ -334,7 +329,7 @@ def test_compare_grid_must_reach_window():
     config = tt.ScenarioConfig(
         atomic="ee", field="coherent", mean_n=100.0, t_max=1.0, steps=50
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tt.compare_exact_vs_approx(config)
 
 
@@ -354,7 +349,7 @@ def test_compare_checks_config_before_the_exact_run(monkeypatch):
         dict(t_max=1.0),
     ]
     for bad in bad_configs:
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             tt.compare_exact_vs_approx(tt.ScenarioConfig(**{**base, **bad}))
 
 
@@ -386,19 +381,19 @@ def test_evolution_checks_reach_scenario_and_compare(monkeypatch):
 
 
 def test_scaling_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tt.scaling_study((5, 5, 10))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tt.scaling_study((1, 2, 3))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tt.scaling_study((5, 10, 20), steps=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tt.scaling_study((5, 10, 20), steps=MAX_STEPS + 1)
-    with pytest.raises(ConfigError, match="steps must be an integer"):
+    with pytest.raises(ValueError, match="steps must be an integer"):
         tt.scaling_study((5, 10, 20), steps=10.5)
-    with pytest.raises(ConfigError, match="scaling photon numbers must be an integer"):
+    with pytest.raises(ValueError, match="scaling photon numbers must be an integer"):
         tt.scaling_study((5, 10.5, 20))
-    with pytest.raises(ConfigError, match="scaling photon numbers must lie in 2 .. 100000"):
+    with pytest.raises(ValueError, match="scaling photon numbers must lie in 2 .. 100000"):
         tt.scaling_study((5, 10, MAX_PHOTONS + 1))
 
 
@@ -473,7 +468,7 @@ def test_range_check_message_has_no_suffix(monkeypatch, tmp_path, capsys):
         patch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
         with pytest.raises(RuntimeError) as info:
             tt.run_scenario(small_config())
-        assert not isinstance(info.value, ConfigError)
+        assert not isinstance(info.value, ValueError)
         assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
         argv = ["scenario", "--preset", "fig1", "--steps", "20", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
@@ -560,6 +555,18 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "unrecognized arguments: --config" in err
     assert not out.exists()
+    # a library ValueError reaches stderr as one line, its text unchanged
+    for argv, call in (
+        (["scenario", "--preset", "fig1", "--atomic", "bogus"], lambda: tt.atomic_state("bogus")),
+        (["compare-approx", "--preset", "fig4", "--mean-n", "0.4"],
+         lambda: tt.approx_tau_F_AA("ee", 0.0, 0.4)),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
+        assert "\n" not in str(info.value)
+        assert not out.exists()
 
 
 def test_steps_are_bounded(tmp_path, capsys):
@@ -750,18 +757,27 @@ def test_cli_scaling(tmp_path):
     ],
 )
 def test_cli_unwritable_out_exits_1(tmp_path, capsys, monkeypatch, argv):
-    # the missing directory is found before any run starts, and no file is made
+    # a path in a missing directory, an empty path and a directory are found
+    # before any run starts, and no file is made
     def never(*args, **kwargs):
-        raise AssertionError("a run started before the output directory was checked")
+        raise AssertionError("a run started before the output path was checked")
 
     for name in ("run_scenario", "compare_exact_vs_approx", "scaling_study", "positivity_sweep"):
         monkeypatch.setattr(cli, name, never)
-    out = tmp_path / "missing_dir" / "x.csv"
-    assert main(argv + ["--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"output error: [Errno 2] No such file or directory: '{out}'\n"
-    assert captured.out == ""
-    assert list(tmp_path.iterdir()) == []
+    monkeypatch.chdir(tmp_path)  # where a file for the empty path would land
+    directory = tmp_path / "d"
+    directory.mkdir()
+    for out, error in (
+        (str(tmp_path / "missing_dir" / "x.csv"), "[Errno 2] No such file or directory"),
+        ("", "[Errno 2] No such file or directory"),
+        (str(directory), "[Errno 21] Is a directory"),
+    ):
+        assert main(argv + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"output error: {error}: '{out}'\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
 
 
 _CLI_FLOATS = st.one_of(

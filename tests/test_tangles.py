@@ -601,7 +601,7 @@ def test_tangle_report_validation():
         ("inversion", -1.0 - 1e-6),
     ]:
         bad = dict(good, **{name: np.array([0.0, value, 0.0])})
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(RuntimeError, match=name):
             check_tangle_columns(bad)
 
 
