@@ -43,8 +43,10 @@ from .tensor import (
 ROOF_WEIGHT_FLOOR = 1e-14
 ROOF_TOL = 1e-8
 
-# sigma_y (x) sigma_y is real: the reversed identity with signs -, +, +, -.
-_SIGMA_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]
+# sigma_y (x) sigma_y is real and antidiagonal: it reverses the rows of a
+# factor W with signs -, +, +, -, so W^T (sigma_y x sigma_y) is W^T with its
+# columns reversed and signed the same way.
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def universal_inversion(rho: DensityMatrix) -> np.ndarray:
@@ -75,19 +77,59 @@ def inversion_overlap(rho: DensityMatrix) -> float:
 def _wootters_batch(w: np.ndarray) -> np.ndarray:
     """Squared concurrence of the two-qubit states rho = W W^H of a (..., 4, k) stack.
 
-    The l_i are the singular values of W^T (sigma_y x sigma_y) W (Wootters,
-    PRL 80, 2245 (1998)).  With more than four columns, a thin QR
-    W^T = Q R first gives W' = R^T, a factor of the same rho with four
-    columns and the same singular values; with at most four the product is
-    already at most 4 x 4 and no QR runs.  No square root of rho is taken:
-    accurate to roundoff at any rank.
+    The l_i are the singular values of X = W^T (sigma_y x sigma_y) W
+    (Wootters, PRL 80, 2245 (1998)).  With more than four columns, a thin
+    QR W^T = Q R first gives W' = R^T, a factor of the same rho with four
+    columns and the same singular values, and four columns take an SVD of
+    X.  At most three columns (padded with zero columns to three) take the
+    closed form of ``_concurrence_3col``, with no SVD.  No square root of
+    rho is taken: accurate to roundoff at any rank.
     """
-    if w.shape[-1] > 4:
+    k = w.shape[-1]
+    if k > 4:
         w = np.linalg.qr(w.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    lam = np.linalg.svd(w.swapaxes(-1, -2) @ _SIGMA_YY @ w, compute_uv=False)
-    # svd sorts descending: the largest value minus the others
-    c = 2.0 * lam[..., 0] - lam.sum(axis=-1)
+    elif k < 3:
+        w = np.concatenate([w, np.zeros(w.shape[:-1] + (3 - k,), w.dtype)], axis=-1)
+    x = (w.swapaxes(-1, -2)[..., ::-1] * _YY_SIGNS) @ w
+    if k > 3:
+        lam = np.linalg.svd(x, compute_uv=False)
+        # svd sorts descending: the largest value minus the others
+        c = 2.0 * lam[..., 0] - lam.sum(axis=-1)
+    else:
+        c = _concurrence_3col(w, x)
     return np.maximum(c, 0.0) ** 2
+
+
+def _concurrence_3col(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """l1 - l2 - l3 for the singular values of each 3 x 3 X = W^T (sigma_y x
+    sigma_y) W of a (..., 4, 3) factor stack, without an SVD.
+
+    mu1 = l1^2 is the largest eigenvalue of X^H X (``_sym3_lam_max``).  By
+    Cauchy-Binet, e2 = sum_{i<j} l_i^2 l_j^2 is the sum of the squared
+    moduli of the nine 2 x 2 minors of X, and det X = 2 (M0 M3 - M1 M2)
+    with M_j the 3 x 3 minor of W without row j; delta = |det X| = l1 l2 l3.
+    Then (l2 + l3)^2 = (e2 - delta^2/mu1)/mu1 + 2 delta/l1.  Each term is
+    a sum of products of small quantities where X is nearly rank 1, so
+    none cancels; det X taken from the entries of X would, and loses
+    about sqrt(eps) in l2 + l3 for a nearly pure state whose field basis
+    mixes the Schmidt vectors.
+    """
+    mu1 = np.maximum(_sym3_lam_max(x.conj().swapaxes(-1, -2) @ x), 0.0)
+    top, bottom = x[..., [0, 0, 1], :], x[..., [1, 2, 2], :]
+    minors = top[..., [0, 0, 1]] * bottom[..., [1, 2, 2]] - top[..., [1, 2, 2]] * bottom[..., [0, 0, 1]]
+    e2 = np.sum((minors * minors.conj()).real, axis=(-2, -1))
+    # each M_j as a triple product of the other three rows
+    w0, w1, w2, w3 = np.moveaxis(w, -2, 0)
+    w23 = np.cross(w2, w3)
+    m0, m1 = np.sum(w1 * w23, axis=-1), np.sum(w0 * w23, axis=-1)
+    m2, m3 = np.sum(w0 * np.cross(w1, w3), axis=-1), np.sum(w0 * np.cross(w1, w2), axis=-1)
+    delta = 2.0 * np.abs(m0 * m3 - m1 * m2)
+    # X = 0 has C = 0; a NaN stays NaN, for the range check to catch
+    zero = mu1 == 0.0
+    mu1 = np.where(zero, 1.0, mu1)
+    l1 = np.sqrt(mu1)
+    tail2 = (e2 - delta**2 / mu1) / mu1 + 2.0 * delta / l1
+    return np.where(zero, 0.0, l1 - np.sqrt(np.maximum(tail2, 0.0)))
 
 
 def wootters_tangle(rho: DensityMatrix) -> float:
@@ -130,7 +172,8 @@ TOP_PAIR_GUARD = 1e-2
 
 
 def _sym3_lam_max(a: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each matrix of a (N, 3, 3) real symmetric stack.
+    """Largest eigenvalue of each matrix of a (N, 3, 3) real symmetric or
+    complex Hermitian stack.
 
     Trigonometric closed form (O. K. Smith, CACM 4, 168 (1961)): with
     q = tr(A)/3, p = ||A - q||_F / sqrt(6) and B = (A - q)/p, the
@@ -141,14 +184,15 @@ def _sym3_lam_max(a: np.ndarray) -> np.ndarray:
     Mod. Phys. C 19, 523 (2008)).  A multiple of the identity has p = 0
     and gets q.
     """
-    q = np.trace(a, axis1=-2, axis2=-1) / 3.0
+    q = np.trace(a, axis1=-2, axis2=-1).real / 3.0
     dev = a - q[..., None, None] * np.eye(3)
-    p = np.sqrt(np.sum(dev**2, axis=(-2, -1)) / 6.0)
+    p = np.sqrt(np.sum((dev * dev.conj()).real, axis=(-2, -1)) / 6.0)
     b = dev / np.where(p > 0.0, p, 1.0)[..., None, None]
-    # the lower triangle, which eigvalsh reads
+    # the lower triangle, which eigvalsh reads; the upper is its conjugate
     (b00, _, _), (b10, b11, _), (b20, b21, b22) = np.moveaxis(b, (-2, -1), (0, 1))
-    r = (b00 * (b11 * b22 - b21**2) - b10 * (b10 * b22 - b21 * b20)
-         + b20 * (b10 * b21 - b11 * b20)) / 2.0
+    c10, c20, c21 = b10.conj(), b20.conj(), b21.conj()
+    r = (b00 * (b11 * b22 - c21 * b21) - c10 * (b10 * b22 - c21 * b20)
+         + c20 * (b10 * b21 - b11 * b20)).real / 2.0
     lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
     near = r < -1.0 + TOP_PAIR_GUARD
     if near.any():
@@ -419,6 +463,65 @@ def _qubit_cut(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([det / lam_max, lam_max], axis=-1), 4.0 * det
 
 
+# _field_rank trusts each computed e_k, a sum of k x k principal minors of a
+# positive semidefinite matrix, to within RANK_ROUNDOFF * k! * e_k(diagonal):
+# each of the k! terms of such a minor is at most the product of its diagonal
+# entries in modulus, and a minor and the sum take a few roundings each.
+RANK_ROUNDOFF = 16 * np.finfo(float).eps
+_PAIRS = np.triu_indices(4, 1)  # (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
+# each triple a < b < c of rows, as rows and as its pairs (a,b), (a,c), (b,c)
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
+_TRIPLE_PAIRS = np.array([(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]).T
+_CHOOSE = np.array([4.0, 6.0, 4.0, 1.0])[:, None]  # C(4, k), k = 1 .. 4
+
+
+def _field_rank(rho: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues above ``RANK_TOL`` of each matrix of a (N, 4, 4)
+    positive semidefinite stack, equal to eigvalsh's count.
+
+    With e_k the elementary symmetric functions of the spectrum (the sums
+    of the k x k principal minors, e_0 = 1, e_5 = 0), every eigenvalue at
+    most e_1, two bounds hold: e_k > C(4,k) tau e_1^(k-1) gives
+    lambda_k > tau, and lambda_{k+1} <= C(4,k) e_{k+1}/e_k.  A row whose
+    e_k, widened by their roundoff, give lambda_k > 2 tau and
+    lambda_{k+1} < tau/2 (tau = ``RANK_TOL``) has count k: its eigenvalues
+    clear tau by a factor 2, far beyond eigvalsh's error.  Only the other
+    rows go to eigvalsh.  The minors are of the Hermitian matrix that the
+    lower triangle defines, the one eigvalsh reads.
+    """
+    i, j = _PAIRS
+    flat = rho.reshape(len(rho), 16).T  # (16, N): entry 4 r + c per row
+    d = flat[[0, 5, 10, 15]].real
+    lower = flat[4 * j + i]
+    # the Hermitian matrix with this lower triangle and diagonal, entry by entry
+    h = np.empty(flat.shape, complex)
+    h[[0, 5, 10, 15]], h[4 * j + i], h[4 * i + j] = d, lower, lower.conj()
+    h = h.reshape(4, 4, -1)
+    sq = lower.real**2 + lower.imag**2
+    dd = d[i] * d[j]
+    (a, b, c), (ab, ac, bc) = _TRIPLES, _TRIPLE_PAIRS
+    ddd = dd[ab] * d[c]
+    # rho_ab rho_bc rho_ca = conj(L_ba) conj(L_cb) L_ca
+    cycle = (lower[ab] * lower[bc] * lower[ac].conj()).real
+    minors3 = ddd + 2.0 * cycle - d[a] * sq[bc] - d[b] * sq[ac] - d[c] * sq[ab]
+    # det by Laplace expansion along rows 0 and 1: column pair p meets pair 5 - p
+    top = h[0, i] * h[1, j] - h[0, j] * h[1, i]
+    bottom = h[2, i] * h[3, j] - h[2, j] * h[3, i]
+    det = np.sum(np.array([1, -1, 1, 1, -1, 1])[:, None] * top * bottom[::-1], axis=0).real
+    e1 = d.sum(0)
+    e = np.array([e1, dd.sum(0) - sq.sum(0), minors3.sum(0), det])
+    slack = RANK_ROUNDOFF * np.array([e1, 2.0 * dd.sum(0), 6.0 * ddd.sum(0), 24.0 * d.prod(0)])
+    low, high = e - slack, np.concatenate([e + slack, np.zeros((1, e.shape[1]))])
+    certified = (low > 2.0 * _CHOOSE * RANK_TOL * high[:1] ** np.arange(4)[:, None]) & (
+        _CHOOSE * high[1:] < 0.5 * RANK_TOL * low
+    )
+    counts = np.arange(1, 5) @ certified
+    unsure = ~certified.any(axis=0)
+    if unsure.any():
+        counts[unsure] = np.count_nonzero(np.linalg.eigvalsh(rho[unsure]) > RANK_TOL, axis=-1)
+    return counts
+
+
 def tcm_columns(
     amps: np.ndarray,
     names: Sequence[str] = SCENARIO_COLUMNS,
@@ -431,8 +534,8 @@ def tcm_columns(
     ``partial_trace`` forms): its purity tr rho_AA^2 = ||rho_AA||_F^2, its
     spectrum and its diagonal.  Both sides of a pure-state cut share their
     nonzero spectrum, so the field's purity and effective dimension come
-    from rho_AA.  The 4 x 4 eigensolve runs only for ``field_eff_dim``
-    and the residual, which need its rank.  Only ``tau_A_rest``,
+    from rho_AA.  Its rank (``_field_rank``) is counted only for
+    ``field_eff_dim`` and the residual.  Only ``tau_A_rest``,
     ``tau_AF`` and ``tau_res`` run the one-atom spectra and the rank-2
     closed form, which needs only the purifier correlations of each
     atom-field pair (purified by the spare atom), a transposed view of
@@ -451,7 +554,7 @@ def tcm_columns(
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("nab,nba->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real
     if full or "field_eff_dim" in names:
-        cols["field_eff_dim"] = np.count_nonzero(np.linalg.eigvalsh(rho_aa) > RANK_TOL, axis=-1)
+        cols["field_eff_dim"] = _field_rank(rho_aa)
     if full:
         rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
         ev_a1, tau_a_rest = _qubit_cut(np.einsum("nabcb->nac", rho4))

@@ -7,7 +7,7 @@ import pytest
 import tcm_tangles as tt
 from tcm_tangles import random_states
 from tcm_tangles.cli import main
-from tcm_tangles.random_states import haar_pure_batch
+from tcm_tangles.random_states import BLOCK, haar_pure_batch
 
 needs_two_cpus = pytest.mark.skipif(
     random_states._allowed_cpus() < 2, reason="starts two sweep workers"
@@ -37,6 +37,17 @@ def test_haar_batch_norms_and_chunking():
     first = haar_pure_batch(12, 25, rng2)
     second = haar_pure_batch(12, 25, rng2)
     np.testing.assert_array_equal(np.vstack([first, second]), batch)
+
+
+def test_haar_batch_reads_each_pair_as_one_complex_number():
+    # on one sweep block, the stack is bit for bit z_re + 1j z_im of the
+    # same (count, dim, 2) draw, normalized, signed zeros included
+    seed = np.random.SeedSequence(5, spawn_key=(0,))
+    batch = haar_pure_batch(12, BLOCK, np.random.default_rng(seed))
+    z = np.random.default_rng(seed).standard_normal((BLOCK, 12, 2))
+    summed = z[..., 0] + 1j * z[..., 1]
+    summed /= np.linalg.norm(summed, axis=1, keepdims=True)
+    assert np.array_equal(batch.view(np.uint64), summed.view(np.uint64))
 
 
 def test_haar_mean_marginal_purity():

@@ -4,6 +4,7 @@ import pytest
 
 import tcm_tangles as tt
 from tcm_tangles import tangles
+from tcm_tangles.random_states import BLOCK, haar_pure_batch
 from tcm_tangles.scenarios import _build_initial, preset_config
 from tcm_tangles.tangles import (
     SCENARIO_COLUMNS,
@@ -12,12 +13,18 @@ from tcm_tangles.tangles import (
     check_tangle_columns,
     tcm_columns,
 )
+from tcm_tangles.tensor import RANK_TOL
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+BELLS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / np.sqrt(2.0)
 GHZ = np.zeros(8)
 GHZ[0] = GHZ[7] = 1.0 / np.sqrt(2.0)
 W = np.zeros(8)
 W[1] = W[2] = W[4] = 1.0 / np.sqrt(3.0)
+
+
+def _unitary(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
 
 
 def haar_vec(rng, dim):
@@ -116,22 +123,84 @@ def test_wootters_kernel_bell_diagonal_mixtures():
     # rank-2 and rank-3 mixtures, as 4 x rank factors and as 4 x 6 ones
     # built with a random isometry (W V with V V^H = 1)
     rng = np.random.default_rng(25)
-    s = 1.0 / np.sqrt(2.0)
-    bells = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]]).T
-
-    def unitary(d):
-        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-
     for rank in (2, 3):
         for trial in range(20):
             # the first trial has p_max <= 1/2, a separable mixture
             p = np.full(rank, 1.0 / rank) if trial == 0 else rng.dirichlet(np.ones(rank))
             cols = rng.permutation(4)[:rank]
-            w = np.kron(unitary(2), unitary(2)) @ (bells[:, cols] * np.sqrt(p))
-            wide = w @ unitary(6)[:rank]
+            w = np.kron(_unitary(rng, 2), _unitary(rng, 2)) @ (BELLS[:, cols] * np.sqrt(p))
+            wide = w @ _unitary(rng, 6)[:rank]
             expected = max(0.0, 2.0 * p.max() - 1.0) ** 2
             for factor in (w, wide):
                 assert abs(_wootters_batch(factor[None])[0] - expected) < 1e-14
+
+
+def _mpmath_wootters_svd(w):
+    """tau of rho = W W^H from the singular values of X = W^T (sigma_y x
+    sigma_y) W, by mpmath.svd_c at 40 digits.  Singular values are
+    well-conditioned, unlike the eigenvalues of rho rho~ near a pure state."""
+    with mpmath.workdps(40):
+        mat = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in w])
+        yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        lam = sorted(mpmath.svd_c(mat.T * yy * mat, compute_uv=False), reverse=True)
+        return float(max(0, lam[0] - sum(lam[1:])) ** 2)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not needed here")
+
+
+def test_wootters_kernel_matches_mpmath_on_three_or_fewer_columns(monkeypatch):
+    # near-pure Bell, W-pair and product factors with k = 1, 2, 3 columns,
+    # perturbed by 1e-2 ... 1e-8, in the given column basis and in one that
+    # mixes the columns, where det X from the entries of X loses up to 7e-9;
+    # the closed form runs no SVD
+    rng = np.random.default_rng(26)
+    w_pair = W.reshape(4, 2)  # atoms 1, 2 of the three-qubit W state, atom 3 as columns
+    product = np.kron([0.6, 0.8], [0.8, -0.6j])
+    factors = []
+    for k in (1, 2, 3):
+        for base in (BELL[:, None], w_pair, product[:, None]):
+            for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+                for mix in (np.eye(k), _unitary(rng, k)):
+                    w = np.zeros((4, k), dtype=complex)
+                    w[:, : min(k, base.shape[1])] = base[:, :k]
+                    w += eps * (rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k)))
+                    factors.append((w @ mix / np.linalg.norm(w), k))
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", _refuse)
+        for k in (1, 2, 3):
+            stack = np.array([w for w, cols in factors if cols == k])
+            reference = [_mpmath_wootters_svd(w) for w in stack]
+            np.testing.assert_allclose(_wootters_batch(stack), reference, atol=1e-14, rtol=0)
+        # a product state has X = 0 and tangle 0; a non-finite factor stays non-finite
+        assert _wootters_batch(np.kron([1.0, 0.0], [0.0, 1.0])[None, :, None]) == 0.0
+        with np.errstate(invalid="ignore"):
+            for bad in (np.nan, np.inf):
+                assert np.isnan(_wootters_batch(np.full((1, 4, 3), bad, dtype=complex)))
+
+
+def test_wootters_kernel_top_pair_guard(monkeypatch):
+    # Bell-diagonal mixtures under local unitaries, as 4 x 3 factors in a
+    # random column basis: X has singular values p, so the top pair of
+    # X^H X nearly meets (Smith's r within 3e-3 and 1.2e-4 of -1) while
+    # C = 2 p_max - 1 > 0, and every matrix takes the eigvalsh guard
+    rng = np.random.default_rng(27)
+    stack, expected = [], []
+    for p in ((0.502, 0.495, 0.003), (0.5005, 0.499, 0.0005)):
+        for _ in range(10):
+            local = np.kron(_unitary(rng, 2), _unitary(rng, 2))
+            stack.append(local @ (BELLS[:, rng.permutation(4)[:3]] * np.sqrt(p)) @ _unitary(rng, 3))
+            expected.append((2.0 * max(p) - 1.0) ** 2)
+    stack = np.array(stack)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        tau = _wootters_batch(stack)
+    assert solved == [len(stack)]
+    np.testing.assert_allclose(tau, expected, atol=1e-14, rtol=0)
+    np.testing.assert_allclose(tau, [_mpmath_wootters_svd(w) for w in stack], atol=1e-14, rtol=0)
 
 
 # The four fig3 points where the square-root form of the Wootters tangle,
@@ -315,41 +384,47 @@ def _mpmath_rank2_tangle(psi, purifier):
 
 
 def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
-    # on an evolved fig1 stack and on Haar (2, 2, 5) states, each subset is
-    # bit-identical to the full call, a tau_AA-only call runs no marginal
-    # spectrum and no rank-2 kernel, and a tau_F_AA-only call (compare-approx)
-    # runs no eigensolve at all, nor Wootters
+    # on an evolved fig1 stack and on Haar (2, 2, 5) and (2, 2, 3) states,
+    # each subset is bit-identical to the full call, a tau_AA-only call runs
+    # no marginal spectrum (no field rank, no 4 x 4 eigvalsh, no _qubit_cut)
+    # and no rank-2 kernel, and a tau_F_AA-only call (compare-approx) runs
+    # no eigensolve at all, nor Wootters
     fig1 = evolve_preset(preset_config("fig1"), slice(None, None, 50))
     rng = np.random.default_rng(67)
-    haar = np.array([haar_vec(rng, 20) for _ in range(30)])
+    haar5 = np.array([haar_vec(rng, 20) for _ in range(30)])
+    haar3 = np.array([haar_vec(rng, 12) for _ in range(30)])
+    eigvalsh = np.linalg.eigvalsh
 
-    def refuse(*args):
-        raise AssertionError("not needed for the named columns")
+    def no_marginal_eigvalsh(a):
+        if a.shape[-1] == 4:
+            raise AssertionError("no 4 x 4 spectrum for the named columns")
+        return eigvalsh(a)
 
-    wootters, rank2, qubit_cut, eigvalsh = (
+    wootters, rank2, qubit_cut, field_rank = (
         "tcm_tangles.tangles._wootters_batch",
         "tcm_tangles.tangles._rank2_tangle_core",
         "tcm_tangles.tangles._qubit_cut",
-        "numpy.linalg.eigvalsh",
+        "tcm_tangles.tangles._field_rank",
     )
-    for amps in (fig1, haar):
+    for amps in (fig1, haar5, haar3):
         full = tcm_columns(amps)
         assert list(full) == list(SCENARIO_COLUMNS)
-        for names, unused in [
-            (("tau_F_AA",), (wootters, rank2, qubit_cut, eigvalsh)),
-            (("tau_AA",), (eigvalsh, qubit_cut, rank2)),
-            (("tau_res",), ()),
-            (SCENARIO_COLUMNS, ()),
+        for names, unused, solve in [
+            (("tau_F_AA",), (wootters, rank2, qubit_cut, field_rank), _refuse),
+            (("tau_AA",), (field_rank, qubit_cut, rank2), no_marginal_eigvalsh),
+            (("tau_res",), (), eigvalsh),
+            (SCENARIO_COLUMNS, (), eigvalsh),
         ]:
             with monkeypatch.context() as patch:
                 for target in unused:
-                    patch.setattr(target, refuse)
+                    patch.setattr(target, _refuse)
+                patch.setattr(np.linalg, "eigvalsh", solve)
                 part = tcm_columns(amps, names)
             assert list(part) == list(names)
             for name in names:
                 assert np.array_equal(part[name], full[name]), name
     with pytest.raises(ValueError, match="unknown columns"):
-        tcm_columns(haar, ("tau_XY",))
+        tcm_columns(haar5, ("tau_XY",))
 
 
 def _recorded_calls(monkeypatch, name, amps):
@@ -458,8 +533,9 @@ def test_lam_max_matches_mpmath_at_degenerate_tops(monkeypatch):
 
 
 def test_lam_max_closed_form_and_fallback_match_eigvalsh(monkeypatch):
-    # the closed form on the W C W of Haar (2, 2, 3) and (2, 2, 4) stacks, and
-    # the eigvalsh fallback on an atom-symmetric scenario, whose top pairs meet
+    # the closed form on the W C W of Haar (2, 2, 3) and (2, 2, 4) stacks (and,
+    # at D = 3, the complex Hermitian X^H X of the Wootters kernel), and the
+    # eigvalsh fallback on an atom-symmetric scenario, whose top pairs meet
     rng = np.random.default_rng(70)
     state = tt.initial_state("ee", tt.fock_state(3, 8), 8)
     symmetric = np.array([tt.evolve(state, gt).amplitudes for gt in np.linspace(0.0, 4.0, 50)])
@@ -503,6 +579,80 @@ def test_qubit_cut_matches_mpmath_across_impurities(monkeypatch):
         np.testing.assert_allclose(tau, reference[:, 2], atol=1e-12, rtol=0)
         # det / lam_max keeps the small eigenvalue's relative accuracy
         np.testing.assert_allclose(spectra[:, 0], reference[:, 0], atol=0, rtol=1e-12)
+
+
+def _eigvalsh_counts(rho):
+    return np.count_nonzero(np.linalg.eigvalsh(rho) > RANK_TOL, axis=-1)
+
+
+def _constructed_marginals(rng):
+    """(N, 16) (2, 2, 4) states whose rho_AA, in a random basis, has an
+    eigenvalue at RANK_TOL times 0.5, 1 -+ 1e-3, 2 or 10 as lambda_2, 3 or
+    4 (with lambda_2 = 1e-8 for a nearly pure field, where the roundoff of
+    the e_k matters most), then a few spectra far from RANK_TOL."""
+    spectra = []
+    for x in np.array([0.5, 1.0 - 1e-3, 1.0 + 1e-3, 2.0, 10.0]) * RANK_TOL:
+        spectra += [
+            (1.0 - x, x, 0.0, 0.0),
+            (0.6, 0.4 - x, x, 0.0),
+            (1.0 - 1e-8 - x, 1e-8, x, 0.0),
+            (0.5, 0.3, 0.2 - x, x),
+        ]
+    spectra += [(1.0, 0, 0, 0), (0.5, 0.5, 0, 0), (0.5, 0.3, 0.2, 0), (0.4, 0.3, 0.2, 0.1)]
+    return np.array([
+        (_unitary(rng, 4) * np.sqrt(lam)) @ _unitary(rng, 4) for lam in spectra for _ in range(5)
+    ]).reshape(-1, 16)
+
+
+def test_rank_counts_equal_eigvalsh_counts(monkeypatch):
+    # field_eff_dim, and each rank the residual rescales by (the field's from
+    # _field_rank, each atom's from _qubit_cut), equal eigvalsh's counts
+    rng = np.random.default_rng(72)
+    stacks = {name: evolve_preset(preset_config(name), slice(None)) for name in ("fig1", "fig2", "fig3")}
+    for d in (3, 4):
+        stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+        stacks[f"haar 2x2x{d}"] = haar_pure_batch(4 * d, BLOCK, stream)
+    stacks["constructed"] = _constructed_marginals(rng)
+    for name, amps in stacks.items():
+        (rho_aa, field_dim), = _recorded_calls(monkeypatch, "_field_rank", amps)[0]
+        expected = _eigvalsh_counts(rho_aa)
+        np.testing.assert_array_equal(field_dim, expected, err_msg=name)
+        np.testing.assert_array_equal(tcm_columns(amps)["field_eff_dim"], expected, err_msg=name)
+        for rho_a, (spectra, _) in _recorded_calls(monkeypatch, "_qubit_cut", amps)[0]:
+            counts = np.count_nonzero(spectra > RANK_TOL, axis=-1)
+            np.testing.assert_array_equal(counts, _eigvalsh_counts(rho_a), err_msg=name)
+    # the constructed stack runs both branches: eigvalsh gets some rows, not all
+    rho_aa = _recorded_calls(monkeypatch, "_field_rank", stacks["constructed"])[0][0][0]
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        tangles._field_rank(rho_aa)
+    assert 0 < sum(solved) < len(rho_aa)
+
+
+def test_sweep_block_runs_no_svd_and_few_eigensolves(monkeypatch):
+    # one 10,000-state 2x2x3 sweep block: no SVD, and eigvalsh only on the
+    # 3 x 3 matrices of _sym3_lam_max whose top pair meets (Smith's r below
+    # -1 + TOP_PAIR_GUARD) and on the 4 x 4 rho_AA the rank certificate
+    # leaves open, both rare
+    stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+    amps = haar_pure_batch(12, BLOCK, stream)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", _refuse)
+        patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+        tcm_columns(amps, ("tau_res",))
+    guarded = np.concatenate([a for a in solved if a.shape[-1] == 3])
+    uncertified = sum(len(a) for a in solved if a.shape[-1] == 4)
+    lam = eigvalsh(guarded)
+    dev = lam - lam.mean(axis=-1, keepdims=True)
+    p = np.sqrt(np.sum(dev**2, axis=-1) / 6.0)
+    r = np.prod(dev / p[:, None], axis=-1) / 2.0
+    assert np.all(r < -1.0 + tangles.TOP_PAIR_GUARD + 1e-9)
+    assert len(guarded) < 0.005 * 3 * BLOCK  # three lambda_max calls of BLOCK matrices
+    assert uncertified < 0.001 * BLOCK
 
 
 # --- convex roof -----------------------------------------------------------
