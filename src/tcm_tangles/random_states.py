@@ -137,12 +137,15 @@ def positivity_sweep(
     States below ``TANGLE_FLOOR`` (-1e-9) are counted and, when
     ``dump_path`` is set, written to that file, which replaces any earlier
     one; a sweep that finds none leaves no file.  That threshold
-    is about 3e5 times the worst error measured for either tangle kernel
-    against a 40-digit reference (3.3e-15 for the rank-2 kernel on nearly
+    is about 7e5 times the worst error measured for either tangle kernel
+    against a 40-digit reference (1.4e-15 for the rank-2 kernel on nearly
     pure atom-field pairs; for Wootters 7.8e-16 through the SVD and
     4.4e-16 through the closed form of at most three field columns), so a
-    count measures the residual tangle, not roundoff.  A non-finite value, or a worker that
-    dies, raises ``RuntimeError``; no worker outlives the call.
+    count is not roundoff.  But it is only about 7.5 times the worst
+    negative the rank cutoff makes by itself (-1.333e-10, near product
+    states, where a marginal eigenvalue just below ``RANK_TOL`` loses its
+    d/2 weight).  A non-finite value, or a worker that dies, raises
+    ``RuntimeError``; no worker outlives the call.
     """
     dims = tuple(int(d) for d in dims)
     if dims not in SWEEP_DIMS:

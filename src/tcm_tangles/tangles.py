@@ -12,11 +12,12 @@ Bipartite measures, all normalized so a Bell pair scores 1:
   pure-state tangle over ensemble decompositions (numerical minimization
   over the decomposition freedom).
 * ``rank2_itangle`` -- closed form for rank <= 2 mixed states of a
-  qubit x D-level pair, derived here by minimizing over two-outcome
-  measurements on a qubit purifier: the largest eigenvalue of a whitened
-  3 x 3 Gram matrix, one formula from a pure pair to a maximally mixed one
-  and accurate to roundoff throughout; cross-validated against the convex
-  roof.
+  qubit x D-level pair, a minimum over two-outcome measurements on a qubit
+  purifier: from the two-qubit correlations (a, b, T) of the purifier and
+  the pair's qubit, the largest squared singular value of K W, with
+  K = T - a b^T and W = (1 - b b^T)^(-1/2); one formula from a pure pair
+  to a maximally mixed one, accurate to roundoff throughout, and
+  cross-validated against the convex roof.
 
 The tripartite ``i_residual_tangle`` averages one-versus-rest tangles over
 the three cuts, subtracts the pairwise mixed tangles, and rescales each
@@ -200,60 +201,50 @@ def _sym3_lam_max(a: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _rank2_tangle_core(r: np.ndarray) -> np.ndarray:
-    """Tangle of pair states purified by a qubit, batched.
+def _pauli_correlations(rho: np.ndarray) -> np.ndarray:
+    """R_mu nu = tr(rho sigma_mu (x) sigma_nu) of a (N, 4, 4) two-qubit stack, real,
+    entry by entry (no row depends on the others): the Pauli components of
+    the Hermitian tr_1[(sigma_mu (x) 1) rho], from its diagonal and upper entry."""
+    q = rho.reshape(-1, 2, 2, 2, 2)
+    b00, b01, b10, b11 = q[:, 0, :, 0], q[:, 0, :, 1], q[:, 1, :, 0], q[:, 1, :, 1]
+    m = np.stack([b00 + b11, b01 + b10, 1j * (b01 - b10), b00 - b11], axis=1)
+    d0, d1, off = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
+    return np.stack([d0 + d1, 2.0 * off.real, -2.0 * off.imag, d0 - d1], axis=-1)
 
-    ``r`` has shape (..., 2, 2, dx, dx): the purifier correlations
-    r[j, k, a, c] = sum_b w_j[a, b] conj(w_k[c, b]), where w_j is
-    component j of the purifier qubit times the pair state as a (dx, dy)
-    amplitude matrix, normalized so sum_j ||w_j||^2 = 1 per entry.
 
-    Every length-2 ensemble decomposition of the pair state comes from a
-    projective measurement along a Bloch direction of the purifier, and
-    longer decompositions never do better, so the roof is a minimum over
-    the Bloch sphere (Osborne, PRA 72, 022309 (2005)).  With
-    S_mu = sum_jk (sigma_mu)_kj r[j, k] the Pauli components of r and
-    b_i = tr S_i the purifier's Bloch vector, the minimum is
+def _pair_tangle(r: np.ndarray, tau_q: np.ndarray) -> np.ndarray:
+    """Tangle of the pair (Q, F) of pure states of qubits Q, P and a factor F, batched.
 
-        tau = 2 - 2*tr(S_0^2) - 2*max eig (W C W)
-
-    where C_ij = Re tr(T_i T_j) is the Gram matrix of T_i = S_i - b_i S_0
-    and W = (1 - b b^T)^(-1/2) = 1 + b b^T / (s (1 + s)), s = sqrt(1 - |b|^2).
-
-    W C W is the spatial block of L Q L, with L the Lorentz boost of
-    velocity |b| and Q_{mu nu} = Re tr(S_mu S_nu), but the boosted form
-    multiplies O(1) entries of Q by 1/s^2 and loses about eps/(1 - |b|)
-    to cancellation near a pure pair.  Here the one cancellation is the
-    subtraction in T_i, on O(1) entries of S, so T_i is off by about eps.
-    Along b, T is O(s^2) where W is 1/s, so W C W stays accurate to about
-    eps up to and including a pure pair (s is clamped at sqrt(eps) only
-    to keep 0 * inf out).  Its largest eigenvalue comes from the closed
-    form of ``_sym3_lam_max``, which hands the matrices whose top two
-    eigenvalues nearly meet (within ``TOP_PAIR_GUARD``) to ``eigvalsh``.
+    ``r`` is the ``_pauli_correlations`` of rho_QP (rows Q) and ``tau_q``
+    = 4 det rho_Q.  Each length-2 decomposition of the pair state comes
+    from measuring its purifier P along a Bloch direction, and longer ones
+    never do better (Osborne, PRA 72, 022309 (2005)).  With a = R_i0,
+    b = R_0j, T = R_ij and K = T - a b^T (R. and M. Horodecki, PLA 200,
+    340 (1995)) the minimum is tau_q - sigma_max^2(K W), W = (1 - b b^T)^(-1/2),
+    and sigma_max^2(K W) = lam_max(K K^T + k k^T / s^2), k = K b and
+    s^2 = 1 - |b|^2, from ``_sym3_lam_max`` with no square root taken.  K
+    is off by about eps, from T - a b^T on O(1) entries.  Near a pure pair
+    s -> 0, but k is O(s^2), so k k^T / s^2 is O(s^2) and off by about
+    eps: accurate to roundoff up to and including a pure pair, where K = 0
+    and tau = tau_q (s^2 is clamped at eps only to keep 0 / 0 out).
     """
-    (r00, r01), (r10, r11) = np.moveaxis(r, (-4, -3), (0, 1))
-    s_mu = np.stack([r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11], axis=-3)
-    s0 = s_mu[..., 0, :, :]
-    bloch = np.einsum("...maa->...m", s_mu[..., 1:, :, :]).real
-    t = s_mu[..., 1:, :, :] - bloch[..., None, None] * s0[..., None, :, :]
-    gram = np.einsum("...iab,...jba->...ij", t, t).real
-    s = np.sqrt(np.maximum(1.0 - np.sum(bloch**2, axis=-1), np.finfo(float).eps))
-    w = np.eye(3) + bloch[..., :, None] * bloch[..., None, :] / (s * (1.0 + s))[..., None, None]
-    lam_max = _sym3_lam_max(w @ gram @ w)
-    purity = np.einsum("...ab,...ba->...", s0, s0).real
-    return 2.0 - 2.0 * purity - 2.0 * lam_max
+    a, b = r[:, 1:, 0], r[:, 0, 1:]
+    k = r[:, 1:, 1:] - a[:, :, None] * b[:, None, :]
+    kb = np.einsum("nij,nj->ni", k, b)
+    s2 = np.maximum(1.0 - np.sum(b**2, axis=-1), np.finfo(float).eps)
+    gram = np.einsum("nij,nkj->nik", k, k) + kb[:, :, None] * kb[:, None, :] / s2[:, None, None]
+    return tau_q - _sym3_lam_max(gram)
 
 
 def rank2_itangle(rho: DensityMatrix) -> float:
-    """Closed-form tangle of a two-factor density matrix of rank <= 2.
+    """Closed-form tangle of a two-factor density matrix of rank <= 2 with a qubit factor.
 
-    The state is purified with a qubit ancilla from its top two
-    eigenpairs and handed to the whitened Gram form of
-    ``_rank2_tangle_core``, which needs no special case for a pure state.
-    ``RANK_TOL`` only decides whether the rank exceeds 2.  Accurate to
-    roundoff on the eigenpairs it is given (the kernel is pinned at 1e-12
-    against a 40-digit reference, rank 1 included); agrees with
-    ``convex_roof_itangle`` to optimizer accuracy.
+    A qubit P purifies the state from its top two eigenpairs, and the 4 x 4
+    state of the pair's qubit factor Q (the first, if both are qubits) and
+    P goes to ``_pair_tangle``, the kernel behind ``tau_AF``.  A pair with
+    a 1-dimensional factor has tangle 0; one with no qubit factor needs
+    ``convex_roof_itangle``.  ``RANK_TOL`` only decides whether the rank
+    exceeds 2.  Accurate to roundoff on the eigenpairs it is given.
     """
     if len(rho.dims) != 2:
         raise ValueError("rank-2 tangle needs exactly two factors")
@@ -264,14 +255,17 @@ def rank2_itangle(rho: DensityMatrix) -> float:
             f"state has effective rank > 2 at tolerance {RANK_TOL:g}; "
             "use convex_roof_itangle"
         )
-    # a 1-dimensional pair space has one eigenpair: its second purifier component is 0
-    k = min(2, evals.size)
-    w = np.zeros((2, evals.size), dtype=complex)
-    w[:k] = np.sqrt(np.maximum(evals[:k], 0.0))[:, None] * evecs[:, :k].T
+    if 1 in rho.dims:
+        return 0.0
+    if 2 not in rho.dims:
+        raise ValueError(f"pair dims {rho.dims} have no qubit factor; use convex_roof_itangle")
+    w = np.sqrt(np.maximum(evals[:2], 0.0))[:, None] * evecs[:, :2].T
     # renormalize away the weight lost to discarded (dust) eigenvalues
     w = (w / np.linalg.norm(w)).reshape(2, *rho.dims)
-    r = np.einsum("jab,kcb->jkac", w, w.conj())
-    return float(_rank2_tangle_core(r[None])[0])
+    psi = np.moveaxis(w, rho.dims.index(2) + 1, 0).reshape(4, -1)  # rows (Q, P)
+    rho_qp = psi @ psi.conj().T
+    _, tau_q = _qubit_cut(np.einsum("abcb->ac", rho_qp.reshape(2, 2, 2, 2))[None])
+    return float(_pair_tangle(_pauli_correlations(rho_qp[None]), tau_q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +531,9 @@ def tcm_columns(
     from rho_AA.  Its rank (``_field_rank``) is counted only for
     ``field_eff_dim`` and the residual.  Only ``tau_A_rest``,
     ``tau_AF`` and ``tau_res`` run the one-atom spectra and the rank-2
-    closed form, which needs only the purifier correlations of each
-    atom-field pair (purified by the spare atom), a transposed view of
-    rho_AA.  Each column is bit-identical whichever others are named.
+    closed form, which needs only the Pauli correlations of rho_AA: each
+    atom-field pair is purified by the other atom.  Each column is
+    bit-identical whichever others are named.
     """
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
@@ -561,9 +555,10 @@ def tcm_columns(
         ev_a2, tau_a2_rest = _qubit_cut(np.einsum("nabad->nbd", rho4))
         d_f = cols["field_eff_dim"]
         d_a1, d_a2 = (np.count_nonzero(ev > RANK_TOL, axis=-1) for ev in (ev_a1, ev_a2))
-        # two calls at N states each: one call on 2N doubles the kernel's peak memory
-        tau_a1f = _rank2_tangle_core(rho4.transpose(0, 2, 4, 1, 3))
-        tau_a2f = _rank2_tangle_core(rho4.transpose(0, 1, 3, 2, 4))
+        # each atom-field pair is purified by the other atom
+        r = _pauli_correlations(rho_aa)
+        tau_a1f = _pair_tangle(r, tau_a_rest)
+        tau_a2f = _pair_tangle(r.swapaxes(1, 2), tau_a2_rest)
 
         one_vs_rest = (
             d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * cols["tau_F_AA"]
@@ -627,15 +622,15 @@ def residual_tangle_batch(states: np.ndarray, dims: Sequence[int]) -> np.ndarray
 
 def _pair_tangle_generic(state: PureState, pair: tuple[int, int]) -> float:
     """Mixed tangle of two factors of a pure state: Wootters for qubit pairs,
-    on the state's own amplitude factor; the rank-2 closed form when
-    applicable; the convex roof otherwise."""
+    on the state's own amplitude factor; the rank-2 closed form for a pair
+    of rank <= 2 with a factor of dimension <= 2; the convex roof otherwise."""
     i, j = pair
     tens = state.tensor()
     if (tens.shape[i], tens.shape[j]) == (2, 2):
         factor = np.moveaxis(tens, (i, j), (0, 1)).reshape(4, -1)
         return float(_wootters_batch(factor[None])[0])
     rho = partial_trace(state, pair)
-    if effective_rank(rho) <= 2:
+    if min(rho.dims) <= 2 and effective_rank(rho) <= 2:
         return rank2_itangle(rho)
     return convex_roof_itangle(rho)
 

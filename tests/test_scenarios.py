@@ -474,7 +474,7 @@ def test_range_check_message_has_no_suffix(monkeypatch, tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == "run error: tau_AA = nan outside [-1e-09, 1]\n"
     # a large pairwise atom-field tangle passes its own check but drives tau_res negative
-    monkeypatch.setattr(tangles, "_rank2_tangle_core", lambda r: np.full(len(r), 10.0))
+    monkeypatch.setattr(tangles, "_pair_tangle", lambda r, tau_q: np.full(len(r), 10.0))
     with pytest.raises(RuntimeError) as info:
         tt.run_scenario(small_config())
     # at gt = 0 every tangle but the patched pair is 0 and every rank is 1: -(2/3) * 10

@@ -321,6 +321,28 @@ def test_rank2_local_unitary_invariant():
     assert abs(tt.rank2_itangle(dm) - tt.rank2_itangle(rotated)) < 1e-10
 
 
+
+def test_rank2_either_factor_order_and_pairs_without_a_qubit(monkeypatch):
+    # the kernel takes the pair's qubit factor wherever it sits
+    rng = np.random.default_rng(46)
+    for d in (2, 3, 4, 5):
+        v1, v2 = haar_vec(rng, 2 * d), haar_vec(rng, 2 * d)
+        rho = 0.7 * np.outer(v1, v1.conj()) + 0.3 * np.outer(v2, v2.conj())
+        swapped = rho.reshape(2, d, 2, d).transpose(1, 0, 3, 2).reshape(2 * d, 2 * d)
+        forward = tt.rank2_itangle(tt.DensityMatrix((2, d), rho))
+        assert abs(forward - tt.rank2_itangle(tt.DensityMatrix((d, 2), swapped))) < 1e-14, d
+    # a rank-2 (3, 3) pair, purified by a qubit, has no qubit factor: refused,
+    # and the generic pair path sends it to the roof
+    psi = pure_state((3, 3, 2), haar_vec(rng, 18))
+    pair = tt.partial_trace(psi, (0, 1))
+    assert tt.effective_rank(pair) == 2
+    with pytest.raises(ValueError, match="no qubit factor; use convex_roof_itangle"):
+        tt.rank2_itangle(pair)
+    roofed = []
+    monkeypatch.setattr(tangles, "convex_roof_itangle", lambda r: roofed.append(r.dims) or 0.125)
+    assert tangles._pair_tangle_generic(psi, (0, 1)) == 0.125
+    assert roofed == [(3, 3)]
+
 # Impurities of one atom, from a pure pair up to 1e-4.  In double precision
 # the Lorentz-boost form of the rank-2 minimum (the reference below) loses
 # about eps / impurity to cancellation, up to 1.6e-6 on these states, and
@@ -346,7 +368,7 @@ def impure_atom_states(rng, field_dim, atom, impurities=IMPURITIES):
 def _mpmath_rank2_tangle(psi, purifier):
     """tau_AF of the (other atom, field) pair of a (2, 2, D) state purified
     by atom ``purifier``, from the Lorentz-boost form at 40 digits.  That
-    route differs from the kernel's whitened Gram form, and 40 digits leave
+    route differs from the kernel's K W form, and 40 digits leave
     it accurate to about 1e-26 at the smallest impurity, 1e-14.  A pair
     that is pure at this precision takes 2(1 - tr rho_A^2) directly."""
     psi = np.moveaxis(psi.reshape(2, 2, -1), purifier, 0)
@@ -402,7 +424,7 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
 
     wootters, rank2, qubit_cut, field_rank = (
         "tcm_tangles.tangles._wootters_batch",
-        "tcm_tangles.tangles._rank2_tangle_core",
+        "tcm_tangles.tangles._pair_tangle",
         "tcm_tangles.tangles._qubit_cut",
         "tcm_tangles.tangles._field_rank",
     )
@@ -428,12 +450,14 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
 
 
 def _recorded_calls(monkeypatch, name, amps):
-    """[(argument, result)] of each call of ``tangles.<name>`` in one full
-    ``tcm_columns(amps)``, in order, and that call's columns."""
+    """[(first argument, result)] of each call of ``tangles.<name>`` in one
+    full ``tcm_columns(amps)``, in order, and that call's columns."""
     calls = []
     func = getattr(tangles, name)
     with monkeypatch.context() as patch:
-        patch.setattr(tangles, name, lambda arg: calls.append((arg, func(arg))) or calls[-1][1])
+        patch.setattr(
+            tangles, name, lambda arg, *rest: calls.append((arg, func(arg, *rest))) or calls[-1][1]
+        )
         columns = tcm_columns(amps)
     return calls, columns
 
@@ -442,7 +466,7 @@ def _kernel_pair_tangles(monkeypatch, amps):
     """(tau_A1F, tau_A2F) of a state stack: the two rank-2 kernel calls of
     ``tcm_columns``, recorded in order (A1-field purified by atom 2, then
     A2-field purified by atom 1)."""
-    calls, columns = _recorded_calls(monkeypatch, "_rank2_tangle_core", amps)
+    calls, columns = _recorded_calls(monkeypatch, "_pair_tangle", amps)
     assert len(calls) == 2
     np.testing.assert_array_equal(calls[0][1], columns["tau_AF"])
     return [result for _, result in calls]
@@ -505,10 +529,11 @@ def test_lam_max_matches_mpmath_at_degenerate_tops(monkeypatch):
     # the closed form's hard cases: a top pair that meets, where arccos alone
     # is off by about sqrt(eps), and three equal eigenvalues, where p = 0
     rng = np.random.default_rng(69)
-    # the atom-symmetric |ee>|3> state at gt = 0.9: both W C W have an
-    # exactly degenerate top pair; Bell atoms times a Haar field, atom 1
-    # rotated: each atom is maximally mixed, each W C W is 1/2 times the
-    # identity up to rounding, and each atom-field pair is a product state
+    # the atom-symmetric |ee>|3> state at gt = 0.9: both pair-kernel
+    # matrices K K^T + k k^T / s^2 have an exactly degenerate top pair; Bell
+    # atoms times a Haar field, atom 1 rotated: each atom is maximally mixed,
+    # each matrix is the identity up to rounding, and each atom-field pair
+    # is a product state
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     bell = np.kron(np.kron(u, np.eye(2)) @ BELL, haar_vec(rng, 5))
     symmetric = tt.evolve(tt.initial_state("ee", tt.fock_state(3, 8), 8), 0.9).amplitudes
@@ -518,8 +543,8 @@ def test_lam_max_matches_mpmath_at_degenerate_tops(monkeypatch):
     ]:
         calls, columns = _recorded_calls(monkeypatch, "_sym3_lam_max", amps)
         assert len(calls) == 2
-        for wcw, lam in calls:
-            np.testing.assert_allclose(lam, _mpmath_lam_max(wcw), atol=1e-12, rtol=0)
+        for gram, lam in calls:
+            np.testing.assert_allclose(lam, _mpmath_lam_max(gram), atol=1e-12, rtol=0)
         np.testing.assert_allclose(columns["tau_AF"], reference, atol=1e-12, rtol=0)
     # constructed: two equal top eigenvalues, three equal ones, and exactly 0.3 I
     constructed = np.array(
@@ -533,9 +558,10 @@ def test_lam_max_matches_mpmath_at_degenerate_tops(monkeypatch):
 
 
 def test_lam_max_closed_form_and_fallback_match_eigvalsh(monkeypatch):
-    # the closed form on the W C W of Haar (2, 2, 3) and (2, 2, 4) stacks (and,
-    # at D = 3, the complex Hermitian X^H X of the Wootters kernel), and the
-    # eigvalsh fallback on an atom-symmetric scenario, whose top pairs meet
+    # the closed form on the pair-kernel matrices of Haar (2, 2, 3) and
+    # (2, 2, 4) stacks (and, at D = 3, the complex Hermitian X^H X of the
+    # Wootters kernel), and the eigvalsh fallback on an atom-symmetric
+    # scenario, whose top pairs meet
     rng = np.random.default_rng(70)
     state = tt.initial_state("ee", tt.fock_state(3, 8), 8)
     symmetric = np.array([tt.evolve(state, gt).amplitudes for gt in np.linspace(0.0, 4.0, 50)])
@@ -544,16 +570,16 @@ def test_lam_max_closed_form_and_fallback_match_eigvalsh(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     for amps, top_pairs_meet in stacks:
         calls, _ = _recorded_calls(monkeypatch, "_sym3_lam_max", amps)
-        wcw = np.concatenate([arg for arg, _ in calls])
+        gram = np.concatenate([arg for arg, _ in calls])
         solved = []
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
-            lam = tangles._sym3_lam_max(wcw)
-        np.testing.assert_allclose(lam, eigvalsh(wcw)[:, -1], atol=1e-13, rtol=0)
+            lam = tangles._sym3_lam_max(gram)
+        np.testing.assert_allclose(lam, eigvalsh(gram)[:, -1], atol=1e-13, rtol=0)
         if top_pairs_meet:
             assert sum(solved) > 0
         else:
-            assert sum(solved) < 0.01 * len(wcw)
+            assert sum(solved) < 0.01 * len(gram)
 
 
 def test_qubit_cut_matches_mpmath_across_impurities(monkeypatch):
@@ -850,3 +876,25 @@ def test_residual_nonnegative_on_qubit_triples():
     states = np.array([haar_vec(rng, 8) for _ in range(500)])
     batch = tt.residual_tangle_batch(states, (2, 2, 2))
     assert batch.min() > -1e-10
+
+
+@pytest.mark.parametrize("field_dim", [3, 4])
+def test_rank_cutoff_artefact_near_product_states_is_bounded(field_dim):
+    # |ee, 0> plus eps times a complex Gaussian / sqrt(8 D): a marginal
+    # eigenvalue just below RANK_TOL drops its d/2 weight while the tangles
+    # still carry it, which makes exact negatives of order RANK_TOL; they
+    # stay above -(4/3) RANK_TOL, far above TANGLE_FLOOR, and the batch
+    # kernel agrees with the scalar path at the worst state
+    rng = np.random.default_rng(90 + field_dim)
+    size = 4 * field_dim
+    for eps in (3e-5, 3e-6):
+        noise = rng.standard_normal((20_000, size)) + 1j * rng.standard_normal((20_000, size))
+        states = noise * (eps / np.sqrt(8.0 * field_dim))
+        states[:, 0] += 1.0
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        values = tt.residual_tangle_batch(states, (2, 2, field_dim))
+        worst = int(np.argmin(values))
+        assert values[worst] >= -4.0 / 3.0 * RANK_TOL, (eps, values[worst])
+        assert not np.any(values < tangles.TANGLE_FLOOR)
+        scalar = tt.i_residual_tangle(pure_state((2, 2, field_dim), states[worst]))
+        assert abs(scalar - values[worst]) < 1e-14, (eps, scalar, values[worst])
