@@ -90,6 +90,8 @@ class ScenarioConfig:
         object.__setattr__(self, "steps", _check_steps(self.steps))
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
+        if not math.isfinite(self.t_max / (self.steps - 1) * (self.steps - 1)):  # as np.linspace
+            raise ValueError(f"t_max = {self.t_max!r} overflows the grid of {self.steps} points")
         if self.field not in ("fock", "coherent"):
             raise ValueError(f"field must be 'fock' or 'coherent', got {self.field!r}")
         if self.field == "fock":

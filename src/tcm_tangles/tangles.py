@@ -76,34 +76,34 @@ def inversion_overlap(rho: DensityMatrix) -> float:
 
 
 def _wootters_batch(w: np.ndarray) -> np.ndarray:
-    """Squared concurrence of the two-qubit states rho = W W^H of a (..., 4, k) stack.
+    """Squared concurrence of the two-qubit states rho = W W^H of a (4, k, N) stack, batch last.
 
     The l_i are the singular values of X = W^T (sigma_y x sigma_y) W
-    (Wootters, PRL 80, 2245 (1998)).  With more than four columns, a thin
+    (Wootters, PRL 80, 2245 (1998)).  At most three columns (padded with
+    zero columns to three) take the closed form of ``_concurrence_3col``.
+    More take LAPACK on the (N, 4, k) layout: with more than four, a thin
     QR W^T = Q R first gives W' = R^T, a factor of the same rho with four
     columns and the same singular values, and four columns take an SVD of
-    X.  At most three columns (padded with zero columns to three) take the
-    closed form of ``_concurrence_3col``, with no SVD.  No square root of
-    rho is taken: accurate to roundoff at any rank.
+    X.  No square root of rho is taken: accurate to roundoff at any rank.
     """
-    k = w.shape[-1]
-    if k > 4:
-        w = np.linalg.qr(w.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
-    elif k < 3:
-        w = np.concatenate([w, np.zeros(w.shape[:-1] + (3 - k,), w.dtype)], axis=-1)
-    x = (w.swapaxes(-1, -2)[..., ::-1] * _YY_SIGNS) @ w
-    if k > 3:
-        lam = np.linalg.svd(x, compute_uv=False)
+    k = w.shape[1]
+    if k <= 3:
+        if k < 3:
+            w = np.concatenate([w, np.zeros((4, 3 - k) + w.shape[2:], w.dtype)], axis=1)
+        c = _concurrence_3col(w)
+    else:
+        f = np.moveaxis(w, -1, 0)
+        if k > 4:
+            f = np.linalg.qr(f.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        lam = np.linalg.svd((f.swapaxes(-1, -2)[..., ::-1] * _YY_SIGNS) @ f, compute_uv=False)
         # svd sorts descending: the largest value minus the others
         c = 2.0 * lam[..., 0] - lam.sum(axis=-1)
-    else:
-        c = _concurrence_3col(w, x)
     return np.maximum(c, 0.0) ** 2
 
 
-def _concurrence_3col(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _concurrence_3col(w: np.ndarray) -> np.ndarray:
     """l1 - l2 - l3 for the singular values of each 3 x 3 X = W^T (sigma_y x
-    sigma_y) W of a (..., 4, 3) factor stack, without an SVD.
+    sigma_y) W of a (4, 3, N) factor stack, without an SVD.
 
     mu1 = l1^2 is the largest eigenvalue of X^H X (``_sym3_lam_max``).  By
     Cauchy-Binet, e2 = sum_{i<j} l_i^2 l_j^2 is the sum of the squared
@@ -115,15 +115,16 @@ def _concurrence_3col(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     about sqrt(eps) in l2 + l3 for a nearly pure state whose field basis
     mixes the Schmidt vectors.
     """
-    mu1 = np.maximum(_sym3_lam_max(x.conj().swapaxes(-1, -2) @ x), 0.0)
-    top, bottom = x[..., [0, 0, 1], :], x[..., [1, 2, 2], :]
-    minors = top[..., [0, 0, 1]] * bottom[..., [1, 2, 2]] - top[..., [1, 2, 2]] * bottom[..., [0, 0, 1]]
-    e2 = np.sum((minors * minors.conj()).real, axis=(-2, -1))
+    x = np.einsum("ain,ajn->ijn", w[::-1] * _YY_SIGNS[:, None, None], w)
+    mu1 = np.maximum(_sym3_lam_max(np.einsum("kin,kjn->ijn", x.conj(), x)), 0.0)
+    # the rows of adj(X)^T, the cross products of X's rows, are its 2 x 2 minors
+    minors = np.array([np.cross(x[i], x[j], axis=0) for i, j in ((1, 2), (2, 0), (0, 1))])
+    e2 = np.sum(minors.real**2 + minors.imag**2, axis=(0, 1))
     # each M_j as a triple product of the other three rows
-    w0, w1, w2, w3 = np.moveaxis(w, -2, 0)
-    w23 = np.cross(w2, w3)
-    m0, m1 = np.sum(w1 * w23, axis=-1), np.sum(w0 * w23, axis=-1)
-    m2, m3 = np.sum(w0 * np.cross(w1, w3), axis=-1), np.sum(w0 * np.cross(w1, w2), axis=-1)
+    w0, w1, w2, w3 = w
+    w23 = np.cross(w2, w3, axis=0)
+    m0, m1 = np.sum(w1 * w23, axis=0), np.sum(w0 * w23, axis=0)
+    m2, m3 = (np.sum(w0 * np.cross(w1, v, axis=0), axis=0) for v in (w3, w2))
     delta = 2.0 * np.abs(m0 * m3 - m1 * m2)
     # X = 0 has C = 0; a NaN stays NaN, for the range check to catch
     zero = mu1 == 0.0
@@ -146,7 +147,7 @@ def wootters_tangle(rho: DensityMatrix) -> float:
         raise ValueError("Wootters tangle is defined for two qubits (4x4)")
     evals, evecs = np.linalg.eigh(rho.matrix)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    return float(_wootters_batch(factor[None])[0])
+    return float(_wootters_batch(factor[..., None])[0])
 
 
 def pure_itangle(state: PureState, side: Sequence[int]) -> float:
@@ -173,8 +174,9 @@ TOP_PAIR_GUARD = 1e-2
 
 
 def _sym3_lam_max(a: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each matrix of a (N, 3, 3) real symmetric or
-    complex Hermitian stack.
+    """Largest eigenvalue of each matrix of a (3, 3, N) real symmetric or
+    complex Hermitian stack, batch last, from its lower triangle (the one
+    eigvalsh reads).
 
     Trigonometric closed form (O. K. Smith, CACM 4, 168 (1961)): with
     q = tr(A)/3, p = ||A - q||_F / sqrt(6) and B = (A - q)/p, the
@@ -185,40 +187,45 @@ def _sym3_lam_max(a: np.ndarray) -> np.ndarray:
     Mod. Phys. C 19, 523 (2008)).  A multiple of the identity has p = 0
     and gets q.
     """
-    q = np.trace(a, axis1=-2, axis2=-1).real / 3.0
-    dev = a - q[..., None, None] * np.eye(3)
-    p = np.sqrt(np.sum((dev * dev.conj()).real, axis=(-2, -1)) / 6.0)
-    b = dev / np.where(p > 0.0, p, 1.0)[..., None, None]
-    # the lower triangle, which eigvalsh reads; the upper is its conjugate
-    (b00, _, _), (b10, b11, _), (b20, b21, b22) = np.moveaxis(b, (-2, -1), (0, 1))
-    c10, c20, c21 = b10.conj(), b20.conj(), b21.conj()
-    r = (b00 * (b11 * b22 - c21 * b21) - c10 * (b10 * b22 - c21 * b20)
-         + c20 * (b10 * b21 - b11 * b20)).real / 2.0
+    q = (a[0, 0] + a[1, 1] + a[2, 2]).real / 3.0
+    diag, low = [a[i, i].real - q for i in range(3)], [a[1, 0], a[2, 0], a[2, 1]]
+    p = np.sqrt((sum(x**2 for x in diag) + 2.0 * sum((x * x.conj()).real for x in low)) / 6.0)
+    scale = 1.0 / np.where(p > 0.0, p, 1.0)
+    b00, b11, b22, b10, b20, b21 = (x * scale for x in diag + low)
+    s10, s20, s21 = ((x * x.conj()).real for x in (b10, b20, b21))
+    # det(B) of the Hermitian B: one complex term, the cycle b10 b21 conj(b20)
+    r = (b00 * b11 * b22 + 2.0 * (b10 * b21 * b20.conj()).real
+         - b00 * s21 - b11 * s20 - b22 * s10) / 2.0
     lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
     near = r < -1.0 + TOP_PAIR_GUARD
     if near.any():
-        lam[near] = np.linalg.eigvalsh(a[near])[..., -1]
+        lam[near] = np.linalg.eigvalsh(np.moveaxis(a[..., near], -1, 0))[..., -1]
     return lam
 
 
 def _pauli_correlations(rho: np.ndarray) -> np.ndarray:
-    """R_mu nu = tr(rho sigma_mu (x) sigma_nu) of a (N, 4, 4) two-qubit stack, real,
-    entry by entry (no row depends on the others): the Pauli components of
-    the Hermitian tr_1[(sigma_mu (x) 1) rho], from its diagonal and upper entry."""
-    q = rho.reshape(-1, 2, 2, 2, 2)
-    b00, b01, b10, b11 = q[:, 0, :, 0], q[:, 0, :, 1], q[:, 1, :, 0], q[:, 1, :, 1]
-    m = np.stack([b00 + b11, b01 + b10, 1j * (b01 - b10), b00 - b11], axis=1)
-    d0, d1, off = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1]
-    return np.stack([d0 + d1, 2.0 * off.real, -2.0 * off.imag, d0 - d1], axis=-1)
+    """R_mu nu = tr(rho sigma_mu (x) sigma_nu), real, of a (4, 4, N) two-qubit stack, batch
+    last: each the sum of the two or four diagonal or upper entries it reads, plane by plane."""
+    d0, d1, d2, d3 = (rho[i, i].real for i in range(4))
+    # the entries where only the second qubit flips (u, v), only the first (s, t), both (x, y)
+    u, v = rho[0, 1] + rho[2, 3], rho[0, 1] - rho[2, 3]
+    s, t = rho[0, 2] + rho[1, 3], rho[0, 2] - rho[1, 3]
+    x, y = rho[0, 3] + rho[1, 2], rho[0, 3] - rho[1, 2]
+    return np.array([
+        [d0 + d1 + d2 + d3, 2.0 * u.real, -2.0 * u.imag, d0 - d1 + d2 - d3],
+        [2.0 * s.real, 2.0 * x.real, -2.0 * y.imag, 2.0 * t.real],
+        [-2.0 * s.imag, -2.0 * x.imag, -2.0 * y.real, -2.0 * t.imag],
+        [d0 + d1 - d2 - d3, 2.0 * v.real, -2.0 * v.imag, d0 - d1 - d2 + d3],
+    ])
 
 
 def _pair_tangle(r: np.ndarray, tau_q: np.ndarray) -> np.ndarray:
-    """Tangle of the pair (Q, F) of pure states of qubits Q, P and a factor F, batched.
+    """Tangle of the pair (Q, F) of pure states of qubits Q, P and a factor F, batch last.
 
-    ``r`` is the ``_pauli_correlations`` of rho_QP (rows Q) and ``tau_q``
-    = 4 det rho_Q.  Each length-2 decomposition of the pair state comes
-    from measuring its purifier P along a Bloch direction, and longer ones
-    never do better (Osborne, PRA 72, 022309 (2005)).  With a = R_i0,
+    ``r`` is the (4, 4, N) ``_pauli_correlations`` of rho_QP (rows Q) and
+    ``tau_q`` = 4 det rho_Q.  Each length-2 decomposition of the pair state
+    comes from measuring its purifier P along a Bloch direction, and longer
+    ones never do better (Osborne, PRA 72, 022309 (2005)).  With a = R_i0,
     b = R_0j, T = R_ij and K = T - a b^T (R. and M. Horodecki, PLA 200,
     340 (1995)) the minimum is tau_q - sigma_max^2(K W), W = (1 - b b^T)^(-1/2),
     and sigma_max^2(K W) = lam_max(K K^T + k k^T / s^2), k = K b and
@@ -228,11 +235,11 @@ def _pair_tangle(r: np.ndarray, tau_q: np.ndarray) -> np.ndarray:
     eps: accurate to roundoff up to and including a pure pair, where K = 0
     and tau = tau_q (s^2 is clamped at eps only to keep 0 / 0 out).
     """
-    a, b = r[:, 1:, 0], r[:, 0, 1:]
-    k = r[:, 1:, 1:] - a[:, :, None] * b[:, None, :]
-    kb = np.einsum("nij,nj->ni", k, b)
-    s2 = np.maximum(1.0 - np.sum(b**2, axis=-1), np.finfo(float).eps)
-    gram = np.einsum("nij,nkj->nik", k, k) + kb[:, :, None] * kb[:, None, :] / s2[:, None, None]
+    a, b = r[1:, 0], r[0, 1:]
+    k = r[1:, 1:] - a[:, None] * b
+    kb = np.einsum("ijn,jn->in", k, b)
+    s2 = np.maximum(1.0 - np.sum(b**2, axis=0), np.finfo(float).eps)
+    gram = np.einsum("ijn,kjn->ikn", k, k) + kb[:, None] * kb / s2
     return tau_q - _sym3_lam_max(gram)
 
 
@@ -263,9 +270,9 @@ def rank2_itangle(rho: DensityMatrix) -> float:
     # renormalize away the weight lost to discarded (dust) eigenvalues
     w = (w / np.linalg.norm(w)).reshape(2, *rho.dims)
     psi = np.moveaxis(w, rho.dims.index(2) + 1, 0).reshape(4, -1)  # rows (Q, P)
-    rho_qp = psi @ psi.conj().T
-    _, tau_q = _qubit_cut(np.einsum("abcb->ac", rho_qp.reshape(2, 2, 2, 2))[None])
-    return float(_pair_tangle(_pauli_correlations(rho_qp[None]), tau_q)[0])
+    rho_qp = (psi @ psi.conj().T)[..., None]
+    _, tau_q = _qubit_cut(np.einsum("abcbn->acn", rho_qp.reshape(2, 2, 2, 2, 1)))
+    return float(_pair_tangle(_pauli_correlations(rho_qp), tau_q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +450,18 @@ _COLUMN_RANGES = {
 
 
 def _qubit_cut(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra of a (N, 2, 2) stack of unit-trace one-qubit
-    marginals of pure states, and each cut's tangle 4 det(rho), which is
-    2*(1 - tr rho^2) at unit trace, all in closed form.
+    """Ascending spectra, as a (2, N) stack, of a (2, 2, N) stack of unit-trace
+    one-qubit marginals of pure states, batch last, and each cut's tangle
+    4 det(rho), which is 2*(1 - tr rho^2) at unit trace, all in closed form.
 
     The larger eigenvalue is tr/2 + hypot((a - d)/2, |b|) and the smaller
     det/lam_max, which stays accurate near a pure state, where
     tr/2 - hypot would cancel.
     """
-    a, d, b = rho[:, 0, 0].real, rho[:, 1, 1].real, np.abs(rho[:, 0, 1])
+    a, d, b = rho[0, 0].real, rho[1, 1].real, np.abs(rho[0, 1])
     det = a * d - b**2
     lam_max = 0.5 * (a + d) + np.hypot(0.5 * (a - d), b)
-    return np.stack([det / lam_max, lam_max], axis=-1), 4.0 * det
+    return np.stack([det / lam_max, lam_max]), 4.0 * det
 
 
 # _field_rank trusts each computed e_k, a sum of k x k principal minors of a
@@ -470,8 +477,8 @@ _CHOOSE = np.array([4.0, 6.0, 4.0, 1.0])[:, None]  # C(4, k), k = 1 .. 4
 
 
 def _field_rank(rho: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues above ``RANK_TOL`` of each matrix of a (N, 4, 4)
-    positive semidefinite stack, equal to eigvalsh's count.
+    """Number of eigenvalues above ``RANK_TOL`` of each matrix of a (4, 4, N)
+    positive semidefinite stack, batch last, equal to eigvalsh's count.
 
     With e_k the elementary symmetric functions of the spectrum (the sums
     of the k x k principal minors, e_0 = 1, e_5 = 0), every eigenvalue at
@@ -484,7 +491,7 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     lower triangle defines, the one eigvalsh reads.
     """
     i, j = _PAIRS
-    flat = rho.reshape(len(rho), 16).T  # (16, N): entry 4 r + c per row
+    flat = rho.reshape(16, -1)  # entry 4 r + c per row
     d = flat[[0, 5, 10, 15]].real
     lower = flat[4 * j + i]
     # the Hermitian matrix with this lower triangle and diagonal, entry by entry
@@ -512,7 +519,8 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     counts = np.arange(1, 5) @ certified
     unsure = ~certified.any(axis=0)
     if unsure.any():
-        counts[unsure] = np.count_nonzero(np.linalg.eigvalsh(rho[unsure]) > RANK_TOL, axis=-1)
+        lam = np.linalg.eigvalsh(np.moveaxis(rho[..., unsure], -1, 0))
+        counts[unsure] = np.count_nonzero(lam > RANK_TOL, axis=-1)
     return counts
 
 
@@ -523,8 +531,8 @@ def tcm_columns(
     """The named ``SCENARIO_COLUMNS`` of an (N, 4*D) stack of (2, 2, D) states, in ``names`` order.
 
     Only what the named columns need is computed: ``tau_AA`` is the
-    Wootters kernel on the (N, 4, D) amplitude view M, and ``tau_F_AA``,
-    ``field_eff_dim`` and ``inversion`` need rho_AA = M @ M^H (the product
+    Wootters kernel on the amplitude factor W, and ``tau_F_AA``,
+    ``field_eff_dim`` and ``inversion`` need rho_AA = W W^H (the product
     ``partial_trace`` forms): its purity tr rho_AA^2 = ||rho_AA||_F^2, its
     spectrum and its diagonal.  Both sides of a pure-state cut share their
     nonzero spectrum, so the field's purity and effective dimension come
@@ -534,31 +542,41 @@ def tcm_columns(
     closed form, which needs only the Pauli correlations of rho_AA: each
     atom-field pair is purified by the other atom.  Each column is
     bit-identical whichever others are named.
+
+    The kernels take the batch axis last (W as (4, D, N), rho_AA as (4, 4, N)), so each
+    step is one contiguous pass over N.  No step multiplies the planes as one matrix: that
+    BLAS-3 call starts OpenBLAS threads in each forked sweep worker, and two workers on two
+    cores then ran a 2x2x3 block about three times slower.
     """
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
         raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
     full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
     m = amps.reshape(len(amps), 4, -1)
+    # more than three field columns keep the (N, 4, D) layout that W W^H and the SVD read
+    small = m.shape[-1] <= 3
+    w = np.ascontiguousarray(np.moveaxis(m, 0, -1)) if small else np.moveaxis(m, 0, -1)
     cols = {}
     if full or "tau_AA" in names:
-        cols["tau_AA"] = _wootters_batch(m)
+        cols["tau_AA"] = _wootters_batch(w)
     if full or set(names) - {"tau_AA"}:
-        rho_aa = m @ m.conj().swapaxes(-1, -2)
-        cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("nab,nba->n", rho_aa, rho_aa).real)
-        cols["inversion"] = (rho_aa[:, 0, 0] - rho_aa[:, 3, 3]).real
+        rho_aa = (np.einsum("akn,bkn->abn", w, w.conj()) if small
+                  else np.moveaxis(m @ m.conj().swapaxes(-1, -2), 0, -1))
+        cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
+        cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
     if full or "field_eff_dim" in names:
+        rho_aa = np.ascontiguousarray(rho_aa)
         cols["field_eff_dim"] = _field_rank(rho_aa)
     if full:
-        rho4 = rho_aa.reshape(-1, 2, 2, 2, 2)
-        ev_a1, tau_a_rest = _qubit_cut(np.einsum("nabcb->nac", rho4))
-        ev_a2, tau_a2_rest = _qubit_cut(np.einsum("nabad->nbd", rho4))
+        rho4 = rho_aa.reshape(2, 2, 2, 2, -1)
+        ev_a1, tau_a_rest = _qubit_cut(np.einsum("abcbn->acn", rho4))
+        ev_a2, tau_a2_rest = _qubit_cut(np.einsum("abadn->bdn", rho4))
         d_f = cols["field_eff_dim"]
-        d_a1, d_a2 = (np.count_nonzero(ev > RANK_TOL, axis=-1) for ev in (ev_a1, ev_a2))
+        d_a1, d_a2 = (np.count_nonzero(ev > RANK_TOL, axis=0) for ev in (ev_a1, ev_a2))
         # each atom-field pair is purified by the other atom
         r = _pauli_correlations(rho_aa)
         tau_a1f = _pair_tangle(r, tau_a_rest)
-        tau_a2f = _pair_tangle(r.swapaxes(1, 2), tau_a2_rest)
+        tau_a2f = _pair_tangle(r.swapaxes(0, 1), tau_a2_rest)
 
         one_vs_rest = (
             d_a1 / 2.0 * tau_a_rest + d_a2 / 2.0 * tau_a2_rest + d_f / 2.0 * cols["tau_F_AA"]
@@ -628,7 +646,7 @@ def _pair_tangle_generic(state: PureState, pair: tuple[int, int]) -> float:
     tens = state.tensor()
     if (tens.shape[i], tens.shape[j]) == (2, 2):
         factor = np.moveaxis(tens, (i, j), (0, 1)).reshape(4, -1)
-        return float(_wootters_batch(factor[None])[0])
+        return float(_wootters_batch(factor[..., None])[0])
     rho = partial_trace(state, pair)
     if min(rho.dims) <= 2 and effective_rank(rho) <= 2:
         return rank2_itangle(rho)

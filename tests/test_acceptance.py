@@ -292,10 +292,10 @@ def _haar_batch(rng, count, dim):
 def _ckw_min_residual(rng, count):
     """Smallest one-vs-rest minus pairwise-tangle margin over qubit triples."""
     tens = _haar_batch(rng, count, 8).reshape(count, 2, 2, 2)
-    # each pair's 4 x 2 amplitude factor: rho_pair = W W^H
-    tau_ab = _wootters_batch(tens.reshape(count, 4, 2))
-    tau_ac = _wootters_batch(tens.transpose(0, 1, 3, 2).reshape(count, 4, 2))
-    tau_bc = _wootters_batch(tens.transpose(0, 2, 3, 1).reshape(count, 4, 2))
+    # each pair's 4 x 2 amplitude factor, batch last: rho_pair = W W^H
+    tau_ab = _wootters_batch(np.moveaxis(tens.reshape(count, 4, 2), 0, -1))
+    tau_ac = _wootters_batch(np.moveaxis(tens.transpose(0, 1, 3, 2).reshape(count, 4, 2), 0, -1))
+    tau_bc = _wootters_batch(np.moveaxis(tens.transpose(0, 2, 3, 1).reshape(count, 4, 2), 0, -1))
 
     def one_vs_rest(subscript):
         rho = np.einsum(subscript, tens, tens.conj())
@@ -314,7 +314,7 @@ def _tangle_bound_margin(rng, count):
     """min of tr(rho rho~) - tau_2 over induced-measure two-qubit states."""
     v = _haar_batch(rng, count, 16).reshape(count, 4, 4)
     rho = np.einsum("nik,njk->nij", v, v.conj())
-    tau2 = _wootters_batch(v)
+    tau2 = _wootters_batch(np.moveaxis(v, 0, -1))
     four = rho.reshape(count, 2, 2, 2, 2)
     rho_a = np.einsum("nabcb->nac", four)
     rho_b = np.einsum("nabad->nbd", four)

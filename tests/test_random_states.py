@@ -139,6 +139,29 @@ def test_sweep_worker_failure_leaves_no_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _threads_after_sweep_blocks(conn):
+    for dims in random_states.SWEEP_DIMS:
+        random_states._sweep_block(dims, BLOCK, 0, 0)
+    conn.send(len(os.listdir("/proc/self/task")))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
+    reason="counts a forked child's threads in /proc",
+)
+def test_sweep_block_starts_no_blas_thread_in_a_forked_worker():
+    # a forked sweep worker starts with one thread; a BLAS-3 call in the
+    # kernel (a 16 x 16 by 16 x 10,000 complex matmul is one) makes OpenBLAS
+    # start its pool there, which then competes with the other worker's
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_threads_after_sweep_blocks, args=(send,))
+    child.start()
+    child.join(60)
+    assert not child.is_alive() and child.exitcode == 0
+    assert receive.recv() == 1
+
+
 def test_sweep_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 5), samples=10)

@@ -455,7 +455,7 @@ def test_scaling_runs_the_scenario_loop(monkeypatch):
         period = 2.0 * math.pi / math.sqrt(4.0 * n - 2.0)
         config = tt.ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=200)
         assert peak == tt.run_scenario(config).column("tau_AA").max()
-    monkeypatch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
+    monkeypatch.setattr(tangles, "_wootters_batch", lambda w: np.full(w.shape[-1], np.nan))
     with pytest.raises(RuntimeError) as info:
         tt.scaling_study(ns, steps=200)
     assert str(info.value) == "tau_AA = nan outside [-1e-09, 1]"
@@ -465,7 +465,7 @@ def test_range_check_message_has_no_suffix(monkeypatch, tmp_path, capsys):
     # a failure names the column, its first bad value and the range, nothing
     # more; no setting causes it, so it is a run error (exit 2), not a config error
     with monkeypatch.context() as patch:
-        patch.setattr(tangles, "_wootters_batch", lambda w: np.full(len(w), np.nan))
+        patch.setattr(tangles, "_wootters_batch", lambda w: np.full(w.shape[-1], np.nan))
         with pytest.raises(RuntimeError) as info:
             tt.run_scenario(small_config())
         assert not isinstance(info.value, ValueError)
@@ -474,7 +474,7 @@ def test_range_check_message_has_no_suffix(monkeypatch, tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == "run error: tau_AA = nan outside [-1e-09, 1]\n"
     # a large pairwise atom-field tangle passes its own check but drives tau_res negative
-    monkeypatch.setattr(tangles, "_pair_tangle", lambda r, tau_q: np.full(len(r), 10.0))
+    monkeypatch.setattr(tangles, "_pair_tangle", lambda r, tau_q: np.full(r.shape[-1], 10.0))
     with pytest.raises(RuntimeError) as info:
         tt.run_scenario(small_config())
     # at gt = 0 every tangle but the patched pair is 0 and every rank is 1: -(2/3) * 10
@@ -800,9 +800,10 @@ _CLI_MEAN_N = st.one_of(
 
 @settings(max_examples=50, deadline=None)
 @given(t_max=_CLI_FLOATS, steps=_CLI_STEPS, n=_CLI_PHOTONS, mean_n=_CLI_MEAN_N)
-# in order: the phases overflow; a small run; a huge grid end that still evolves;
-# an 8 GB grid; fields of about 134 GB; a mean_n too small for the scaled time
+# in order: the phases overflow; the grid overflows; a small run; a huge grid end that
+# still evolves; an 8 GB grid; fields of about 134 GB; a mean_n too small for the scaled time
 @example(t_max=1.7e308, steps=3, n=3, mean_n=2.0)
+@example(t_max=1.7976931348623157e308, steps=4, n=0, mean_n=math.nan)
 @example(t_max=5.0, steps=3, n=3, mean_n=2.0)
 @example(t_max=1e300, steps=3, n=3, mean_n=2.0)
 @example(t_max=5.0, steps=10**9, n=3, mean_n=2.0)

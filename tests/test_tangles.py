@@ -114,7 +114,7 @@ def test_wootters_kernel_rank1_factors():
     vecs[0] = BELL
     vecs[1] = np.kron(haar_vec(rng, 2), haar_vec(rng, 2))
     expected = 4.0 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2]) ** 2
-    np.testing.assert_allclose(_wootters_batch(vecs[:, :, None]), expected, atol=1e-14, rtol=0)
+    np.testing.assert_allclose(_wootters_batch(vecs.T[:, None]), expected, atol=1e-14, rtol=0)
 
 
 def test_wootters_kernel_bell_diagonal_mixtures():
@@ -132,7 +132,7 @@ def test_wootters_kernel_bell_diagonal_mixtures():
             wide = w @ _unitary(rng, 6)[:rank]
             expected = max(0.0, 2.0 * p.max() - 1.0) ** 2
             for factor in (w, wide):
-                assert abs(_wootters_batch(factor[None])[0] - expected) < 1e-14
+                assert abs(_wootters_batch(factor[..., None])[0] - expected) < 1e-14
 
 
 def _mpmath_wootters_svd(w):
@@ -144,6 +144,11 @@ def _mpmath_wootters_svd(w):
         yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
         lam = sorted(mpmath.svd_c(mat.T * yy * mat, compute_uv=False), reverse=True)
         return float(max(0, lam[0] - sum(lam[1:])) ** 2)
+
+
+def _planes_wootters(stack):
+    """``_wootters_batch`` of an (N, 4, k) factor stack, passed batch last."""
+    return _wootters_batch(np.moveaxis(stack, 0, -1))
 
 
 def _refuse(*args, **kwargs):
@@ -172,12 +177,12 @@ def test_wootters_kernel_matches_mpmath_on_three_or_fewer_columns(monkeypatch):
         for k in (1, 2, 3):
             stack = np.array([w for w, cols in factors if cols == k])
             reference = [_mpmath_wootters_svd(w) for w in stack]
-            np.testing.assert_allclose(_wootters_batch(stack), reference, atol=1e-14, rtol=0)
+            np.testing.assert_allclose(_planes_wootters(stack), reference, atol=1e-14, rtol=0)
         # a product state has X = 0 and tangle 0; a non-finite factor stays non-finite
-        assert _wootters_batch(np.kron([1.0, 0.0], [0.0, 1.0])[None, :, None]) == 0.0
+        assert _wootters_batch(np.kron([1.0, 0.0], [0.0, 1.0])[:, None, None]) == 0.0
         with np.errstate(invalid="ignore"):
             for bad in (np.nan, np.inf):
-                assert np.isnan(_wootters_batch(np.full((1, 4, 3), bad, dtype=complex)))
+                assert np.isnan(_wootters_batch(np.full((4, 3, 1), bad, dtype=complex)))
 
 
 def test_wootters_kernel_top_pair_guard(monkeypatch):
@@ -197,7 +202,7 @@ def test_wootters_kernel_top_pair_guard(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
-        tau = _wootters_batch(stack)
+        tau = _planes_wootters(stack)
     assert solved == [len(stack)]
     np.testing.assert_allclose(tau, expected, atol=1e-14, rtol=0)
     np.testing.assert_allclose(tau, [_mpmath_wootters_svd(w) for w in stack], atol=1e-14, rtol=0)
@@ -504,18 +509,18 @@ def test_rank2_kernel_matches_wootters_on_qubit_fields():
         amps = impure_atom_states(rng, 2, atom)
         factor = amps.reshape(-1, 2, 2, 2).transpose(0, 1, 3, 2).reshape(-1, 4, 2)
         np.testing.assert_allclose(
-            tcm_columns(amps)["tau_AF"], _wootters_batch(factor), atol=1e-13, rtol=0
+            tcm_columns(amps)["tau_AF"], _planes_wootters(factor), atol=1e-13, rtol=0
         )
 
 
 def _mpmath_lam_max(a):
-    """Largest eigenvalue of each 3 x 3 of a stack at 40 digits, of the
-    symmetric matrix its lower triangle defines (the triangle eigvalsh reads)."""
+    """Largest eigenvalue of each 3 x 3 of a (3, 3, N) stack at 40 digits, of
+    the symmetric matrix its lower triangle defines (the triangle eigvalsh reads)."""
     with mpmath.workdps(40):
         return np.array([
             float(max(mpmath.eigsy(mpmath.matrix((np.tril(m) + np.tril(m, -1).T).tolist()),
                                    eigvals_only=True)))
-            for m in a
+            for m in np.moveaxis(a, -1, 0)
         ])
 
 
@@ -547,11 +552,11 @@ def test_lam_max_matches_mpmath_at_degenerate_tops(monkeypatch):
             np.testing.assert_allclose(lam, _mpmath_lam_max(gram), atol=1e-12, rtol=0)
         np.testing.assert_allclose(columns["tau_AF"], reference, atol=1e-12, rtol=0)
     # constructed: two equal top eigenvalues, three equal ones, and exactly 0.3 I
-    constructed = np.array(
+    constructed = np.moveaxis(np.array(
         [_rotated(rng, [0.7, 0.7, 0.2]) for _ in range(20)]
         + [_rotated(rng, [0.4, 0.4, 0.4]) for _ in range(20)]
         + [0.3 * np.eye(3)]
-    )
+    ), 0, -1)
     lam = tangles._sym3_lam_max(constructed)
     np.testing.assert_allclose(lam, _mpmath_lam_max(constructed), atol=1e-12, rtol=0)
     assert lam[-1] == 0.3
@@ -570,16 +575,16 @@ def test_lam_max_closed_form_and_fallback_match_eigvalsh(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     for amps, top_pairs_meet in stacks:
         calls, _ = _recorded_calls(monkeypatch, "_sym3_lam_max", amps)
-        gram = np.concatenate([arg for arg, _ in calls])
+        gram = np.concatenate([arg for arg, _ in calls], axis=-1)
         solved = []
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
             lam = tangles._sym3_lam_max(gram)
-        np.testing.assert_allclose(lam, eigvalsh(gram)[:, -1], atol=1e-13, rtol=0)
+        np.testing.assert_allclose(lam, eigvalsh(np.moveaxis(gram, -1, 0))[:, -1], atol=1e-13, rtol=0)
         if top_pairs_meet:
             assert sum(solved) > 0
         else:
-            assert sum(solved) < 0.01 * len(gram)
+            assert sum(solved) < 0.01 * gram.shape[-1]
 
 
 def test_qubit_cut_matches_mpmath_across_impurities(monkeypatch):
@@ -601,14 +606,15 @@ def test_qubit_cut_matches_mpmath_across_impurities(monkeypatch):
                 purity = sum(abs(rho[i, j]) ** 2 for i in range(2) for j in range(2))
                 reference.append([float(evals[0]), float(evals[1]), float(2 - 2 * purity)])
         reference = np.array(reference)
-        np.testing.assert_allclose(spectra, reference[:, :2], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(spectra.T, reference[:, :2], atol=1e-12, rtol=0)
         np.testing.assert_allclose(tau, reference[:, 2], atol=1e-12, rtol=0)
         # det / lam_max keeps the small eigenvalue's relative accuracy
-        np.testing.assert_allclose(spectra[:, 0], reference[:, 0], atol=0, rtol=1e-12)
+        np.testing.assert_allclose(spectra[0], reference[:, 0], atol=0, rtol=1e-12)
 
 
 def _eigvalsh_counts(rho):
-    return np.count_nonzero(np.linalg.eigvalsh(rho) > RANK_TOL, axis=-1)
+    """eigvalsh's counts above RANK_TOL of a batch-last stack."""
+    return np.count_nonzero(np.linalg.eigvalsh(np.moveaxis(rho, -1, 0)) > RANK_TOL, axis=-1)
 
 
 def _constructed_marginals(rng):
@@ -645,7 +651,7 @@ def test_rank_counts_equal_eigvalsh_counts(monkeypatch):
         np.testing.assert_array_equal(field_dim, expected, err_msg=name)
         np.testing.assert_array_equal(tcm_columns(amps)["field_eff_dim"], expected, err_msg=name)
         for rho_a, (spectra, _) in _recorded_calls(monkeypatch, "_qubit_cut", amps)[0]:
-            counts = np.count_nonzero(spectra > RANK_TOL, axis=-1)
+            counts = np.count_nonzero(spectra > RANK_TOL, axis=0)
             np.testing.assert_array_equal(counts, _eigvalsh_counts(rho_a), err_msg=name)
     # the constructed stack runs both branches: eigvalsh gets some rows, not all
     rho_aa = _recorded_calls(monkeypatch, "_field_rank", stacks["constructed"])[0][0][0]
@@ -654,7 +660,7 @@ def test_rank_counts_equal_eigvalsh_counts(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
         tangles._field_rank(rho_aa)
-    assert 0 < sum(solved) < len(rho_aa)
+    assert 0 < sum(solved) < rho_aa.shape[-1]
 
 
 def test_sweep_block_runs_no_svd_and_few_eigensolves(monkeypatch):
