@@ -48,7 +48,6 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mean-n", type=float, help="mean photon number for a coherent field")
     sub.add_argument("--t-max", type=float, help="grid end in gt")
     sub.add_argument("--steps", type=int, help="number of grid points")
-    sub.add_argument("--tail-tol", type=float, help="coherent-state truncation tail mass")
     sub.add_argument("--out", required=True, help="output CSV path")
 
 

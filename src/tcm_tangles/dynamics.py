@@ -41,6 +41,7 @@ from .tensor import PureState, SystemShape
 
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
+TAIL_MASS = 1e-10  # Poisson mass a coherent field drops above its top photon
 CONSERVATION_TOL = 1e-10  # largest drift of the norm or of the excitation distribution
 CHUNK_BUDGET = 1 << 20  # bytes of amplitudes per evolve_series chunk
 
@@ -82,21 +83,20 @@ def fock_state(n: int, n_max: int) -> np.ndarray:
     return vec
 
 
-def coherent_state(mean_n: float, tail_tol: float = 1e-10) -> np.ndarray:
+def coherent_state(mean_n: float) -> np.ndarray:
     """Coherent state with real amplitude alpha = sqrt(mean_n).
 
     The cutoff is the smallest n_max whose discarded Poisson tail mass is
-    below ``tail_tol``; the truncated vector, of length n_max + 1, is
+    below ``TAIL_MASS``; the truncated vector, of length n_max + 1, is
     re-normalized.
     """
     if mean_n < 0:
         raise ValueError("mean photon number must be >= 0")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError("tail_tol must lie strictly between 0 and 1")
     if mean_n == 0:
         return np.ones(1, dtype=complex)
     # P(n) from logs to stay finite at large mean_n.  The tail mass beyond
-    # each n is accumulated from above so tiny tolerances survive roundoff.
+    # each n is accumulated from above so that TAIL_MASS survives roundoff;
+    # it is 0 at the hard cap, far out in the tail, so a cutoff always exists.
     hard_cap = int(mean_n + 20.0 * math.sqrt(mean_n) + 200)
     ns = np.arange(hard_cap + 1)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in range(hard_cap + 1)])
@@ -104,10 +104,7 @@ def coherent_state(mean_n: float, tail_tol: float = 1e-10) -> np.ndarray:
     p = np.exp(log_p)
     tail_above = np.zeros_like(p)
     tail_above[:-1] = np.cumsum(p[::-1])[::-1][1:]
-    small = np.nonzero(tail_above < tail_tol)[0]
-    if small.size == 0:
-        raise ValueError("could not satisfy tail_tol below the hard cutoff")
-    n_max = int(small[0])
+    n_max = int(np.argmax(tail_above < TAIL_MASS))
     amps = np.exp(0.5 * log_p[: n_max + 1]).astype(complex)
     amps /= np.linalg.norm(amps)
     return amps
@@ -268,8 +265,7 @@ class TcmPropagator:
                 edge, band, photon = "bottom", bottom, n0
             raise TruncationError(
                 f"population {band[i]:.3e} within {GUARD_BAND} photons of the {edge} edge "
-                f"of the field window (photon {photon}) at t={t[i]:g} exceeds {GUARD_TOL:g}; "
-                "tighten tail_tol"
+                f"of the field window (photon {photon}) at t={t[i]:g} exceeds {GUARD_TOL:g}"
             )
         self.max_norm_drift = max(self.max_norm_drift, float(norm.max()))
         self.max_excitation_drift = max(self.max_excitation_drift, float(exc.max()))

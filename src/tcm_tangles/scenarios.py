@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import (
     GUARD_BAND,
     REACH,
+    TAIL_MASS,
     TcmPropagator,
     atomic_state,
     coherent_state,
@@ -56,11 +57,11 @@ def _check_photons(name: str, value, low: int = 0) -> None:
 
     A run holds several 4*D-wide amplitude vectors over its photon window
     of D photons.  D is 11 for a number state at any n >= 5 and about
-    18 sqrt(mean_n) for a coherent field at the default tail_tol, but
+    18 sqrt(mean_n) for a coherent field, but
     ``coherent_state`` builds the Poisson weights from photon 0, so the
     bound keeps that O(n) work small.  A 2000-point scenario at MAX_PHOTONS
-    peaks at 3.5 MiB of allocations (36 MiB RSS) for a number state and
-    6.7 MiB (44 MiB RSS) for a coherent field.
+    peaks at 3.1 MiB of allocations (35 MiB RSS) for a number state and
+    6.4 MiB (44 MiB RSS) for a coherent field.
     """
     if not low <= value <= MAX_PHOTONS:
         raise ValueError(f"{name} must lie in {low} .. {MAX_PHOTONS}, got {value}")
@@ -68,7 +69,7 @@ def _check_photons(name: str, value, low: int = 0) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario: initial state, grid, output path and coherent tail tolerance.
+    """One scenario: initial state, grid and output path.
 
     The grid covers gt in [0, t_max].
     """
@@ -80,7 +81,6 @@ class ScenarioConfig:
     t_max: float = 5.0
     steps: int = 2000
     out: Optional[str] = None
-    tail_tol: float = 1e-10
 
     def __post_init__(self):
         for name in ("t_max", "mean_n"):
@@ -103,8 +103,6 @@ class ScenarioConfig:
             if self.mean_n is None or self.n is not None:
                 raise ValueError("a coherent field takes mean_n and no n")
             _check_photons("mean_n", self.mean_n)
-        if not 0.0 < self.tail_tol < 1.0:
-            raise ValueError("tail_tol must lie strictly between 0 and 1")
         atomic_state(self.atomic)
 
 
@@ -127,27 +125,21 @@ def _build_initial(config: ScenarioConfig) -> tuple[PureState, int]:
     """Initial product state on the photon window its evolution can reach,
     and n0, the photon number of the window's field index 0.
 
-    A field on photons lo .. hi never leaves lo - REACH .. hi + REACH, and
-    the window holds exactly that, clipped at photon 0, plus a guard band
-    at every exact edge.  A number state |N> has exact edges, padded by
-    REACH + GUARD_BAND so that its guard bands stay empty: photons
-    N - 5 .. N + 5.  A coherent field is kept from where its cumulative
-    mass reaches ``LOW_TAIL_MASS`` up to its ``tail_tol`` cutoff, and each
-    cut tail is padded by REACH alone, so its guard band holds the tail
-    and trips if population piles up there.  Every window reaches at
-    least the top of the vacuum's, photon REACH + GUARD_BAND: a coherent
-    field cut below that puts more than GUARD_TOL of its bulk in, or within
-    reach of, its own guard band (mean_n = 1e-6 keeps photons 0 .. 1, and
-    photon 1 holds 1e-6).
+    A field on photons lo .. hi never leaves lo - REACH .. hi + REACH, so
+    each edge of the field is padded by REACH + GUARD_BAND photons (clipped
+    at photon 0): the guard bands start empty and the evolution cannot
+    reach them.  A number state |N> keeps photons N - 5 .. N + 5.  A
+    coherent field is kept from where its cumulative mass reaches
+    ``LOW_TAIL_MASS`` up to the ``TAIL_MASS`` cutoff of ``coherent_state``.
     """
     if config.field == "fock":
-        field, lo, pad = np.ones(1, dtype=complex), config.n, REACH + GUARD_BAND
+        field, lo = np.ones(1, dtype=complex), config.n
     else:
-        field = coherent_state(config.mean_n, config.tail_tol)
+        field = coherent_state(config.mean_n)
         lo = int(np.argmax(np.cumsum(np.abs(field) ** 2) >= LOW_TAIL_MASS))
-        field, pad = field[lo:], REACH
-    n0 = max(0, lo - pad)
-    top = max(lo + field.size - 1 + pad, REACH + GUARD_BAND)
+        field = field[lo:]
+    n0 = max(0, lo - REACH - GUARD_BAND)
+    top = lo + field.size - 1 + REACH + GUARD_BAND
     window = np.concatenate([np.zeros(lo - n0, dtype=complex), field])
     return initial_state(config.atomic, window, top - n0), n0
 
@@ -348,7 +340,8 @@ def _config_echo(config: ScenarioConfig) -> list[str]:
         if field.name == "out":
             continue
         lines.append(f"# {field.name} = {getattr(config, field.name)}")
-    lines.append(f"# rank_tol = {RANK_TOL:g}")  # fixed, like the unit line
+    # fixed, like the unit line
+    lines += [f"# tail_tol = {TAIL_MASS:g}", f"# rank_tol = {RANK_TOL:g}"]
     return lines
 
 
@@ -356,21 +349,22 @@ def _write_rows(path: str, lines: list[str], columns: Mapping[str, Sequence]) ->
     """The comment ``lines``, a header of the ``columns`` names, then one row per index.
 
     Integer columns print as integers, float columns to 12 significant
-    digits, with negative dust in (TANGLE_FLOOR, 0) clamped to 0.  Rows are
+    digits, and a tangle column (one whose name holds ``tau_``) has its
+    negative dust in (TANGLE_FLOOR, 0) clamped to 0.  Rows are
     formatted ``CSV_BLOCK`` at a time, so no copy of a whole column is held.
     """
     arrays = [np.asarray(values) for values in columns.values()]
-    floats = [a.dtype.kind not in "iu" for a in arrays]
-    template = ",".join("%.12g" if is_float else "%d" for is_float in floats) + "\n"
+    tangles = ["tau_" in name for name in columns]
+    template = ",".join("%d" if a.dtype.kind in "iu" else "%.12g" for a in arrays) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
         for start in range(0, len(arrays[0]), CSV_BLOCK):
             cells = []
-            for a, is_float in zip(arrays, floats):
+            for a, is_tangle in zip(arrays, tangles):
                 a = a[start : start + CSV_BLOCK]
-                if is_float:
+                if is_tangle:
                     a = np.where((TANGLE_FLOOR < a) & (a < 0.0), 0.0, a)
                 cells.append(a.tolist())
             fh.writelines(template % row for row in zip(*cells))

@@ -494,10 +494,6 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     flat = rho.reshape(16, -1)  # entry 4 r + c per row
     d = flat[[0, 5, 10, 15]].real
     lower = flat[4 * j + i]
-    # the Hermitian matrix with this lower triangle and diagonal, entry by entry
-    h = np.empty(flat.shape, complex)
-    h[[0, 5, 10, 15]], h[4 * j + i], h[4 * i + j] = d, lower, lower.conj()
-    h = h.reshape(4, 4, -1)
     sq = lower.real**2 + lower.imag**2
     dd = d[i] * d[j]
     (a, b, c), (ab, ac, bc) = _TRIPLES, _TRIPLE_PAIRS
@@ -505,10 +501,13 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     # rho_ab rho_bc rho_ca = conj(L_ba) conj(L_cb) L_ca
     cycle = (lower[ab] * lower[bc] * lower[ac].conj()).real
     minors3 = ddd + 2.0 * cycle - d[a] * sq[bc] - d[b] * sq[ac] - d[c] * sq[ab]
-    # det by Laplace expansion along rows 0 and 1: column pair p meets pair 5 - p
-    top = h[0, i] * h[1, j] - h[0, j] * h[1, i]
-    bottom = h[2, i] * h[3, j] - h[2, j] * h[3, i]
-    det = np.sum(np.array([1, -1, 1, 1, -1, 1])[:, None] * top * bottom[::-1], axis=0).real
+    # det over the cycle types of S_4: pairs p and 5 - p, and triple t and row
+    # 3 - t, are disjoint; the 4-cycles come as three conjugate pairs
+    l0, l1, l2, l3, l4, l5 = lower
+    four = (l0 * l3 * l5 * l2.conj()).real + (l0 * l4 * (l1 * l5).conj()).real
+    four += (l1 * l4 * (l2 * l3).conj()).real
+    det = d.prod(0) - (dd[::-1] * sq).sum(0) + (sq[:3] * sq[:2:-1]).sum(0)
+    det += 2.0 * ((d[::-1] * cycle).sum(0) - four)
     e1 = d.sum(0)
     e = np.array([e1, dd.sum(0) - sq.sum(0), minors3.sum(0), det])
     slack = RANK_ROUNDOFF * np.array([e1, 2.0 * dd.sum(0), 6.0 * ddd.sum(0), 24.0 * d.prod(0)])

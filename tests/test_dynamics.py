@@ -33,15 +33,14 @@ def test_coherent_state_moments():
     assert np.all(vec.real >= 0.0) and np.all(vec.imag == 0.0)
 
 
-def test_coherent_state_cutoff_tracks_tail_tol():
-    loose = tt.coherent_state(30.0, tail_tol=1e-6)
-    tight = tt.coherent_state(30.0, tail_tol=1e-12)
-    assert tight.size > loose.size
-    # discarded Poisson mass above the cutoff really is below the tolerance
-    vec = tt.coherent_state(30.0, tail_tol=1e-8)
+def test_coherent_state_cutoff_is_the_first_below_tail_mass():
+    # the discarded Poisson mass above the cutoff is below TAIL_MASS, and it
+    # would not be one photon lower
     from scipy.stats import poisson
 
-    assert poisson.sf(vec.size - 1, 30.0) < 1e-8
+    for mean_n in (0.01, 4.0, 30.0, 500.0):
+        n_max = tt.coherent_state(mean_n).size - 1
+        assert poisson.sf(n_max, mean_n) < dynamics.TAIL_MASS <= poisson.sf(n_max - 1, mean_n)
     with pytest.raises(ValueError):
         tt.coherent_state(-1.0)
 

@@ -95,9 +95,9 @@ def test_preset_overrides_and_unknown_name():
         dict(n=-1),
         dict(field="coherent", n=None, mean_n=None),
         dict(field="coherent", mean_n=-2.0, n=None),
-        dict(tail_tol=0.0),
-        dict(tail_tol=1.0),
-        dict(tail_tol=math.nan),
+        dict(atomic=(0, 0, 0, 0)),
+        dict(atomic=(1, 0, 0)),
+        dict(field="coherent", mean_n=4.0),  # coherent with an n
         dict(atomic="xx"),
         dict(t_max=math.inf),
         dict(t_max=math.nan),
@@ -106,7 +106,7 @@ def test_preset_overrides_and_unknown_name():
         dict(steps=MAX_STEPS + 1),
         dict(field="coherent", n=None, mean_n=math.inf),
         dict(t_max=-1.0),
-        dict(tail_tol=math.inf),
+        dict(field=None),
         dict(mean_n=math.nan),  # fock with a non-finite mean_n
         dict(field="coherent", n=None, mean_n=-math.inf),
         dict(n=MAX_PHOTONS + 1),
@@ -148,34 +148,46 @@ def test_run_scenario_small():
 
 def test_photon_window_of_each_field():
     # (D, n0): a number state runs on N +- 5, a coherent field from its 1e-32
-    # lower tail to its tail_tol cutoff, each padded by 2; no window ends
-    # below photon 5, the top of the vacuum's
+    # lower tail to its TAIL_MASS cutoff, and every field is padded by 5
+    # photons at each cut edge
     cases = [
         (preset_config("fig1"), (11, 5)),
-        (preset_config("fig2"), (167, 6)),
-        (preset_config("fig4"), (395, 257)),
+        (preset_config("fig2"), (173, 3)),
+        (preset_config("fig4"), (401, 254)),
         (small_config(n=3), (9, 0)),
         (small_config(n=MAX_PHOTONS), (11, MAX_PHOTONS - 5)),
-        (small_config(field="coherent", n=None, mean_n=4.0), (25, 0)),
+        (small_config(field="coherent", n=None, mean_n=4.0), (28, 0)),
         (small_config(field="coherent", n=None, mean_n=0.0), (6, 0)),
-        (small_config(field="coherent", n=None, mean_n=1e-6), (6, 0)),
+        (small_config(field="coherent", n=None, mean_n=1e-6), (7, 0)),
     ]
     for config, want in cases:
         state, n0 = _build_initial(config)
         assert (state.shape.dims[2], n0) == want, config
-    # fig4's window holds the coherent amplitudes from lo = n0 + 2 up to the
-    # cutoff, with 2 empty photons at each end, and drops a lower tail below 1e-32
+    # fig4's window holds the coherent amplitudes from lo = n0 + 5 up to the
+    # cutoff, with 5 empty photons at each end, and drops a lower tail below 1e-32
     field = tt.coherent_state(500.0)
     state, n0 = _build_initial(preset_config("fig4"))
     ee = state.tensor()[0, 0]
-    assert ee.size == field.size - n0 + 2
-    np.testing.assert_allclose(ee[2:-2], field[n0 + 2:], rtol=1e-14, atol=0)
-    assert not ee[:2].any() and not ee[-2:].any()
+    assert ee.size == field.size - n0 + 5
+    np.testing.assert_allclose(ee[5:-5], field[n0 + 5:], rtol=1e-14, atol=0)
+    assert not ee[:5].any() and not ee[-5:].any()
     mass = np.cumsum(np.abs(field) ** 2)
-    assert mass[n0 + 1] < 1e-32 <= mass[n0 + 2]
-    # a near-vacuum field holds 1e-6 at its cutoff, photon 1; the vacuum's
-    # window keeps that out of the guard band, so the run completes
+    assert mass[n0 + 4] < 1e-32 <= mass[n0 + 5]
+    # a near-vacuum field holds 1e-6 at its cutoff, photon 1, and its padding
+    # keeps that out of the guard band, so the run completes
     tt.run_scenario(small_config(atomic="sym_plus", field="coherent", n=None, mean_n=1e-6))
+
+
+@pytest.mark.parametrize("mean_n", [0.01, 0.1, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("atomic", ["ee", "sym_plus"])
+def test_weak_coherent_fields_run_at_default_settings(atomic, mean_n):
+    # the guard bands of every window start empty and lie beyond the reach of
+    # the evolution, so no weak field trips the truncation guard
+    config = tt.ScenarioConfig(
+        atomic=atomic, field="coherent", mean_n=mean_n, t_max=40.0, steps=400
+    )
+    result = tt.run_scenario(config)
+    assert result.max_norm_drift < 1e-10 and result.max_excitation_drift < 1e-10
 
 
 def test_run_scenario_chunk_invariant(monkeypatch):
@@ -250,8 +262,12 @@ def test_csv_formatting_clamps_dust_only(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "CSV_BLOCK", 2)  # the five rows span three blocks
     out = tmp_path / "rows.csv"
     values = np.array([-5e-10, -2e-9, 0.25, 1.0, -0.0])
-    _write_rows(str(out), ["# echo"], {"x": values, "k": np.full(5, 7, dtype=np.int64)})
-    assert out.read_bytes() == b"# echo\nx,k\n0,7\n-2e-09,7\n0.25,7\n1,7\n-0,7\n"
+    # only a tangle column is clamped; any other float column prints as computed
+    columns = {"tau_AA": values, "inversion": values, "k": np.full(5, 7, dtype=np.int64)}
+    _write_rows(str(out), ["# echo"], columns)
+    assert out.read_bytes() == (
+        b"# echo\ntau_AA,inversion,k\n0,-5e-10,7\n-2e-09,-2e-09,7\n0.25,0.25,7\n1,1,7\n-0,-0,7\n"
+    )
 
 
 # --- revival location --------------------------------------------------------
@@ -296,10 +312,9 @@ def test_compare_needs_coherent_field():
 def test_compare_small_coherent(tmp_path):
     out = tmp_path / "cmp.csv"
     # mean 4 is far outside the approximation's regime, which is fine here:
-    # this only exercises the plumbing (the tight tail keeps the guard clear)
+    # this only exercises the plumbing
     config = tt.ScenarioConfig(
-        atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=300,
-        tail_tol=1e-13, out=str(out)
+        atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=300, out=str(out)
     )
     result = tt.compare_exact_vs_approx(config)
 
@@ -358,7 +373,7 @@ def test_compare_checks_config_before_the_exact_run(monkeypatch):
 )
 def test_compare_exact_is_the_scenario_column(atomic):
     config = tt.ScenarioConfig(
-        atomic=atomic, field="coherent", mean_n=4.0, t_max=12.0, steps=120, tail_tol=1e-13
+        atomic=atomic, field="coherent", mean_n=4.0, t_max=12.0, steps=120
     )
     exact = tt.compare_exact_vs_approx(config).exact
     assert np.array_equal(exact, tt.run_scenario(config).column("tau_F_AA"))
@@ -366,7 +381,7 @@ def test_compare_exact_is_the_scenario_column(atomic):
 
 def test_evolution_checks_reach_scenario_and_compare(monkeypatch):
     config = tt.ScenarioConfig(
-        atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=60, tail_tol=1e-13
+        atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=60
     )
     for name, error in (("CONSERVATION_TOL", RuntimeError), ("GUARD_TOL", tt.TruncationError)):
         with monkeypatch.context() as patch:
@@ -502,13 +517,12 @@ def test_cli_scenario_runs(tmp_path, capsys):
 def test_cli_merge_order(tmp_path):
     out = tmp_path / "m.csv"
     code = main(
-        ["scenario", "--preset", "fig1", "--steps", "88", "--tail-tol", "1e-12",
-         "--t-max", "0.5", "--out", str(out)]
+        ["scenario", "--preset", "fig1", "--steps", "88", "--t-max", "0.5", "--out", str(out)]
     )
     assert code == 0
     echo, _, data = read_csv(out)
     assert "# steps = 88" in echo  # the preset's 2000 is overridden
-    assert "# tail_tol = 1e-12" in echo  # the default 1e-10 is overridden
+    assert "# t_max = 0.5" in echo  # the preset's 5.0 is overridden
     assert "# n = 10" in echo  # inherited from the preset
     assert data.shape == (88, 8)
 
@@ -608,11 +622,12 @@ def test_cli_non_finite_input_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_truncation_guard_exits_2(tmp_path, capsys):
+def test_cli_truncation_guard_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.csv"
+    monkeypatch.setattr(dynamics, "GUARD_TOL", -1.0)  # no scenario window trips the guard
     code = main(
         ["scenario", "--atomic", "ee", "--field", "coherent", "--mean-n", "20",
-         "--t-max", "3.0", "--steps", "40", "--tail-tol", "0.01", "--out", str(out)]
+         "--t-max", "3.0", "--steps", "40", "--out", str(out)]
     )
     assert code == 2
     # TruncationError is a RuntimeError, but keeps its own prefix
@@ -664,8 +679,7 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
 def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
     out = tmp_path / "c.csv"
     argv = ["compare-approx", "--atomic", "ee", "--field", "coherent",
-            "--mean-n", "4.0", "--t-max", "12.0", "--steps", "200",
-            "--tail-tol", "1e-13", "--out", str(out)]
+            "--mean-n", "4.0", "--t-max", "12.0", "--steps", "200", "--out", str(out)]
     code = main(argv)
     assert code == 0
     assert "window sup-norm" in capsys.readouterr().out
@@ -737,6 +751,40 @@ def test_rank_tol_is_not_a_setting(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_tail_tol_is_not_a_setting(tmp_path, capsys):
+    # the coherent cutoff is the constant dynamics.TAIL_MASS: no flag,
+    # config field or coherent_state argument sets it
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["scenario", "--preset", "fig2", "--steps", "5"],
+        ["compare-approx", "--preset", "fig4", "--steps", "5"],
+    ):
+        assert main(argv + ["--tail-tol", "1e-12", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments: --tail-tol 1e-12" in err
+        assert not out.exists()
+    with pytest.raises(TypeError):
+        preset_config("fig2", tail_tol=1e-12)
+    with pytest.raises(TypeError):
+        tt.coherent_state(30.0, tail_tol=1e-12)
+
+
+def test_csv_clamps_only_tangle_columns(tmp_path):
+    # |cat_plus, 0> starts to lose |ee, 0> at once, so the inversion dips below
+    # 0 by less than the tangle floor; the CSV keeps those values
+    out = tmp_path / "c.csv"
+    argv = ["scenario", "--atomic", "cat_plus", "--field", "fock", "--n", "0",
+            "--t-max", "1e-5", "--steps", "5", "--out", str(out)]
+    assert main(argv) == 0
+    _, header, data = read_csv(out)
+    config = tt.ScenarioConfig(atomic="cat_plus", field="fock", n=0, t_max=1e-5, steps=5)
+    inversion = tt.run_scenario(config).column("inversion")
+    assert np.all((tangles.TANGLE_FLOOR < inversion[1:]) & (inversion[1:] < 0.0))
+    np.testing.assert_array_equal(
+        data[:, header.index("inversion")], [float(f"{v:.12g}") for v in inversion]
+    )
+
+
 def test_cli_scaling(tmp_path):
     out = tmp_path / "sc.csv"
     assert main(["scaling", "--n", "4,8,16", "--steps", "100", "--out", str(out)]) == 0
@@ -751,7 +799,7 @@ def test_cli_scaling(tmp_path):
     [
         ["scenario", "--preset", "fig1", "--steps", "20"],
         ["compare-approx", "--preset", "fig4", "--mean-n", "4", "--t-max", "12",
-         "--steps", "20", "--tail-tol", "1e-13"],
+         "--steps", "20"],
         ["sweep", "--dims", "2x2x3", "--samples", "10"],
         ["scaling", "--n", "4,8,16", "--steps", "20"],
     ],

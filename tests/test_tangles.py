@@ -884,9 +884,20 @@ def test_residual_nonnegative_on_qubit_triples():
     assert batch.min() > -1e-10
 
 
+# seeds of the rank-cutoff test as {flat index: amplitude} of (atom 1, atom 2,
+# photon), atom index 0 being e, at field dimension D
+_RANK_CUTOFF_SEEDS = {
+    "product": lambda d: {0: 1.0},  # |ee, 0>
+    "bell_aa": lambda d: {0: 1.0, 3 * d: 1.0},  # (|ee> + |gg>) |0>
+    "bell_a2f": lambda d: {0: 1.0, d + 1: 1.0},  # |e> (|e, 0> + |g, 1>)
+    "w": lambda d: {d: 1.0, 2 * d: 1.0, 1: 1.0},  # |eg, 0> + |ge, 0> + |ee, 1>
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_RANK_CUTOFF_SEEDS))
 @pytest.mark.parametrize("field_dim", [3, 4])
-def test_rank_cutoff_artefact_near_product_states_is_bounded(field_dim):
-    # |ee, 0> plus eps times a complex Gaussian / sqrt(8 D): a marginal
+def test_rank_cutoff_artefact_near_product_states_is_bounded(field_dim, seed):
+    # a seed state plus eps times a complex Gaussian / sqrt(8 D): a marginal
     # eigenvalue just below RANK_TOL drops its d/2 weight while the tangles
     # still carry it, which makes exact negatives of order RANK_TOL; they
     # stay above -(4/3) RANK_TOL, far above TANGLE_FLOOR, and the batch
@@ -896,7 +907,8 @@ def test_rank_cutoff_artefact_near_product_states_is_bounded(field_dim):
     for eps in (3e-5, 3e-6):
         noise = rng.standard_normal((20_000, size)) + 1j * rng.standard_normal((20_000, size))
         states = noise * (eps / np.sqrt(8.0 * field_dim))
-        states[:, 0] += 1.0
+        for index, amplitude in _RANK_CUTOFF_SEEDS[seed](field_dim).items():
+            states[:, index] += amplitude
         states /= np.linalg.norm(states, axis=1, keepdims=True)
         values = tt.residual_tangle_batch(states, (2, 2, field_dim))
         worst = int(np.argmin(values))
