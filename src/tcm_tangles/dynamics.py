@@ -115,8 +115,8 @@ def atomic_state(spec: Union[str, Sequence[complex], np.ndarray]) -> np.ndarray:
 
     Named presets: ``ee``, ``gg``, ``sym_plus`` ((|eg>+|ge>)/sqrt2),
     ``cat_plus`` ((|gg>+|ee>)/sqrt2) and ``singlet`` ((|eg>-|ge>)/sqrt2).
-    Raw input is a length-4 vector in the (ee, eg, ge, gg) basis and is
-    normalized here.
+    Raw input is a length-4 vector in the (ee, eg, ge, gg) basis with a
+    finite nonzero norm, and is normalized here.
     """
     if isinstance(spec, str):
         try:
@@ -129,8 +129,8 @@ def atomic_state(spec: Union[str, Sequence[complex], np.ndarray]) -> np.ndarray:
     if vec.size != 4:
         raise ValueError("raw atomic amplitudes must have length 4")
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        raise ValueError("atomic amplitudes are all zero")
+    if not 1e-12 <= norm < np.inf:  # a NaN norm fails both
+        raise ValueError("atomic amplitudes must be finite and not all zero")
     return vec / norm
 
 

@@ -24,6 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import (
+    CHUNK_BUDGET,
     GUARD_BAND,
     REACH,
     TAIL_MASS,
@@ -34,7 +35,8 @@ from .dynamics import (
     whole_number,
 )
 from .markoff import approx_tau_F_AA
-from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
+from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns
+from .tangles import amplitude_stage, rho_aa_stage
 from .tensor import RANK_TOL, PureState
 
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
@@ -165,16 +167,28 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     The grid is evolved and measured in bounded chunks by
     ``TcmPropagator.evolve_series``, whose one pass per chunk checks the
     norm and excitation distribution (to 1e-10) and the truncation guard
-    at every point; the result reports its largest drifts.  ``tcm_columns``
-    computes only what the named columns need, and every column is
-    range-checked once (RuntimeError).
+    at every point; the result reports its largest drifts.  Each chunk runs
+    only the ``amplitude_stage`` of ``tcm_columns``, writing rho_AA (256 bytes
+    a state) into one buffer of ``CHUNK_BUDGET`` // 256 states; ``rho_aa_stage``
+    reads it when it fills or the grid ends, and its sums follow that one
+    layout, whatever the chunks.  Only what the named columns need is
+    computed, and every column is range-checked once (RuntimeError).
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
     prop = TcmPropagator()
     state, n0 = _build_initial(config)
-    series = prop.evolve_series(state, gts, n0)
-    chunks = [tcm_columns(amps, names) for amps in series]
-    columns = {name: np.concatenate([c[name] for c in chunks]) for name in names}
+    rho = np.empty((min(max(1, CHUNK_BUDGET // 256), gts.size), 4, 4), dtype=complex)
+    parts, pending, filled = [], [], 0
+    for amps in prop.evolve_series(state, gts, n0):
+        while len(amps):
+            take = min(len(amps), len(rho) - filled)
+            pending.append(amplitude_stage(amps[:take], names, out=rho[filled:filled + take])[0])
+            amps, filled = amps[take:], filled + take
+            if filled == len(rho) or len(parts) * len(rho) + filled == gts.size:
+                cols = {k: np.concatenate([c[k] for c in pending]) for k in pending[0]}
+                parts.append(rho_aa_stage(cols, np.moveaxis(rho[:filled], 0, -1), names))
+                pending, filled = [], 0
+    columns = {name: np.concatenate([c[name] for c in parts]) for name in names}
     check_tangle_columns(columns)
     return ScenarioResult(
         config=config,

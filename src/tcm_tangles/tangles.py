@@ -28,7 +28,7 @@ sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -542,6 +542,8 @@ def tcm_columns(
     atom-field pair is purified by the other atom.  Each column is
     bit-identical whichever others are named.
 
+    It runs in two stages: ``amplitude_stage``, the only one that reads W, and
+    ``rho_aa_stage``, which a caller whose states come in chunks can run once over many.
     The kernels take the batch axis last (W as (4, D, N), rho_AA as (4, 4, N)), so each
     step is one contiguous pass over N.  No step multiplies the planes as one matrix: that
     BLAS-3 call starts OpenBLAS threads in each forked sweep worker, and two workers on two
@@ -550,17 +552,31 @@ def tcm_columns(
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
         raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
+    return rho_aa_stage(*amplitude_stage(amps, names), names)
+
+
+def amplitude_stage(amps: np.ndarray, names: Sequence[str], out: Optional[np.ndarray] = None):
+    """The first stage of ``tcm_columns`` on an (N, 4*D) stack: ``tau_AA`` in a dict
+    (empty unless ``names`` need it) and rho_AA as (4, 4, N) (None unless they need
+    another column), written into ``out``, an (N, 4, 4) array, if one is given."""
     full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
     m = amps.reshape(len(amps), 4, -1)
     # more than three field columns keep the (N, 4, D) layout that W W^H and the SVD read
     small = m.shape[-1] <= 3
     w = np.ascontiguousarray(np.moveaxis(m, 0, -1)) if small else np.moveaxis(m, 0, -1)
-    cols = {}
-    if full or "tau_AA" in names:
-        cols["tau_AA"] = _wootters_batch(w)
+    cols = {"tau_AA": _wootters_batch(w)} if full or "tau_AA" in names else {}
+    rho_aa = None
     if full or set(names) - {"tau_AA"}:
-        rho_aa = (np.einsum("akn,bkn->abn", w, w.conj()) if small
-                  else np.moveaxis(m @ m.conj().swapaxes(-1, -2), 0, -1))
+        rho_aa = (np.einsum("akn,bkn->abn", w, w.conj()) if small and out is None
+                  else np.moveaxis(np.matmul(m, m.conj().swapaxes(-1, -2), out=out), 0, -1))
+    return cols, rho_aa
+
+
+def rho_aa_stage(cols: dict, rho_aa: np.ndarray, names: Sequence[str]) -> dict[str, np.ndarray]:
+    """The second stage of ``tcm_columns``: the named columns from ``cols``, which
+    it extends, and ``rho_aa``, the results of ``amplitude_stage`` on the same states."""
+    full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
+    if full or set(names) - {"tau_AA"}:
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
     if full or "field_eff_dim" in names:

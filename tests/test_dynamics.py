@@ -63,6 +63,10 @@ def test_atomic_state_names_and_vectors():
         tt.atomic_state("nope")
     with pytest.raises(ValueError):
         tt.atomic_state([1.0, 0.0])
+    # non-finite amplitudes are bad input, not a run that stops at t = 0
+    for bad in ((0, 0, 0, 0), (1, 0, 0, np.nan), (1, 0, 0, np.inf), (1, 0, 0, complex(0, -np.inf))):
+        with pytest.raises(ValueError, match="must be finite and not all zero"):
+            tt.atomic_state(bad)
 
 
 def test_initial_state_pads_field():

@@ -96,6 +96,8 @@ def test_preset_overrides_and_unknown_name():
         dict(field="coherent", n=None, mean_n=None),
         dict(field="coherent", mean_n=-2.0, n=None),
         dict(atomic=(0, 0, 0, 0)),
+        dict(atomic=(1, 0, 0, math.nan)),  # a NaN norm is not below 1e-12
+        dict(atomic=(1, 0, 0, math.inf)),
         dict(atomic=(1, 0, 0)),
         dict(field="coherent", mean_n=4.0),  # coherent with an n
         dict(atomic="xx"),
@@ -190,6 +192,13 @@ def test_weak_coherent_fields_run_at_default_settings(atomic, mean_n):
     assert result.max_norm_drift < 1e-10 and result.max_excitation_drift < 1e-10
 
 
+def _count_rho_aa_stage(patch):
+    """Wrap ``scenarios.rho_aa_stage`` in ``patch``; return the list its calls append to."""
+    calls, stage = [], scenarios.rho_aa_stage
+    patch.setattr(scenarios, "rho_aa_stage", lambda *args: calls.append(1) or stage(*args))
+    return calls
+
+
 def test_run_scenario_chunk_invariant(monkeypatch):
     # a coherent field on an offset window, wide enough that the default
     # budget splits these 800 points into full multi-point chunks and a
@@ -201,11 +210,32 @@ def test_run_scenario_chunk_invariant(monkeypatch):
     assert n0 > 0 and 800 * 64 * d > dynamics.CHUNK_BUDGET
     assert step > 1 and 800 % step
     default = tt.run_scenario(config)
-    for budget in (1, 10**9):  # one point per chunk, then the whole grid
-        monkeypatch.setattr(dynamics, "CHUNK_BUDGET", budget)
-        other = tt.run_scenario(config)
-        for name in SCENARIO_COLUMNS:
-            np.testing.assert_array_equal(other.column(name), default.column(name))
+    # dynamics.CHUNK_BUDGET sets the evolution chunks and the name scenarios imported
+    # the rho_AA-stage batch of CHUNK_BUDGET // 256 states; a batch of 7 splits chunks
+    for budget in (1, dynamics.CHUNK_BUDGET, 10**9):  # one point per chunk ... the whole grid
+        for batch in (1, 7, scenarios.CHUNK_BUDGET // 256):
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "CHUNK_BUDGET", budget)
+                patch.setattr(scenarios, "CHUNK_BUDGET", 256 * batch)
+                calls = _count_rho_aa_stage(patch)
+                other = tt.run_scenario(config)
+                assert len(calls) == -(-800 // batch)
+                exact = scenarios._evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
+            for name in SCENARIO_COLUMNS:
+                np.testing.assert_array_equal(other.column(name), default.column(name))
+            np.testing.assert_array_equal(exact, default.column("tau_F_AA"))
+
+
+def test_fig2_runs_the_rho_aa_stage_once(monkeypatch):
+    # 43 evolution chunks of at most 94 points feed one rho_AA-stage batch
+    calls = _count_rho_aa_stage(monkeypatch)
+    chunks = []
+    stage = scenarios.amplitude_stage
+    monkeypatch.setattr(
+        scenarios, "amplitude_stage", lambda *args, **kw: chunks.append(1) or stage(*args, **kw)
+    )
+    tt.run_scenario(preset_config("fig2"))
+    assert (len(calls), len(chunks)) == (1, 43)
 
 
 def test_singlet_scenario_is_frozen():
@@ -686,11 +716,13 @@ def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
     _, header, _ = read_csv(out)
     assert header == ["gt", "tau_F_AA_exact", "tau_F_AA_approx", "abs_diff"]
     # a non-finite exact tangle fails the range check: a run error, exit 2, one line
-    columns = scenarios.tcm_columns
+    stage = scenarios.rho_aa_stage
     monkeypatch.setattr(
         scenarios,
-        "tcm_columns",
-        lambda amps, names: {**columns(amps, names), "tau_F_AA": np.full(len(amps), np.nan)},
+        "rho_aa_stage",
+        lambda cols, rho_aa, names: {
+            **stage(cols, rho_aa, names), "tau_F_AA": np.full(rho_aa.shape[-1], np.nan)
+        },
     )
     assert main(argv) == 2
     assert capsys.readouterr().err == "run error: tau_F_AA = nan outside [-1e-09, inf]\n"
