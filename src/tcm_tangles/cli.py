@@ -9,7 +9,8 @@ file is read, and an unknown flag exits 1.  Exit codes: 0 success; 1 bad
 input, a ValueError from whatever reads it (or an OverflowError from a time
 grid whose phases overflow), or an output path that is empty, a directory or
 in a missing directory; 2 a run that stopped, a RuntimeError (truncation
-guard, non-finite or out-of-range value, conservation drift, dead worker).
+guard, non-finite or out-of-range value, conservation drift, or a forked
+sweep or scenario worker that died), raised as with one worker.
 """
 
 from __future__ import annotations

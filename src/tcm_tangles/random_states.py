@@ -5,9 +5,9 @@ normalizing vectors of independent standard complex Gaussians.
 
 The sweep splits its samples into fixed blocks, each with its own random
 stream and one call of the vectorized residual-tangle kernel, runs the
-blocks on worker processes, and merges their minima, counts of values
-below the -1e-9 roundoff threshold and sub-threshold states in block
-order.
+blocks on forked workers (``workers.cpu_map``), and merges their minima,
+counts of values below the -1e-9 roundoff threshold and sub-threshold
+states in block order.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import workers
 from .tangles import TANGLE_FLOOR, residual_tangle_batch
 from .tensor import PureState, SystemShape
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
 BLOCK = 10_000  # states per random stream and per kernel call
-# the pool queues every block's future (about 2.2 KB) before the first result
+# every block's result (about 1 KB) is held until the blocks merge
 MAX_SAMPLES = 10**8
 
 
@@ -75,16 +76,6 @@ def _dump_states(path: str, dims: Sequence[int], states: np.ndarray) -> None:
             fh.write(format_amplitudes(row) + "\n")
 
 
-def _allowed_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one (Linux).  Elsewhere 1, so the sweep runs in-process:
-    Windows cannot fork, and macOS cannot fork safely once numpy is loaded.
-    """
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _sweep_block(
     dims: tuple[int, ...], samples: int, seed: int, index: int
 ) -> tuple[float, np.ndarray, int, np.ndarray]:
@@ -128,12 +119,13 @@ def positivity_sweep(
     The samples, at most ``MAX_SAMPLES``, are split into blocks of ``BLOCK``
     states; block i draws from ``SeedSequence(seed, spawn_key=(i,))`` and
     is one kernel call.
-    The blocks run on one forked process per CPU in this process's
-    affinity mask, at most one per block; one worker runs them in this
-    process, as on platforms without an affinity mask, and ``taskset -c 0``
-    limits a run to one.  They merge in block order: the first block wins
-    a tied minimum, and dumped states keep block order.  So results depend
-    on (dims, samples, seed) alone, not on the worker count.
+    The blocks run through ``workers.cpu_map``: contiguous runs of blocks
+    on one forked process per CPU in this process's affinity mask, at most
+    one per block; one worker runs them in this process, as on platforms
+    without an affinity mask, and ``taskset -c 0`` limits a run to one.
+    They merge in block order: the first block wins a tied minimum, and
+    dumped states keep block order.  So results depend on (dims, samples,
+    seed) alone, not on the worker count.
     States below ``TANGLE_FLOOR`` (-1e-9) are counted and, when
     ``dump_path`` is set, written to that file, which replaces any earlier
     one; a sweep that finds none leaves no file.  That threshold
@@ -144,8 +136,9 @@ def positivity_sweep(
     count is not roundoff.  But it is only about 7.5 times the worst
     negative the rank cutoff makes by itself (-1.333e-10, near product
     states, where a marginal eigenvalue just below ``RANK_TOL`` loses its
-    d/2 weight).  A non-finite value, or a worker that dies, raises
-    ``RuntimeError``; no worker outlives the call.
+    d/2 weight).  A non-finite value raises ``RuntimeError``, the one of
+    the first such block, as does a worker that dies; no worker outlives
+    the call.
     """
     dims = tuple(int(d) for d in dims)
     if dims not in SWEEP_DIMS:
@@ -158,28 +151,16 @@ def positivity_sweep(
         with contextlib.suppress(FileNotFoundError):
             os.remove(dump_path)
 
-    blocks = range((samples + BLOCK - 1) // BLOCK)
-    workers = min(_allowed_cpus(), len(blocks))
+    job = functools.partial(_sweep_block, dims, samples, seed)
     best_value = np.inf
     best_state: Optional[np.ndarray] = None
     negative_count = 0
-    with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
-            # imported here: a one-worker sweep need not pay for the pool's modules
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: a spawned worker would import numpy again
-            context = multiprocessing.get_context("fork")
-            run = stack.enter_context(ProcessPoolExecutor(workers, mp_context=context)).map
-        job = functools.partial(_sweep_block, dims, samples, seed)
-        for value, state, negatives, dumped in run(job, blocks):
-            if value < best_value:
-                best_value, best_state = value, state
-            negative_count += negatives
-            if dump_path is not None and negatives:
-                _dump_states(dump_path, dims, dumped)
+    for value, state, negatives, dumped in workers.cpu_map(job, range(-(-samples // BLOCK))):
+        if value < best_value:
+            best_value, best_state = value, state
+        negative_count += negatives
+        if dump_path is not None and negatives:
+            _dump_states(dump_path, dims, dumped)
 
     return SweepResult(
         samples=samples,

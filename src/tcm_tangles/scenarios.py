@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import workers
 from .dynamics import (
     CHUNK_BUDGET,
     GUARD_BAND,
@@ -40,8 +42,10 @@ from .tangles import amplitude_stage, rho_aa_stage
 from .tensor import RANK_TOL, PureState
 
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
-MAX_STEPS = 10**7  # the grid plus seven float64 columns stay under 640 MB
+MAX_STEPS = 10**7  # the grid and seven 8-byte columns, written in place, take 640 MB
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
+# evolution chunks each forked segment must get: fewer do not repay a fork and its reaping
+SEGMENT_CHUNKS = 8
 CSV_BLOCK = 10_000  # CSV rows formatted at a time; whole-column lists cost about 200 B a row
 # every time is gt; the echo keeps the unit line, which readers of the CSVs expect
 _G_ECHO = "# g = 1.0"
@@ -164,38 +168,59 @@ class ScenarioResult:
 def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioResult:
     """Evolve the configured state over gt in [0, t_max] and compute the named columns.
 
-    The grid is evolved and measured in bounded chunks by
+    The grid is cut into contiguous segments, one per allowed CPU but only
+    as many as give each ``SEGMENT_CHUNKS`` evolution chunks, that run on
+    forked workers (``workers.cpu_map``); a short grid runs in this process.
+    A segment is evolved and measured in bounded chunks by
     ``TcmPropagator.evolve_series``, whose one pass per chunk checks the
     norm and excitation distribution (to 1e-10) and the truncation guard
-    at every point; the result reports its largest drifts.  Each chunk runs
+    at every point; the result reports the largest drifts.  Each chunk runs
     only the ``amplitude_stage`` of ``tcm_columns``, writing rho_AA (256 bytes
     a state) into one buffer of ``CHUNK_BUDGET`` // 256 states; ``rho_aa_stage``
-    reads it when it fills or the grid ends, and its sums follow that one
-    layout, whatever the chunks.  Only what the named columns need is
-    computed, and every column is range-checked once (RuntimeError).
+    reads it when it fills or the segment ends and writes straight into the
+    columns.  No value depends on the chunks, batches or segments, and a
+    failure raises as with one segment: the first in grid order.  Only what
+    the named columns need is computed, and every column is range-checked
+    once (RuntimeError).
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
-    prop = TcmPropagator()
     state, n0 = _build_initial(config)
-    rho = np.empty((min(max(1, CHUNK_BUDGET // 256), gts.size), 4, 4), dtype=complex)
-    parts, pending, filled = [], [], 0
-    for amps in prop.evolve_series(state, gts, n0):
-        while len(amps):
-            take = min(len(amps), len(rho) - filled)
-            pending.append(amplitude_stage(amps[:take], names, out=rho[filled:filled + take])[0])
-            amps, filled = amps[take:], filled + take
-            if filled == len(rho) or len(parts) * len(rho) + filled == gts.size:
-                cols = {k: np.concatenate([c[k] for c in pending]) for k in pending[0]}
-                parts.append(rho_aa_stage(cols, np.moveaxis(rho[:filled], 0, -1), names))
-                pending, filled = [], 0
-    columns = {name: np.concatenate([c[name] for c in parts]) for name in names}
+    # one anonymous shared mapping, which forked segments fill in place
+    shared = np.frombuffer(mmap.mmap(-1, 8 * len(names) * gts.size)).reshape(len(names), -1)
+    columns = {k: c.view(np.int64) if k == "field_eff_dim" else c for k, c in zip(names, shared)}
+    chunks = -(-gts.size * state.amplitudes.nbytes // CHUNK_BUDGET)
+    segments = max(1, min(workers.allowed_cpus(), chunks // SEGMENT_CHUNKS))
+    bounds = [gts.size * k // segments for k in range(segments + 1)]
+
+    def segment(k: int) -> tuple[float, float]:
+        lo, hi = bounds[k], bounds[k + 1]
+        prop = TcmPropagator()
+        rho = np.empty((min(max(1, CHUNK_BUDGET // 256), hi - lo), 4, 4), dtype=complex)
+        tau_aa = np.empty(len(rho))
+        filled = 0
+        for amps in prop.evolve_series(state, gts[lo:hi], n0):
+            while len(amps):
+                take = min(len(amps), len(rho) - filled)
+                cols, _ = amplitude_stage(amps[:take], names, out=rho[filled:filled + take])
+                if cols:
+                    tau_aa[filled:filled + take] = cols["tau_AA"]
+                amps, filled = amps[take:], filled + take
+                if filled == len(rho) or lo + filled == hi:
+                    cols = {"tau_AA": tau_aa[:filled]}  # read only where it was computed
+                    part = rho_aa_stage(cols, np.moveaxis(rho[:filled], 0, -1), names)
+                    for name in names:
+                        columns[name][lo:lo + filled] = part[name]
+                    lo, filled = lo + filled, 0
+        return prop.max_norm_drift, prop.max_excitation_drift
+
+    norm_drifts, excitation_drifts = zip(*workers.cpu_map(segment, range(segments)))
     check_tangle_columns(columns)
     return ScenarioResult(
         config=config,
         gt=gts,
         columns=columns,
-        max_norm_drift=prop.max_norm_drift,
-        max_excitation_drift=prop.max_excitation_drift,
+        max_norm_drift=max(norm_drifts),
+        max_excitation_drift=max(excitation_drifts),
     )
 
 

@@ -1,17 +1,14 @@
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 import tcm_tangles as tt
-from tcm_tangles import random_states
+from tcm_tangles import random_states, scenarios, workers
 from tcm_tangles.cli import main
 from tcm_tangles.random_states import BLOCK, haar_pure_batch
 
-needs_two_cpus = pytest.mark.skipif(
-    random_states._allowed_cpus() < 2, reason="starts two sweep workers"
-)
+forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="forks two sweep workers")
 
 
 def parse_amplitudes(line):
@@ -75,7 +72,6 @@ def test_sweep_finds_no_negatives():
 def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     # 3 blocks of 40 states; the kernel returns -1.0 for the states whose first
     # amplitude has real part above 0.1, so every block dumps and the minimum ties
-    cpus = random_states._allowed_cpus()
     monkeypatch.setattr(random_states, "BLOCK", 40)
     real = random_states.residual_tangle_batch
     pids = tmp_path / "pids.txt"
@@ -85,15 +81,15 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()}\n")
         return np.where(batch[:, 0].real > 0.1, -1.0, real(batch, dims))
 
-    def run(workers):
-        monkeypatch.setattr(random_states, "_allowed_cpus", lambda: workers)
-        dump = tmp_path / f"dump{workers}.txt"
+    def run(count):
+        monkeypatch.setattr(workers, "allowed_cpus", lambda: count)
+        dump = tmp_path / f"dump{count}.txt"
         pids.write_text("")
         with monkeypatch.context() as patch:
             patch.setattr(random_states, "residual_tangle_batch", flag_some)
             result = tt.positivity_sweep((2, 2, 4), samples=120, seed=5, dump_path=str(dump))
         # the command line's summary, with the real kernel
-        out = tmp_path / f"sweep{workers}.txt"
+        out = tmp_path / f"sweep{count}.txt"
         assert main(["sweep", "--dims", "2x2x3", "--samples", "120", "--seed", "5",
                      "--out", str(out)]) == 0
         return result, dump.read_bytes(), set(pids.read_text().split()), out.read_bytes()
@@ -111,17 +107,17 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     dumped = [parse_amplitudes(l) for l in dump_a.decode().splitlines() if l[0] != "#"]
     np.testing.assert_array_equal(np.array(dumped), flagged)
 
-    if cpus < 2:
-        pytest.skip("the two-worker leg starts two sweep workers")
+    if not hasattr(os, "fork"):
+        pytest.skip("the two-worker leg forks two sweep workers")
     b, dump_b, pids_b, summary_b = run(2)
-    # every block ran in a worker, on at most two; the pool need not give each worker one
-    assert 1 <= len(pids_b) <= 2 and str(os.getpid()) not in pids_b
+    # every block ran in a worker: blocks 0 and 1, 2 on the other
+    assert len(pids_b) == 2 and str(os.getpid()) not in pids_b
     assert b.min_value == a.min_value and b.negative_count == a.negative_count
     np.testing.assert_array_equal(b.argmin_state.amplitudes, a.argmin_state.amplitudes)
     assert dump_b == dump_a and summary_b == summary_a
 
 
-@needs_two_cpus
+@forks
 def test_sweep_worker_failure_leaves_no_process(monkeypatch):
     monkeypatch.setattr(random_states, "BLOCK", 40)
     real = random_states.residual_tangle_batch
@@ -132,34 +128,38 @@ def test_sweep_worker_failure_leaves_no_process(monkeypatch):
         return values
 
     monkeypatch.setattr(random_states, "residual_tangle_batch", poisoned)
-    monkeypatch.setattr(random_states, "_allowed_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
     # the first block in block order reports, whichever worker failed first
     with pytest.raises(RuntimeError, match=r"^1 non-finite .* among samples 0\.\.39$"):
         tt.positivity_sweep((2, 2, 3), samples=120)
-    assert multiprocessing.active_children() == []
+    # both workers were reaped: this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def _threads_after_sweep_blocks(conn):
-    for dims in random_states.SWEEP_DIMS:
-        random_states._sweep_block(dims, BLOCK, 0, 0)
-    conn.send(len(os.listdir("/proc/self/task")))
+def _threads_after(work):
+    """Threads of this process after ``work``: both sweep shapes, or a fig2 segment."""
+    if work == "sweep":
+        for dims in random_states.SWEEP_DIMS:
+            random_states._sweep_block(dims, BLOCK, 0, 0)
+    else:
+        # 200 points are fewer evolution chunks than a forked segment needs,
+        # so the worker runs them itself, through the D > 3 matmul path
+        config = scenarios.preset_config("fig2", t_max=4.0, steps=200)
+        scenarios._evolve_columns(config, scenarios.SCENARIO_COLUMNS)
+    return len(os.listdir("/proc/self/task"))
 
 
 @pytest.mark.skipif(
     not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"),
-    reason="counts a forked child's threads in /proc",
+    reason="counts a forked worker's threads in /proc",
 )
-def test_sweep_block_starts_no_blas_thread_in_a_forked_worker():
-    # a forked sweep worker starts with one thread; a BLAS-3 call in the
-    # kernel (a 16 x 16 by 16 x 10,000 complex matmul is one) makes OpenBLAS
-    # start its pool there, which then competes with the other worker's
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=_threads_after_sweep_blocks, args=(send,))
-    child.start()
-    child.join(60)
-    assert not child.is_alive() and child.exitcode == 0
-    assert receive.recv() == 1
+def test_sweep_block_starts_no_blas_thread_in_a_forked_worker(monkeypatch):
+    # a forked worker starts with one thread; a BLAS-3 call in the kernel
+    # (a 16 x 16 by 16 x 10,000 complex matmul is one) makes OpenBLAS start
+    # its pool there, which then competes with the other worker's
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
+    assert workers.cpu_map(_threads_after, ["sweep", "fig2"]) == [1, 1]
 
 
 def test_sweep_argument_validation(monkeypatch):
@@ -167,19 +167,18 @@ def test_sweep_argument_validation(monkeypatch):
         tt.positivity_sweep((2, 2, 5), samples=10)
     with pytest.raises(ValueError):
         tt.positivity_sweep((2, 2, 3), samples=0)
-    # the pool queues every block's future before the first result, so the
-    # bound is checked here, before any worker starts
+    # every block's result is held until the merge, so the bound is checked
+    # here, before any worker starts
     def no_run(*_):
         raise AssertionError("a block ran")
 
     with monkeypatch.context() as patch:
         patch.setattr(random_states, "_sweep_block", no_run)
-        patch.setattr("concurrent.futures.ProcessPoolExecutor", no_run)
+        patch.setattr(workers, "cpu_map", no_run)
         bound = random_states.MAX_SAMPLES
         message = rf"^samples must lie in 1 \.\. {bound}, got {bound + 1}$"
         with pytest.raises(ValueError, match=message):
             tt.positivity_sweep((2, 2, 3), samples=bound + 1)
-    assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         tt.positivity_sweep((2, 2, 3), samples=10, seed=-1)
     # Haar sampling, the block size and the worker count are fixed, not arguments

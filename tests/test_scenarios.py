@@ -1,18 +1,18 @@
 import contextlib
 import io
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcm_tangles as tt
-from tcm_tangles import cli, dynamics, random_states, scenarios, tangles
+from tcm_tangles import cli, dynamics, random_states, scenarios, tangles, workers
 from tcm_tangles.cli import main
 from tcm_tangles.scenarios import (
     MAX_PHOTONS,
@@ -209,25 +209,34 @@ def test_run_scenario_chunk_invariant(monkeypatch):
     step = dynamics.CHUNK_BUDGET // (64 * d)
     assert n0 > 0 and 800 * 64 * d > dynamics.CHUNK_BUDGET
     assert step > 1 and 800 % step
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     default = tt.run_scenario(config)
     # dynamics.CHUNK_BUDGET sets the evolution chunks and the name scenarios imported
-    # the rho_AA-stage batch of CHUNK_BUDGET // 256 states; a batch of 7 splits chunks
-    for budget in (1, dynamics.CHUNK_BUDGET, 10**9):  # one point per chunk ... the whole grid
-        for batch in (1, 7, scenarios.CHUNK_BUDGET // 256):
-            with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "CHUNK_BUDGET", budget)
-                patch.setattr(scenarios, "CHUNK_BUDGET", 256 * batch)
-                calls = _count_rho_aa_stage(patch)
-                other = tt.run_scenario(config)
-                assert len(calls) == -(-800 // batch)
-                exact = scenarios._evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
-            for name in SCENARIO_COLUMNS:
-                np.testing.assert_array_equal(other.column(name), default.column(name))
-            np.testing.assert_array_equal(exact, default.column("tau_F_AA"))
+    # the rho_AA-stage batch of CHUNK_BUDGET // 256 states and the segment rule; a
+    # batch of 7 splits chunks, and with two CPUs a batch of 1 or 7 forks two segments
+    for cpus in (1, 2) if hasattr(os, "fork") else (1,):
+        monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
+        for budget in (1, dynamics.CHUNK_BUDGET, 10**9):  # one point per chunk ... the whole grid
+            for batch in (1, 7, scenarios.CHUNK_BUDGET // 256):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dynamics, "CHUNK_BUDGET", budget)
+                    patch.setattr(scenarios, "CHUNK_BUDGET", 256 * batch)
+                    calls = _count_rho_aa_stage(patch)
+                    other = tt.run_scenario(config)
+                    if cpus == 1:  # a forked segment's calls are not counted here
+                        assert len(calls) == -(-800 // batch)
+                    exact = scenarios._evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
+                for name in SCENARIO_COLUMNS:
+                    np.testing.assert_array_equal(other.column(name), default.column(name))
+                np.testing.assert_array_equal(exact, default.column("tau_F_AA"))
+                assert other.max_norm_drift == default.max_norm_drift
+                assert other.max_excitation_drift == default.max_excitation_drift
 
 
 def test_fig2_runs_the_rho_aa_stage_once(monkeypatch):
-    # 43 evolution chunks of at most 94 points feed one rho_AA-stage batch
+    # 43 evolution chunks of at most 94 points feed one rho_AA-stage batch,
+    # counted in this process: one CPU, so no segment is forked
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     calls = _count_rho_aa_stage(monkeypatch)
     chunks = []
     stage = scenarios.amplitude_stage
@@ -236,6 +245,107 @@ def test_fig2_runs_the_rho_aa_stage_once(monkeypatch):
     )
     tt.run_scenario(preset_config("fig2"))
     assert (len(calls), len(chunks)) == (1, 43)
+
+
+def test_columns_are_written_in_place(monkeypatch):
+    # 2e5 fig1 points hold 12.8 MB of grid and columns; joining per-batch parts
+    # once peaked at twice that.  The columns sit in their shared mapping, which
+    # tracemalloc does not see, so it sees the grid and the buffers of one chunk
+    # and one batch, about 6.6 MB however long the grid
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        result = scenarios._evolve_columns(preset_config("fig1", steps=200_000), SCENARIO_COLUMNS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(column.nbytes for column in result.columns.values())
+    assert columns == 7 * 8 * 200_000
+    assert peak < result.gt.nbytes + columns
+
+
+def _forks(patch):
+    """Count ``os.fork`` calls through ``patch``; return the list they append to."""
+    forks, fork = [], os.fork
+    patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks two segments")
+def test_worker_count_changes_no_output(monkeypatch, tmp_path):
+    # fig4: 4,000 points of D = 401 are 98 evolution chunks, two segments on two CPUs
+    config = preset_config("fig4")
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
+        with monkeypatch.context() as patch:
+            forks = _forks(patch)
+            result = scenarios._evolve_columns(config, ("tau_F_AA",))
+        assert len(forks) == (cpus > 1) * 2
+        runs[cpus] = result
+    np.testing.assert_array_equal(runs[1].column("tau_F_AA"), runs[2].column("tau_F_AA"))
+    assert runs[1].max_norm_drift == runs[2].max_norm_drift
+    assert runs[1].max_excitation_drift == runs[2].max_excitation_drift
+    # the command line's bytes, on grids short enough that one chunk a segment forks
+    monkeypatch.setattr(scenarios, "SEGMENT_CHUNKS", 1)
+    commands = [["scenario", "--preset", "fig1"]]
+    commands += [["scenario", "--preset", f, "--steps", "400"] for f in ("fig2", "fig3", "fig4")]
+    commands += [["compare-approx", "--preset", "fig4", "--steps", "400"]]
+    for argv in commands:
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
+            out = tmp_path / f"{cpus}.csv"
+            with monkeypatch.context() as patch:
+                forks = _forks(patch)
+                assert main(argv + ["--out", str(out)]) == 0
+            assert len(forks) == (cpus > 1) * 2
+            written.append(out.read_bytes())
+        assert written[0] == written[1], argv
+
+
+def test_short_grids_run_in_process(monkeypatch):
+    # fig1 (2,000 points of D = 11: 2 chunks) and the scaling study (1 chunk
+    # per photon number) give no segment its 8 chunks, so nothing forks
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    tt.run_scenario(preset_config("fig1"))
+    tt.scaling_study((5, 10, 20, 40))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks two segments")
+@pytest.mark.parametrize(
+    "start, error", [(0.75, dynamics.TruncationError), (0.25, RuntimeError)]
+)
+def test_segment_failures_raise_as_one_worker(monkeypatch, tmp_path, capsys, start, error):
+    # every evolved time from start * t_max on fails: from 0.75 only the later
+    # segment fails, from 0.25 both do; the first failure in grid order is raised
+    check = dynamics.TcmPropagator._check_times
+
+    def fails_late(self, psi, k_ref, t, n0):
+        late = t >= start * 5.0
+        if late.any():
+            raise error(f"failed at t={t[np.argmax(late)]!r}")
+        check(self, psi, k_ref, t, n0)
+
+    monkeypatch.setattr(dynamics.TcmPropagator, "_check_times", fails_late)
+    monkeypatch.setattr(scenarios, "SEGMENT_CHUNKS", 1)  # fig1's 2 chunks fork 2 segments
+    argv = ["scenario", "--preset", "fig1", "--out", str(tmp_path / "x.csv")]
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
+        with pytest.raises(error) as info:
+            tt.run_scenario(preset_config("fig1"))
+        reports.append((type(info.value), str(info.value), main(argv), capsys.readouterr().err))
+    assert reports[0] == reports[1]
+    first = np.linspace(0.0, 5.0, 2000)[np.linspace(0.0, 5.0, 2000) >= start * 5.0][0]
+    assert reports[0][1] == f"failed at t={first!r}"
+    assert reports[0][2] == 2 and reports[0][3].count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_singlet_scenario_is_frozen():
@@ -674,9 +784,8 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("run error: conservation violated at t=0") and err.count("\n") == 1
 
-    cpus = random_states._allowed_cpus()
     monkeypatch.setattr(random_states, "BLOCK", 40)
-    monkeypatch.setattr(random_states, "_allowed_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     sweep = ["sweep", "--dims", "2x2x3", "--samples", "120", "--out", str(out)]
     real = random_states.residual_tangle_batch
     with monkeypatch.context() as patch:
@@ -687,23 +796,31 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("run error: ") and err.count("\n") == 1
     assert "non-finite residual tangle values among samples 0..39" in err
 
-    if cpus < 2:
-        pytest.skip("the dead-worker leg starts two sweep workers")
-    monkeypatch.setattr(random_states, "_allowed_cpus", lambda: 2)
+    if not hasattr(os, "fork"):
+        pytest.skip("the dead-worker legs fork two workers")
+    # a worker that dies, in a sweep or in a scenario segment, ends the run
+    # as one line, and leaves no child process behind, running or exited
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
+    monkeypatch.setattr(scenarios, "SEGMENT_CHUNKS", 1)  # fig1's 2 chunks fork 2 segments
     parent = os.getpid()
 
-    def dies_in_a_worker(batch, dims):
-        if os.getpid() != parent:
-            os._exit(1)
-        return real(batch, dims)
+    def dies_in_a_worker(real):
+        def stage(*args, **kw):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kw)
+        return stage
 
-    with monkeypatch.context() as patch:
-        patch.setattr(random_states, "residual_tangle_batch", dies_in_a_worker)
-        assert main(sweep) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("run error: A process in the process pool was terminated abruptly")
-    assert err.count("\n") == 1
-    assert multiprocessing.active_children() == []
+    scenario = ["scenario", "--preset", "fig1", "--out", str(out)]
+    for module, name, argv in [(random_states, "residual_tangle_batch", sweep),
+                               (scenarios, "amplitude_stage", scenario)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, dies_in_a_worker(getattr(module, name)))
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "run error: a worker process exited with code 1 before it sent its results\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
