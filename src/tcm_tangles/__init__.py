@@ -12,7 +12,6 @@ from .dynamics import (
     TruncationError,
     atomic_state,
     coherent_state,
-    energy_expectation,
     evolve,
     excitation_distribution,
     fock_state,
@@ -21,7 +20,6 @@ from .dynamics import (
 from .markoff import approx_tau_F_AA
 from .random_states import (
     SweepResult,
-    haar_pure,
     haar_pure_batch,
     positivity_sweep,
 )
@@ -33,7 +31,6 @@ from .scenarios import (
     ScenarioResult,
     compare_exact_vs_approx,
     preset_config,
-    revival_peak_time,
     run_scenario,
     scaling_study,
 )
@@ -43,12 +40,10 @@ from .tangles import (
     convex_roof_decomposition,
     convex_roof_itangle,
     i_residual_tangle,
-    inversion_overlap,
     pure_itangle,
     rank2_itangle,
     residual_tangle_batch,
     tangle_report,
-    universal_inversion,
     wootters_tangle,
 )
 from .tensor import (
@@ -58,7 +53,6 @@ from .tensor import (
     effective_rank,
     partial_trace,
     purity,
-    tensor_product,
 )
 
 __version__ = "0.1.0"
@@ -85,15 +79,12 @@ __all__ = [
     "convex_roof_decomposition",
     "convex_roof_itangle",
     "effective_rank",
-    "energy_expectation",
     "evolve",
     "excitation_distribution",
     "fock_state",
-    "haar_pure",
     "haar_pure_batch",
     "i_residual_tangle",
     "initial_state",
-    "inversion_overlap",
     "partial_trace",
     "positivity_sweep",
     "preset_config",
@@ -101,11 +92,8 @@ __all__ = [
     "purity",
     "rank2_itangle",
     "residual_tangle_batch",
-    "revival_peak_time",
     "run_scenario",
     "scaling_study",
     "tangle_report",
-    "tensor_product",
-    "universal_inversion",
     "wootters_tangle",
 ]

@@ -73,6 +73,12 @@ def whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _norm(vec: np.ndarray) -> float:
+    """2-norm of a complex vector summed by a numpy ufunc, in an order fixed by its
+    length; ``np.linalg.norm`` takes a BLAS dot, whose order follows the BLAS threads."""
+    return float(np.sqrt(np.sum(vec.real**2 + vec.imag**2)))
+
+
 def fock_state(n: int, n_max: int) -> np.ndarray:
     """Photon-number state |n> as a vector of length n_max + 1."""
     n, n_max = whole_number("fock label", n), whole_number("n_max", n_max)
@@ -106,7 +112,7 @@ def coherent_state(mean_n: float) -> np.ndarray:
     tail_above[:-1] = np.cumsum(p[::-1])[::-1][1:]
     n_max = int(np.argmax(tail_above < TAIL_MASS))
     amps = np.exp(0.5 * log_p[: n_max + 1]).astype(complex)
-    amps /= np.linalg.norm(amps)
+    amps /= _norm(amps)
     return amps
 
 
@@ -143,7 +149,7 @@ def initial_state(atomic, field: np.ndarray, n_max: int) -> PureState:
         raise ValueError("field vector longer than the declared truncation")
     fv = np.concatenate([fv, np.zeros(d - fv.size, dtype=complex)])
     amps = np.kron(at, fv)
-    amps /= np.linalg.norm(amps)
+    amps /= _norm(amps)
     return PureState(SystemShape((2, 2, d)), amps)
 
 
@@ -305,9 +311,3 @@ def _excitation_populations(pop: np.ndarray) -> np.ndarray:
         dist[:, e:e + d] += pop[:, a]
     return dist
 
-
-def energy_expectation(state: PureState, n0: int = 0) -> float:
-    """<psi|H psi> in units of g (conserved under evolve), for a state whose
-    field index 0 is photon n0."""
-    amps = state.amplitudes
-    return float(np.vdot(amps, _coupling(amps, _field_dim(state), _check_offset(n0))).real)

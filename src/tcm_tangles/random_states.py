@@ -16,7 +16,7 @@ import contextlib
 import functools
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +28,6 @@ SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
 BLOCK = 10_000  # states per random stream and per kernel call
 # every block's result (about 1 KB) is held until the blocks merge
 MAX_SAMPLES = 10**8
-
-
-def haar_pure(dims: Union[SystemShape, Sequence[int]], seed) -> PureState:
-    """One Haar-random pure state over the given factor dimensions."""
-    shape = dims if isinstance(dims, SystemShape) else SystemShape(tuple(dims))
-    rng = np.random.default_rng(seed)
-    vec = haar_pure_batch(shape.total_dim, 1, rng)[0]
-    return PureState(shape, vec)
 
 
 def haar_pure_batch(total_dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

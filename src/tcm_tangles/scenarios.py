@@ -336,37 +336,6 @@ def scaling_study(
     return ScalingResult(ns=ns, peaks=peaks, slope=slope)
 
 
-def revival_peak_time(
-    gt: np.ndarray,
-    inversion: np.ndarray,
-    search: tuple[float, float] = (15.0, 80.0),
-    window_gt: float = 1.0,
-) -> float:
-    """Location of the largest inversion-envelope swing inside ``search``.
-
-    The envelope is the peak-to-peak amplitude over a sliding window of
-    width ``window_gt`` (a few fast oscillation periods).
-    """
-    gt = np.asarray(gt, dtype=float)
-    inversion = np.asarray(inversion, dtype=float)
-    if gt.size < 2:
-        raise ValueError(f"the grid needs at least 2 points, got {gt.size}")
-    if inversion.shape != gt.shape:
-        raise ValueError(f"inversion shape {inversion.shape} does not match grid shape {gt.shape}")
-    dt = gt[1] - gt[0]
-    w = max(3, int(round(window_gt / dt)))
-    if w > gt.size:
-        raise ValueError("window wider than the whole grid")
-    windows = np.lib.stride_tricks.sliding_window_view(inversion, w)
-    envelope = windows.max(axis=-1) - windows.min(axis=-1)
-    centers = gt[w // 2 : w // 2 + envelope.size]
-    mask = (centers >= search[0]) & (centers <= search[1])
-    if not mask.any():
-        raise ValueError(f"search range {search} outside the grid")
-    idx = np.nonzero(mask)[0]
-    return float(centers[idx[np.argmax(envelope[idx])]])
-
-
 # ---------------------------------------------------------------------------
 # files
 # ---------------------------------------------------------------------------

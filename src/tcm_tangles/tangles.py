@@ -50,31 +50,6 @@ ROOF_TOL = 1e-8
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
-def universal_inversion(rho: DensityMatrix) -> np.ndarray:
-    """I(x)I - rho_A(x)I - I(x)rho_B + rho for a two-factor state.
-
-    Generalizes the two-qubit spin flip to arbitrary dimensions; the
-    overlap tr(rho * inversion) equals
-    1 - tr(rho_A^2) - tr(rho_B^2) + tr(rho^2).
-    """
-    if len(rho.dims) != 2:
-        raise ValueError("universal inversion needs exactly two factors")
-    da, db = rho.dims
-    rho_a = partial_trace(rho, (0,)).matrix
-    rho_b = partial_trace(rho, (1,)).matrix
-    eye = np.eye(da * db)
-    return eye - np.kron(rho_a, np.eye(db)) - np.kron(np.eye(da), rho_b) + rho.matrix
-
-
-def inversion_overlap(rho: DensityMatrix) -> float:
-    """tr(rho * universal_inversion(rho)) from purities alone."""
-    if len(rho.dims) != 2:
-        raise ValueError("inversion overlap needs exactly two factors")
-    pa = purity(partial_trace(rho, (0,)))
-    pb = purity(partial_trace(rho, (1,)))
-    return 1.0 - pa - pb + purity(rho)
-
-
 def _wootters_batch(w: np.ndarray) -> np.ndarray:
     """Squared concurrence of the two-qubit states rho = W W^H of a (4, k, N) stack, batch last.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -108,59 +107,12 @@ class DensityMatrix:
         return math.prod(self.dims)
 
 
-def tensor_product(factors: Sequence[np.ndarray]) -> PureState:
-    """Kronecker product of normalized single-factor vectors.
+def partial_trace(state: PureState, keep) -> DensityMatrix:
+    """Reduced density matrix of a pure state on the factors listed in ``keep``.
 
     Parameters
     ----------
-    factors : sequence of array_like
-        One normalized state vector per factor.
-
-    Returns
-    -------
-    PureState
-        The (re-normalized) product state over all factors.
-    """
-    vecs = [np.asarray(f, dtype=complex).ravel() for f in factors]
-    if not vecs:
-        raise ValueError("need at least one factor")
-    for i, v in enumerate(vecs):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValueError(f"factor {i} is not normalized")
-    dims = tuple(v.size for v in vecs)
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
-    out = out / np.linalg.norm(out)
-    return PureState(SystemShape(dims), out)
-
-
-def _ptrace_pure(tens: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of |psi><psi| given the state as an ndarray, raw matrix out."""
-    n = tens.ndim
-    traced = tuple(i for i in range(n) if i not in keep)
-    d_keep = math.prod(tens.shape[i] for i in keep)
-    mat = np.transpose(tens, keep + traced).reshape(d_keep, -1)
-    return mat @ mat.conj().T
-
-
-def _ptrace_mixed(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a density matrix over the factors not in ``keep``."""
-    n = len(dims)
-    tens = rho.reshape(dims + dims)
-    rows = list(range(n))
-    cols = [i + n if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [i + n for i in keep]
-    d_keep = math.prod(dims[i] for i in keep)
-    return np.einsum(tens, rows + cols, out).reshape(d_keep, d_keep)
-
-
-def partial_trace(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix:
-    """Reduced density matrix on the factors listed in ``keep``.
-
-    Parameters
-    ----------
-    state : PureState or DensityMatrix
+    state : PureState
         Global state.
     keep : iterable of int
         Factor positions to retain, e.g. ``(0, 2)`` for atom 1 + field.
@@ -171,10 +123,7 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix
         Reduced state with ``dims`` equal to the retained factor sizes.
     """
     keep = tuple(sorted({int(k) for k in keep}))
-    if isinstance(state, PureState):
-        dims = state.shape.dims
-    else:
-        dims = state.dims
+    dims = state.shape.dims
     n = len(dims)
     if not keep:
         raise ValueError("must keep at least one factor")
@@ -182,11 +131,10 @@ def partial_trace(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
     if len(keep) == n:
         raise ValueError("partial trace must discard at least one factor")
-    if isinstance(state, PureState):
-        mat = _ptrace_pure(state.tensor(), keep)
-    else:
-        mat = _ptrace_mixed(state.matrix, dims, keep)
-    return DensityMatrix(tuple(dims[i] for i in keep), mat)
+    traced = tuple(i for i in range(n) if i not in keep)
+    d_keep = math.prod(dims[i] for i in keep)
+    mat = np.transpose(state.tensor(), keep + traced).reshape(d_keep, -1)
+    return DensityMatrix(tuple(dims[i] for i in keep), mat @ mat.conj().T)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -37,8 +37,10 @@ import pytest
 
 import tcm_tangles as tt
 from tcm_tangles.markoff import JX_BASIS
-from tcm_tangles.scenarios import preset_config, revival_peak_time
+from tcm_tangles.scenarios import preset_config
 from tcm_tangles.tangles import _wootters_batch
+
+from oracles import inversion_overlap, revival_peak_time
 
 TANGLE_COLUMNS = ("tau_F_AA", "tau_A_rest", "tau_AA", "tau_AF", "tau_res")
 
@@ -346,10 +348,10 @@ def _inversion_identity_error(rng, count):
     tilde = np.eye(4) - a_big - b_big + rho
     explicit = np.einsum("nij,nji->n", rho, tilde).real
     worst = float(np.max(np.abs(closed - explicit)))
-    # tie the batched arithmetic back to the public API on a few samples
+    # tie the batched arithmetic back to the two-factor oracle on a few samples
     for i in range(10):
         dm = tt.DensityMatrix((2, 2), rho[i])
-        worst = max(worst, abs(tt.inversion_overlap(dm) - closed[i]))
+        worst = max(worst, abs(inversion_overlap(dm) - closed[i]))
     return worst
 
 

@@ -7,6 +7,8 @@ import tcm_tangles as tt
 from tcm_tangles import dynamics
 from tcm_tangles.dynamics import excitation_map, rabi_frequencies
 
+from oracles import energy_expectation
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -191,7 +193,7 @@ def test_evolve_matches_dense_expm():
         amps[edge] = [3e-5, -2e-5j, 1e-5 + 2e-5j, 2e-5]
         amps /= np.linalg.norm(amps)
         state = tt.PureState(tt.SystemShape((2, 2, d)), amps)
-        assert abs(tt.energy_expectation(state) - np.vdot(amps, h @ amps).real) < 1e-12
+        assert abs(energy_expectation(state) - np.vdot(amps, h @ amps).real) < 1e-12
         for t in (0.0, 0.37, 2.9, 13.1):
             got = tt.evolve(state, g * t).amplitudes
             want = expm(-1j * g * h * t) @ amps
@@ -247,9 +249,9 @@ def test_evolve_matches_dense_expm_on_an_offset_window():
     h, _, excitation = _dense_model(_N_TOP, _N0)
     state = _offset_window_state()
     amps = state.amplitudes
-    assert abs(tt.energy_expectation(state, _N0) - np.vdot(amps, h @ amps).real) < 1e-12
+    assert abs(energy_expectation(state, _N0) - np.vdot(amps, h @ amps).real) < 1e-12
     # read from photon 0, the same amplitudes carry a different energy
-    assert abs(tt.energy_expectation(state) - np.vdot(amps, h @ amps).real) > 0.1
+    assert abs(energy_expectation(state) - np.vdot(amps, h @ amps).real) > 0.1
     times = [0.0, 0.37, 2.9, 13.1]
     got = np.concatenate(list(tt.TcmPropagator().evolve_series(state, times, _N0)))
     for t, row in zip(times, got):
@@ -358,7 +360,7 @@ def test_energy_conserved():
     state = tt.initial_state("sym_plus", tt.fock_state(4, 9), 9)
     prop = tt.TcmPropagator()
     energies = [
-        g * tt.energy_expectation(tt.PureState(state.shape, amps))
+        g * energy_expectation(tt.PureState(state.shape, amps))
         for chunk in prop.evolve_series(state, g * np.linspace(0.0, 5.0, 40))
         for amps in chunk
     ]

@@ -15,16 +15,6 @@ def parse_amplitudes(line):
     return np.array([complex(*map(float, tok[1:-1].split(","))) for tok in line.split()])
 
 
-def test_haar_pure_basics():
-    psi = tt.haar_pure((2, 2, 3), seed=3)
-    assert psi.shape.dims == (2, 2, 3)
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-    again = tt.haar_pure((2, 2, 3), seed=3)
-    np.testing.assert_array_equal(psi.amplitudes, again.amplitudes)
-    other = tt.haar_pure((2, 2, 3), seed=4)
-    assert not np.allclose(psi.amplitudes, other.amplitudes)
-
-
 def test_haar_batch_norms_and_chunking():
     rng = np.random.default_rng(8)
     batch = haar_pure_batch(12, 50, rng)

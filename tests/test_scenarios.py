@@ -22,8 +22,9 @@ from tcm_tangles.scenarios import (
     _build_initial,
     _write_rows,
     preset_config,
-    revival_peak_time,
 )
+
+from oracles import revival_peak_time
 
 
 def read_csv(path):
@@ -1049,3 +1050,27 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_large_field_initial_state_ignores_blas_threads():
+    # the norms that scale the coherent field and the product state are summed
+    # in a fixed order; a BLAS dot would sum D = 5,755 amplitudes in an order
+    # set by the OpenBLAS thread count, and every byte of the run follows them
+    src = os.path.dirname(os.path.dirname(tt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import hashlib; from tcm_tangles.scenarios import ScenarioConfig, _build_initial; "
+        "state, n0 = _build_initial(ScenarioConfig(atomic='ee', field='coherent', mean_n=1e5)); "
+        "print(state.shape.dims, n0, hashlib.sha256(state.amplitudes.tobytes()).hexdigest())"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]

@@ -15,6 +15,8 @@ from tcm_tangles.tangles import (
 )
 from tcm_tangles.tensor import RANK_TOL
 
+from oracles import haar_vec, inversion_overlap
+
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 BELLS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / np.sqrt(2.0)
 GHZ = np.zeros(8)
@@ -25,11 +27,6 @@ W[1] = W[2] = W[4] = 1.0 / np.sqrt(3.0)
 
 def _unitary(rng, d):
     return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-
-
-def haar_vec(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def werner(p):
@@ -59,12 +56,7 @@ def evolve_preset(config, rows):
     return amps
 
 
-# --- universal inversion ---------------------------------------------------
-
-
-def test_inversion_fixes_bell_state():
-    rho = tt.DensityMatrix((2, 2), np.outer(BELL, BELL))
-    np.testing.assert_allclose(tt.universal_inversion(rho), rho.matrix, atol=1e-14)
+# --- inversion overlap -----------------------------------------------------
 
 
 def test_inversion_overlap_matches_explicit_trace():
@@ -73,8 +65,10 @@ def test_inversion_overlap_matches_explicit_trace():
     for _ in range(25):
         psi = pure_state((2, 3, 4), haar_vec(rng, 24))
         rho = tt.partial_trace(psi, (0, 1))
-        explicit = float(np.trace(rho.matrix @ tt.universal_inversion(rho)).real)
-        assert abs(tt.inversion_overlap(rho) - explicit) < 1e-12
+        rho_a, rho_b = tt.partial_trace(psi, (0,)).matrix, tt.partial_trace(psi, (1,)).matrix
+        inverted = np.eye(6) - np.kron(rho_a, np.eye(3)) - np.kron(np.eye(2), rho_b) + rho.matrix
+        explicit = float(np.trace(rho.matrix @ inverted).real)
+        assert abs(inversion_overlap(rho) - explicit) < 1e-12
 
 
 # --- two-qubit tangle ------------------------------------------------------
@@ -247,7 +241,7 @@ def test_pure_itangle_anchors():
 
 def test_pure_itangle_product_is_zero():
     rng = np.random.default_rng(31)
-    prod = tt.tensor_product([haar_vec(rng, 2), haar_vec(rng, 6)])
+    prod = pure_state((2, 6), np.kron(haar_vec(rng, 2), haar_vec(rng, 6)))
     assert abs(tt.pure_itangle(prod, (0,))) < 1e-12
 
 

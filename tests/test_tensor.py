@@ -8,15 +8,11 @@ from tcm_tangles import (
     effective_rank,
     partial_trace,
     purity,
-    tensor_product,
 )
 
+from oracles import haar_vec, partial_trace_mixed
+
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-
-
-def haar_vec(rng, dim):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def test_system_shape_validation():
@@ -63,16 +59,6 @@ def test_density_matrix_validation():
         DensityMatrix((2, 2), np.eye(2) / 2.0)  # dims mismatch
 
 
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(3)
-    a, b = haar_vec(rng, 2), haar_vec(rng, 3)
-    state = tensor_product([a, b])
-    assert state.shape.dims == (2, 3)
-    np.testing.assert_allclose(state.amplitudes, np.kron(a, b), atol=1e-14)
-    with pytest.raises(ValueError):
-        tensor_product([a, 2.0 * b])
-
-
 def test_partial_trace_pure_and_mixed_agree():
     rng = np.random.default_rng(5)
     state = PureState(SystemShape((2, 3, 4)), haar_vec(rng, 24))
@@ -81,7 +67,7 @@ def test_partial_trace_pure_and_mixed_agree():
     )
     for keep in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         from_pure = partial_trace(state, keep)
-        from_mixed = partial_trace(rho, keep)
+        from_mixed = partial_trace_mixed(rho, keep)
         assert from_pure.dims == from_mixed.dims
         np.testing.assert_allclose(from_pure.matrix, from_mixed.matrix, atol=1e-12)
         assert abs(np.trace(from_pure.matrix) - 1.0) < 1e-12
@@ -91,7 +77,7 @@ def test_partial_trace_keep_semantics():
     # product state: tracing the other factor returns each factor exactly
     rng = np.random.default_rng(8)
     a, b = haar_vec(rng, 2), haar_vec(rng, 5)
-    state = tensor_product([a, b])
+    state = PureState(SystemShape((2, 5)), np.kron(a, b))
     np.testing.assert_allclose(
         partial_trace(state, (0,)).matrix, np.outer(a, a.conj()), atol=1e-14
     )
