@@ -42,8 +42,8 @@ from .tangles import (
     i_residual_tangle,
     pure_itangle,
     rank2_itangle,
-    residual_tangle_batch,
     tangle_report,
+    tcm_columns,
     wootters_tangle,
 )
 from .tensor import (
@@ -91,9 +91,9 @@ __all__ = [
     "pure_itangle",
     "purity",
     "rank2_itangle",
-    "residual_tangle_batch",
     "run_scenario",
     "scaling_study",
     "tangle_report",
+    "tcm_columns",
     "wootters_tangle",
 ]

@@ -28,6 +28,7 @@ from .scenarios import (
     PRESETS,
     ScenarioConfig,
     compare_exact_vs_approx,
+    preset_config,
     run_scenario,
     scaling_study,
 )
@@ -78,20 +79,9 @@ def build_parser() -> _Parser:
 
 
 def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
-    merged = dict(PRESETS[args.preset]) if args.preset else {}
-    for field in dataclasses.fields(ScenarioConfig):  # every setting has a flag
-        value = getattr(args, field.name)
-        if value is not None:
-            merged[field.name] = value
-    # choosing a field kind explicitly drops the other kind's inherited value
-    if (args.field == "fock" or args.n is not None) and args.mean_n is None:
-        merged.pop("mean_n", None)
-    if (args.field == "coherent" or args.mean_n is not None) and args.n is None:
-        merged.pop("n", None)
-    for key in ("atomic", "field"):
-        if merged.get(key) is None:
-            raise ValueError(f"missing required setting {key!r}")
-    return ScenarioConfig(**merged)
+    # every setting has a flag; an unset flag keeps the preset's value
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScenarioConfig)}
+    return preset_config(args.preset, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

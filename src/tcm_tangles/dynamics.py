@@ -199,8 +199,10 @@ class TcmPropagator:
 
     so evolving a state needs H psi and H^2 psi once and elementwise work
     per time.  ``max_norm_drift`` and ``max_excitation_drift`` hold the
-    largest drifts seen by the latest ``evolve_series`` call.
+    largest drifts seen by this propagator.
     """
+
+    max_norm_drift = max_excitation_drift = 0.0
 
     def evolve_series(
         self, state: PureState, times: Sequence[float], n0: int = 0
@@ -223,7 +225,6 @@ class TcmPropagator:
         amps = state.amplitudes
         k_ref = excitation_distribution(state)
         rabi = rabi_frequencies(d, n0)
-        self.max_norm_drift = self.max_excitation_drift = 0.0
         self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1), n0)
         times = np.asarray(times, dtype=float).ravel()
         # Python floats overflow to inf without a warning

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import workers
-from .tangles import TANGLE_FLOOR, residual_tangle_batch
+from .tangles import TANGLE_FLOOR, tcm_columns
 from .tensor import PureState, SystemShape
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
@@ -82,7 +82,7 @@ def _sweep_block(
     count = min(BLOCK, samples - start)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     batch = haar_pure_batch(int(np.prod(dims)), count, rng)
-    values = residual_tangle_batch(batch, dims)
+    values = tcm_columns(batch, ("tau_res",))["tau_res"]
     finite = np.isfinite(values)
     if not finite.all():
         raise RuntimeError(

@@ -24,9 +24,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from . import workers
+from . import dynamics, workers
 from .dynamics import (
-    CHUNK_BUDGET,
     GUARD_BAND,
     REACH,
     TAIL_MASS,
@@ -46,6 +45,7 @@ MAX_STEPS = 10**7  # the grid and seven 8-byte columns, written in place, take 6
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
 # evolution chunks each forked segment must get: fewer do not repay a fork and its reaping
 SEGMENT_CHUNKS = 8
+BATCH = dynamics.CHUNK_BUDGET // 256  # states per rho_aa_stage call: rho_AA takes 256 B a state
 CSV_BLOCK = 10_000  # CSV rows formatted at a time; whole-column lists cost about 200 B a row
 # every time is gt; the echo keeps the unit line, which readers of the CSVs expect
 _G_ECHO = "# g = 1.0"
@@ -120,11 +120,24 @@ PRESETS = {
 }
 
 
-def preset_config(name: str, **overrides) -> ScenarioConfig:
-    """ScenarioConfig for a named preset, with keyword overrides."""
-    if name not in PRESETS:
+def preset_config(name: Optional[str] = None, **overrides) -> ScenarioConfig:
+    """ScenarioConfig for a named preset, or for none, with keyword overrides.
+
+    Choosing a field kind, by ``field`` or by its photon number, drops the
+    other kind's photon number inherited from the preset.
+    """
+    if name is not None and name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return ScenarioConfig(**{**PRESETS[name], **overrides})
+    merged = {**PRESETS.get(name, {}), **overrides}
+    kind, n, mean_n = (overrides.get(key) for key in ("field", "n", "mean_n"))
+    if (kind == "fock" or n is not None) and mean_n is None:
+        merged.pop("mean_n", None)
+    if (kind == "coherent" or mean_n is not None) and n is None:
+        merged.pop("n", None)
+    for key in ("atomic", "field"):
+        if merged.get(key) is None:
+            raise ValueError(f"missing required setting {key!r}")
+    return ScenarioConfig(**merged)
 
 
 def _build_initial(config: ScenarioConfig) -> tuple[PureState, int]:
@@ -161,9 +174,6 @@ class ScenarioResult:
     max_norm_drift: float
     max_excitation_drift: float
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
 
 def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioResult:
     """Evolve the configured state over gt in [0, t_max] and compute the named columns.
@@ -171,14 +181,14 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     The grid is cut into contiguous segments, one per allowed CPU but only
     as many as give each ``SEGMENT_CHUNKS`` evolution chunks, that run on
     forked workers (``workers.cpu_map``); a short grid runs in this process.
-    A segment is evolved and measured in bounded chunks by
-    ``TcmPropagator.evolve_series``, whose one pass per chunk checks the
-    norm and excitation distribution (to 1e-10) and the truncation guard
-    at every point; the result reports the largest drifts.  Each chunk runs
-    only the ``amplitude_stage`` of ``tcm_columns``, writing rho_AA (256 bytes
-    a state) into one buffer of ``CHUNK_BUDGET`` // 256 states; ``rho_aa_stage``
-    reads it when it fills or the segment ends and writes straight into the
-    columns.  No value depends on the chunks, batches or segments, and a
+    A segment is evolved ``BATCH`` points at a time, one
+    ``TcmPropagator.evolve_series`` call each, in bounded chunks whose one
+    pass checks the norm and excitation distribution (to 1e-10) and the
+    truncation guard at every point; the result reports the largest drifts.
+    Each chunk runs only the ``amplitude_stage`` of ``tcm_columns``, writing
+    rho_AA into one buffer of ``BATCH`` states, which ``rho_aa_stage`` reads
+    once per batch, writing straight into the columns.  No value depends on
+    the chunks, batches or segments, and a
     failure raises as with one segment: the first in grid order.  Only what
     the named columns need is computed, and every column is range-checked
     once (RuntimeError).
@@ -188,29 +198,26 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     # one anonymous shared mapping, which forked segments fill in place
     shared = np.frombuffer(mmap.mmap(-1, 8 * len(names) * gts.size)).reshape(len(names), -1)
     columns = {k: c.view(np.int64) if k == "field_eff_dim" else c for k, c in zip(names, shared)}
-    chunks = -(-gts.size * state.amplitudes.nbytes // CHUNK_BUDGET)
+    chunks = -(-gts.size * state.amplitudes.nbytes // dynamics.CHUNK_BUDGET)
     segments = max(1, min(workers.allowed_cpus(), chunks // SEGMENT_CHUNKS))
     bounds = [gts.size * k // segments for k in range(segments + 1)]
 
     def segment(k: int) -> tuple[float, float]:
-        lo, hi = bounds[k], bounds[k + 1]
         prop = TcmPropagator()
-        rho = np.empty((min(max(1, CHUNK_BUDGET // 256), hi - lo), 4, 4), dtype=complex)
+        rho = np.empty((min(BATCH, bounds[k + 1] - bounds[k]), 4, 4), dtype=complex)
         tau_aa = np.empty(len(rho))
-        filled = 0
-        for amps in prop.evolve_series(state, gts[lo:hi], n0):
-            while len(amps):
-                take = min(len(amps), len(rho) - filled)
-                cols, _ = amplitude_stage(amps[:take], names, out=rho[filled:filled + take])
+        for lo in range(bounds[k], bounds[k + 1], BATCH):
+            hi = min(lo + BATCH, bounds[k + 1])
+            at = 0
+            for amps in prop.evolve_series(state, gts[lo:hi], n0):
+                cols, _ = amplitude_stage(amps, names, out=rho[at:at + len(amps)])
                 if cols:
-                    tau_aa[filled:filled + take] = cols["tau_AA"]
-                amps, filled = amps[take:], filled + take
-                if filled == len(rho) or lo + filled == hi:
-                    cols = {"tau_AA": tau_aa[:filled]}  # read only where it was computed
-                    part = rho_aa_stage(cols, np.moveaxis(rho[:filled], 0, -1), names)
-                    for name in names:
-                        columns[name][lo:lo + filled] = part[name]
-                    lo, filled = lo + filled, 0
+                    tau_aa[at:at + len(amps)] = cols["tau_AA"]
+                at += len(amps)
+            cols = {"tau_AA": tau_aa[:at]}  # read only where it was computed
+            part = rho_aa_stage(cols, np.moveaxis(rho[:at], 0, -1), names)
+            for name in names:
+                columns[name][lo:hi] = part[name]
         return prop.max_norm_drift, prop.max_excitation_drift
 
     norm_drifts, excitation_drifts = zip(*workers.cpu_map(segment, range(segments)))
@@ -270,7 +277,7 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     if not mask.any():
         raise ValueError(f"grid [0, {config.t_max}] misses the comparison window {window}")
     # the exact run raises OverflowError first for a grid too long to evolve
-    exact = _evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
+    exact = _evolve_columns(config, ("tau_F_AA",)).columns["tau_F_AA"]
     approx = approx_tau_F_AA(config.atomic, gts, config.mean_n)
     abs_diff = np.abs(exact - approx)
     sup = float(np.max(abs_diff[mask]))
@@ -321,7 +328,7 @@ def scaling_study(
     for n in ns:
         period = 2.0 * math.pi / math.sqrt(4.0 * n - 2.0)
         config = ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=steps)
-        peaks.append(_evolve_columns(config, ("tau_AA",)).column("tau_AA").max())
+        peaks.append(_evolve_columns(config, ("tau_AA",)).columns["tau_AA"].max())
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
     if out:

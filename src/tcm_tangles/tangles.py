@@ -279,7 +279,6 @@ class RoofResult:
     value: float
     probabilities: np.ndarray
     members: np.ndarray
-    ensemble_size: int
     restart_values: tuple[float, ...]
 
 
@@ -349,7 +348,7 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
     sizes = tuple(range(rank, rank * rank + 1))
     lbfgs_opts = {"maxiter": 1000, "ftol": ROOF_TOL * 1e-4, "gtol": ROOF_TOL * 0.1}
     children = np.random.SeedSequence(options.seed).spawn(options.restarts)
-    best = (np.inf, None, None)
+    best = (np.inf, None)
     restart_values = []
     for i in range(options.restarts):
         m = sizes[i % len(sizes)]
@@ -359,7 +358,7 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
                 np.concatenate([z0.real.ravel(), z0.imag.ravel()]), wm, m, da, db
             )
             if f0 < best[0]:
-                best = (f0, z0, m)
+                best = (f0, z0)
         else:
             rng = np.random.default_rng(children[i])
             z0 = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
@@ -374,10 +373,10 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
         )
         if res.fun < best[0]:
             z = (res.x[: m * rank] + 1j * res.x[m * rank:]).reshape(m, rank)
-            best = (float(res.fun), z, m)
+            best = (float(res.fun), z)
         restart_values.append(best[0])
 
-    value, z, m = best
+    value, z = best
     c, _, _, _ = _polar_factors(z)
     phi = c @ wm
     p = np.einsum("mi,mi->m", phi, phi.conj()).real
@@ -387,7 +386,6 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
         value=value,
         probabilities=p[live],
         members=members,
-        ensemble_size=m,
         restart_values=tuple(restart_values),
     )
 
@@ -613,19 +611,6 @@ def tangle_report(state: PureState) -> dict[str, float]:
     columns = tcm_columns(state.amplitudes[None])
     check_tangle_columns(columns)
     return {name: col[0].item() for name, col in columns.items()}
-
-
-def residual_tangle_batch(states: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """i_residual_tangle over a (N, total_dim) stack of (2, 2, D) states.
-
-    The ``tau_res`` column of the shared (2, 2, D) kernel; agrees with the
-    scalar path to roundoff.  Values are not range-checked, so a sweep can
-    count the negative ones.
-    """
-    d1, d2, dfield = dims
-    if (d1, d2) != (2, 2):
-        raise ValueError("batch residual supports (2, 2, D) systems only")
-    return tcm_columns(states.reshape(-1, 4 * dfield), ("tau_res",))["tau_res"]
 
 
 def _pair_tangle_generic(state: PureState, pair: tuple[int, int]) -> float:

@@ -33,10 +33,6 @@ class SystemShape:
         object.__setattr__(self, "dims", dims)
 
     @property
-    def n_factors(self) -> int:
-        return len(self.dims)
-
-    @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
@@ -63,6 +59,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {self.shape.total_dim}"
             )
+        if not np.isfinite(amps).all():
+            raise ValueError("state amplitudes must be finite (no NaN or inf)")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -92,6 +90,8 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite (no NaN or inf)")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > 1e-10 or abs(np.trace(mat).imag) > HERMITICITY_TOL:
@@ -101,10 +101,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
 
 def partial_trace(state: PureState, keep) -> DensityMatrix:

@@ -112,11 +112,11 @@ def _peak_lag(a, b):
 
 def test_criterion_01_no_pair_tangle_and_common_phase(fig1, announce):
     result, elapsed = fig1
-    max_tau_aa = float(np.max(np.abs(result.column("tau_AA"))))
+    max_tau_aa = float(np.max(np.abs(result.columns["tau_AA"])))
     active = [
-        (name, result.column(name))
+        (name, result.columns[name])
         for name in TANGLE_COLUMNS
-        if np.max(np.abs(result.column(name))) > 1e-6
+        if np.max(np.abs(result.columns[name])) > 1e-6
     ]
     lags = {
         f"{a}/{b}": _peak_lag(col_a, col_b)
@@ -136,7 +136,7 @@ def test_criterion_01_no_pair_tangle_and_common_phase(fig1, announce):
 def test_criterion_02_collapse_and_revival(fig2_ee, announce):
     result, elapsed = fig2_ee
     expected = 2.0 * math.pi * 10.0
-    peak = revival_peak_time(result.gt, result.column("inversion"))
+    peak = revival_peak_time(result.gt, result.columns["inversion"])
     ok = abs(peak - expected) <= 0.1 * expected and elapsed < 300
     msg = announce(
         2,
@@ -176,7 +176,7 @@ def _collision_free_window(gt, mean_n):
 
 def _sup_by_column(run_a, run_b, mask=slice(None)):
     return {
-        name: float(np.max(np.abs(run_a.column(name) - run_b.column(name))[mask]))
+        name: float(np.max(np.abs(run_a.columns[name] - run_b.columns[name])[mask]))
         for name in TANGLE_COLUMNS
     }
 
@@ -373,8 +373,8 @@ def _local_unitary_errors(rng, batch_count, component_count):
     residual_err = float(
         np.max(
             np.abs(
-                tt.residual_tangle_batch(states, dims)
-                - tt.residual_tangle_batch(rotated, dims)
+                tt.tcm_columns(states, ("tau_res",))["tau_res"]
+                - tt.tcm_columns(rotated, ("tau_res",))["tau_res"]
             )
         )
     )
@@ -494,7 +494,7 @@ def test_criterion_09_dynamics_oracles(fig1, fig2_ee, fig2_gg, fig3_sym, fig3_ca
     )
 
     singlet_err = max(
-        float(np.max(np.abs(singlet_run.column(name) - singlet_run.column(name)[0])))
+        float(np.max(np.abs(singlet_run.columns[name] - singlet_run.columns[name][0])))
         for name in TANGLE_COLUMNS
     )
 

@@ -63,20 +63,20 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     # 3 blocks of 40 states; the kernel returns -1.0 for the states whose first
     # amplitude has real part above 0.1, so every block dumps and the minimum ties
     monkeypatch.setattr(random_states, "BLOCK", 40)
-    real = random_states.residual_tangle_batch
+    real = random_states.tcm_columns
     pids = tmp_path / "pids.txt"
 
-    def flag_some(batch, dims):
+    def flag_some(batch, names):
         with open(pids, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return np.where(batch[:, 0].real > 0.1, -1.0, real(batch, dims))
+        return {"tau_res": np.where(batch[:, 0].real > 0.1, -1.0, real(batch, names)["tau_res"])}
 
     def run(count):
         monkeypatch.setattr(workers, "allowed_cpus", lambda: count)
         dump = tmp_path / f"dump{count}.txt"
         pids.write_text("")
         with monkeypatch.context() as patch:
-            patch.setattr(random_states, "residual_tangle_batch", flag_some)
+            patch.setattr(random_states, "tcm_columns", flag_some)
             result = tt.positivity_sweep((2, 2, 4), samples=120, seed=5, dump_path=str(dump))
         # the command line's summary, with the real kernel
         out = tmp_path / f"sweep{count}.txt"
@@ -110,14 +110,14 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
 @forks
 def test_sweep_worker_failure_leaves_no_process(monkeypatch):
     monkeypatch.setattr(random_states, "BLOCK", 40)
-    real = random_states.residual_tangle_batch
+    real = random_states.tcm_columns
 
-    def poisoned(batch, dims):
-        values = real(batch, dims)
-        values[3] = np.nan
+    def poisoned(batch, names):
+        values = real(batch, names)
+        values["tau_res"][3] = np.nan
         return values
 
-    monkeypatch.setattr(random_states, "residual_tangle_batch", poisoned)
+    monkeypatch.setattr(random_states, "tcm_columns", poisoned)
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
     # the first block in block order reports, whichever worker failed first
     with pytest.raises(RuntimeError, match=r"^1 non-finite .* among samples 0\.\.39$"):
@@ -182,18 +182,18 @@ def test_sweep_argument_validation(monkeypatch):
 
 def test_sweep_rejects_non_finite_values(monkeypatch):
     # a NaN must not win the argmin and hide a negative value in its block
-    real = random_states.residual_tangle_batch
+    real = random_states.tcm_columns
 
-    def poisoned(batch, dims):
-        values = real(batch, dims)
-        values[3], values[5] = np.nan, -1.0
+    def poisoned(batch, names):
+        values = real(batch, names)
+        values["tau_res"][3], values["tau_res"][5] = np.nan, -1.0
         return values
 
-    monkeypatch.setattr(random_states, "residual_tangle_batch", poisoned)
+    monkeypatch.setattr(random_states, "tcm_columns", poisoned)
     with pytest.raises(RuntimeError, match="^1 non-finite"):
         tt.positivity_sweep((2, 2, 3), samples=10)
     monkeypatch.setattr(
-        random_states, "residual_tangle_batch", lambda batch, *_: np.full(len(batch), np.nan)
+        random_states, "tcm_columns", lambda batch, *_: {"tau_res": np.full(len(batch), np.nan)}
     )
     with pytest.raises(RuntimeError, match="^10 non-finite"):
         tt.positivity_sweep((2, 2, 3), samples=10)
@@ -217,16 +217,16 @@ def test_dump_writes_subthreshold_states(tmp_path):
 
 def test_sweep_counts_and_dumps_counterexamples(monkeypatch, tmp_path, capsys):
     # one state per run comes back below the -1e-9 threshold
-    real = random_states.residual_tangle_batch
+    real = random_states.tcm_columns
     flagged = []
 
-    def one_negative(batch, dims):
-        values = real(batch, dims)
-        values[4] = -1e-6
+    def one_negative(batch, names):
+        values = real(batch, names)
+        values["tau_res"][4] = -1e-6
         flagged.append(batch[4].copy())
         return values
 
-    monkeypatch.setattr(random_states, "residual_tangle_batch", one_negative)
+    monkeypatch.setattr(random_states, "tcm_columns", one_negative)
     dump = tmp_path / "bad_states.txt"
     result = tt.positivity_sweep((2, 2, 3), samples=10, seed=2, dump_path=str(dump))
     assert (result.negative_count, result.min_value) == (1, -1e-6)

@@ -142,11 +142,11 @@ def test_run_scenario_small():
     assert result.max_excitation_drift < 1e-10
     assert result.gt[0] == 0.0
     for name in SCENARIO_COLUMNS:
-        assert result.column(name).shape == (40,)
+        assert result.columns[name].shape == (40,)
     # the initial product state carries no tangle at all
-    assert abs(result.column("tau_F_AA")[0]) < 1e-12
-    assert result.column("tau_F_AA")[1:].max() > 0.01
-    assert result.column("field_eff_dim").min() >= 1
+    assert abs(result.columns["tau_F_AA"][0]) < 1e-12
+    assert result.columns["tau_F_AA"][1:].max() > 0.01
+    assert result.columns["field_eff_dim"].min() >= 1
 
 
 def test_photon_window_of_each_field():
@@ -212,24 +212,24 @@ def test_run_scenario_chunk_invariant(monkeypatch):
     assert step > 1 and 800 % step
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     default = tt.run_scenario(config)
-    # dynamics.CHUNK_BUDGET sets the evolution chunks and the name scenarios imported
-    # the rho_AA-stage batch of CHUNK_BUDGET // 256 states and the segment rule; a
-    # batch of 7 splits chunks, and with two CPUs a batch of 1 or 7 forks two segments
+    # dynamics.CHUNK_BUDGET sets the evolution chunks and the segment rule, and
+    # scenarios.BATCH the points of one evolve_series call and rho_AA-stage batch;
+    # with two CPUs a budget of 1 forks two segments
     for cpus in (1, 2) if hasattr(os, "fork") else (1,):
         monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
         for budget in (1, dynamics.CHUNK_BUDGET, 10**9):  # one point per chunk ... the whole grid
-            for batch in (1, 7, scenarios.CHUNK_BUDGET // 256):
+            for batch in (1, 7, scenarios.BATCH):
                 with monkeypatch.context() as patch:
                     patch.setattr(dynamics, "CHUNK_BUDGET", budget)
-                    patch.setattr(scenarios, "CHUNK_BUDGET", 256 * batch)
+                    patch.setattr(scenarios, "BATCH", batch)
                     calls = _count_rho_aa_stage(patch)
                     other = tt.run_scenario(config)
                     if cpus == 1:  # a forked segment's calls are not counted here
                         assert len(calls) == -(-800 // batch)
-                    exact = scenarios._evolve_columns(config, ("tau_F_AA",)).column("tau_F_AA")
+                    exact = scenarios._evolve_columns(config, ("tau_F_AA",)).columns["tau_F_AA"]
                 for name in SCENARIO_COLUMNS:
-                    np.testing.assert_array_equal(other.column(name), default.column(name))
-                np.testing.assert_array_equal(exact, default.column("tau_F_AA"))
+                    np.testing.assert_array_equal(other.columns[name], default.columns[name])
+                np.testing.assert_array_equal(exact, default.columns["tau_F_AA"])
                 assert other.max_norm_drift == default.max_norm_drift
                 assert other.max_excitation_drift == default.max_excitation_drift
 
@@ -284,7 +284,7 @@ def test_worker_count_changes_no_output(monkeypatch, tmp_path):
             result = scenarios._evolve_columns(config, ("tau_F_AA",))
         assert len(forks) == (cpus > 1) * 2
         runs[cpus] = result
-    np.testing.assert_array_equal(runs[1].column("tau_F_AA"), runs[2].column("tau_F_AA"))
+    np.testing.assert_array_equal(runs[1].columns["tau_F_AA"], runs[2].columns["tau_F_AA"])
     assert runs[1].max_norm_drift == runs[2].max_norm_drift
     assert runs[1].max_excitation_drift == runs[2].max_excitation_drift
     # the command line's bytes, on grids short enough that one chunk a segment forks
@@ -354,11 +354,11 @@ def test_singlet_scenario_is_frozen():
         tt.ScenarioConfig(atomic="singlet", field="fock", n=1, t_max=4.0, steps=30)
     )
     for name in SCENARIO_COLUMNS:
-        col = result.column(name)
+        col = result.columns[name]
         np.testing.assert_allclose(col, col[0], atol=1e-10)
     # the dark pair stays maximally entangled with itself, never the field
-    assert abs(result.column("tau_AA")[0] - 1.0) < 1e-10
-    assert abs(result.column("tau_F_AA")[0]) < 1e-12
+    assert abs(result.columns["tau_AA"][0] - 1.0) < 1e-10
+    assert abs(result.columns["tau_F_AA"][0]) < 1e-12
 
 
 def test_scenario_csv_round_trip(tmp_path):
@@ -375,7 +375,7 @@ def test_scenario_csv_round_trip(tmp_path):
     assert data.shape == (40, 8)
     np.testing.assert_allclose(data[:, 0], result.gt, rtol=1e-11)
     for j, name in enumerate(SCENARIO_COLUMNS, start=1):
-        np.testing.assert_allclose(data[:, j], result.column(name), atol=2e-9)
+        np.testing.assert_allclose(data[:, j], result.columns[name], atol=2e-9)
 
 
 def test_scenario_echo_keys_in_order(tmp_path):
@@ -517,7 +517,7 @@ def test_compare_exact_is_the_scenario_column(atomic):
         atomic=atomic, field="coherent", mean_n=4.0, t_max=12.0, steps=120
     )
     exact = tt.compare_exact_vs_approx(config).exact
-    assert np.array_equal(exact, tt.run_scenario(config).column("tau_F_AA"))
+    assert np.array_equal(exact, tt.run_scenario(config).columns["tau_F_AA"])
 
 
 def test_evolution_checks_reach_scenario_and_compare(monkeypatch):
@@ -610,7 +610,7 @@ def test_scaling_runs_the_scenario_loop(monkeypatch):
     for n, peak in zip(ns, peaks):
         period = 2.0 * math.pi / math.sqrt(4.0 * n - 2.0)
         config = tt.ScenarioConfig(atomic="gg", field="fock", n=n, t_max=period, steps=200)
-        assert peak == tt.run_scenario(config).column("tau_AA").max()
+        assert peak == tt.run_scenario(config).columns["tau_AA"].max()
     monkeypatch.setattr(tangles, "_wootters_batch", lambda w: np.full(w.shape[-1], np.nan))
     with pytest.raises(RuntimeError) as info:
         tt.scaling_study(ns, steps=200)
@@ -679,6 +679,31 @@ def test_cli_field_switch_drops_other_kind(tmp_path):
     assert "# field = fock" in echo
     assert "# n = 3" in echo
     assert "# mean_n = None" in echo
+
+
+@pytest.mark.parametrize(
+    "flags, preset, overrides",
+    [
+        ([], "fig1", {}),
+        (["--field", "fock", "--n", "10"], "fig2", dict(field="fock", n=10)),  # drops mean_n
+        (["--field", "coherent", "--mean-n", "30"], "fig1", dict(field="coherent", mean_n=30.0)),
+        (["--atomic", "ee", "--field", "fock", "--n", "3"], None,
+         dict(atomic="ee", field="fock", n=3)),
+    ],
+)
+def test_cli_builds_the_preset_config(flags, preset, overrides):
+    argv = ["scenario"] + (["--preset", preset] if preset else []) + flags + ["--out", "x.csv"]
+    built = cli._scenario_config(cli.build_parser().parse_args(argv))
+    assert built == preset_config(preset, out="x.csv", **overrides)
+
+
+def test_cli_and_preset_config_refuse_a_missing_atomic_state_alike():
+    args = cli.build_parser().parse_args(["scenario", "--field", "fock", "--n", "3", "--out", "x"])
+    with pytest.raises(ValueError) as from_cli:
+        cli._scenario_config(args)
+    with pytest.raises(ValueError) as from_library:
+        preset_config(field="fock", n=3, out="x")
+    assert str(from_cli.value) == str(from_library.value) == "missing required setting 'atomic'"
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):
@@ -788,10 +813,11 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(random_states, "BLOCK", 40)
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     sweep = ["sweep", "--dims", "2x2x3", "--samples", "120", "--out", str(out)]
-    real = random_states.residual_tangle_batch
+    real = random_states.tcm_columns
     with monkeypatch.context() as patch:
-        patch.setattr(random_states, "residual_tangle_batch",
-                      lambda b, d: np.where(b[:, 0].real > 0, np.nan, real(b, d)))
+        patch.setattr(random_states, "tcm_columns",
+                      lambda b, n: {"tau_res": np.where(b[:, 0].real > 0, np.nan,
+                                                        real(b, n)["tau_res"])})
         assert main(sweep) == 2
     err = capsys.readouterr().err
     assert err.startswith("run error: ") and err.count("\n") == 1
@@ -813,7 +839,7 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
         return stage
 
     scenario = ["scenario", "--preset", "fig1", "--out", str(out)]
-    for module, name, argv in [(random_states, "residual_tangle_batch", sweep),
+    for module, name, argv in [(random_states, "tcm_columns", sweep),
                                (scenarios, "amplitude_stage", scenario)]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, dies_in_a_worker(getattr(module, name)))
@@ -928,7 +954,7 @@ def test_csv_clamps_only_tangle_columns(tmp_path):
     assert main(argv) == 0
     _, header, data = read_csv(out)
     config = tt.ScenarioConfig(atomic="cat_plus", field="fock", n=0, t_max=1e-5, steps=5)
-    inversion = tt.run_scenario(config).column("inversion")
+    inversion = tt.run_scenario(config).columns["inversion"]
     assert np.all((tangles.TANGLE_FLOOR < inversion[1:]) & (inversion[1:] < 0.0))
     np.testing.assert_array_equal(
         data[:, header.index("inversion")], [float(f"{v:.12g}") for v in inversion]

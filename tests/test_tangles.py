@@ -52,7 +52,7 @@ def evolve_preset(config, rows):
     amps = np.concatenate(list(tt.TcmPropagator().evolve_series(state, gts, n0)))
     ran = tt.run_scenario(config)
     for name, column in tcm_columns(amps).items():
-        np.testing.assert_allclose(column, ran.column(name)[rows], atol=1e-13, rtol=0, err_msg=name)
+        np.testing.assert_allclose(column, ran.columns[name][rows], atol=1e-13, rtol=0, err_msg=name)
     return amps
 
 
@@ -793,7 +793,7 @@ def test_tangle_report_cross_checks():
         tt.ScenarioConfig(atomic="ee", field="fock", n=3, t_max=4.0, steps=50)
     )
     for i in (7, 23, 41):
-        row = {name: result.column(name)[i] for name in SCENARIO_COLUMNS}
+        row = {name: result.columns[name][i] for name in SCENARIO_COLUMNS}
         cases.append((tt.evolve(state, result.gt[i]), row))
     # the states above are symmetric under swapping the atoms; a Haar state
     # is not, so it tells the two atom-field purifications apart
@@ -866,7 +866,7 @@ def test_residual_batch_matches_scalar():
     for dims in [(2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 8)]:
         total = int(np.prod(dims))
         states = np.array([haar_vec(rng, total) for _ in range(40)])
-        batch = tt.residual_tangle_batch(states, dims)
+        batch = tt.tcm_columns(states, ("tau_res",))["tau_res"]
         scalar = [tt.i_residual_tangle(pure_state(dims, s)) for s in states]
         np.testing.assert_allclose(batch, scalar, atol=1e-12, rtol=0)
 
@@ -874,7 +874,7 @@ def test_residual_batch_matches_scalar():
 def test_residual_nonnegative_on_qubit_triples():
     rng = np.random.default_rng(64)
     states = np.array([haar_vec(rng, 8) for _ in range(500)])
-    batch = tt.residual_tangle_batch(states, (2, 2, 2))
+    batch = tt.tcm_columns(states, ("tau_res",))["tau_res"]
     assert batch.min() > -1e-10
 
 
@@ -904,7 +904,7 @@ def test_rank_cutoff_artefact_near_product_states_is_bounded(field_dim, seed):
         for index, amplitude in _RANK_CUTOFF_SEEDS[seed](field_dim).items():
             states[:, index] += amplitude
         states /= np.linalg.norm(states, axis=1, keepdims=True)
-        values = tt.residual_tangle_batch(states, (2, 2, field_dim))
+        values = tt.tcm_columns(states, ("tau_res",))["tau_res"]
         worst = int(np.argmin(values))
         assert values[worst] >= -4.0 / 3.0 * RANK_TOL, (eps, values[worst])
         assert not np.any(values < tangles.TANGLE_FLOOR)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
 def test_system_shape_validation():
     assert SystemShape((2, 3)).total_dim == 6
-    assert SystemShape((2, 3)).n_factors == 2
     with pytest.raises(ValueError):
         SystemShape(())
     with pytest.raises(ValueError):
@@ -27,6 +28,16 @@ def test_system_shape_validation():
 def test_pure_state_requires_normalization():
     with pytest.raises(ValueError):
         PureState(SystemShape((2, 2)), np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pure_state_and_density_matrix_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        PureState(SystemShape((2,)), [bad, 0.0])
+    with pytest.raises(ValueError, match="entries must be finite"):
+        DensityMatrix((2,), [[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="entries must be finite"):
+        DensityMatrix((2,), [[0.5, bad], [bad, 0.5]])
 
 
 def test_pure_state_length_check():
