@@ -36,8 +36,7 @@ from .dynamics import (
     whole_number,
 )
 from .markoff import approx_tau_F_AA
-from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns
-from .tangles import amplitude_stage, rho_aa_stage
+from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
 from .tensor import RANK_TOL, PureState
 
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
@@ -45,7 +44,7 @@ MAX_STEPS = 10**7  # the grid and seven 8-byte columns, written in place, take 6
 MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
 # evolution chunks each forked segment must get: fewer do not repay a fork and its reaping
 SEGMENT_CHUNKS = 8
-BATCH = dynamics.CHUNK_BUDGET // 256  # states per rho_aa_stage call: rho_AA takes 256 B a state
+BATCH = dynamics.CHUNK_BUDGET // 256  # states per tcm_columns call: rho_AA takes 256 B a state
 CSV_BLOCK = 10_000  # CSV rows formatted at a time; whole-column lists cost about 200 B a row
 # every time is gt; the echo keeps the unit line, which readers of the CSVs expect
 _G_ECHO = "# g = 1.0"
@@ -185,13 +184,11 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     ``TcmPropagator.evolve_series`` call each, in bounded chunks whose one
     pass checks the norm and excitation distribution (to 1e-10) and the
     truncation guard at every point; the result reports the largest drifts.
-    Each chunk runs only the ``amplitude_stage`` of ``tcm_columns``, writing
-    rho_AA into one buffer of ``BATCH`` states, which ``rho_aa_stage`` reads
-    once per batch, writing straight into the columns.  No value depends on
-    the chunks, batches or segments, and a
-    failure raises as with one segment: the first in grid order.  Only what
-    the named columns need is computed, and every column is range-checked
-    once (RuntimeError).
+    Each call's chunks go, as they are evolved, to one ``tcm_columns`` call,
+    whose columns are written straight into the shared ones.  No value
+    depends on the chunks, batches or segments, and a failure raises as
+    with one segment: the first in grid order.  Only what the named columns
+    need is computed, and every column is range-checked once (RuntimeError).
     """
     gts = np.linspace(0.0, config.t_max, config.steps)
     state, n0 = _build_initial(config)
@@ -204,18 +201,9 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
 
     def segment(k: int) -> tuple[float, float]:
         prop = TcmPropagator()
-        rho = np.empty((min(BATCH, bounds[k + 1] - bounds[k]), 4, 4), dtype=complex)
-        tau_aa = np.empty(len(rho))
         for lo in range(bounds[k], bounds[k + 1], BATCH):
             hi = min(lo + BATCH, bounds[k + 1])
-            at = 0
-            for amps in prop.evolve_series(state, gts[lo:hi], n0):
-                cols, _ = amplitude_stage(amps, names, out=rho[at:at + len(amps)])
-                if cols:
-                    tau_aa[at:at + len(amps)] = cols["tau_AA"]
-                at += len(amps)
-            cols = {"tau_AA": tau_aa[:at]}  # read only where it was computed
-            part = rho_aa_stage(cols, np.moveaxis(rho[:at], 0, -1), names)
+            part = tcm_columns(prop.evolve_series(state, gts[lo:hi], n0), names)
             for name in names:
                 columns[name][lo:hi] = part[name]
         return prop.max_norm_drift, prop.max_excitation_drift

@@ -28,7 +28,7 @@ sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -496,60 +496,67 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _join(parts: list, axis: int) -> np.ndarray:
+    """Per-chunk parts joined along their batch ``axis``; a single part is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
+
+
 def tcm_columns(
-    amps: np.ndarray,
+    amps: Union[np.ndarray, Iterable[np.ndarray]],
     names: Sequence[str] = SCENARIO_COLUMNS,
 ) -> dict[str, np.ndarray]:
-    """The named ``SCENARIO_COLUMNS`` of an (N, 4*D) stack of (2, 2, D) states, in ``names`` order.
+    """The named ``SCENARIO_COLUMNS`` of (2, 2, D) states, in ``names`` order.
 
-    Only what the named columns need is computed: ``tau_AA`` is the
-    Wootters kernel on the amplitude factor W, and ``tau_F_AA``,
-    ``field_eff_dim`` and ``inversion`` need rho_AA = W W^H (the product
-    ``partial_trace`` forms): its purity tr rho_AA^2 = ||rho_AA||_F^2, its
-    spectrum and its diagonal.  Both sides of a pure-state cut share their
-    nonzero spectrum, so the field's purity and effective dimension come
-    from rho_AA.  Its rank (``_field_rank``) is counted only for
-    ``field_eff_dim`` and the residual.  Only ``tau_A_rest``,
-    ``tau_AF`` and ``tau_res`` run the one-atom spectra and the rank-2
-    closed form, which needs only the Pauli correlations of rho_AA: each
-    atom-field pair is purified by the other atom.  Each column is
-    bit-identical whichever others are named.
+    ``amps`` is an (N, 4*D) stack, or an iterable of such stacks (one D for
+    all), read one at a time and taken as one stack in order.  Only what
+    the named columns need is computed: ``tau_AA`` is the Wootters kernel
+    on the amplitude factor W, and ``tau_F_AA``, ``field_eff_dim`` and
+    ``inversion`` need rho_AA = W W^H (the product ``partial_trace``
+    forms): its purity tr rho_AA^2 = ||rho_AA||_F^2, its spectrum and its
+    diagonal.  Both sides of a pure-state cut share their nonzero
+    spectrum, so the field's purity and effective dimension come from
+    rho_AA.  Its rank (``_field_rank``) is counted only for
+    ``field_eff_dim`` and the residual.  Only ``tau_A_rest``, ``tau_AF``
+    and ``tau_res`` run the one-atom spectra and the rank-2 closed form,
+    which needs only the Pauli correlations of rho_AA: each atom-field
+    pair is purified by the other atom.  Each column is bit-identical
+    whichever others are named, and however the states are chunked.
 
-    It runs in two stages: ``amplitude_stage``, the only one that reads W, and
-    ``rho_aa_stage``, which a caller whose states come in chunks can run once over many.
-    The kernels take the batch axis last (W as (4, D, N), rho_AA as (4, 4, N)), so each
-    step is one contiguous pass over N.  No step multiplies the planes as one matrix: that
-    BLAS-3 call starts OpenBLAS threads in each forked sweep worker, and two workers on two
+    W is read one chunk at a time, for ``tau_AA`` and rho_AA; their
+    per-chunk parts are joined, and everything after them runs once over
+    all N states.  The kernels take the batch axis last (W as (4, D, N),
+    rho_AA as (4, 4, N)), so each step is one contiguous pass over N.  No
+    step multiplies the planes as one matrix: that BLAS-3 call starts
+    OpenBLAS threads in each forked sweep worker, and two workers on two
     cores then ran a 2x2x3 block about three times slower.
     """
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
         raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
-    return rho_aa_stage(*amplitude_stage(amps, names), names)
-
-
-def amplitude_stage(amps: np.ndarray, names: Sequence[str], out: Optional[np.ndarray] = None):
-    """The first stage of ``tcm_columns`` on an (N, 4*D) stack: ``tau_AA`` in a dict
-    (empty unless ``names`` need it) and rho_AA as (4, 4, N) (None unless they need
-    another column), written into ``out``, an (N, 4, 4) array, if one is given."""
     full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
-    m = amps.reshape(len(amps), 4, -1)
-    # more than three field columns keep the (N, 4, D) layout that W W^H and the SVD read
-    small = m.shape[-1] <= 3
-    w = np.ascontiguousarray(np.moveaxis(m, 0, -1)) if small else np.moveaxis(m, 0, -1)
-    cols = {"tau_AA": _wootters_batch(w)} if full or "tau_AA" in names else {}
-    rho_aa = None
-    if full or set(names) - {"tau_AA"}:
-        rho_aa = (np.einsum("akn,bkn->abn", w, w.conj()) if small and out is None
-                  else np.moveaxis(np.matmul(m, m.conj().swapaxes(-1, -2), out=out), 0, -1))
-    return cols, rho_aa
-
-
-def rho_aa_stage(cols: dict, rho_aa: np.ndarray, names: Sequence[str]) -> dict[str, np.ndarray]:
-    """The second stage of ``tcm_columns``: the named columns from ``cols``, which
-    it extends, and ``rho_aa``, the results of ``amplitude_stage`` on the same states."""
-    full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
-    if full or set(names) - {"tau_AA"}:
+    need_rho = full or bool(set(names) - {"tau_AA"})
+    taus, rhos, width, count = [], [], None, 0
+    for chunk in [amps] if isinstance(amps, np.ndarray) else amps:
+        width = chunk.shape[-1] if width is None else width
+        if chunk.shape[-1] != width:
+            raise ValueError(f"states of width {width} and {chunk.shape[-1]} in one call; "
+                             "every state needs the same field dimension")
+        m = chunk.reshape(len(chunk), 4, width // 4)
+        count += len(m)
+        # more than three field columns keep the (N, 4, D) layout that W W^H and the SVD read
+        small = m.shape[-1] <= 3
+        w = np.ascontiguousarray(np.moveaxis(m, 0, -1)) if small else np.moveaxis(m, 0, -1)
+        if full or "tau_AA" in names:
+            taus.append(_wootters_batch(w))
+        if need_rho:
+            rhos.append(np.einsum("akn,bkn->abn", w, w.conj()) if small
+                        else np.matmul(m, m.conj().swapaxes(-1, -2)))
+    if not count:
+        raise ValueError("tcm_columns needs at least one state")
+    cols = {"tau_AA": _join(taus, 0)} if taus else {}
+    if need_rho:
+        # the (N, 4, 4) product is read as (4, 4, N), a layout einsum's summation order follows
+        rho_aa = _join(rhos, -1) if small else np.moveaxis(_join(rhos, 0), 0, -1)
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
     if full or "field_eff_dim" in names:

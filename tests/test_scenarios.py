@@ -193,11 +193,17 @@ def test_weak_coherent_fields_run_at_default_settings(atomic, mean_n):
     assert result.max_norm_drift < 1e-10 and result.max_excitation_drift < 1e-10
 
 
-def _count_rho_aa_stage(patch):
-    """Wrap ``scenarios.rho_aa_stage`` in ``patch``; return the list its calls append to."""
-    calls, stage = [], scenarios.rho_aa_stage
-    patch.setattr(scenarios, "rho_aa_stage", lambda *args: calls.append(1) or stage(*args))
-    return calls
+def _count_tcm_columns(patch):
+    """Wrap ``scenarios.tcm_columns`` in ``patch``; return the lists that its calls
+    and the evolution chunks they read append to."""
+    calls, chunks, kernel = [], [], scenarios.tcm_columns
+
+    def counted(states, names):
+        calls.append(1)
+        return kernel((chunks.append(1) or amps for amps in states), names)
+
+    patch.setattr(scenarios, "tcm_columns", counted)
+    return calls, chunks
 
 
 def test_run_scenario_chunk_invariant(monkeypatch):
@@ -213,7 +219,7 @@ def test_run_scenario_chunk_invariant(monkeypatch):
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     default = tt.run_scenario(config)
     # dynamics.CHUNK_BUDGET sets the evolution chunks and the segment rule, and
-    # scenarios.BATCH the points of one evolve_series call and rho_AA-stage batch;
+    # scenarios.BATCH the points of one evolve_series and one tcm_columns call;
     # with two CPUs a budget of 1 forks two segments
     for cpus in (1, 2) if hasattr(os, "fork") else (1,):
         monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
@@ -222,7 +228,7 @@ def test_run_scenario_chunk_invariant(monkeypatch):
                 with monkeypatch.context() as patch:
                     patch.setattr(dynamics, "CHUNK_BUDGET", budget)
                     patch.setattr(scenarios, "BATCH", batch)
-                    calls = _count_rho_aa_stage(patch)
+                    calls, _ = _count_tcm_columns(patch)
                     other = tt.run_scenario(config)
                     if cpus == 1:  # a forked segment's calls are not counted here
                         assert len(calls) == -(-800 // batch)
@@ -234,16 +240,11 @@ def test_run_scenario_chunk_invariant(monkeypatch):
                 assert other.max_excitation_drift == default.max_excitation_drift
 
 
-def test_fig2_runs_the_rho_aa_stage_once(monkeypatch):
-    # 43 evolution chunks of at most 94 points feed one rho_AA-stage batch,
+def test_fig2_makes_one_tcm_columns_call(monkeypatch):
+    # 43 evolution chunks of at most 94 points feed one tcm_columns call,
     # counted in this process: one CPU, so no segment is forked
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
-    calls = _count_rho_aa_stage(monkeypatch)
-    chunks = []
-    stage = scenarios.amplitude_stage
-    monkeypatch.setattr(
-        scenarios, "amplitude_stage", lambda *args, **kw: chunks.append(1) or stage(*args, **kw)
-    )
+    calls, chunks = _count_tcm_columns(monkeypatch)
     tt.run_scenario(preset_config("fig2"))
     assert (len(calls), len(chunks)) == (1, 43)
 
@@ -251,8 +252,8 @@ def test_fig2_runs_the_rho_aa_stage_once(monkeypatch):
 def test_columns_are_written_in_place(monkeypatch):
     # 2e5 fig1 points hold 12.8 MB of grid and columns; joining per-batch parts
     # once peaked at twice that.  The columns sit in their shared mapping, which
-    # tracemalloc does not see, so it sees the grid and the buffers of one chunk
-    # and one batch, about 6.6 MB however long the grid
+    # tracemalloc does not see, so it sees the grid, one chunk and the per-chunk
+    # parts of one tcm_columns call, about 7.5 MB however long the grid
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     tracemalloc.start()
     try:
@@ -832,15 +833,15 @@ def test_cli_run_errors_exit_2(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
     def dies_in_a_worker(real):
-        def stage(*args, **kw):
+        def dies(*args, **kw):
             if os.getpid() != parent:
                 os._exit(1)
             return real(*args, **kw)
-        return stage
+        return dies
 
     scenario = ["scenario", "--preset", "fig1", "--out", str(out)]
     for module, name, argv in [(random_states, "tcm_columns", sweep),
-                               (scenarios, "amplitude_stage", scenario)]:
+                               (scenarios, "tcm_columns", scenario)]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, dies_in_a_worker(getattr(module, name)))
             assert main(argv) == 2
@@ -860,14 +861,13 @@ def test_cli_compare_approx(tmp_path, capsys, monkeypatch):
     _, header, _ = read_csv(out)
     assert header == ["gt", "tau_F_AA_exact", "tau_F_AA_approx", "abs_diff"]
     # a non-finite exact tangle fails the range check: a run error, exit 2, one line
-    stage = scenarios.rho_aa_stage
-    monkeypatch.setattr(
-        scenarios,
-        "rho_aa_stage",
-        lambda cols, rho_aa, names: {
-            **stage(cols, rho_aa, names), "tau_F_AA": np.full(rho_aa.shape[-1], np.nan)
-        },
-    )
+    kernel = scenarios.tcm_columns
+
+    def nan_tau_f_aa(states, names):
+        part = kernel(states, names)
+        return {**part, "tau_F_AA": np.full_like(part["tau_F_AA"], np.nan)}
+
+    monkeypatch.setattr(scenarios, "tcm_columns", nan_tau_f_aa)
     assert main(argv) == 2
     assert capsys.readouterr().err == "run error: tau_F_AA = nan outside [-1e-09, inf]\n"
 

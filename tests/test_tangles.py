@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -405,8 +407,10 @@ def _mpmath_rank2_tangle(psi, purifier):
 
 
 def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
-    # on an evolved fig1 stack and on Haar (2, 2, 5) and (2, 2, 3) states,
-    # each subset is bit-identical to the full call, a tau_AA-only call runs
+    # on an evolved fig1 stack and on Haar (2, 2, 5) and (2, 2, 3) states
+    # (the matmul and the einsum rho_AA), each passed whole and as chunks of
+    # 1, 7 and the rest, each subset is bit-identical to the one-stack full
+    # call, a tau_AA-only call runs
     # no marginal spectrum (no field rank, no 4 x 4 eigvalsh, no _qubit_cut)
     # and no rank-2 kernel, and a tau_F_AA-only call (compare-approx) runs
     # no eigensolve at all, nor Wootters
@@ -430,22 +434,31 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
     for amps in (fig1, haar5, haar3):
         full = tcm_columns(amps)
         assert list(full) == list(SCENARIO_COLUMNS)
-        for names, unused, solve in [
-            (("tau_F_AA",), (wootters, rank2, qubit_cut, field_rank), _refuse),
-            (("tau_AA",), (field_rank, qubit_cut, rank2), no_marginal_eigvalsh),
-            (("tau_res",), (), eigvalsh),
-            (SCENARIO_COLUMNS, (), eigvalsh),
-        ]:
+        for states, (names, unused, solve) in itertools.product(
+            (amps, [amps[:1], amps[1:8], amps[8:]]),
+            [
+                (("tau_F_AA",), (wootters, rank2, qubit_cut, field_rank), _refuse),
+                (("tau_AA",), (field_rank, qubit_cut, rank2), no_marginal_eigvalsh),
+                (("tau_res",), (), eigvalsh),
+                (SCENARIO_COLUMNS, (), eigvalsh),
+            ],
+        ):
             with monkeypatch.context() as patch:
                 for target in unused:
                     patch.setattr(target, _refuse)
                 patch.setattr(np.linalg, "eigvalsh", solve)
-                part = tcm_columns(amps, names)
+                part = tcm_columns(states, names)
             assert list(part) == list(names)
             for name in names:
                 assert np.array_equal(part[name], full[name]), name
     with pytest.raises(ValueError, match="unknown columns"):
         tcm_columns(haar5, ("tau_XY",))
+    # no states at all, and states of two field dimensions, are refused in one line
+    for states, match in [([], "at least one state"), (haar5[:0], "at least one state"),
+                          ([haar5[:2], haar3[:2]], "same field dimension")]:
+        with pytest.raises(ValueError, match=match) as info:
+            tcm_columns(states)
+        assert "\n" not in str(info.value)
 
 
 def _recorded_calls(monkeypatch, name, amps):
