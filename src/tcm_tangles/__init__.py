@@ -35,7 +35,6 @@ from .scenarios import (
     scaling_study,
 )
 from .tangles import (
-    RoofOptions,
     RoofResult,
     convex_roof_decomposition,
     convex_roof_itangle,
@@ -63,7 +62,6 @@ __all__ = [
     "DensityMatrix",
     "PRESETS",
     "PureState",
-    "RoofOptions",
     "RoofResult",
     "ScalingResult",
     "ScenarioConfig",

@@ -231,7 +231,7 @@ class TcmPropagator:
         t_max = float(np.max(np.abs(times), initial=0.0))
         if not math.isfinite(t_max * float(rabi.max())):
             raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
-        step = max(1, CHUNK_BUDGET // amps.nbytes)
+        step = chunk_times(state)
         # H_K is zero where Omega_K is, so any nonzero divisor works there
         safe = np.where(rabi > 0.0, rabi, 1.0)[excitation_map(d)]
         h1 = _coupling(amps, d, n0) / safe  # H psi / Omega, block by block
@@ -290,6 +290,11 @@ def _field_dim(state: PureState) -> int:
     if len(dims) != 3 or dims[:2] != (2, 2):
         raise ValueError("expected a (2, 2, field) state")
     return dims[2]
+
+
+def chunk_times(state: PureState) -> int:
+    """Times per ``evolve_series`` chunk of ``state``: as many as ``CHUNK_BUDGET`` holds, or one."""
+    return max(1, CHUNK_BUDGET // state.amplitudes.nbytes)
 
 
 def excitation_map(field_dim: int) -> np.ndarray:

@@ -195,7 +195,7 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     # one anonymous shared mapping, which forked segments fill in place
     shared = np.frombuffer(mmap.mmap(-1, 8 * len(names) * gts.size)).reshape(len(names), -1)
     columns = {k: c.view(np.int64) if k == "field_eff_dim" else c for k, c in zip(names, shared)}
-    chunks = -(-gts.size * state.amplitudes.nbytes // dynamics.CHUNK_BUDGET)
+    chunks = -(-gts.size // dynamics.chunk_times(state))
     segments = max(1, min(workers.allowed_cpus(), chunks // SEGMENT_CHUNKS))
     bounds = [gts.size * k // segments for k in range(segments + 1)]
 

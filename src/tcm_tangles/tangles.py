@@ -8,9 +8,6 @@ Bipartite measures, all normalized so a Bell pair scores 1:
 * ``pure_itangle`` -- 2*[1 - tr(rho_A^2)] across any cut of a pure state;
   reduces to the Wootters tangle on two qubits and makes sense for factors
   of any dimension.
-* ``convex_roof_itangle`` -- mixed-state extension as the minimum average
-  pure-state tangle over ensemble decompositions (numerical minimization
-  over the decomposition freedom).
 * ``rank2_itangle`` -- closed form for rank <= 2 mixed states of a
   qubit x D-level pair, a minimum over two-outcome measurements on a qubit
   purifier: from the two-qubit correlations (a, b, T) of the purifier and
@@ -18,11 +15,17 @@ Bipartite measures, all normalized so a Bell pair scores 1:
   K = T - a b^T and W = (1 - b b^T)^(-1/2); one formula from a pure pair
   to a maximally mixed one, accurate to roundoff throughout, and
   cross-validated against the convex roof.
+* ``convex_roof_itangle`` -- mixed-state extension as the minimum average
+  pure-state tangle over ensemble decompositions (numerical minimization
+  over the decomposition freedom, to about ``ROOF_TOL``).  No function of
+  the package calls it; it is a reference for the closed forms.
 
-The tripartite ``i_residual_tangle`` averages one-versus-rest tangles over
-the three cuts, subtracts the pairwise mixed tangles, and rescales each
-term by d/2 where d is the smaller effective dimension of the term's two
-sides.
+The tripartite ``i_residual_tangle`` of a qubit x qubit x d pure state, in
+any factor order, averages one-versus-rest tangles over the three cuts,
+subtracts the pairwise mixed tangles (Wootters for the qubit pair, the
+rank-2 closed form for each qubit-field pair, which the other qubit
+purifies), and rescales each term by d/2 where d is the smaller effective
+dimension of the term's two sides.
 """
 
 from __future__ import annotations
@@ -255,24 +258,6 @@ def rank2_itangle(rho: DensityMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RoofOptions:
-    """Search budget for the convex-roof minimization.
-
-    Restarts cycle through the ensemble lengths rank .. rank**2, restart 0
-    starting at the plain eigendecomposition.  Results are deterministic
-    per seed, and the best value after k restarts is a prefix of the best
-    values after k' > k.
-    """
-
-    restarts: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-
-@dataclass(frozen=True)
 class RoofResult:
     """Best decomposition found: value = sum_i probabilities[i] * tangle(members[i])."""
 
@@ -322,7 +307,7 @@ def _roof_objective(x: np.ndarray, wm: np.ndarray, m: int, da: int, db: int):
     return value, np.concatenate([2.0 * gamma.real.ravel(), 2.0 * gamma.imag.ravel()])
 
 
-def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOptions()) -> RoofResult:
+def convex_roof_decomposition(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -> RoofResult:
     """Minimize the average pure-state tangle over ensemble decompositions.
 
     Decompositions of length m are written phi_i = sum_j C_ij w_j with
@@ -330,8 +315,14 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
     eigenvectors of ``rho``; every valid decomposition arises this way.
     C is parameterized by the polar form of an unconstrained complex
     matrix and minimized with L-BFGS using the analytic gradient.
+    ``restarts`` (at least 1) cycle through the ensemble lengths
+    rank .. rank**2, restart 0 starting at the plain eigendecomposition.
+    Results are deterministic per ``seed``, and the best value after k
+    restarts is a prefix of the best values after k' > k.
     """
-    from scipy.optimize import minimize  # only pairs of rank > 2 get here
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    from scipy.optimize import minimize  # imported here: no run-time path calls the roof
 
     if len(rho.dims) != 2:
         raise ValueError("convex roof needs exactly two factors")
@@ -347,10 +338,10 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
 
     sizes = tuple(range(rank, rank * rank + 1))
     lbfgs_opts = {"maxiter": 1000, "ftol": ROOF_TOL * 1e-4, "gtol": ROOF_TOL * 0.1}
-    children = np.random.SeedSequence(options.seed).spawn(options.restarts)
+    children = np.random.SeedSequence(seed).spawn(restarts)
     best = (np.inf, None)
     restart_values = []
-    for i in range(options.restarts):
+    for i in range(restarts):
         m = sizes[i % len(sizes)]
         if i == 0:
             z0 = np.eye(m, rank, dtype=complex)
@@ -390,9 +381,9 @@ def convex_roof_decomposition(rho: DensityMatrix, options: RoofOptions = RoofOpt
     )
 
 
-def convex_roof_itangle(rho: DensityMatrix, options: RoofOptions = RoofOptions()) -> float:
+def convex_roof_itangle(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -> float:
     """Best found mixed-state tangle (see convex_roof_decomposition)."""
-    return convex_roof_decomposition(rho, options).value
+    return convex_roof_decomposition(rho, restarts, seed).value
 
 
 # ---------------------------------------------------------------------------
@@ -620,33 +611,20 @@ def tangle_report(state: PureState) -> dict[str, float]:
     return {name: col[0].item() for name, col in columns.items()}
 
 
-def _pair_tangle_generic(state: PureState, pair: tuple[int, int]) -> float:
-    """Mixed tangle of two factors of a pure state: Wootters for qubit pairs,
-    on the state's own amplitude factor; the rank-2 closed form for a pair
-    of rank <= 2 with a factor of dimension <= 2; the convex roof otherwise."""
-    i, j = pair
-    tens = state.tensor()
-    if (tens.shape[i], tens.shape[j]) == (2, 2):
-        factor = np.moveaxis(tens, (i, j), (0, 1)).reshape(4, -1)
-        return float(_wootters_batch(factor[..., None])[0])
-    rho = partial_trace(state, pair)
-    if min(rho.dims) <= 2 and effective_rank(rho) <= 2:
-        return rank2_itangle(rho)
-    return convex_roof_itangle(rho)
-
-
 def i_residual_tangle(state: PureState) -> float:
-    """Residual three-party tangle of a tripartite pure state.
+    """Residual three-party tangle of a qubit x qubit x d pure state, in any factor order.
 
     (1/3) * sum of the three one-versus-rest tangles minus (2/3) * sum of
     the three pairwise mixed tangles, every term rescaled by d/2 with d
     the smaller effective dimension (rank of the marginal at ``RANK_TOL``)
-    of the term's two sides.  Values are reported as computed; tiny
-    negative dust is not clamped.
+    of the term's two sides.  The qubit pair takes the Wootters kernel on
+    the state's own amplitude factor, and each qubit-field pair, purified
+    by the other qubit, the rank-2 closed form.  Values are reported as
+    computed; tiny negative dust is not clamped.
     """
     dims = state.shape.dims
-    if len(dims) != 3:
-        raise ValueError("residual tangle needs exactly three factors")
+    if len(dims) != 3 or dims.count(2) < 2:
+        raise ValueError(f"residual tangle needs qubit x qubit x d factors, got dims {dims}")
 
     marg = [partial_trace(state, (i,)) for i in range(3)]
     eff = [effective_rank(m) for m in marg]
@@ -660,7 +638,11 @@ def i_residual_tangle(state: PureState) -> float:
 
     pairwise = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        d = min(eff[i], eff[j])
-        pairwise += d / 2.0 * _pair_tangle_generic(state, (i, j))
+        if (dims[i], dims[j]) == (2, 2):
+            factor = np.moveaxis(state.tensor(), (i, j), (0, 1)).reshape(4, -1)
+            tau = float(_wootters_batch(factor[..., None])[0])
+        else:
+            tau = rank2_itangle(partial_trace(state, (i, j)))
+        pairwise += min(eff[i], eff[j]) / 2.0 * tau
 
     return (one_vs_rest - 2.0 * pairwise) / 3.0

@@ -398,7 +398,6 @@ def _local_unitary_errors(rng, batch_count, component_count):
 
 
 def _roof_vs_wootters_error(rng, count):
-    options = tt.RoofOptions(restarts=4, seed=7)
     worst = 0.0
     for _ in range(count):
         v1, v2 = _haar_batch(rng, 2, 4)
@@ -406,7 +405,7 @@ def _roof_vs_wootters_error(rng, count):
         rho = w * np.outer(v1, v1.conj()) + (1.0 - w) * np.outer(v2, v2.conj())
         dm = tt.DensityMatrix((2, 2), rho)
         worst = max(
-            worst, abs(tt.convex_roof_itangle(dm, options) - tt.wootters_tangle(dm))
+            worst, abs(tt.convex_roof_itangle(dm, restarts=4, seed=7) - tt.wootters_tangle(dm))
         )
     return worst
 
@@ -416,14 +415,13 @@ def _rank2_vs_roof_error_along_trajectory():
     state = tt.initial_state("ee", tt.fock_state(10, 15), 15)
     times = np.linspace(0.0, config.t_max, config.steps)[::5]
     prop = tt.TcmPropagator()
-    options = tt.RoofOptions(restarts=4, seed=11)
     worst = 0.0
     for chunk in prop.evolve_series(state, times):
         for amps in chunk:
             rho_af = tt.partial_trace(tt.PureState(state.shape, amps), (0, 2))
             worst = max(
                 worst,
-                abs(tt.rank2_itangle(rho_af) - tt.convex_roof_itangle(rho_af, options)),
+                abs(tt.rank2_itangle(rho_af) - tt.convex_roof_itangle(rho_af, restarts=4, seed=11)),
             )
     return worst
 

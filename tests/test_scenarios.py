@@ -275,7 +275,7 @@ def _forks(patch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="forks two segments")
 def test_worker_count_changes_no_output(monkeypatch, tmp_path):
-    # fig4: 4,000 points of D = 401 are 98 evolution chunks, two segments on two CPUs
+    # fig4: 4,000 points of D = 401 are 100 evolution chunks, two segments on two CPUs
     config = preset_config("fig4")
     runs = {}
     for cpus in (1, 2):
@@ -1059,23 +1059,31 @@ def test_cli_numeric_flags_exit_cleanly(t_max, steps, n, mean_n):
                 assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
-def test_cli_import_loads_no_scipy():
-    # only the convex roof (pairs of rank > 2) uses scipy, and it imports it
-    # itself: a CLI call that never reaches it does not pay for the import
+def test_cli_import_loads_no_scipy(tmp_path):
+    # only the convex roof uses scipy, and it imports it itself; no command
+    # calls the roof, so each runs where scipy cannot be imported at all
     src = os.path.dirname(os.path.dirname(tt.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        ["scenario", "--preset", "fig1", "--steps", "50", "--out", "fig1.csv"],
+        ["compare-approx", "--preset", "fig4", "--steps", "200", "--out", "fig4.csv"],
+        ["sweep", "--dims", "2x2x4", "--samples", "2000", "--out", "sweep.txt"],
+        ["scaling", "--out", "scaling.csv"],
+    ]
     code = (
-        "import sys, tcm_tangles, tcm_tangles.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; sys.modules['scipy'] = None; import tcm_tangles.cli; "
+        f"codes = [tcm_tangles.cli.main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m, mod in sys.modules.items() if m.startswith('scipy') and mod))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
+        cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_large_field_initial_state_ignores_blas_threads():

@@ -323,7 +323,7 @@ def test_rank2_local_unitary_invariant():
 
 
 
-def test_rank2_either_factor_order_and_pairs_without_a_qubit(monkeypatch):
+def test_rank2_either_factor_order_and_pairs_without_a_qubit():
     # the kernel takes the pair's qubit factor wherever it sits
     rng = np.random.default_rng(46)
     for d in (2, 3, 4, 5):
@@ -333,16 +333,17 @@ def test_rank2_either_factor_order_and_pairs_without_a_qubit(monkeypatch):
         forward = tt.rank2_itangle(tt.DensityMatrix((2, d), rho))
         assert abs(forward - tt.rank2_itangle(tt.DensityMatrix((d, 2), swapped))) < 1e-14, d
     # a rank-2 (3, 3) pair, purified by a qubit, has no qubit factor: refused,
-    # and the generic pair path sends it to the roof
+    # and so is a residual tangle with fewer than two qubit factors
     psi = pure_state((3, 3, 2), haar_vec(rng, 18))
     pair = tt.partial_trace(psi, (0, 1))
     assert tt.effective_rank(pair) == 2
     with pytest.raises(ValueError, match="no qubit factor; use convex_roof_itangle"):
         tt.rank2_itangle(pair)
-    roofed = []
-    monkeypatch.setattr(tangles, "convex_roof_itangle", lambda r: roofed.append(r.dims) or 0.125)
-    assert tangles._pair_tangle_generic(psi, (0, 1)) == 0.125
-    assert roofed == [(3, 3)]
+    for state in (psi, pure_state((2, 3, 3), haar_vec(rng, 18))):
+        with pytest.raises(ValueError) as refused:
+            tt.i_residual_tangle(state)
+        message = str(refused.value)
+        assert "\n" not in message and str(state.shape.dims) in message
 
 # Impurities of one atom, from a pure pair up to 1e-4.  In double precision
 # the Lorentz-boost form of the rank-2 minimum (the reference below) loses
@@ -699,7 +700,7 @@ def test_sweep_block_runs_no_svd_and_few_eigensolves(monkeypatch):
 
 def test_roof_matches_wootters_on_werner():
     dm = tt.DensityMatrix((2, 2), werner(0.8))
-    value = tt.convex_roof_itangle(dm, options=tt.RoofOptions(restarts=8, seed=1))
+    value = tt.convex_roof_itangle(dm, restarts=8, seed=1)
     assert abs(value - 0.49) < 5e-7
 
 
@@ -711,7 +712,7 @@ def test_roof_on_pure_bell():
 def test_roof_decomposition_reconstructs_state():
     rng = np.random.default_rng(51)
     dm = tt.DensityMatrix((2, 2), rank2_two_qubit(rng))
-    result = tt.convex_roof_decomposition(dm, tt.RoofOptions(restarts=4, seed=2))
+    result = tt.convex_roof_decomposition(dm, restarts=4, seed=2)
     assert result.probabilities.min() > 0.0
     assert abs(result.probabilities.sum() - 1.0) < 1e-8
     rebuilt = np.einsum(
@@ -725,8 +726,8 @@ def test_roof_decomposition_reconstructs_state():
 
 def test_roof_restart_values_monotone_and_prefix_stable():
     dm = tt.DensityMatrix((2, 2), werner(0.6))
-    short = tt.convex_roof_decomposition(dm, tt.RoofOptions(restarts=3, seed=5))
-    long = tt.convex_roof_decomposition(dm, tt.RoofOptions(restarts=7, seed=5))
+    short = tt.convex_roof_decomposition(dm, restarts=3, seed=5)
+    long = tt.convex_roof_decomposition(dm, restarts=7, seed=5)
     assert all(b <= a + 1e-15 for a, b in zip(long.restart_values, long.restart_values[1:]))
     np.testing.assert_allclose(
         short.restart_values, long.restart_values[:3], atol=0, rtol=0
@@ -747,13 +748,13 @@ def test_roof_identity_start_bounds_eigendecomposition():
         for i in range(4)
         if evals[i] > 1e-12
     )
-    value = tt.convex_roof_itangle(tt.DensityMatrix((2, 2), rho), tt.RoofOptions(restarts=1))
+    value = tt.convex_roof_itangle(tt.DensityMatrix((2, 2), rho), restarts=1)
     assert value <= eig_avg + 1e-10
 
 
 def test_roof_options_validation():
-    with pytest.raises(ValueError):
-        tt.RoofOptions(restarts=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        tt.convex_roof_decomposition(tt.DensityMatrix((2, 2), werner(0.8)), restarts=0)
 
 
 def test_roof_gradient_matches_finite_differences():
