@@ -6,6 +6,7 @@ import pytest
 import tcm_tangles as tt
 from tcm_tangles import dynamics
 from tcm_tangles.dynamics import excitation_map, rabi_frequencies
+from tcm_tangles.scenarios import _build_initial, preset_config
 
 from oracles import energy_expectation
 
@@ -433,3 +434,72 @@ def test_series_reports_drift_maxima_over_every_chunk(monkeypatch):
     monkeypatch.setattr(dynamics, "CHUNK_BUDGET", 1)  # one time per chunk
     list(prop.evolve_series(state, times))
     assert (prop.max_norm_drift, prop.max_excitation_drift) == drifts
+
+
+# --- the phases from one tangent ------------------------------------------------
+
+
+def _pole_times(rabi):
+    """Times at which one phase argument 0.5 * t * Omega_K, formed as evolve_series
+    forms it, is the float64 pi/2 (where tan peaks), and one ulp below it."""
+    times = []
+    for x in (np.pi / 2, np.nextafter(np.pi / 2, 0.0)):
+        guesses = (2 * x / w + k * np.spacing(2 * x / w) for w in rabi[rabi > 0] for k in range(-4, 5))
+        times.append(next(t for t in guesses if np.any(0.5 * np.array([t])[:, None] * rabi == x)))
+    return times
+
+
+def _sine_reference_rows(state, times, n0):
+    """evolve_series rows from 2 sin^2(x) and sin(2x) at 40 digits, on the float64
+    arguments x = Omega_K t/2 that the propagator forms, and its own H psi, H^2 psi."""
+    import mpmath
+
+    d = state.shape.dims[2]
+    rabi = rabi_frequencies(d, n0)
+    x = 0.5 * np.asarray(times)[:, None] * rabi
+    with mpmath.workdps(40):
+        c = np.array([float(2 * mpmath.sin(mpmath.mpf(v)) ** 2) for v in x.ravel()])
+        s = np.array([float(mpmath.sin(2 * mpmath.mpf(v))) for v in x.ravel()])
+    c, s = c.reshape(x.shape), s.reshape(x.shape)
+    safe = np.where(rabi > 0.0, rabi, 1.0)[excitation_map(d)]
+    h1 = dynamics._coupling(state.amplitudes, d, n0) / safe
+    h2 = dynamics._coupling(h1, d, n0) / safe
+    psi0, h2, ih1 = (v.reshape(4, d) for v in (state.amplitudes, h2, 1j * h1))
+    rows = np.empty((len(times), 4, d), dtype=complex)
+    for a, e in enumerate(dynamics.ATOM_EXCITATIONS):
+        rows[:, a] = psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a]
+    return rows.reshape(len(times), 4 * d)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("preset, t_max", [("fig2", 80.0), ("fig4", 140.0)])
+def test_tangent_phases_match_40_digit_sines(preset, t_max):
+    state, n0 = _build_initial(preset_config(preset))
+    rabi = rabi_frequencies(state.shape.dims[2], n0)
+    grid = np.linspace(0.0, t_max, 4000)[::333]
+    far = np.geomspace(1.0, 2e6 / rabi.max(), 6)  # arguments Omega_K t/2 up to 1e6
+    times = np.concatenate([grid, far, _pole_times(rabi)])
+    got = np.concatenate(list(tt.TcmPropagator().evolve_series(state, times, n0)))
+    want = _sine_reference_rows(state, times, n0)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tangent_phases_are_exact_at_zero_odd_in_time_and_finite_at_the_pole():
+    state, n0 = _build_initial(preset_config("fig2"))
+    amps = state.amplitudes
+    assert not np.any(amps.imag)  # a real initial state
+    times = np.linspace(0.0, 80.0, 4000)[::97]
+    prop = tt.TcmPropagator()
+    ahead = np.concatenate(list(prop.evolve_series(state, times, n0)))
+    back = np.concatenate(list(prop.evolve_series(state, -times, n0)))
+    # tan(0) = 0, so the t = 0 row is the initial state bit for bit
+    assert ahead[0].tobytes() == amps.tobytes()
+    # tan is odd, so a real state's row at -t is the conjugate of its row at t
+    np.testing.assert_array_equal(back, ahead.conj())
+    # where tan peaks, the amplitudes are finite and pass the conservation check
+    prop = tt.TcmPropagator()
+    pole_times = _pole_times(rabi_frequencies(state.shape.dims[2], n0))
+    pole = np.concatenate(list(prop.evolve_series(state, pole_times, n0)))
+    assert np.all(np.isfinite(pole))
+    assert max(prop.max_norm_drift, prop.max_excitation_drift) <= dynamics.CONSERVATION_TOL
