@@ -49,7 +49,6 @@ from .tensor import (
     DensityMatrix,
     PureState,
     SystemShape,
-    effective_rank,
     partial_trace,
     purity,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "compare_exact_vs_approx",
     "convex_roof_decomposition",
     "convex_roof_itangle",
-    "effective_rank",
     "evolve",
     "excitation_distribution",
     "fock_state",

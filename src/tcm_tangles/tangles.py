@@ -20,12 +20,14 @@ Bipartite measures, all normalized so a Bell pair scores 1:
   over the decomposition freedom, to about ``ROOF_TOL``).  No function of
   the package calls it; it is a reference for the closed forms.
 
-The tripartite ``i_residual_tangle`` of a qubit x qubit x d pure state, in
-any factor order, averages one-versus-rest tangles over the three cuts,
-subtracts the pairwise mixed tangles (Wootters for the qubit pair, the
-rank-2 closed form for each qubit-field pair, which the other qubit
-purifies), and rescales each term by d/2 where d is the smaller effective
-dimension of the term's two sides.
+The tripartite residual tangle averages one-versus-rest tangles over the
+three cuts, subtracts the pairwise mixed tangles (Wootters for the qubit
+pair, the rank-2 closed form for each qubit-field pair, which the other
+qubit purifies), and rescales each term by d/2 where d is the smaller
+effective dimension of the term's two sides.  It is written once, as the
+``tau_res`` column of the batched (2, 2, D) kernel ``tcm_columns``, and
+``i_residual_tangle`` is that kernel on one qubit x qubit x d state in any
+factor order; ``tests/oracles.py`` walks every cut as the tests' reference.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .tensor import (
     RANK_TOL,
     DensityMatrix,
     PureState,
-    effective_rank,
     partial_trace,
     purity,
 )
@@ -614,35 +615,14 @@ def tangle_report(state: PureState) -> dict[str, float]:
 def i_residual_tangle(state: PureState) -> float:
     """Residual three-party tangle of a qubit x qubit x d pure state, in any factor order.
 
-    (1/3) * sum of the three one-versus-rest tangles minus (2/3) * sum of
-    the three pairwise mixed tangles, every term rescaled by d/2 with d
-    the smaller effective dimension (rank of the marginal at ``RANK_TOL``)
-    of the term's two sides.  The qubit pair takes the Wootters kernel on
-    the state's own amplitude factor, and each qubit-field pair, purified
-    by the other qubit, the rank-2 closed form.  Values are reported as
-    computed; tiny negative dust is not clamped.
+    The ``tau_res`` column of ``tcm_columns`` on the (2, 2, d) state that
+    moving the field factor (the one that is not a qubit, or else the last)
+    to the end gives.  Values are reported as computed; tiny negative dust
+    is not clamped.
     """
     dims = state.shape.dims
     if len(dims) != 3 or dims.count(2) < 2:
         raise ValueError(f"residual tangle needs qubit x qubit x d factors, got dims {dims}")
-
-    marg = [partial_trace(state, (i,)) for i in range(3)]
-    eff = [effective_rank(m) for m in marg]
-    pur = [purity(m) for m in marg]
-
-    one_vs_rest = 0.0
-    for i in range(3):
-        rest = tuple(j for j in range(3) if j != i)
-        d = min(eff[i], effective_rank(partial_trace(state, rest)))
-        one_vs_rest += d / 2.0 * 2.0 * (1.0 - pur[i])
-
-    pairwise = 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if (dims[i], dims[j]) == (2, 2):
-            factor = np.moveaxis(state.tensor(), (i, j), (0, 1)).reshape(4, -1)
-            tau = float(_wootters_batch(factor[..., None])[0])
-        else:
-            tau = rank2_itangle(partial_trace(state, (i, j)))
-        pairwise += min(eff[i], eff[j]) / 2.0 * tau
-
-    return (one_vs_rest - 2.0 * pairwise) / 3.0
+    field = next((i for i, n in enumerate(dims) if n != 2), 2)
+    amps = np.moveaxis(state.tensor(), field, 2).reshape(1, -1)
+    return float(tcm_columns(amps, ("tau_res",))["tau_res"][0])

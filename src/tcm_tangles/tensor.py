@@ -138,7 +138,3 @@ def purity(rho: DensityMatrix) -> float:
     m = rho.matrix
     return float(np.einsum("ij,ji->", m, m).real)
 
-
-def effective_rank(rho: DensityMatrix) -> int:
-    """Number of eigenvalues of ``rho`` exceeding ``RANK_TOL``."""
-    return int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > RANK_TOL))

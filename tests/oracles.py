@@ -2,15 +2,21 @@
 
 None of these is on a CLI path: the energy <H>, the inversion overlap
 tr(rho rho~) of a two-factor state and the revival-peak locator exist only
-to check the exact evolution, the tangles and criterion 2.
+to check the exact evolution, the tangles and criterion 2.  The residual
+tangle by cuts walks every cut of a qubit x qubit x d state with generic
+partial traces and eigvalsh ranks; the package's ``i_residual_tangle`` is
+the batched (2, 2, D) kernel on one state, so this walk is its independent
+reference.
 """
 
 import math
 
 import numpy as np
 
-from tcm_tangles import DensityMatrix, PureState, purity
+from tcm_tangles import DensityMatrix, PureState, partial_trace, purity, rank2_itangle
 from tcm_tangles.dynamics import _check_offset, _coupling, _field_dim
+from tcm_tangles.tangles import _wootters_batch
+from tcm_tangles.tensor import RANK_TOL
 
 
 def haar_vec(rng, dim):
@@ -79,3 +85,42 @@ def revival_peak_time(
         raise ValueError(f"search range {search} outside the grid")
     idx = np.nonzero(mask)[0]
     return float(centers[idx[np.argmax(envelope[idx])]])
+
+
+def effective_rank(rho: DensityMatrix) -> int:
+    """Number of eigenvalues of ``rho`` exceeding ``RANK_TOL``."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(rho.matrix) > RANK_TOL))
+
+
+def residual_tangle_by_cuts(state: PureState) -> float:
+    """Residual three-party tangle of a qubit x qubit x d pure state, in any
+    factor order, from every cut.
+
+    (1/3) * sum of the three one-versus-rest tangles minus (2/3) * sum of
+    the three pairwise mixed tangles, every term rescaled by d/2 with d
+    the smaller effective dimension (rank of the marginal at ``RANK_TOL``)
+    of the term's two sides.  The qubit pair takes the Wootters kernel on
+    the state's own amplitude factor, and each qubit-field pair, purified
+    by the other qubit, the rank-2 closed form.  Nothing is clamped.
+    """
+    dims = state.shape.dims
+    marg = [partial_trace(state, (i,)) for i in range(3)]
+    eff = [effective_rank(m) for m in marg]
+    pur = [purity(m) for m in marg]
+
+    one_vs_rest = 0.0
+    for i in range(3):
+        rest = tuple(j for j in range(3) if j != i)
+        d = min(eff[i], effective_rank(partial_trace(state, rest)))
+        one_vs_rest += d / 2.0 * 2.0 * (1.0 - pur[i])
+
+    pairwise = 0.0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if (dims[i], dims[j]) == (2, 2):
+            factor = np.moveaxis(state.tensor(), (i, j), (0, 1)).reshape(4, -1)
+            tau = float(_wootters_batch(factor[..., None])[0])
+        else:
+            tau = rank2_itangle(partial_trace(state, (i, j)))
+        pairwise += min(eff[i], eff[j]) / 2.0 * tau
+
+    return (one_vs_rest - 2.0 * pairwise) / 3.0

@@ -40,7 +40,7 @@ from tcm_tangles.markoff import JX_BASIS
 from tcm_tangles.scenarios import preset_config
 from tcm_tangles.tangles import _wootters_batch
 
-from oracles import inversion_overlap, revival_peak_time
+from oracles import inversion_overlap, residual_tangle_by_cuts, revival_peak_time
 
 TANGLE_COLUMNS = ("tau_F_AA", "tau_A_rest", "tau_AA", "tau_AF", "tau_res")
 
@@ -430,7 +430,7 @@ def _permutation_error(rng, count):
     worst = 0.0
     for _ in range(count):
         vec = _haar_batch(rng, 1, 12)[0]
-        base = tt.i_residual_tangle(tt.PureState(tt.SystemShape((2, 2, 3)), vec))
+        base = residual_tangle_by_cuts(tt.PureState(tt.SystemShape((2, 2, 3)), vec))
         tens = vec.reshape(2, 2, 3)
         for perm in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
             dims = tuple(np.array((2, 2, 3))[list(perm)])

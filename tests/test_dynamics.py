@@ -294,6 +294,25 @@ def test_windowed_fock_state_matches_the_window_from_photon_0():
     assert not np.any(want[..., :n0])
 
 
+@pytest.mark.parametrize(
+    "field",
+    [dict(field="coherent", mean_n=100.0), dict(field="fock", n=10)],
+    ids=["coherent", "fock"],
+)
+def test_atom_exchange_symmetry_is_exact_in_every_chunk(field):
+    # H and these starts are symmetric under swapping the atoms (the singlet
+    # antisymmetric), and the eg and ge rows take the same arithmetic, so in
+    # every chunk the eg row equals the ge row (the singlet: its negative) bit
+    # for bit; windows from photon n0 = 3 (<n> = 100) and n0 = 5 (|10>)
+    times = np.linspace(0.0, 30.0, 500)
+    for atomic, sign in [("ee", 1), ("gg", 1), ("sym_plus", 1), ("cat_plus", 1), ("singlet", -1)]:
+        state, n0 = _build_initial(preset_config(atomic=atomic, **field))
+        d = state.shape.dims[2]
+        for chunk in tt.TcmPropagator().evolve_series(state, times, n0):
+            rows = chunk.reshape(len(chunk), 4, d)
+            np.testing.assert_array_equal(rows[:, 1], sign * rows[:, 2], err_msg=atomic)
+
+
 def test_ground_pair_single_photon_return_probability():
     state = tt.initial_state("gg", tt.fock_state(1, 4), 4)
     idx = np.flatnonzero(state.amplitudes)[0]

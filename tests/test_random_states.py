@@ -8,6 +8,8 @@ from tcm_tangles import random_states, scenarios, workers
 from tcm_tangles.cli import main
 from tcm_tangles.random_states import BLOCK, haar_pure_batch
 
+from oracles import residual_tangle_by_cuts
+
 forks = pytest.mark.skipif(not hasattr(os, "fork"), reason="forks two sweep workers")
 
 
@@ -55,7 +57,7 @@ def test_sweep_finds_no_negatives():
     assert result.min_value >= 0.0
     assert result.argmin_state.shape.dims == (2, 2, 3)
     # the reported argmin really attains the reported value
-    direct = tt.i_residual_tangle(result.argmin_state)
+    direct = residual_tangle_by_cuts(result.argmin_state)
     assert abs(direct - result.min_value) < 1e-9
 
 

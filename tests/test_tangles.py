@@ -17,7 +17,7 @@ from tcm_tangles.tangles import (
 )
 from tcm_tangles.tensor import RANK_TOL
 
-from oracles import haar_vec, inversion_overlap
+from oracles import effective_rank, haar_vec, inversion_overlap, residual_tangle_by_cuts
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 BELLS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / np.sqrt(2.0)
@@ -336,7 +336,7 @@ def test_rank2_either_factor_order_and_pairs_without_a_qubit():
     # and so is a residual tangle with fewer than two qubit factors
     psi = pure_state((3, 3, 2), haar_vec(rng, 18))
     pair = tt.partial_trace(psi, (0, 1))
-    assert tt.effective_rank(pair) == 2
+    assert effective_rank(pair) == 2
     with pytest.raises(ValueError, match="no qubit factor; use convex_roof_itangle"):
         tt.rank2_itangle(pair)
     for state in (psi, pure_state((2, 3, 3), haar_vec(rng, 18))):
@@ -823,11 +823,11 @@ def test_tangle_report_cross_checks():
         ) < 1e-12
         rho_af = tt.partial_trace(evolved, (0, 2))
         assert abs(row["tau_AF"] - tt.rank2_itangle(rho_af)) < 1e-12
-        assert abs(row["tau_res"] - tt.i_residual_tangle(evolved)) < 1e-12
+        assert abs(row["tau_res"] - residual_tangle_by_cuts(evolved)) < 1e-12
         tens = evolved.tensor()
         inv = float(np.sum(np.abs(tens[0, 0]) ** 2) - np.sum(np.abs(tens[1, 1]) ** 2))
         assert abs(row["inversion"] - inv) < 1e-12
-        assert row["field_eff_dim"] == tt.effective_rank(tt.partial_trace(evolved, (2,)))
+        assert row["field_eff_dim"] == effective_rank(tt.partial_trace(evolved, (2,)))
 
 
 def test_residual_anchors():
@@ -865,12 +865,12 @@ def test_residual_permutation_invariant():
 
 
 def test_residual_fast_path_matches_generic():
-    # tangle_report takes block shortcuts; i_residual_tangle walks every cut
+    # tangle_report takes block shortcuts; the oracle walks every cut
     state = tt.initial_state("ee", tt.fock_state(4, 9), 9)
     for gt in (0.3, 1.1, 2.6):
         evolved = tt.evolve(state, gt)
         fast = tt.tangle_report(evolved)["tau_res"]
-        slow = tt.i_residual_tangle(evolved)
+        slow = residual_tangle_by_cuts(evolved)
         assert abs(fast - slow) < 1e-10
 
 
@@ -881,8 +881,16 @@ def test_residual_batch_matches_scalar():
         total = int(np.prod(dims))
         states = np.array([haar_vec(rng, total) for _ in range(40)])
         batch = tt.tcm_columns(states, ("tau_res",))["tau_res"]
-        scalar = [tt.i_residual_tangle(pure_state(dims, s)) for s in states]
+        scalar = [residual_tangle_by_cuts(pure_state(dims, s)) for s in states]
         np.testing.assert_allclose(batch, scalar, atol=1e-12, rtol=0)
+    # the package's one-state view moves the field factor last wherever it sits
+    for d in (1, 2, 3, 5):
+        for field in (0, 1, 2):
+            dims = tuple(np.insert([2, 2], field, d))
+            for s in (haar_vec(rng, 4 * d) for _ in range(10)):
+                state = pure_state(dims, s)
+                oracle = residual_tangle_by_cuts(state)
+                assert abs(tt.i_residual_tangle(state) - oracle) <= 1e-14, (dims, oracle)
 
 
 def test_residual_nonnegative_on_qubit_triples():
@@ -922,5 +930,5 @@ def test_rank_cutoff_artefact_near_product_states_is_bounded(field_dim, seed):
         worst = int(np.argmin(values))
         assert values[worst] >= -4.0 / 3.0 * RANK_TOL, (eps, values[worst])
         assert not np.any(values < tangles.TANGLE_FLOOR)
-        scalar = tt.i_residual_tangle(pure_state((2, 2, field_dim), states[worst]))
+        scalar = residual_tangle_by_cuts(pure_state((2, 2, field_dim), states[worst]))
         assert abs(scalar - values[worst]) < 1e-14, (eps, scalar, values[worst])

@@ -7,12 +7,11 @@ from tcm_tangles import (
     DensityMatrix,
     PureState,
     SystemShape,
-    effective_rank,
     partial_trace,
     purity,
 )
 
-from oracles import haar_vec, partial_trace_mixed
+from oracles import effective_rank, haar_vec, partial_trace_mixed
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 
