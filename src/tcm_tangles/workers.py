@@ -1,12 +1,31 @@
 """One forked worker per allowed CPU: the package's one parallel loop, which
-runs the sweep's sample blocks and a long scenario's time-grid segments."""
+runs the sweep's sample blocks and a long scenario's time-grid segments.
+Each worker tells glibc's malloc to keep the heap it frees, so its later
+blocks or chunks reuse pages their predecessors touched instead of faulting
+in fresh ones; only workers do so, since a worker lives for one map and a
+library must not change its host process's malloc policy."""
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
 from typing import Callable, Iterable
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc keep what this process frees: no allocation below
+    32 MiB is mmapped and the heap top is not trimmed below 1 GiB.  Where
+    the C library has no ``mallopt`` (not glibc), this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at its 64-bit maximum
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 def allowed_cpus() -> int:
@@ -27,11 +46,12 @@ def cpu_map(job: Callable, items: Iterable) -> list:
     ``os.fork`` child, so ``job`` is not pickled (a closure will do) and
     what it writes into a shared mapping the caller sees.  A worker sends
     back its pickled results, or the first exception of its run, through a
-    pipe.  Results come back in item order, and the exception raised is the
-    first in item order, so neither depends on the worker count.  A worker
-    that ends without sending, as one whose exception cannot be pickled
-    does, raises RuntimeError.  Every worker is reaped before this returns
-    or raises, and killed first if it still runs.
+    pipe; before its jobs it keeps its freed heap (``_keep_freed_heap``),
+    which changes no result.  Results come back in item order, and the
+    exception raised is the first in item order, so neither depends on the
+    worker count.  A worker that ends without sending, as one whose
+    exception cannot be pickled does, raises RuntimeError.  Every worker is
+    reaped before this returns or raises, and killed first if it still runs.
     """
     items = list(items)
     workers = min(allowed_cpus(), len(items))
@@ -47,6 +67,7 @@ def cpu_map(job: Callable, items: Iterable) -> list:
                 try:
                     os.close(read)
                     try:
+                        _keep_freed_heap()
                         reply = pickle.dumps((None, [job(item) for item in items[lo:hi]]))
                     except BaseException as exc:  # re-raised by the parent
                         reply = pickle.dumps((exc, None))

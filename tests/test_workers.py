@@ -35,6 +35,41 @@ def test_cpu_map_runs_in_process_for_one_cpu_or_one_item(monkeypatch):
     assert workers.cpu_map(lambda item: item, []) == []
 
 
+def test_cpu_map_keeps_the_freed_heap_in_workers_only(monkeypatch):
+    parent = os.getpid()
+    kept = []
+
+    def keep_freed_heap():
+        if os.getpid() == parent:
+            raise AssertionError("the calling process changed its malloc policy")
+        kept.append(True)
+
+    monkeypatch.setattr(workers, "_keep_freed_heap", keep_freed_heap)
+    assert workers.cpu_map(lambda item: item, [5]) == [5]
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
+    assert workers.cpu_map(lambda item: item + 1, range(4)) == [1, 2, 3, 4]
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
+    results = workers.cpu_map(lambda item: (item, os.getpid(), kept == [True]), range(4))
+    assert [item for item, _, _ in results] == [0, 1, 2, 3]
+    assert len({pid for _, pid, _ in results} - {parent}) == 2
+    assert all(flag for _, _, flag in results)
+    assert_no_child_left()
+
+
+def _no_library(name):
+    raise OSError(f"cannot load {name}")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda name: object()], ids=["no-library", "no-mallopt"])
+def test_cpu_map_works_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(workers, "allowed_cpus", lambda: 2)
+    monkeypatch.setattr(workers.ctypes, "CDLL", cdll)
+    results = workers.cpu_map(lambda item: (item * item, os.getpid()), range(5))
+    assert [square for square, _ in results] == [i * i for i in range(5)]
+    assert os.getpid() not in {pid for _, pid in results}
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_cpu_map_raises_the_first_exception_in_item_order(monkeypatch, cpus):
     # items 3 and 6 fail; item 6's worker may fail first, but item 3 is reported
