@@ -82,28 +82,42 @@ def _wootters_batch(w: np.ndarray) -> np.ndarray:
 
 def _concurrence_3col(w: np.ndarray) -> np.ndarray:
     """l1 - l2 - l3 for the singular values of each 3 x 3 X = W^T (sigma_y x
-    sigma_y) W of a (4, 3, N) factor stack, without an SVD.
+    sigma_y) W of a (4, 3, N) factor stack, from products of its (N,) planes.
 
-    mu1 = l1^2 is the largest eigenvalue of X^H X (``_sym3_lam_max``).  By
-    Cauchy-Binet, e2 = sum_{i<j} l_i^2 l_j^2 is the sum of the squared
-    moduli of the nine 2 x 2 minors of X, and det X = 2 (M0 M3 - M1 M2)
-    with M_j the 3 x 3 minor of W without row j; delta = |det X| = l1 l2 l3.
+    X is symmetric, x_ij = (w1i w2j + w2i w1j) - (w0i w3j + w3i w0j) for the
+    rows w0 .. w3 of W.  mu1 = l1^2 is the largest eigenvalue of X^H X
+    (``_sym3_lam_max``).  By Cauchy-Binet, e2 = sum_{i<j} l_i^2 l_j^2 is the
+    sum of the squared moduli of the 2 x 2 minors of X, the entries of the
+    symmetric adj X; det X = 2 (M0 M3 - M1 M2), M_j the triple product of
+    W's rows but j, and delta = |det X| = l1 l2 l3.
     Then (l2 + l3)^2 = (e2 - delta^2/mu1)/mu1 + 2 delta/l1.  Each term is
     a sum of products of small quantities where X is nearly rank 1, so
     none cancels; det X taken from the entries of X would, and loses
     about sqrt(eps) in l2 + l3 for a nearly pure state whose field basis
     mixes the Schmidt vectors.
     """
-    x = np.einsum("ain,ajn->ijn", w[::-1] * _YY_SIGNS[:, None, None], w)
-    mu1 = np.maximum(_sym3_lam_max(np.einsum("kin,kjn->ijn", x.conj(), x)), 0.0)
-    # the rows of adj(X)^T, the cross products of X's rows, are its 2 x 2 minors
-    minors = np.array([np.cross(x[i], x[j], axis=0) for i, j in ((1, 2), (2, 0), (0, 1))])
-    e2 = np.sum(minors.real**2 + minors.imag**2, axis=(0, 1))
-    # each M_j as a triple product of the other three rows
     w0, w1, w2, w3 = w
-    w23 = np.cross(w2, w3, axis=0)
-    m0, m1 = np.sum(w1 * w23, axis=0), np.sum(w0 * w23, axis=0)
-    m2, m3 = (np.sum(w0 * np.cross(w1, v, axis=0), axis=0) for v in (w3, w2))
+    x00, x11, x22 = (2.0 * (w1[i] * w2[i] - w0[i] * w3[i]) for i in range(3))
+    x10, x20, x21 = ((w1[i] * w2[j] + w2[i] * w1[j]) - (w0[i] * w3[j] + w3[i] * w0[j])
+                     for i, j in ((1, 0), (2, 0), (2, 1)))
+    s00, s11, s22, s10, s20, s21 = (x.real**2 + x.imag**2 for x in (x00, x11, x22, x10, x20, x21))
+    # the lower triangle of conj(X) X, the one _sym3_lam_max and eigvalsh read
+    g = np.zeros((3, 3) + x00.shape, complex)
+    g[0, 0], g[1, 1], g[2, 2] = s00 + s10 + s20, s10 + s11 + s21, s20 + s21 + s22
+    c11, c22, c10, c20, c21 = (x.conj() for x in (x11, x22, x10, x20, x21))
+    g[1, 0] = c10 * x00 + c11 * x10 + c21 * x20
+    g[2, 0] = c20 * x00 + c21 * x10 + c22 * x20
+    g[2, 1] = c20 * x10 + c21 * x11 + c22 * x21
+    mu1 = np.maximum(_sym3_lam_max(g), 0.0)
+    a00, a11, a22, a10, a20, a21 = (a.real**2 + a.imag**2 for a in (
+        x11 * x22 - x21 * x21, x00 * x22 - x20 * x20, x00 * x11 - x10 * x10,
+        x10 * x22 - x20 * x21, x10 * x21 - x20 * x11, x00 * x21 - x10 * x20))
+    e2 = a00 + a11 + a22 + 2.0 * (a10 + a20 + a21)
+    # M0, M1 on w2 x w3 and, cyclically, M2 = w3 . (w0 x w1), M3 = w2 . (w0 x w1)
+    u, v = ([p[i] * q[j] - p[j] * q[i] for i, j in ((1, 2), (2, 0), (0, 1))]
+            for p, q in ((w2, w3), (w0, w1)))
+    m0, m1, m2, m3 = (p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+                      for p, q in ((w1, u), (w0, u), (w3, v), (w2, v)))
     delta = 2.0 * np.abs(m0 * m3 - m1 * m2)
     # X = 0 has C = 0; a NaN stays NaN, for the range check to catch
     zero = mu1 == 0.0
@@ -434,11 +448,6 @@ def _qubit_cut(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # each of the k! terms of such a minor is at most the product of its diagonal
 # entries in modulus, and a minor and the sum take a few roundings each.
 RANK_ROUNDOFF = 16 * np.finfo(float).eps
-_PAIRS = np.triu_indices(4, 1)  # (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
-# each triple a < b < c of rows, as rows and as its pairs (a,b), (a,c), (b,c)
-_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
-_TRIPLE_PAIRS = np.array([(0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5)]).T
-_CHOOSE = np.array([4.0, 6.0, 4.0, 1.0])[:, None]  # C(4, k), k = 1 .. 4
 
 
 def _field_rank(rho: np.ndarray) -> np.ndarray:
@@ -452,36 +461,35 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     e_k, widened by their roundoff, give lambda_k > 2 tau and
     lambda_{k+1} < tau/2 (tau = ``RANK_TOL``) has count k: its eigenvalues
     clear tau by a factor 2, far beyond eigvalsh's error.  Only the other
-    rows go to eigvalsh.  The minors are of the Hermitian matrix that the
-    lower triangle defines, the one eigvalsh reads.
+    rows go to eigvalsh.  The minors are products of the four diagonal and
+    six lower planes, of the Hermitian matrix that eigvalsh reads.
     """
-    i, j = _PAIRS
-    flat = rho.reshape(16, -1)  # entry 4 r + c per row
-    d = flat[[0, 5, 10, 15]].real
-    lower = flat[4 * j + i]
-    sq = lower.real**2 + lower.imag**2
-    dd = d[i] * d[j]
-    (a, b, c), (ab, ac, bc) = _TRIPLES, _TRIPLE_PAIRS
-    ddd = dd[ab] * d[c]
-    # rho_ab rho_bc rho_ca = conj(L_ba) conj(L_cb) L_ca
-    cycle = (lower[ab] * lower[bc] * lower[ac].conj()).real
-    minors3 = ddd + 2.0 * cycle - d[a] * sq[bc] - d[b] * sq[ac] - d[c] * sq[ab]
-    # det over the cycle types of S_4: pairs p and 5 - p, and triple t and row
-    # 3 - t, are disjoint; the 4-cycles come as three conjugate pairs
-    l0, l1, l2, l3, l4, l5 = lower
-    four = (l0 * l3 * l5 * l2.conj()).real + (l0 * l4 * (l1 * l5).conj()).real
-    four += (l1 * l4 * (l2 * l3).conj()).real
-    det = d.prod(0) - (dd[::-1] * sq).sum(0) + (sq[:3] * sq[:2:-1]).sum(0)
-    det += 2.0 * ((d[::-1] * cycle).sum(0) - four)
-    e1 = d.sum(0)
-    e = np.array([e1, dd.sum(0) - sq.sum(0), minors3.sum(0), det])
-    slack = RANK_ROUNDOFF * np.array([e1, 2.0 * dd.sum(0), 6.0 * ddd.sum(0), 24.0 * d.prod(0)])
-    low, high = e - slack, np.concatenate([e + slack, np.zeros((1, e.shape[1]))])
-    certified = (low > 2.0 * _CHOOSE * RANK_TOL * high[:1] ** np.arange(4)[:, None]) & (
-        _CHOOSE * high[1:] < 0.5 * RANK_TOL * low
-    )
-    counts = np.arange(1, 5) @ certified
-    unsure = ~certified.any(axis=0)
+    d0, d1, d2, d3 = (rho[i, i].real for i in range(4))
+    l01, l02, l03, l12, l13, l23 = rho[1, 0], rho[2, 0], rho[3, 0], rho[2, 1], rho[3, 1], rho[3, 2]
+    s01, s02, s03, s12, s13, s23 = (x.real**2 + x.imag**2 for x in (l01, l02, l03, l12, l13, l23))
+    d01, d02, d03, d12, d13, d23 = d0 * d1, d0 * d2, d0 * d3, d1 * d2, d1 * d3, d2 * d3
+    ddd = d01 * d2 + d01 * d3 + d02 * d3 + d12 * d3
+    # rho_ab rho_bc rho_ca = conj(L_ba) conj(L_cb) L_ca, per triple a < b < c
+    c012, c013, c023, c123 = ((x * y * z.conj()).real for x, y, z in
+                              ((l01, l12, l02), (l01, l13, l03), (l02, l23, l03), (l12, l23, l13)))
+    e3 = (ddd + 2.0 * (c012 + c013 + c023 + c123)
+          - d0 * (s12 + s13 + s23) - d1 * (s02 + s03 + s23)
+          - d2 * (s01 + s03 + s13) - d3 * (s01 + s02 + s12))
+    # det over the cycle types of S_4; the 4-cycles come as three conjugate pairs
+    four = ((l01 * l12 * l23 * l03.conj()).real + (l01 * l13 * (l02 * l23).conj()).real
+            + (l02 * l13 * (l03 * l12).conj()).real)
+    det = (d01 * d23 - d23 * s01 - d13 * s02 - d12 * s03 - d03 * s12 - d02 * s13 - d01 * s23
+           + s01 * s23 + s02 * s13 + s03 * s12
+           + 2.0 * (d3 * c012 + d2 * c013 + d1 * c023 + d0 * c123 - four))
+    e1, dd = d0 + d1 + d2 + d3, d01 + d02 + d03 + d12 + d13 + d23
+    e = (e1, dd - (s01 + s02 + s03 + s12 + s13 + s23), e3, det, 0.0)
+    slack = [RANK_ROUNDOFF * x for x in (e1, 2.0 * dd, 6.0 * ddd, 24.0 * d01 * d23, 0.0)]
+    counts = np.zeros(e1.shape, np.int64)
+    for k, choose in enumerate((4.0, 6.0, 4.0, 1.0), 1):
+        low, above = e[k - 1] - slack[k - 1], e[k] + slack[k]
+        counts += k * ((low > 2.0 * choose * RANK_TOL * (e1 + slack[0]) ** (k - 1))
+                       & (choose * above < 0.5 * RANK_TOL * low))
+    unsure = counts == 0
     if unsure.any():
         lam = np.linalg.eigvalsh(np.moveaxis(rho[..., unsure], -1, 0))
         counts[unsure] = np.count_nonzero(lam > RANK_TOL, axis=-1)
@@ -491,6 +499,18 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
 def _join(parts: list, axis: int) -> np.ndarray:
     """Per-chunk parts joined along their batch ``axis``; a single part is not copied."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
+
+
+def _rho_planes(w: np.ndarray) -> np.ndarray:
+    """W W^H of a (4, k <= 3, N) stack: ten entries from W's planes, the upper ones conjugated."""
+    rho = np.empty((4, 4) + w.shape[2:], complex)
+    wc = w.conj()
+    for a in range(4):
+        rho[a, a] = np.sum(w[a].real ** 2 + w[a].imag ** 2, axis=0)
+        for b in range(a):
+            np.sum(w[a] * wc[b], axis=0, out=rho[a, b])
+            np.conjugate(rho[a, b], out=rho[b, a])
+    return rho
 
 
 def tcm_columns(
@@ -517,10 +537,12 @@ def tcm_columns(
     W is read one chunk at a time, for ``tau_AA`` and rho_AA; their
     per-chunk parts are joined, and everything after them runs once over
     all N states.  The kernels take the batch axis last (W as (4, D, N),
-    rho_AA as (4, 4, N)), so each step is one contiguous pass over N.  No
-    step multiplies the planes as one matrix: that BLAS-3 call starts
-    OpenBLAS threads in each forked sweep worker, and two workers on two
-    cores then ran a 2x2x3 block about three times slower.
+    rho_AA as (4, 4, N)), so each step is one contiguous pass over N; the
+    rank certificate, and with at most three field columns rho_AA and the
+    Wootters form, are explicit products of these (N,) planes.  No step
+    multiplies the planes as one matrix: that BLAS-3 call starts OpenBLAS
+    threads in each forked sweep worker, and two workers on two cores then
+    ran a 2x2x3 block about three times slower.
     """
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
@@ -541,8 +563,7 @@ def tcm_columns(
         if full or "tau_AA" in names:
             taus.append(_wootters_batch(w))
         if need_rho:
-            rhos.append(np.einsum("akn,bkn->abn", w, w.conj()) if small
-                        else np.matmul(m, m.conj().swapaxes(-1, -2)))
+            rhos.append(_rho_planes(w) if small else np.matmul(m, m.conj().swapaxes(-1, -2)))
     if not count:
         raise ValueError("tcm_columns needs at least one state")
     cols = {"tau_AA": _join(taus, 0)} if taus else {}

@@ -8,6 +8,7 @@ cavity model the factor order is (atom 1, atom 2, field).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def partial_trace(state: PureState, keep) -> DensityMatrix:
     ----------
     state : PureState
         Global state.
-    keep : iterable of int
+    keep : iterable of int (numpy ones too; any other value raises ValueError)
         Factor positions to retain, e.g. ``(0, 2)`` for atom 1 + field.
 
     Returns
@@ -118,7 +119,10 @@ def partial_trace(state: PureState, keep) -> DensityMatrix:
     DensityMatrix
         Reduced state with ``dims`` equal to the retained factor sizes.
     """
-    keep = tuple(sorted({int(k) for k in keep}))
+    try:
+        keep = tuple(sorted({operator.index(k) for k in keep}))
+    except TypeError:
+        raise ValueError(f"keep indices must be integers, got {keep!r}") from None
     dims = state.shape.dims
     n = len(dims)
     if not keep:

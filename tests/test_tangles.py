@@ -204,6 +204,37 @@ def test_wootters_kernel_top_pair_guard(monkeypatch):
     np.testing.assert_allclose(tau, [_mpmath_wootters_svd(w) for w in stack], atol=1e-14, rtol=0)
 
 
+def test_three_or_fewer_columns_agree_with_the_lapack_path_on_a_sweep_block():
+    # the seed-0 10,000-state 2x2x3 sweep block: the closed form on the
+    # (4, 3, N) factor against the QR and SVD that two zero columns send the
+    # same rho through (k = 5; 7.8e-16 apart at most when written), and
+    # rho_AA from the products of W's planes, Hermitian bit for bit and
+    # within 2 eps of a long-double W W^H (0.77 eps at most when written)
+    stream = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+    amps = haar_pure_batch(12, BLOCK, stream)
+    w = np.ascontiguousarray(np.moveaxis(amps.reshape(BLOCK, 4, 3), 0, -1))
+    wide = np.concatenate([w, np.zeros((4, 2, BLOCK), complex)], axis=1)
+    np.testing.assert_allclose(_wootters_batch(w), _wootters_batch(wide), atol=1e-15, rtol=0)
+    rho = tangles._rho_planes(w)
+    assert np.array_equal(rho, rho.conj().swapaxes(0, 1))
+    wl = w.astype(np.clongdouble)
+    reference = np.einsum("akn,bkn->abn", wl, wl.conj())
+    assert np.abs(rho - reference).max() <= 2.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_field_unitary_leaves_three_or_fewer_column_states_unchanged(k):
+    # a unitary on the field mixes W's columns, one per state, and leaves
+    # rho_AA and every marginal and pair state it determines unchanged
+    rng = np.random.default_rng(80 + k)
+    amps = haar_pure_batch(4 * k, 2000, rng)
+    u = np.linalg.qr(rng.standard_normal((2000, k, k)) + 1j * rng.standard_normal((2000, k, k)))[0]
+    before, after = tcm_columns(amps), tcm_columns((amps.reshape(-1, 4, k) @ u).reshape(-1, 4 * k))
+    np.testing.assert_array_equal(after["field_eff_dim"], before["field_eff_dim"])
+    for name in set(SCENARIO_COLUMNS) - {"field_eff_dim"}:
+        np.testing.assert_allclose(after[name], before[name], atol=1e-14, rtol=0, err_msg=name)
+
+
 # The four fig3 points where the square-root form of the Wootters tangle,
 # the eigenvalues of sqrt(rho) rho~ sqrt(rho), errs most (1.8e-8, 1.4e-8,
 # 1.3e-8 and 1.2e-8 against the reference below): early times, when rho_AA

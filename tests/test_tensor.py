@@ -8,6 +8,7 @@ from tcm_tangles import (
     PureState,
     SystemShape,
     partial_trace,
+    pure_itangle,
     purity,
 )
 
@@ -105,6 +106,19 @@ def test_partial_trace_argument_errors():
         partial_trace(state, (2,))
     with pytest.raises(ValueError):
         partial_trace(state, (0, 1))
+
+
+def test_partial_trace_refuses_non_integer_indices():
+    # int() would take 0.7 as factor 0 and 1.9 as factor 1; numpy ints still count
+    state = PureState(SystemShape((2, 2, 3)), haar_vec(np.random.default_rng(3), 12))
+    np.testing.assert_array_equal(
+        partial_trace(state, (np.int64(0), 2)).matrix, partial_trace(state, (0, 2)).matrix
+    )
+    for keep in ((0.7,), [1.9], (0, np.float64(2.0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            partial_trace(state, keep)
+    with pytest.raises(ValueError, match="must be integers"):
+        pure_itangle(state, (0.5,))
 
 
 def test_purity_bounds():
