@@ -35,8 +35,6 @@ from .scenarios import (
     scaling_study,
 )
 from .tangles import (
-    RoofResult,
-    convex_roof_decomposition,
     convex_roof_itangle,
     i_residual_tangle,
     pure_itangle,
@@ -61,7 +59,6 @@ __all__ = [
     "DensityMatrix",
     "PRESETS",
     "PureState",
-    "RoofResult",
     "ScalingResult",
     "ScenarioConfig",
     "ScenarioResult",
@@ -73,7 +70,6 @@ __all__ = [
     "atomic_state",
     "coherent_state",
     "compare_exact_vs_approx",
-    "convex_roof_decomposition",
     "convex_roof_itangle",
     "evolve",
     "excitation_distribution",

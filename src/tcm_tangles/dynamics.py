@@ -214,13 +214,14 @@ class TcmPropagator:
         The state's field index 0 is photon n0.  Each chunk has one row of
         length 4*D per time, consecutive times filling consecutive rows; a
         chunk holds at most ``CHUNK_BUDGET`` bytes (and at least one time),
-        so memory stays bounded however long the grid is.  Times whose
-        phases overflow raise OverflowError.  One pass over the populations
-        checks every emitted time: the norm and the excitation distribution
-        to ``CONSERVATION_TOL`` (else RuntimeError) and the guard bands, as
-        for the initial state (else TruncationError).  The guard band is the
-        top ``GUARD_BAND`` photons of the window, and the bottom ones too
-        when n0 > 0; photon 0 is a true edge of the field.
+        so memory stays bounded however long the grid is.  A NaN time
+        raises ValueError, and times whose phases overflow OverflowError.
+        One pass over the populations checks every emitted time: the norm
+        and the excitation distribution to ``CONSERVATION_TOL`` (else
+        RuntimeError) and the guard bands, as for the initial state (else
+        TruncationError).  The guard band is the top ``GUARD_BAND`` photons
+        of the window, and the bottom ones too when n0 > 0; photon 0 is a
+        true edge of the field.
         """
         d = _field_dim(state)
         n0 = _check_offset(n0)
@@ -230,7 +231,9 @@ class TcmPropagator:
         self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1), n0)
         times = np.asarray(times, dtype=float).ravel()
         # Python floats overflow to inf without a warning
-        t_max = float(np.max(np.abs(times), initial=0.0))
+        t_max = float(np.max(np.abs(times), initial=0.0))  # NaN if any time is
+        if math.isnan(t_max):
+            raise ValueError("times must not be NaN")
         if not math.isfinite(t_max * float(rabi.max())):
             raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = chunk_times(state)

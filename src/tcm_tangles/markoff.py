@@ -68,6 +68,8 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
             "approximate tangle assumes no population in the dark singlet; "
             f"got |singlet_amp|^2 = {abs(singlet_amp)**2:.3e}"
         )
+    if not (math.isfinite(mean_n) and np.isfinite(gt).all()):
+        raise ValueError("mean_n and gt must be finite")
     radicand = mean_n - 0.5
     if radicand <= 0:
         raise ValueError(

@@ -32,7 +32,6 @@ factor order; ``tests/oracles.py`` walks every cut as the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -136,8 +135,8 @@ def wootters_tangle(rho: DensityMatrix) -> float:
     deficiency this is accurate to about 1e-8, where the kernel on a pure
     state's own amplitude factor is accurate to roundoff.
     """
-    if rho.matrix.shape != (4, 4):
-        raise ValueError("Wootters tangle is defined for two qubits (4x4)")
+    if rho.dims != (2, 2):
+        raise ValueError(f"Wootters tangle needs two qubits, dims (2, 2); got {rho.dims}")
     evals, evecs = np.linalg.eigh(rho.matrix)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
     return float(_wootters_batch(factor[..., None])[0])
@@ -272,16 +271,6 @@ def rank2_itangle(rho: DensityMatrix) -> float:
 # convex-roof minimization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoofResult:
-    """Best decomposition found: value = sum_i probabilities[i] * tangle(members[i])."""
-
-    value: float
-    probabilities: np.ndarray
-    members: np.ndarray
-    restart_values: tuple[float, ...]
-
-
 def _polar_factors(z: np.ndarray):
     """(C, S, lam, V) with C = Z (Z^dag Z)^(-1/2) and S = (Z^dag Z)^(-1/2)."""
     h = z.conj().T @ z
@@ -322,8 +311,9 @@ def _roof_objective(x: np.ndarray, wm: np.ndarray, m: int, da: int, db: int):
     return value, np.concatenate([2.0 * gamma.real.ravel(), 2.0 * gamma.imag.ravel()])
 
 
-def convex_roof_decomposition(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -> RoofResult:
-    """Minimize the average pure-state tangle over ensemble decompositions.
+def convex_roof_itangle(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -> float:
+    """Best found mixed-state tangle: the least average pure-state tangle
+    over the ensemble decompositions the search visits.
 
     Decompositions of length m are written phi_i = sum_j C_ij w_j with
     C an m x rank isometry (C^dag C = 1) and w_j the square-root-scaled
@@ -332,8 +322,8 @@ def convex_roof_decomposition(rho: DensityMatrix, restarts: int = 20, seed: int 
     matrix and minimized with L-BFGS using the analytic gradient.
     ``restarts`` (at least 1) cycle through the ensemble lengths
     rank .. rank**2, restart 0 starting at the plain eigendecomposition.
-    Results are deterministic per ``seed``, and the best value after k
-    restarts is a prefix of the best values after k' > k.
+    Results are deterministic per ``seed``, and the value after k restarts
+    is at least the value after k' > k.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -354,21 +344,16 @@ def convex_roof_decomposition(rho: DensityMatrix, restarts: int = 20, seed: int 
     sizes = tuple(range(rank, rank * rank + 1))
     lbfgs_opts = {"maxiter": 1000, "ftol": ROOF_TOL * 1e-4, "gtol": ROOF_TOL * 0.1}
     children = np.random.SeedSequence(seed).spawn(restarts)
-    best = (np.inf, None)
-    restart_values = []
+    best = np.inf
     for i in range(restarts):
         m = sizes[i % len(sizes)]
-        if i == 0:
-            z0 = np.eye(m, rank, dtype=complex)
-            f0, _ = _roof_objective(
-                np.concatenate([z0.real.ravel(), z0.imag.ravel()]), wm, m, da, db
-            )
-            if f0 < best[0]:
-                best = (f0, z0)
+        if i == 0:  # the eigendecomposition itself is a candidate
+            x0 = np.concatenate([np.eye(m, rank).ravel(), np.zeros(m * rank)])
+            best = min(best, _roof_objective(x0, wm, m, da, db)[0])
         else:
             rng = np.random.default_rng(children[i])
             z0 = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        x0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
+            x0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
         res = minimize(
             _roof_objective,
             x0,
@@ -377,28 +362,8 @@ def convex_roof_decomposition(rho: DensityMatrix, restarts: int = 20, seed: int 
             method="L-BFGS-B",
             options=lbfgs_opts,
         )
-        if res.fun < best[0]:
-            z = (res.x[: m * rank] + 1j * res.x[m * rank:]).reshape(m, rank)
-            best = (float(res.fun), z)
-        restart_values.append(best[0])
-
-    value, z = best
-    c, _, _, _ = _polar_factors(z)
-    phi = c @ wm
-    p = np.einsum("mi,mi->m", phi, phi.conj()).real
-    live = p > 1e-12
-    members = phi[live] / np.sqrt(p[live])[:, None]
-    return RoofResult(
-        value=value,
-        probabilities=p[live],
-        members=members,
-        restart_values=tuple(restart_values),
-    )
-
-
-def convex_roof_itangle(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -> float:
-    """Best found mixed-state tangle (see convex_roof_decomposition)."""
-    return convex_roof_decomposition(rho, restarts, seed).value
+        best = min(best, float(res.fun))
+    return best
 
 
 # ---------------------------------------------------------------------------

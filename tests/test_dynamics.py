@@ -408,6 +408,16 @@ def test_truncation_guard_trips():
         tt.evolve(vacuum, 0.0)
 
 
+def test_nan_time_is_bad_input_and_a_finite_time_that_overflows_overflows():
+    state = tt.initial_state("ee", tt.fock_state(3, 10), 10)
+    with pytest.raises(ValueError, match="^times must not be NaN$"):
+        tt.evolve(state, math.nan)
+    with pytest.raises(ValueError, match="^times must not be NaN$"):
+        next(tt.TcmPropagator().evolve_series(state, [0.0, math.nan, 1.0]))
+    with pytest.raises(OverflowError, match="^the phases overflow at t = 1e"):
+        tt.evolve(state, 1e308)
+
+
 def test_excitation_distribution():
     state = tt.initial_state("ee", tt.fock_state(1, 2), 2)
     dist = tt.excitation_distribution(state)

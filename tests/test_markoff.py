@@ -112,6 +112,11 @@ def test_scaled_time_value_and_guard():
     for mean_n in (0.5, 0.4):
         with pytest.raises(ValueError, match=r"too small for two atoms \(nonpositive radicand\)$"):
             tt.approx_tau_F_AA("ee", 1.0, mean_n)
+    # NaN passed the radicand test, and an infinite mean_n read as t' = 0
+    bad = ((1.0, math.nan), (1.0, math.inf), (math.nan, MEAN_N), ([0.0, math.inf], MEAN_N))
+    for gt, mean_n in bad:
+        with pytest.raises(ValueError, match="^mean_n and gt must be finite$"):
+            tt.approx_tau_F_AA("ee", gt, mean_n)
 
 
 def test_approx_rejects_singlet_population():

@@ -10,6 +10,7 @@ from tcm_tangles.random_states import BLOCK, haar_pure_batch
 from tcm_tangles.scenarios import _build_initial, preset_config
 from tcm_tangles.tangles import (
     SCENARIO_COLUMNS,
+    _polar_factors,
     _roof_objective,
     _wootters_batch,
     check_tangle_columns,
@@ -87,6 +88,10 @@ def test_wootters_edge_cases():
     assert tt.wootters_tangle(mixed) == 0.0
     with pytest.raises(ValueError):
         tt.wootters_tangle(tt.DensityMatrix((2,), np.eye(2) / 2.0))
+    # a 4 x 4 Bell matrix is a two-qubit state only with dims (2, 2)
+    for dims in ((4,), (1, 4), (4, 1)):
+        with pytest.raises(ValueError, match=r"^Wootters tangle needs two qubits"):
+            tt.wootters_tangle(tt.DensityMatrix(dims, bell.matrix))
 
 
 def test_wootters_pure_closed_form():
@@ -740,29 +745,28 @@ def test_roof_on_pure_bell():
     assert abs(tt.convex_roof_itangle(dm) - 1.0) < 1e-9
 
 
-def test_roof_decomposition_reconstructs_state():
+def test_roof_search_space_is_the_decompositions_of_the_state():
+    # every point the minimizer visits is an isometry C, and the ensemble
+    # rows of Phi = C wm sum back to rho: Phi^T Phi* = rho
     rng = np.random.default_rng(51)
-    dm = tt.DensityMatrix((2, 2), rank2_two_qubit(rng))
-    result = tt.convex_roof_decomposition(dm, restarts=4, seed=2)
-    assert result.probabilities.min() > 0.0
-    assert abs(result.probabilities.sum() - 1.0) < 1e-8
-    rebuilt = np.einsum(
-        "m,mi,mj->ij", result.probabilities, result.members, result.members.conj()
-    )
-    np.testing.assert_allclose(rebuilt, dm.matrix, atol=1e-7)
-    np.testing.assert_allclose(
-        np.linalg.norm(result.members, axis=1), 1.0, atol=1e-10
-    )
+    rho = rank2_two_qubit(rng)
+    evals, evecs = np.linalg.eigh(rho)
+    keep = evals > 1e-12
+    wm = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].T).astype(complex)
+    r = wm.shape[0]
+    for m in (2, 3, 4):
+        z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+        c = _polar_factors(z)[0]
+        np.testing.assert_allclose(c.conj().T @ c, np.eye(r), atol=1e-12)
+        phi = c @ wm
+        np.testing.assert_allclose(phi.T @ phi.conj(), rho, atol=1e-12)
 
 
-def test_roof_restart_values_monotone_and_prefix_stable():
+def test_roof_value_does_not_increase_with_restarts_and_repeats():
     dm = tt.DensityMatrix((2, 2), werner(0.6))
-    short = tt.convex_roof_decomposition(dm, restarts=3, seed=5)
-    long = tt.convex_roof_decomposition(dm, restarts=7, seed=5)
-    assert all(b <= a + 1e-15 for a, b in zip(long.restart_values, long.restart_values[1:]))
-    np.testing.assert_allclose(
-        short.restart_values, long.restart_values[:3], atol=0, rtol=0
-    )
+    values = [tt.convex_roof_itangle(dm, restarts=k, seed=5) for k in range(1, 8)]
+    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+    assert tt.convex_roof_itangle(dm, restarts=3, seed=5) == values[2]
 
 
 def test_roof_identity_start_bounds_eigendecomposition():
@@ -785,7 +789,7 @@ def test_roof_identity_start_bounds_eigendecomposition():
 
 def test_roof_options_validation():
     with pytest.raises(ValueError, match="restarts must be >= 1"):
-        tt.convex_roof_decomposition(tt.DensityMatrix((2, 2), werner(0.8)), restarts=0)
+        tt.convex_roof_itangle(tt.DensityMatrix((2, 2), werner(0.8)), restarts=0)
 
 
 def test_roof_gradient_matches_finite_differences():
