@@ -6,11 +6,11 @@ search), ``scaling`` (peak atom-atom tangle vs photon number).
 
 Scenario settings are a preset overridden by explicit flags; no settings
 file is read, and an unknown flag exits 1.  Exit codes: 0 success; 1 bad
-input, a ValueError from whatever reads it (or an OverflowError from a time
-grid whose phases overflow), or an output path that is empty, a directory or
-in a missing directory; 2 a run that stopped, a RuntimeError (truncation
-guard, non-finite or out-of-range value, conservation drift, or a forked
-sweep or scenario worker that died), raised as with one worker.
+input, a ValueError from whatever reads it, or an output path that is
+empty, a directory or in a missing directory; 2 a run that stopped, a
+RuntimeError (truncation guard, non-finite or out-of-range value,
+conservation drift, or a forked sweep or scenario worker that died),
+raised as with one worker.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_sweep(args)
         elif args.command == "scaling":
             _run_scaling(args)
-    except (ValueError, OverflowError) as exc:  # bad input
+    except ValueError as exc:  # bad input
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an output path that cannot be written

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .tensor import PureState, SystemShape
+from .tensor import PureState, SystemShape, whole_number
 
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
@@ -63,16 +63,6 @@ class TruncationError(RuntimeError):
     """Raised when population piles up against an edge of the photon window."""
 
 
-def whole_number(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is a whole number (NaN and inf are not)."""
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _norm(vec: np.ndarray) -> float:
     """2-norm of a complex vector summed by a numpy ufunc, in an order fixed by its
     length; ``np.linalg.norm`` takes a BLAS dot, whose order follows the BLAS threads."""
@@ -96,8 +86,8 @@ def coherent_state(mean_n: float) -> np.ndarray:
     below ``TAIL_MASS``; the truncated vector, of length n_max + 1, is
     re-normalized.
     """
-    if mean_n < 0:
-        raise ValueError("mean photon number must be >= 0")
+    if not 0 <= mean_n < math.inf:  # NaN fails too
+        raise ValueError("mean photon number must be finite and >= 0")
     if mean_n == 0:
         return np.ones(1, dtype=complex)
     # P(n) from logs to stay finite at large mean_n.  The tail mass beyond
@@ -214,8 +204,8 @@ class TcmPropagator:
         The state's field index 0 is photon n0.  Each chunk has one row of
         length 4*D per time, consecutive times filling consecutive rows; a
         chunk holds at most ``CHUNK_BUDGET`` bytes (and at least one time),
-        so memory stays bounded however long the grid is.  A NaN time
-        raises ValueError, and times whose phases overflow OverflowError.
+        so memory stays bounded however long the grid is.  A NaN time,
+        or times whose phases overflow, raise ValueError.
         One pass over the populations checks every emitted time: the norm
         and the excitation distribution to ``CONSERVATION_TOL`` (else
         RuntimeError) and the guard bands, as for the initial state (else
@@ -235,7 +225,7 @@ class TcmPropagator:
         if math.isnan(t_max):
             raise ValueError("times must not be NaN")
         if not math.isfinite(t_max * float(rabi.max())):
-            raise OverflowError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
+            raise ValueError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = chunk_times(state)
         # H_K is zero where Omega_K is, so any nonzero divisor works there
         safe = np.where(rabi > 0.0, rabi, 1.0)[excitation_map(d)]

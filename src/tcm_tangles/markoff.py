@@ -19,6 +19,7 @@ does not reproduce the exact value 0.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -59,8 +60,9 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
     gt = 0 transient is intentionally not reproduced (the formula starts at
     the dephased-mixture value 2(1 - sum w_m^2) instead of the exact 0),
     and the brief purity revival when the counter-rotating pointer fields
-    collide at gt = pi*sqrt(mean_n) is not captured.  A float for scalar
-    ``gt``, else an array of its shape.
+    collide at gt = pi*sqrt(mean_n) is not captured.  |gt| may not exceed
+    ``sys.float_info.max / 4 * sqrt(mean_n - 1/2)``, where 8t' overflows.
+    A float for scalar ``gt``, else an array of its shape.
     """
     *d, singlet_amp = (JX_BASIS @ atomic_state(atomic)).tolist()
     if abs(singlet_amp) > 1e-12:
@@ -75,6 +77,9 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
         raise ValueError(
             f"mean photon number {mean_n} too small for two atoms (nonpositive radicand)"
         )
+    limit = sys.float_info.max / 4.0 * math.sqrt(radicand)  # 8t' stays finite up to it
+    if np.max(np.abs(gt), initial=0.0) > limit:
+        raise ValueError(f"|gt| above {limit:g} overflows the scaled time at mean_n = {mean_n}")
     m1, z, p1 = (abs(a) ** 2 for a in d)
     c = 4.0 * (m1**2 + z**2 + p1**2) + 2.0 * z * (m1 + p1) + 3.0 * m1 * p1
     t_prime = np.asarray(gt, dtype=float) / (2.0 * math.sqrt(radicand))

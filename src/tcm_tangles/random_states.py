@@ -22,7 +22,7 @@ import numpy as np
 
 from . import workers
 from .tangles import TANGLE_FLOOR, tcm_columns
-from .tensor import PureState, SystemShape
+from .tensor import PureState, SystemShape, whole_number
 
 SWEEP_DIMS = ((2, 2, 3), (2, 2, 4))
 BLOCK = 10_000  # states per random stream and per kernel call
@@ -81,7 +81,7 @@ def _sweep_block(
     start = index * BLOCK
     count = min(BLOCK, samples - start)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    batch = haar_pure_batch(int(np.prod(dims)), count, rng)
+    batch = haar_pure_batch(SystemShape(dims).total_dim, count, rng)
     values = tcm_columns(batch, ("tau_res",))["tau_res"]
     finite = np.isfinite(values)
     if not finite.all():
@@ -132,9 +132,10 @@ def positivity_sweep(
     the first such block, as does a worker that dies; no worker outlives
     the call.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = SystemShape(dims).dims
     if dims not in SWEEP_DIMS:
         raise ValueError(f"unsupported dims {dims}; choose from {SWEEP_DIMS}")
+    samples, seed = whole_number("samples", samples), whole_number("seed", seed)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in 1 .. {MAX_SAMPLES}, got {samples}")
     if seed < 0:

@@ -33,11 +33,10 @@ from .dynamics import (
     atomic_state,
     coherent_state,
     initial_state,
-    whole_number,
 )
 from .markoff import approx_tau_F_AA
 from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
-from .tensor import RANK_TOL, PureState
+from .tensor import RANK_TOL, PureState, whole_number
 
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
 MAX_STEPS = 10**7  # the grid and seven 8-byte columns, written in place, take 640 MB
@@ -251,23 +250,21 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
     that does not fall with mean_n.  Away from that collision the
     residual falls roughly as 1/mean_n.
 
-    The field, the approximation's domain and the window on the grid
-    depend only on the config and are checked before the exact run, which
-    computes only ``tau_F_AA`` through ``_evolve_columns``.
+    The approximation over the grid and the window on it depend only on
+    the config and are computed before the exact run, which computes only
+    ``tau_F_AA`` through ``_evolve_columns``.
     """
     if config.field != "coherent":
         raise ValueError("the approximation comparison needs a coherent field")
-    # a singlet component, or mean_n <= 1/2, is outside the approximation
-    approx_tau_F_AA(config.atomic, 0.0, config.mean_n)
     gts = np.linspace(0.0, config.t_max, config.steps)
+    # raises first for a singlet component, mean_n <= 1/2 or a |gt| that overflows t'
+    approx = approx_tau_F_AA(config.atomic, gts, config.mean_n)
     revival_gt = 2.0 * math.pi * math.sqrt(config.mean_n)
     window = (0.2 * revival_gt, 0.8 * revival_gt)
     mask = (gts >= window[0]) & (gts <= window[1])
     if not mask.any():
         raise ValueError(f"grid [0, {config.t_max}] misses the comparison window {window}")
-    # the exact run raises OverflowError first for a grid too long to evolve
     exact = _evolve_columns(config, ("tau_F_AA",)).columns["tau_F_AA"]
-    approx = approx_tau_F_AA(config.atomic, gts, config.mean_n)
     abs_diff = np.abs(exact - approx)
     sup = float(np.max(abs_diff[mask]))
     if config.out:

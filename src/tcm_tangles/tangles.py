@@ -10,11 +10,9 @@ Bipartite measures, all normalized so a Bell pair scores 1:
   of any dimension.
 * ``rank2_itangle`` -- closed form for rank <= 2 mixed states of a
   qubit x D-level pair, a minimum over two-outcome measurements on a qubit
-  purifier: from the two-qubit correlations (a, b, T) of the purifier and
-  the pair's qubit, the largest squared singular value of K W, with
-  K = T - a b^T and W = (1 - b b^T)^(-1/2); one formula from a pure pair
-  to a maximally mixed one, accurate to roundoff throughout, and
-  cross-validated against the convex roof.
+  purifier (``_pair_tangle``); one formula from a pure pair to a maximally
+  mixed one, accurate to roundoff throughout, and cross-validated against
+  the convex roof.
 * ``convex_roof_itangle`` -- mixed-state extension as the minimum average
   pure-state tangle over ensemble decompositions (numerical minimization
   over the decomposition freedom, to about ``ROOF_TOL``).  No function of
@@ -24,10 +22,13 @@ The tripartite residual tangle averages one-versus-rest tangles over the
 three cuts, subtracts the pairwise mixed tangles (Wootters for the qubit
 pair, the rank-2 closed form for each qubit-field pair, which the other
 qubit purifies), and rescales each term by d/2 where d is the smaller
-effective dimension of the term's two sides.  It is written once, as the
-``tau_res`` column of the batched (2, 2, D) kernel ``tcm_columns``, and
-``i_residual_tangle`` is that kernel on one qubit x qubit x d state in any
-factor order; ``tests/oracles.py`` walks every cut as the tests' reference.
+effective dimension of the term's two sides.  Each formula is written
+once, in the batched (2, 2, D) kernel ``tcm_columns``, and the scalar
+functions read one column on one state: ``i_residual_tangle`` the
+``tau_res`` of a qubit x qubit x d state in any factor order,
+``wootters_tangle`` the ``tau_AA`` of rho's factor U sqrt(Lambda) and
+``rank2_itangle`` the ``tau_AF`` of rho's purification by a qubit;
+``tests/oracles.py`` walks every cut as the tests' reference.
 """
 
 from __future__ import annotations
@@ -127,19 +128,18 @@ def _concurrence_3col(w: np.ndarray) -> np.ndarray:
 
 
 def wootters_tangle(rho: DensityMatrix) -> float:
-    """Two-qubit tangle max{0, l1-l2-l3-l4}^2.
+    """Two-qubit tangle max{0, l1-l2-l3-l4}^2: the ``tau_AA`` column of
+    ``tcm_columns`` on the factor U sqrt(Lambda) of rho, as a (2, 2, 4) state.
 
-    The l_i come from the ensemble form of ``_wootters_batch`` on the
-    factor U sqrt(Lambda) of rho's eigendecomposition.  Eigenvalue dust of
-    order eps in rho moves them by about sqrt(eps), so near rank
-    deficiency this is accurate to about 1e-8, where the kernel on a pure
-    state's own amplitude factor is accurate to roundoff.
+    Eigenvalue dust of order eps in rho moves the l_i by about sqrt(eps),
+    so near rank deficiency this is accurate to about 1e-8, where the
+    kernel on a pure state's own amplitude factor is accurate to roundoff.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"Wootters tangle needs two qubits, dims (2, 2); got {rho.dims}")
     evals, evecs = np.linalg.eigh(rho.matrix)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    return float(_wootters_batch(factor[..., None])[0])
+    return float(tcm_columns(factor.reshape(1, 16), ("tau_AA",))["tau_AA"][0])
 
 
 def pure_itangle(state: PureState, side: Sequence[int]) -> float:
@@ -238,12 +238,11 @@ def _pair_tangle(r: np.ndarray, tau_q: np.ndarray) -> np.ndarray:
 def rank2_itangle(rho: DensityMatrix) -> float:
     """Closed-form tangle of a two-factor density matrix of rank <= 2 with a qubit factor.
 
-    A qubit P purifies the state from its top two eigenpairs, and the 4 x 4
-    state of the pair's qubit factor Q (the first, if both are qubits) and
-    P goes to ``_pair_tangle``, the kernel behind ``tau_AF``.  A pair with
-    a 1-dimensional factor has tangle 0; one with no qubit factor needs
-    ``convex_roof_itangle``.  ``RANK_TOL`` only decides whether the rank
-    exceeds 2.  Accurate to roundoff on the eigenpairs it is given.
+    The ``tau_AF`` column of ``tcm_columns`` on the purification of its top
+    two eigenpairs by a qubit P, ordered (Q, P, other factor), Q the pair's
+    qubit (the first of two).  A 1-dimensional factor gives 0; a pair with
+    no qubit factor needs ``convex_roof_itangle``.  ``RANK_TOL`` only
+    decides whether the rank exceeds 2.  Accurate to roundoff on its eigenpairs.
     """
     if len(rho.dims) != 2:
         raise ValueError("rank-2 tangle needs exactly two factors")
@@ -261,10 +260,8 @@ def rank2_itangle(rho: DensityMatrix) -> float:
     w = np.sqrt(np.maximum(evals[:2], 0.0))[:, None] * evecs[:, :2].T
     # renormalize away the weight lost to discarded (dust) eigenvalues
     w = (w / np.linalg.norm(w)).reshape(2, *rho.dims)
-    psi = np.moveaxis(w, rho.dims.index(2) + 1, 0).reshape(4, -1)  # rows (Q, P)
-    rho_qp = (psi @ psi.conj().T)[..., None]
-    _, tau_q = _qubit_cut(np.einsum("abcbn->acn", rho_qp.reshape(2, 2, 2, 2, 1)))
-    return float(_pair_tangle(_pauli_correlations(rho_qp), tau_q)[0])
+    psi = np.moveaxis(w, rho.dims.index(2) + 1, 0).reshape(1, -1)  # (Q, P, other factor)
+    return float(tcm_columns(psi, ("tau_AF",))["tau_AF"][0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,16 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 RANK_TOL = 1e-10  # eigenvalues above it count toward a marginal's effective rank
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is a whole number (NaN and inf are not)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemShape:
     """Ordered factor dimensions of a tensor-product Hilbert space."""
@@ -26,7 +36,7 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(whole_number("factor dimension", d) for d in self.dims)
         if len(dims) == 0:
             raise ValueError("SystemShape needs at least one factor")
         if any(d < 1 for d in dims):
@@ -86,7 +96,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = SystemShape(self.dims).dims
         mat = np.array(self.matrix, dtype=complex)
         d = math.prod(dims)
         if mat.shape != (d, d):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,13 @@ def test_scaled_time_value_and_guard():
     for gt, mean_n in bad:
         with pytest.raises(ValueError, match="^mean_n and gt must be finite$"):
             tt.approx_tau_F_AA("ee", gt, mean_n)
+    # 8t' overflows above |gt| = max float / 4 * sqrt(mean_n - 1/2), without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gt in (1.7e308, [0.0, -1.7e308]):
+            with pytest.raises(ValueError, match="^\\|gt\\| above .* overflows the scaled time"):
+                tt.approx_tau_F_AA("ee", gt, 2.0)
+        assert math.isfinite(tt.approx_tau_F_AA("ee", 5e307, 2.0))
 
 
 def test_approx_rejects_singlet_population():

@@ -173,6 +173,13 @@ def test_sweep_argument_validation(monkeypatch):
             tt.positivity_sweep((2, 2, 3), samples=bound + 1)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         tt.positivity_sweep((2, 2, 3), samples=10, seed=-1)
+    # counts and dims are whole numbers, not truncated
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got 10\.5$"):
+        tt.positivity_sweep((2, 2, 3), samples=10.5)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        tt.positivity_sweep((2, 2, 3), samples=10, seed=1.5)
+    with pytest.raises(ValueError, match=r"^factor dimension must be an integer, got 3\.7$"):
+        tt.positivity_sweep((2, 2, 3.7), samples=10)
     # Haar sampling, the block size and the worker count are fixed, not arguments
     with pytest.raises(TypeError):
         tt.positivity_sweep((2, 2, 3), samples=10, measure="haar")

@@ -23,6 +23,18 @@ def test_system_shape_validation():
         SystemShape(())
     with pytest.raises(ValueError):
         SystemShape((2, 0))
+    # each dimension is a whole number, not truncated or parsed
+    for bad in (2.5, "3"):
+        with pytest.raises(ValueError, match="^factor dimension must be an integer"):
+            SystemShape((2, bad))
+    assert SystemShape((2.0, 3)).dims == (2, 3)
+    assert all(type(d) is int for d in SystemShape((2.0, 3)).dims)
+    # a density matrix takes its dims through SystemShape
+    cases = (((-2, -2), np.eye(4) / 4, "must be >= 1"), ((), [[1.0]], "at least one factor"),
+             ((0,), np.zeros((0, 0)), "must be >= 1"), ((2.9, 2), np.eye(4) / 4, "an integer"))
+    for dims, matrix, message in cases:
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(dims, matrix)
 
 
 def test_pure_state_requires_normalization():
