@@ -37,7 +37,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .tensor import PureState, SystemShape, whole_number
+from .tensor import PureState, SystemShape, tcm_field_dim, whole_number
 
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
@@ -212,8 +212,10 @@ class TcmPropagator:
         TruncationError).  The guard band is the top ``GUARD_BAND`` photons
         of the window, and the bottom ones too when n0 > 0; photon 0 is a
         true edge of the field.
+        Rows eg and ge take the same arithmetic, so from an exchange-symmetric
+        start (every preset but the singlet) row eg is copied into row ge.
         """
-        d = _field_dim(state)
+        d = tcm_field_dim(state)
         n0 = _check_offset(n0)
         amps = state.amplitudes
         k_ref = excitation_distribution(state)
@@ -232,6 +234,7 @@ class TcmPropagator:
         h1 = _coupling(amps, d, n0) / safe  # H psi / Omega, block by block
         h2 = _coupling(h1, d, n0) / safe  # H^2 psi / Omega^2
         psi0, h2, ih1 = (x.reshape(4, d) for x in (amps, h2, 1j * h1))
+        copy_eg = _exchange_symmetric(psi0, h2, ih1)  # then row ge is row eg, bit for bit
         for start in range(0, times.size, step):
             t = times[start:start + step]
             u = np.tan(0.5 * t[:, None] * rabi)  # tan(Omega_K t/2), one vectorized call
@@ -239,7 +242,8 @@ class TcmPropagator:
             c = u * s  # 2 sin^2(Omega_K t/2)
             out = np.empty((t.size, 4, d), dtype=complex)
             for a, e in enumerate(ATOM_EXCITATIONS):  # row a, photon n lies in block K = e + n
-                out[:, a] = psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a]
+                out[:, a] = (out[:, 1] if a == 2 and copy_eg
+                             else psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a])
             self._check_times(out, k_ref, t, n0)
             yield out.reshape(t.size, 4 * d)
 
@@ -280,12 +284,9 @@ def evolve(state: PureState, t: float) -> PureState:
     return PureState(state.shape, out[0])
 
 
-def _field_dim(state: PureState) -> int:
-    """Field dimension D of a (2, 2, D) state; ValueError for any other shape."""
-    dims = state.shape.dims
-    if len(dims) != 3 or dims[:2] != (2, 2):
-        raise ValueError("expected a (2, 2, field) state")
-    return dims[2]
+def _exchange_symmetric(*planes: np.ndarray) -> bool:
+    """True if the eg and ge rows of each (4, D) plane hold the same bits (signed zeros too)."""
+    return all(p[1].tobytes() == p[2].tobytes() for p in planes)
 
 
 def chunk_times(state: PureState) -> int:
@@ -301,7 +302,7 @@ def excitation_map(field_dim: int) -> np.ndarray:
 def excitation_distribution(state: PureState) -> np.ndarray:
     """Probability of each excitation number K = n0 + k, k = 0 .. D + 1, on a
     field window of D photons from photon n0."""
-    _field_dim(state)
+    tcm_field_dim(state)
     return _excitation_populations(np.abs(state.amplitudes.reshape(1, 4, -1)) ** 2)[0]
 
 

@@ -36,7 +36,8 @@ def haar_pure_batch(total_dim: int, count: int, rng: np.random.Generator) -> np.
     Consumes the stream strictly sequentially, so splitting a batch into
     chunks reproduces the unchunked draw.
     """
-    z = rng.standard_normal((count, total_dim, 2))
+    shape = (whole_number("count", count), whole_number("total_dim", total_dim), 2)
+    z = rng.standard_normal(shape)
     # each (re, im) pair read in place as one complex number
     vecs = z.view(np.complex128)[..., 0]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)

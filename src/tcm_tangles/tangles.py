@@ -43,6 +43,7 @@ from .tensor import (
     PureState,
     partial_trace,
     purity,
+    tcm_field_dim,
 )
 
 ROOF_WEIGHT_FLOOR = 1e-14
@@ -501,7 +502,9 @@ def tcm_columns(
     all N states.  The kernels take the batch axis last (W as (4, D, N),
     rho_AA as (4, 4, N)), so each step is one contiguous pass over N; the
     rank certificate, and with at most three field columns rho_AA and the
-    Wootters form, are explicit products of these (N,) planes.  No step
+    Wootters form, are explicit products of these (N,) planes; with more,
+    ``np.vecdot`` forms rho_AA on the (N, 4, D) layout, conjugating inside
+    its dot product, so no conjugated copy of W is made.  No step
     multiplies the planes as one matrix: that BLAS-3 call starts OpenBLAS
     threads in each forked sweep worker, and two workers on two cores then
     ran a 2x2x3 block about three times slower.
@@ -517,6 +520,8 @@ def tcm_columns(
         if chunk.shape[-1] != width:
             raise ValueError(f"states of width {width} and {chunk.shape[-1]} in one call; "
                              "every state needs the same field dimension")
+        if chunk.ndim != 2 or width % 4 or not width:
+            raise ValueError(f"states come as (N, 4*D) stacks, D >= 1; got shape {chunk.shape}")
         m = chunk.reshape(len(chunk), 4, width // 4)
         count += len(m)
         # more than three field columns keep the (N, 4, D) layout that W W^H and the SVD read
@@ -525,12 +530,12 @@ def tcm_columns(
         if full or "tau_AA" in names:
             taus.append(_wootters_batch(w))
         if need_rho:
-            rhos.append(_rho_planes(w) if small else np.matmul(m, m.conj().swapaxes(-1, -2)))
+            rhos.append(_rho_planes(w) if small else np.vecdot(m[:, None], m[:, :, None]))
     if not count:
         raise ValueError("tcm_columns needs at least one state")
     cols = {"tau_AA": _join(taus, 0)} if taus else {}
     if need_rho:
-        # the (N, 4, 4) product is read as (4, 4, N), a layout einsum's summation order follows
+        # vecdot's (N, 4, 4) rho_AA is read as (4, 4, N), a layout einsum's summation order follows
         rho_aa = _join(rhos, -1) if small else np.moveaxis(_join(rhos, 0), 0, -1)
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
@@ -587,9 +592,7 @@ def tangle_report(state: PureState) -> dict[str, float]:
     (an int): effective dimension of the field marginal, on which the
     residual's rescaling depends.
     """
-    dims = state.shape.dims
-    if len(dims) != 3 or dims[:2] != (2, 2):
-        raise ValueError("expected a (2, 2, field) pure state")
+    tcm_field_dim(state)
     columns = tcm_columns(state.amplitudes[None])
     check_tangle_columns(columns)
     return {name: col[0].item() for name, col in columns.items()}

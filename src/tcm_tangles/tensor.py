@@ -17,12 +17,13 @@ NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 NEGATIVE_EIGENVALUE_TOL = 1e-10
 RANK_TOL = 1e-10  # eigenvalues above it count toward a marginal's effective rank
+BOOLS = (bool, np.bool_)  # truth values: never a count, a dimension or an index
 
 
 def whole_number(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is a whole number (NaN and inf are not)."""
+    """``value`` as an int; ValueError unless it is a whole number (NaN, inf and bools are not)."""
     try:
-        if value == int(value):
+        if not isinstance(value, BOOLS) and value == int(value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -114,6 +115,14 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
+def tcm_field_dim(state: PureState) -> int:
+    """Field dimension D of a (2, 2, D) state (two atoms, then the field); ValueError otherwise."""
+    dims = state.shape.dims
+    if len(dims) != 3 or dims[:2] != (2, 2):
+        raise ValueError(f"expected a (2, 2, field) state, got dims {dims}")
+    return dims[2]
+
+
 def partial_trace(state: PureState, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state on the factors listed in ``keep``.
 
@@ -121,7 +130,7 @@ def partial_trace(state: PureState, keep) -> DensityMatrix:
     ----------
     state : PureState
         Global state.
-    keep : iterable of int (numpy ones too; any other value raises ValueError)
+    keep : iterable of int (numpy ones too; bools and any other value raise ValueError)
         Factor positions to retain, e.g. ``(0, 2)`` for atom 1 + field.
 
     Returns
@@ -130,6 +139,9 @@ def partial_trace(state: PureState, keep) -> DensityMatrix:
         Reduced state with ``dims`` equal to the retained factor sizes.
     """
     try:
+        keep = tuple(keep)
+        if any(isinstance(k, BOOLS) for k in keep):
+            raise TypeError
         keep = tuple(sorted({operator.index(k) for k in keep}))
     except TypeError:
         raise ValueError(f"keep indices must be integers, got {keep!r}") from None

@@ -23,7 +23,9 @@ def test_fock_state():
         tt.fock_state(-1, 4)
     # whole floats and numpy integers are photon numbers; other values are not
     np.testing.assert_array_equal(tt.fock_state(2.0, np.int64(4)), vec)
-    for n, n_max in [(2.5, 4), (2, 4.5), (np.nan, 4), (2, np.inf), ("2", 4)]:
+    # bools are truth values, not photon numbers
+    for n, n_max in [(2.5, 4), (2, 4.5), (np.nan, 4), (2, np.inf), ("2", 4), (True, 3),
+                     (1, np.True_)]:
         with pytest.raises(ValueError, match="must be an integer"):
             tt.fock_state(n, n_max)
 
@@ -312,6 +314,34 @@ def test_atom_exchange_symmetry_is_exact_in_every_chunk(field):
         for chunk in tt.TcmPropagator().evolve_series(state, times, n0):
             rows = chunk.reshape(len(chunk), 4, d)
             np.testing.assert_array_equal(rows[:, 1], sign * rows[:, 2], err_msg=atomic)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [dict(field="coherent", mean_n=100.0), dict(field="fock", n=10)],
+    ids=["coherent", "fock"],
+)
+def test_three_row_evolution_is_the_four_row_loop_bit_for_bit(field, monkeypatch):
+    # from an exchange-symmetric start evolve_series forms rows ee, eg and gg
+    # and copies eg into ge; forcing the four-row loop through the one
+    # symmetry predicate gives the same bits in every chunk, and the singlet
+    # takes the four-row loop
+    times = np.linspace(0.0, 30.0, 500)
+    predicate = dynamics._exchange_symmetric
+    for atomic in ("ee", "gg", "sym_plus", "cat_plus", "singlet"):
+        state, n0 = _build_initial(preset_config(atomic=atomic, **field))
+        decided = []
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_exchange_symmetric",
+                          lambda *planes: decided.append(predicate(*planes)) or decided[-1])
+            fast = list(tt.TcmPropagator().evolve_series(state, times, n0))
+        assert decided == [atomic != "singlet"], atomic
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_exchange_symmetric", lambda *planes: False)
+            four = list(tt.TcmPropagator().evolve_series(state, times, n0))
+        assert len(fast) == len(four), atomic
+        for a, b in zip(fast, four):
+            assert a.tobytes() == b.tobytes(), atomic
 
 
 def test_ground_pair_single_photon_return_probability():

@@ -26,6 +26,14 @@ def test_haar_batch_norms_and_chunking():
     first = haar_pure_batch(12, 25, rng2)
     second = haar_pure_batch(12, 25, rng2)
     np.testing.assert_array_equal(np.vstack([first, second]), batch)
+    # whole floats and numpy ints are counts; fractions and bools are refused in one line
+    again = haar_pure_batch(12.0, np.int64(50), np.random.default_rng(8))
+    np.testing.assert_array_equal(again, batch)
+    for total_dim, count, message in [(2.5, 3, "total_dim must be an integer, got 2.5"),
+                                      (4, 2.5, "count must be an integer, got 2.5"),
+                                      (4, True, "count must be an integer, got True")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            haar_pure_batch(total_dim, count, rng)
 
 
 def test_haar_batch_reads_each_pair_as_one_complex_number():
@@ -136,7 +144,7 @@ def _threads_after(work):
             random_states._sweep_block(dims, BLOCK, 0, 0)
     else:
         # 200 points are fewer evolution chunks than a forked segment needs,
-        # so the worker runs them itself, through the D > 3 matmul path
+        # so the worker runs them itself, through the D > 3 vecdot path
         config = scenarios.preset_config("fig2", t_max=4.0, steps=200)
         scenarios._evolve_columns(config, scenarios.SCENARIO_COLUMNS)
     return len(os.listdir("/proc/self/task"))
@@ -180,6 +188,13 @@ def test_sweep_argument_validation(monkeypatch):
         tt.positivity_sweep((2, 2, 3), samples=10, seed=1.5)
     with pytest.raises(ValueError, match=r"^factor dimension must be an integer, got 3\.7$"):
         tt.positivity_sweep((2, 2, 3.7), samples=10)
+    # bools are not counts: samples=True would run one state
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got True$"):
+        tt.positivity_sweep((2, 2, 3), samples=True, seed=False)
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got False$"):
+        tt.positivity_sweep((2, 2, 3), samples=10, seed=False)
+    with pytest.raises(ValueError, match=r"^factor dimension must be an integer, got True$"):
+        tt.positivity_sweep((2, True, 3), samples=10)
     # Haar sampling, the block size and the worker count are fixed, not arguments
     with pytest.raises(TypeError):
         tt.positivity_sweep((2, 2, 3), samples=10, measure="haar")

@@ -490,12 +490,36 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
                 assert np.array_equal(part[name], full[name]), name
     with pytest.raises(ValueError, match="unknown columns"):
         tcm_columns(haar5, ("tau_XY",))
-    # no states at all, and states of two field dimensions, are refused in one line
+    # no states at all, states of two field dimensions, and stacks that are
+    # not (N, 4*D) with D >= 1 are refused in one line
     for states, match in [([], "at least one state"), (haar5[:0], "at least one state"),
-                          ([haar5[:2], haar3[:2]], "same field dimension")]:
+                          ([haar5[:2], haar3[:2]], "same field dimension"),
+                          (haar5[:2, :6], r"\(N, 4\*D\) stacks, D >= 1; got shape \(2, 6\)$"),
+                          (haar5[:2, :0], r"got shape \(2, 0\)$"),
+                          (haar5[0], r"got shape \(20,\)$"),
+                          (haar5[:2].reshape(1, 2, 20), r"got shape \(1, 2, 20\)$")]:
         with pytest.raises(ValueError, match=match) as info:
             tcm_columns(states)
         assert "\n" not in str(info.value)
+
+
+def test_tcm_columns_rho_aa_meets_a_long_double_product():
+    # with more than three field columns rho_AA is np.vecdot's W W^H: tau_F_AA
+    # and the inversion meet the same product in np.clongdouble (a 64-bit
+    # mantissa where it is wider than float64) within a few eps, on Haar
+    # (2, 2, 4) and (2, 2, 5) states and on fig2's evolved D = 173 rows
+    rng = np.random.default_rng(36)
+    fig2 = evolve_preset(preset_config("fig2"), slice(None, None, 40))
+    stacks = [haar_pure_batch(4 * d, 500, rng) for d in (4, 5)] + [fig2]
+    eps = np.finfo(float).eps
+    for amps in stacks:
+        m = amps.astype(np.clongdouble).reshape(len(amps), 4, -1)
+        rho = np.matmul(m, m.conj().swapaxes(-1, -2))
+        tau = 2.0 * (1.0 - np.sum(rho.real**2 + rho.imag**2, axis=(1, 2)))
+        inversion = (rho[:, 0, 0] - rho[:, 3, 3]).real
+        columns = tcm_columns(amps, ("tau_F_AA", "inversion"))
+        assert np.max(np.abs(columns["tau_F_AA"] - tau)) < 8 * eps, amps.shape
+        assert np.max(np.abs(columns["inversion"] - inversion)) < 4 * eps, amps.shape
 
 
 def _recorded_calls(monkeypatch, name, amps):

@@ -24,9 +24,11 @@ def test_system_shape_validation():
     with pytest.raises(ValueError):
         SystemShape((2, 0))
     # each dimension is a whole number, not truncated or parsed
-    for bad in (2.5, "3"):
+    for bad in (2.5, "3", True, np.True_):
         with pytest.raises(ValueError, match="^factor dimension must be an integer"):
             SystemShape((2, bad))
+    with pytest.raises(ValueError, match=r"^factor dimension must be an integer, got True$"):
+        SystemShape((True, 2))
     assert SystemShape((2.0, 3)).dims == (2, 3)
     assert all(type(d) is int for d in SystemShape((2.0, 3)).dims)
     # a density matrix takes its dims through SystemShape
@@ -126,7 +128,8 @@ def test_partial_trace_refuses_non_integer_indices():
     np.testing.assert_array_equal(
         partial_trace(state, (np.int64(0), 2)).matrix, partial_trace(state, (0, 2)).matrix
     )
-    for keep in ((0.7,), [1.9], (0, np.float64(2.0))):
+    # nor are bools, which operator.index would take as factors 1 and 0
+    for keep in ((0.7,), [1.9], (0, np.float64(2.0)), (True,), (0, False), (np.True_,)):
         with pytest.raises(ValueError, match="must be integers"):
             partial_trace(state, keep)
     with pytest.raises(ValueError, match="must be integers"):
