@@ -37,7 +37,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .tensor import PureState, SystemShape, tcm_field_dim, whole_number
+from .tensor import PureState, SystemShape, finite_real, tcm_field_dim, whole_number
 
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
@@ -86,8 +86,9 @@ def coherent_state(mean_n: float) -> np.ndarray:
     below ``TAIL_MASS``; the truncated vector, of length n_max + 1, is
     re-normalized.
     """
-    if not 0 <= mean_n < math.inf:  # NaN fails too
-        raise ValueError("mean photon number must be finite and >= 0")
+    mean_n = finite_real("mean photon number", mean_n)
+    if mean_n < 0:
+        raise ValueError(f"mean photon number must be >= 0, got {mean_n!r}")
     if mean_n == 0:
         return np.ones(1, dtype=complex)
     # P(n) from logs to stay finite at large mean_n.  The tail mass beyond

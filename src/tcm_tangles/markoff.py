@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .dynamics import atomic_state
+from .tensor import finite_real
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -70,8 +71,9 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
             "approximate tangle assumes no population in the dark singlet; "
             f"got |singlet_amp|^2 = {abs(singlet_amp)**2:.3e}"
         )
-    if not (math.isfinite(mean_n) and np.isfinite(gt).all()):
-        raise ValueError("mean_n and gt must be finite")
+    mean_n = finite_real("mean_n", mean_n)
+    if not np.isfinite(gt).all():
+        raise ValueError("gt must be finite")
     radicand = mean_n - 0.5
     if radicand <= 0:
         raise ValueError(

@@ -7,16 +7,15 @@ The sweep splits its samples into fixed blocks, each with its own random
 stream and one call of the vectorized residual-tangle kernel, runs the
 blocks on forked workers (``workers.cpu_map``), and merges their minima,
 counts of values below the -1e-9 roundoff threshold and sub-threshold
-states in block order.
+states in block order.  It writes no file; ``cli`` writes the summary and
+the sub-threshold states.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +35,10 @@ def haar_pure_batch(total_dim: int, count: int, rng: np.random.Generator) -> np.
     Consumes the stream strictly sequentially, so splitting a batch into
     chunks reproduces the unchunked draw.
     """
-    shape = (whole_number("count", count), whole_number("total_dim", total_dim), 2)
-    z = rng.standard_normal(shape)
+    count, total_dim = whole_number("count", count), whole_number("total_dim", total_dim)
+    if count < 0 or total_dim < 1:
+        raise ValueError(f"need count >= 0 and total_dim >= 1, got {count} and {total_dim}")
+    z = rng.standard_normal((count, total_dim, 2))
     # each (re, im) pair read in place as one complex number
     vecs = z.view(np.complex128)[..., 0]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -46,34 +47,21 @@ def haar_pure_batch(total_dim: int, count: int, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Summary of a residual-tangle sweep; min_value is raw (never clamped)."""
+    """Summary of a residual-tangle sweep; min_value is raw (never clamped), and
+    negative_states holds the states below TANGLE_FLOOR, one a row, in block order."""
 
     samples: int
     min_value: float
     argmin_state: PureState
     negative_count: int
-
-
-def format_amplitudes(amps: np.ndarray) -> str:
-    """Space-separated (re,im) pairs at 17 significant digits, which
-    round-trip every float64 exactly."""
-    return " ".join(f"({a.real:.17g},{a.imag:.17g})" for a in amps)
-
-
-def _dump_states(path: str, dims: Sequence[int], states: np.ndarray) -> None:
-    """Append sub-threshold states: dims header, then one state per line
-    in the ``format_amplitudes`` form."""
-    with open(path, "a", encoding="ascii") as fh:
-        fh.write("# dims: " + " ".join(str(d) for d in dims) + "\n")
-        for row in states:
-            fh.write(format_amplitudes(row) + "\n")
+    negative_states: np.ndarray
 
 
 def _sweep_block(
     dims: tuple[int, ...], samples: int, seed: int, index: int
-) -> tuple[float, np.ndarray, int, np.ndarray]:
-    """Block ``index`` of a sweep: its minimum, argmin state, count below
-    ``TANGLE_FLOOR`` and the states below it.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Block ``index`` of a sweep: its minimum, argmin state and the states
+    below ``TANGLE_FLOOR``.
 
     The block draws from its own stream, ``SeedSequence(seed,
     spawn_key=(index,))``, the same as ``SeedSequence(seed).spawn(k)[index]``
@@ -91,16 +79,10 @@ def _sweep_block(
             f"among samples {start}..{start + count - 1}"
         )
     i = int(np.argmin(values))
-    below = values < TANGLE_FLOOR
-    return float(values[i]), batch[i].copy(), int(np.count_nonzero(below)), batch[below]
+    return float(values[i]), batch[i].copy(), batch[values < TANGLE_FLOOR]
 
 
-def positivity_sweep(
-    dims: Sequence[int],
-    samples: int,
-    seed: int = 0,
-    dump_path: Optional[str] = None,
-) -> SweepResult:
+def positivity_sweep(dims: Sequence[int], samples: int, seed: int = 0) -> SweepResult:
     """Evaluate the residual tangle on Haar-random states and report the minimum.
 
     Only the 2x2x3 and 2x2x4 systems are supported.  For 2x2x2 the
@@ -117,11 +99,9 @@ def positivity_sweep(
     one per block; one worker runs them in this process, as on platforms
     without an affinity mask, and ``taskset -c 0`` limits a run to one.
     They merge in block order: the first block wins a tied minimum, and
-    dumped states keep block order.  So results depend on (dims, samples,
-    seed) alone, not on the worker count.
-    States below ``TANGLE_FLOOR`` (-1e-9) are counted and, when
-    ``dump_path`` is set, written to that file, which replaces any earlier
-    one; a sweep that finds none leaves no file.  That threshold
+    the states below ``TANGLE_FLOOR`` (-1e-9) keep block order.  So results
+    depend on (dims, samples, seed) alone, not on the worker count.  Those
+    states are counted and returned as ``negative_states``.  That threshold
     is about 7e5 times the worst error measured for either tangle kernel
     against a 40-digit reference (1.4e-15 for the rank-2 kernel on nearly
     pure atom-field pairs; for Wootters 7.8e-16 through the SVD and
@@ -141,24 +121,19 @@ def positivity_sweep(
         raise ValueError(f"samples must lie in 1 .. {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if dump_path is not None:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(dump_path)
 
     job = functools.partial(_sweep_block, dims, samples, seed)
-    best_value = np.inf
-    best_state: Optional[np.ndarray] = None
-    negative_count = 0
-    for value, state, negatives, dumped in workers.cpu_map(job, range(-(-samples // BLOCK))):
+    best_value, best_state, below = np.inf, None, []
+    for value, state, block_below in workers.cpu_map(job, range(-(-samples // BLOCK))):
         if value < best_value:
             best_value, best_state = value, state
-        negative_count += negatives
-        if dump_path is not None and negatives:
-            _dump_states(dump_path, dims, dumped)
+        below.append(block_below)
 
+    negative_states = np.concatenate(below)
     return SweepResult(
         samples=samples,
         min_value=best_value,
         argmin_state=PureState(SystemShape(dims), best_state),
-        negative_count=negative_count,
+        negative_count=len(negative_states),
+        negative_states=negative_states,
     )

@@ -1,9 +1,9 @@
 """Scenario orchestration: time series, approximation comparison, scaling.
 
-A scenario evolves a product state (two atoms) x (field) and reports all
-tangles per time point as CSV (`#`-comment config echo, then one row per
-point).  Tangle columns are written as computed except that negative dust
-in (-1e-9, 0) is clamped to zero at the presentation layer only.
+A scenario evolves a product state (two atoms) x (field) and returns all
+tangles per time point as one array per column.  Values are raw: no
+negative dust is clamped here.  This module writes no file; ``cli`` turns
+each result into its CSV.
 
 Presets:
 
@@ -16,7 +16,6 @@ Presets:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import mmap
 from dataclasses import dataclass
@@ -28,15 +27,14 @@ from . import dynamics, workers
 from .dynamics import (
     GUARD_BAND,
     REACH,
-    TAIL_MASS,
     TcmPropagator,
     atomic_state,
     coherent_state,
     initial_state,
 )
 from .markoff import approx_tau_F_AA
-from .tangles import SCENARIO_COLUMNS, TANGLE_FLOOR, check_tangle_columns, tcm_columns
-from .tensor import RANK_TOL, PureState, whole_number
+from .tangles import SCENARIO_COLUMNS, check_tangle_columns, tcm_columns
+from .tensor import PureState, finite_real, whole_number
 
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
 MAX_STEPS = 10**7  # the grid and seven 8-byte columns, written in place, take 640 MB
@@ -44,9 +42,6 @@ MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
 # evolution chunks each forked segment must get: fewer do not repay a fork and its reaping
 SEGMENT_CHUNKS = 8
 BATCH = dynamics.CHUNK_BUDGET // 256  # states per tcm_columns call: rho_AA takes 256 B a state
-CSV_BLOCK = 10_000  # CSV rows formatted at a time; whole-column lists cost about 200 B a row
-# every time is gt; the echo keeps the unit line, which readers of the CSVs expect
-_G_ECHO = "# g = 1.0"
 
 
 def _check_steps(steps) -> int:
@@ -74,10 +69,7 @@ def _check_photons(name: str, value, low: int = 0) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario: initial state, grid and output path.
-
-    The grid covers gt in [0, t_max].
-    """
+    """One scenario: initial state and the grid of gt in [0, t_max]."""
 
     atomic: Union[str, tuple]
     field: str
@@ -85,13 +77,11 @@ class ScenarioConfig:
     mean_n: Optional[float] = None
     t_max: float = 5.0
     steps: int = 2000
-    out: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("t_max", "mean_n"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(self, "t_max", finite_real("t_max", self.t_max))
+        if self.mean_n is not None:
+            object.__setattr__(self, "mean_n", finite_real("mean_n", self.mean_n))
         object.__setattr__(self, "steps", _check_steps(self.steps))
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
@@ -221,11 +211,8 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Every ``SCENARIO_COLUMNS`` entry at each grid point, checked as in
-    ``_evolve_columns``; writes CSV to ``config.out``."""
-    result = _evolve_columns(config, SCENARIO_COLUMNS)
-    if config.out:
-        _write_rows(config.out, _config_echo(config), {"gt": result.gt, **result.columns})
-    return result
+    ``_evolve_columns``."""
+    return _evolve_columns(config, SCENARIO_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -236,6 +223,7 @@ class CompareResult:
     gt: np.ndarray
     exact: np.ndarray
     approx: np.ndarray
+    abs_diff: np.ndarray
     window: tuple[float, float]
     window_sup_norm: float
 
@@ -266,20 +254,14 @@ def compare_exact_vs_approx(config: ScenarioConfig) -> CompareResult:
         raise ValueError(f"grid [0, {config.t_max}] misses the comparison window {window}")
     exact = _evolve_columns(config, ("tau_F_AA",)).columns["tau_F_AA"]
     abs_diff = np.abs(exact - approx)
-    sup = float(np.max(abs_diff[mask]))
-    if config.out:
-        lines = _config_echo(config)
-        lines.append(f"# window_gt = [{window[0]:.12g}, {window[1]:.12g}]")
-        lines.append(f"# window_sup_norm = {sup:.12g}")
-        columns = dict(gt=gts, tau_F_AA_exact=exact, tau_F_AA_approx=approx, abs_diff=abs_diff)
-        _write_rows(config.out, lines, columns)
     return CompareResult(
         config=config,
         gt=gts,
         exact=exact,
         approx=approx,
+        abs_diff=abs_diff,
         window=window,
-        window_sup_norm=sup,
+        window_sup_norm=float(np.max(abs_diff[mask])),
     )
 
 
@@ -292,11 +274,7 @@ class ScalingResult:
     slope: float
 
 
-def scaling_study(
-    ns: Sequence[int],
-    steps: int = 400,
-    out: Optional[str] = None,
-) -> ScalingResult:
+def scaling_study(ns: Sequence[int], steps: int = 400) -> ScalingResult:
     """Peak atom-atom tangle of (both ground) x |n> over one beat period.
 
     The three coupled levels beat at sqrt(4n-2) in gt, so one period of the
@@ -317,55 +295,5 @@ def scaling_study(
         peaks.append(_evolve_columns(config, ("tau_AA",)).columns["tau_AA"].max())
     peaks = np.array(peaks)
     slope = float(np.polyfit(np.log(np.array(ns, dtype=float)), np.log(peaks), 1)[0])
-    if out:
-        lines = [
-            "# tcm-tangles scaling",
-            "# atomic = gg",
-            _G_ECHO,
-            f"# steps = {steps}",
-            f"# loglog_slope = {slope:.12g}",
-        ]
-        _write_rows(out, lines, {"n": ns, "peak_tau_AA": peaks})
     return ScalingResult(ns=ns, peaks=peaks, slope=slope)
 
-
-# ---------------------------------------------------------------------------
-# files
-# ---------------------------------------------------------------------------
-
-def _config_echo(config: ScenarioConfig) -> list[str]:
-    lines = ["# tcm-tangles"]
-    for field in dataclasses.fields(config):
-        if field.name == "t_max":
-            lines.append(_G_ECHO)
-        if field.name == "out":
-            continue
-        lines.append(f"# {field.name} = {getattr(config, field.name)}")
-    # fixed, like the unit line
-    lines += [f"# tail_tol = {TAIL_MASS:g}", f"# rank_tol = {RANK_TOL:g}"]
-    return lines
-
-
-def _write_rows(path: str, lines: list[str], columns: Mapping[str, Sequence]) -> None:
-    """The comment ``lines``, a header of the ``columns`` names, then one row per index.
-
-    Integer columns print as integers, float columns to 12 significant
-    digits, and a tangle column (one whose name holds ``tau_``) has its
-    negative dust in (TANGLE_FLOOR, 0) clamped to 0.  Rows are
-    formatted ``CSV_BLOCK`` at a time, so no copy of a whole column is held.
-    """
-    arrays = [np.asarray(values) for values in columns.values()]
-    tangles = ["tau_" in name for name in columns]
-    template = ",".join("%d" if a.dtype.kind in "iu" else "%.12g" for a in arrays) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(arrays[0]), CSV_BLOCK):
-            cells = []
-            for a, is_tangle in zip(arrays, tangles):
-                a = a[start : start + CSV_BLOCK]
-                if is_tangle:
-                    a = np.where((TANGLE_FLOOR < a) & (a < 0.0), 0.0, a)
-                cells.append(a.tolist())
-            fh.writelines(template % row for row in zip(*cells))

@@ -44,10 +44,12 @@ from .tensor import (
     partial_trace,
     purity,
     tcm_field_dim,
+    whole_number,
 )
 
 ROOF_WEIGHT_FLOOR = 1e-14
 ROOF_TOL = 1e-8
+MAX_RESTARTS = 10_000  # each is one L-BFGS search, and SeedSequence.spawn makes one child apiece
 
 # sigma_y (x) sigma_y is real and antidiagonal: it reverses the rows of a
 # factor W with signs -, +, +, -, so W^T (sigma_y x sigma_y) is W^T with its
@@ -318,13 +320,16 @@ def convex_roof_itangle(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -
     eigenvectors of ``rho``; every valid decomposition arises this way.
     C is parameterized by the polar form of an unconstrained complex
     matrix and minimized with L-BFGS using the analytic gradient.
-    ``restarts`` (at least 1) cycle through the ensemble lengths
+    ``restarts`` (1 .. ``MAX_RESTARTS``) cycle through the ensemble lengths
     rank .. rank**2, restart 0 starting at the plain eigendecomposition.
-    Results are deterministic per ``seed``, and the value after k restarts
-    is at least the value after k' > k.
+    Results are deterministic per ``seed`` (a whole number >= 0), and the
+    value after k restarts is at least the value after k' > k.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    restarts, seed = whole_number("restarts", restarts), whole_number("seed", seed)
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must be >= 1 and at most {MAX_RESTARTS}, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     from scipy.optimize import minimize  # imported here: no run-time path calls the roof
 
     if len(rho.dims) != 2:

@@ -8,7 +8,9 @@ cavity model the factor order is (atom 1, atom 2, field).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,15 @@ def whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def finite_real(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number
+    (NaN, inf, bools, strings and ints beyond the float range are not)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, BOOLS):
+        if abs(value) <= sys.float_info.max:  # exact for ints; NaN fails too
+            return float(value)
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemShape:
     """Ordered factor dimensions of a tensor-product Hilbert space."""
@@ -42,6 +53,8 @@ class SystemShape:
             raise ValueError("SystemShape needs at least one factor")
         if any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be >= 1, got {dims}")
+        if math.prod(dims) > sys.maxsize:  # no array can index more
+            raise ValueError(f"total dimension of {dims} exceeds {sys.maxsize}")
         object.__setattr__(self, "dims", dims)
 
     @property

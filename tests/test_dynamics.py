@@ -46,8 +46,11 @@ def test_coherent_state_cutoff_is_the_first_below_tail_mass():
     for mean_n in (0.01, 4.0, 30.0, 500.0):
         n_max = tt.coherent_state(mean_n).size - 1
         assert poisson.sf(n_max, mean_n) < dynamics.TAIL_MASS <= poisson.sf(n_max - 1, mean_n)
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="^mean photon number must be finite and >= 0$"):
+    with pytest.raises(ValueError, match="^mean photon number must be >= 0, got -1.0$"):
+        tt.coherent_state(-1.0)
+    for bad in (math.nan, math.inf):
+        message = f"^mean photon number must be a finite real number, got {bad}$"
+        with pytest.raises(ValueError, match=message):
             tt.coherent_state(bad)
 
 

@@ -114,10 +114,12 @@ def test_scaled_time_value_and_guard():
         with pytest.raises(ValueError, match=r"too small for two atoms \(nonpositive radicand\)$"):
             tt.approx_tau_F_AA("ee", 1.0, mean_n)
     # NaN passed the radicand test, and an infinite mean_n read as t' = 0
-    bad = ((1.0, math.nan), (1.0, math.inf), (math.nan, MEAN_N), ([0.0, math.inf], MEAN_N))
-    for gt, mean_n in bad:
-        with pytest.raises(ValueError, match="^mean_n and gt must be finite$"):
-            tt.approx_tau_F_AA("ee", gt, mean_n)
+    for mean_n in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^mean_n must be a finite real number, got {mean_n}"):
+            tt.approx_tau_F_AA("ee", 1.0, mean_n)
+    for gt in (math.nan, [0.0, math.inf]):
+        with pytest.raises(ValueError, match="^gt must be finite$"):
+            tt.approx_tau_F_AA("ee", gt, MEAN_N)
     # 8t' overflows above |gt| = max float / 4 * sqrt(mean_n - 1/2), without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")

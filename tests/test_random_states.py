@@ -62,6 +62,7 @@ def test_sweep_finds_no_negatives():
     result = tt.positivity_sweep((2, 2, 3), samples=300, seed=1)
     assert result.samples == 300
     assert result.negative_count == 0
+    assert result.negative_states.shape == (0, 12)
     assert result.min_value >= 0.0
     assert result.argmin_state.shape.dims == (2, 2, 3)
     # the reported argmin really attains the reported value
@@ -71,7 +72,7 @@ def test_sweep_finds_no_negatives():
 
 def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     # 3 blocks of 40 states; the kernel returns -1.0 for the states whose first
-    # amplitude has real part above 0.1, so every block dumps and the minimum ties
+    # amplitude has real part above 0.1, so every block has negatives and the minimum ties
     monkeypatch.setattr(random_states, "BLOCK", 40)
     real = random_states.tcm_columns
     pids = tmp_path / "pids.txt"
@@ -83,29 +84,37 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
 
     def run(count):
         monkeypatch.setattr(workers, "allowed_cpus", lambda: count)
-        dump = tmp_path / f"dump{count}.txt"
         pids.write_text("")
+        flagged_out = tmp_path / f"flagged{count}.txt"
         with monkeypatch.context() as patch:
             patch.setattr(random_states, "tcm_columns", flag_some)
-            result = tt.positivity_sweep((2, 2, 4), samples=120, seed=5, dump_path=str(dump))
+            result = tt.positivity_sweep((2, 2, 4), samples=120, seed=5)
+            ran_in = set(pids.read_text().split())
+            # the command line dumps the same sweep's states next to its summary
+            assert main(["sweep", "--dims", "2x2x4", "--samples", "120", "--seed", "5",
+                         "--out", str(flagged_out)]) == 0
+        dump = (tmp_path / f"flagged{count}.txt.counterexamples").read_bytes()
         # the command line's summary, with the real kernel
         out = tmp_path / f"sweep{count}.txt"
         assert main(["sweep", "--dims", "2x2x3", "--samples", "120", "--seed", "5",
                      "--out", str(out)]) == 0
-        return result, dump.read_bytes(), set(pids.read_text().split()), out.read_bytes()
+        return result, dump, ran_in, out.read_bytes()
 
     a, dump_a, pids_a, summary_a = run(1)
     assert pids_a == {str(os.getpid())}
     # block i draws from SeedSequence(seed).spawn(k)[i]; the first block wins the
-    # tie, and the dumps come in block order
+    # tie, and the negative states come in block order
     streams = np.random.SeedSequence(5).spawn(3)
     drawn = np.vstack([haar_pure_batch(16, 40, np.random.default_rng(s)) for s in streams])
     flagged = drawn[drawn[:, 0].real > 0.1]
     assert a.min_value == -1.0
     assert a.negative_count == len(flagged)
     np.testing.assert_array_equal(a.argmin_state.amplitudes, flagged[0])
-    dumped = [parse_amplitudes(l) for l in dump_a.decode().splitlines() if l[0] != "#"]
-    np.testing.assert_array_equal(np.array(dumped), flagged)
+    np.testing.assert_array_equal(a.negative_states, flagged)
+    # the dump is the returned stack, row for row
+    lines = dump_a.decode().splitlines()
+    assert lines[0] == "# dims: 2 2 4"
+    np.testing.assert_array_equal([parse_amplitudes(l) for l in lines[1:]], a.negative_states)
 
     if not hasattr(os, "fork"):
         pytest.skip("the two-worker leg forks two sweep workers")
@@ -114,6 +123,7 @@ def test_sweep_results_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     assert len(pids_b) == 2 and str(os.getpid()) not in pids_b
     assert b.min_value == a.min_value and b.negative_count == a.negative_count
     np.testing.assert_array_equal(b.argmin_state.amplitudes, a.argmin_state.amplitudes)
+    np.testing.assert_array_equal(b.negative_states, a.negative_states)
     assert dump_b == dump_a and summary_b == summary_a
 
 
@@ -223,16 +233,17 @@ def test_sweep_rejects_non_finite_values(monkeypatch):
         tt.positivity_sweep((2, 2, 3), samples=10)
 
 
-def test_dump_writes_subthreshold_states(tmp_path):
-    # force dumping by raising the threshold via a tiny monkeypatch-free
-    # route: call the private writer directly and parse the format back
-    from tcm_tangles.random_states import _dump_states
-
-    rng = np.random.default_rng(21)
-    states = haar_pure_batch(12, 3, rng)
-    path = tmp_path / "bad_states.txt"
-    _dump_states(str(path), (2, 2, 3), states)
-    lines = path.read_text().splitlines()
+def test_dump_writes_subthreshold_states(monkeypatch, tmp_path):
+    # force dumping by flagging every state of a three-state sweep, then
+    # parse the command line's format back
+    monkeypatch.setattr(
+        random_states, "tcm_columns", lambda batch, *_: {"tau_res": np.full(len(batch), -1.0)}
+    )
+    states = haar_pure_batch(12, 3, np.random.default_rng(np.random.SeedSequence(21).spawn(1)[0]))
+    out = tmp_path / "sweep.txt"
+    assert main(["sweep", "--dims", "2x2x3", "--samples", "3", "--seed", "21",
+                 "--out", str(out)]) == 0
+    lines = (tmp_path / "sweep.txt.counterexamples").read_text().splitlines()
     assert lines[0] == "# dims: 2 2 3"
     assert len(lines) == 4
     parsed = np.array([parse_amplitudes(line) for line in lines[1:]])
@@ -251,34 +262,42 @@ def test_sweep_counts_and_dumps_counterexamples(monkeypatch, tmp_path, capsys):
         return values
 
     monkeypatch.setattr(random_states, "tcm_columns", one_negative)
-    dump = tmp_path / "bad_states.txt"
-    result = tt.positivity_sweep((2, 2, 3), samples=10, seed=2, dump_path=str(dump))
+    result = tt.positivity_sweep((2, 2, 3), samples=10, seed=2)
     assert (result.negative_count, result.min_value) == (1, -1e-6)
     np.testing.assert_array_equal(result.argmin_state.amplitudes, flagged[0])
-    lines = dump.read_text().splitlines()
-    assert lines[0] == "# dims: 2 2 3" and len(lines) == 2
-    np.testing.assert_array_equal(parse_amplitudes(lines[1]), flagged[0])
+    np.testing.assert_array_equal(result.negative_states, flagged[:1])
 
     # the command line writes the same state next to its summary
     out = tmp_path / "sweep.txt"
+    dump = tmp_path / "sweep.txt.counterexamples"
     assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
                  "--out", str(out)]) == 0
     assert "1 below -1e-9" in capsys.readouterr().out
-    assert (tmp_path / "sweep.txt.counterexamples").read_text() == dump.read_text()
+    lines = dump.read_text().splitlines()
+    assert lines[0] == "# dims: 2 2 3" and len(lines) == 2
+    np.testing.assert_array_equal(parse_amplitudes(lines[1]), result.negative_states[0])
     summary = out.read_text().splitlines()
     row = summary[summary.index("samples,min_value,negative_count") + 1]
     assert row == "10,-9.9999999999999995e-07,1"
     assert summary[-1] == "# argmin_state: " + lines[1]
     # a rerun replaces the file rather than appending to it
+    first = dump.read_bytes(), out.read_bytes()
     assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
                  "--out", str(out)]) == 0
-    assert (tmp_path / "sweep.txt.counterexamples").read_text() == dump.read_text()
+    assert (dump.read_bytes(), out.read_bytes()) == first
+    # a run that fails leaves both files as they were
+    monkeypatch.setattr(
+        random_states, "tcm_columns", lambda batch, *_: {"tau_res": np.full(len(batch), np.nan)}
+    )
+    assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
+                 "--out", str(out)]) == 2
+    assert (dump.read_bytes(), out.read_bytes()) == first
     # and a rerun that finds no negatives leaves none
     monkeypatch.undo()
     assert main(["sweep", "--dims", "2x2x3", "--samples", "10", "--seed", "2",
                  "--out", str(out)]) == 0
     assert "0 below -1e-9" in capsys.readouterr().out
-    assert not (tmp_path / "sweep.txt.counterexamples").exists()
+    assert not dump.exists()
 
 
 def test_star_import_resolves_every_export():

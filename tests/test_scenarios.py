@@ -20,7 +20,6 @@ from tcm_tangles.scenarios import (
     PRESETS,
     SCENARIO_COLUMNS,
     _build_initial,
-    _write_rows,
     preset_config,
 )
 
@@ -54,6 +53,10 @@ def small_config(**overrides):
     base = dict(atomic="ee", field="fock", n=2, t_max=3.0, steps=40)
     base.update(overrides)
     return tt.ScenarioConfig(**base)
+
+
+# small_config as command-line flags
+SMALL_FLAGS = ["--atomic", "ee", "--field", "fock", "--n", "2", "--t-max", "3", "--steps", "40"]
 
 
 # --- presets and configuration ----------------------------------------------
@@ -364,8 +367,8 @@ def test_singlet_scenario_is_frozen():
 
 def test_scenario_csv_round_trip(tmp_path):
     out = tmp_path / "run.csv"
-    config = small_config(out=str(out))
-    result = tt.run_scenario(config)
+    result = tt.run_scenario(small_config())
+    assert main(["scenario", *SMALL_FLAGS, "--out", str(out)]) == 0
     echo, header, data = read_csv(out)
     assert echo[0] == "# tcm-tangles"
     assert "# atomic = ee" in echo
@@ -384,7 +387,7 @@ def test_scenario_echo_keys_in_order(tmp_path):
     # g line is fixed, and states the unit of every time, gt, and the rank_tol
     # line is fixed at the effective-rank cutoff RANK_TOL
     out = tmp_path / "fig1.csv"
-    tt.run_scenario(preset_config("fig1", steps=20, out=str(out)))
+    assert main(["scenario", "--preset", "fig1", "--steps", "20", "--out", str(out)]) == 0
     echo, _, _ = read_csv(out)
     assert echo[0] == "# tcm-tangles"
     keys = [line[2:].split(" = ")[0] for line in echo[1:]]
@@ -395,18 +398,34 @@ def test_scenario_echo_keys_in_order(tmp_path):
 
 def test_scenario_csv_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    tt.run_scenario(small_config(out=str(a)))
-    tt.run_scenario(small_config(out=str(b)))
+    assert main(["scenario", *SMALL_FLAGS, "--out", str(a)]) == 0
+    assert main(["scenario", *SMALL_FLAGS, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_the_library_writes_no_file(tmp_path, monkeypatch):
+    # the command line writes every output file; the library returns arrays
+    monkeypatch.chdir(tmp_path)
+    tt.run_scenario(small_config())
+    coherent = dict(atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=300)
+    tt.compare_exact_vs_approx(tt.ScenarioConfig(**coherent))
+    tt.scaling_study((4, 8, 16), steps=50)
+    tt.positivity_sweep((2, 2, 3), samples=100)
+    # nor does a sweep whose every state is below the threshold
+    monkeypatch.setattr(
+        random_states, "tcm_columns", lambda batch, *_: {"tau_res": np.full(len(batch), -1.0)}
+    )
+    assert tt.positivity_sweep((2, 2, 3), samples=100).negative_states.shape == (100, 12)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_formatting_clamps_dust_only(tmp_path, monkeypatch):
-    monkeypatch.setattr(scenarios, "CSV_BLOCK", 2)  # the five rows span three blocks
+    monkeypatch.setattr(cli, "CSV_BLOCK", 2)  # the five rows span three blocks
     out = tmp_path / "rows.csv"
     values = np.array([-5e-10, -2e-9, 0.25, 1.0, -0.0])
     # only a tangle column is clamped; any other float column prints as computed
     columns = {"tau_AA": values, "inversion": values, "k": np.full(5, 7, dtype=np.int64)}
-    _write_rows(str(out), ["# echo"], columns)
+    cli._write_rows(str(out), ["# echo"], columns)
     assert out.read_bytes() == (
         b"# echo\ntau_AA,inversion,k\n0,-5e-10,7\n-2e-09,-2e-09,7\n0.25,0.25,7\n1,1,7\n-0,-0,7\n"
     )
@@ -455,10 +474,10 @@ def test_compare_small_coherent(tmp_path):
     out = tmp_path / "cmp.csv"
     # mean 4 is far outside the approximation's regime, which is fine here:
     # this only exercises the plumbing
-    config = tt.ScenarioConfig(
-        atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=300, out=str(out)
-    )
+    flags = ["--atomic", "ee", "--field", "coherent", "--mean-n", "4", "--t-max", "12"]
+    config = tt.ScenarioConfig(atomic="ee", field="coherent", mean_n=4.0, t_max=12.0, steps=300)
     result = tt.compare_exact_vs_approx(config)
+    assert main(["compare-approx", *flags, "--steps", "300", "--out", str(out)]) == 0
 
     revival_gt = 2.0 * math.pi * 2.0
     assert abs(result.window[0] - 0.2 * revival_gt) < 1e-12
@@ -466,7 +485,8 @@ def test_compare_small_coherent(tmp_path):
 
     np.testing.assert_array_equal(result.approx, tt.approx_tau_F_AA("ee", result.gt, 4.0))
     mask = (result.gt >= result.window[0]) & (result.gt <= result.window[1])
-    sup = np.max(np.abs(result.exact - result.approx)[mask])
+    np.testing.assert_array_equal(result.abs_diff, np.abs(result.exact - result.approx))
+    sup = np.max(result.abs_diff[mask])
     assert result.window_sup_norm == pytest.approx(sup, abs=0)
 
     echo, header, data = read_csv(out)
@@ -556,7 +576,8 @@ def test_scaling_validation():
 
 def test_scaling_small_run(tmp_path):
     out = tmp_path / "scaling.csv"
-    result = tt.scaling_study((4, 8, 16), steps=200, out=str(out))
+    result = tt.scaling_study((4, 8, 16), steps=200)
+    assert main(["scaling", "--n", "4,8,16", "--steps", "200", "--out", str(out)]) == 0
     assert result.ns == (4, 8, 16)
     assert result.peaks.shape == (3,)
     assert (result.peaks > 0).all()
@@ -695,7 +716,7 @@ def test_cli_field_switch_drops_other_kind(tmp_path):
 def test_cli_builds_the_preset_config(flags, preset, overrides):
     argv = ["scenario"] + (["--preset", preset] if preset else []) + flags + ["--out", "x.csv"]
     built = cli._scenario_config(cli.build_parser().parse_args(argv))
-    assert built == preset_config(preset, out="x.csv", **overrides)
+    assert built == preset_config(preset, **overrides)
 
 
 def test_cli_and_preset_config_refuse_a_missing_atomic_state_alike():
@@ -703,7 +724,7 @@ def test_cli_and_preset_config_refuse_a_missing_atomic_state_alike():
     with pytest.raises(ValueError) as from_cli:
         cli._scenario_config(args)
     with pytest.raises(ValueError) as from_library:
-        preset_config(field="fock", n=3, out="x")
+        preset_config(field="fock", n=3)
     assert str(from_cli.value) == str(from_library.value) == "missing required setting 'atomic'"
 
 
@@ -785,7 +806,7 @@ def test_cli_non_finite_input_exits_1(tmp_path, capsys):
             "--t-max", "inf", "--steps", "5", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "t_max must be finite" in err
+    assert err.count("\n") == 1 and "t_max must be a finite real number, got inf" in err
     assert not out.exists()
 
 
