@@ -37,7 +37,8 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .tensor import PureState, SystemShape, finite_real, tcm_field_dim, whole_number
+from .tensor import (ATOM_ROWS, PureState, SystemShape, finite_real, finite_reals,
+                     tcm_field_dim, whole_number)
 
 GUARD_TOL = 1e-8
 GUARD_BAND = 3
@@ -205,8 +206,9 @@ class TcmPropagator:
         The state's field index 0 is photon n0.  Each chunk has one row of
         length 4*D per time, consecutive times filling consecutive rows; a
         chunk holds at most ``CHUNK_BUDGET`` bytes (and at least one time),
-        so memory stays bounded however long the grid is.  A NaN time,
-        or times whose phases overflow, raise ValueError.
+        so memory stays bounded however long the grid is.  Each time must
+        pass ``finite_reals`` (an empty grid yields nothing), and times whose
+        phases overflow raise ValueError.
         One pass over the populations checks every emitted time: the norm
         and the excitation distribution to ``CONSERVATION_TOL`` (else
         RuntimeError) and the guard bands, as for the initial state (else
@@ -214,19 +216,24 @@ class TcmPropagator:
         of the window, and the bottom ones too when n0 > 0; photon 0 is a
         true edge of the field.
         Rows eg and ge take the same arithmetic, so from an exchange-symmetric
-        start (every preset but the singlet) row eg is copied into row ge.
+        start (every preset but the singlet) only rows ee, eg and gg are
+        evolved and checked, and row eg is copied into row ge.
         """
+        for rows in self._evolve_rows(state, times, n0):
+            yield rows[:, ATOM_ROWS[rows.shape[1]]].reshape(len(rows), -1)
+
+    def _evolve_rows(self, state: PureState, times, n0: int) -> Iterator[np.ndarray]:
+        """``evolve_series`` as checked (N, 3, D) chunks of the rows (ee, eg, gg)
+        from an exchange-symmetric start, and as (N, 4, D) chunks from any other."""
         d = tcm_field_dim(state)
         n0 = _check_offset(n0)
         amps = state.amplitudes
         k_ref = excitation_distribution(state)
         rabi = rabi_frequencies(d, n0)
         self._check_times(amps.reshape(1, 4, d), k_ref, np.zeros(1), n0)
-        times = np.asarray(times, dtype=float).ravel()
+        times = finite_reals("each time", times).ravel()
         # Python floats overflow to inf without a warning
-        t_max = float(np.max(np.abs(times), initial=0.0))  # NaN if any time is
-        if math.isnan(t_max):
-            raise ValueError("times must not be NaN")
+        t_max = float(np.max(np.abs(times), initial=0.0))
         if not math.isfinite(t_max * float(rabi.max())):
             raise ValueError(f"the phases overflow at t = {t_max:g}; shorten the time grid")
         step = chunk_times(state)
@@ -235,29 +242,32 @@ class TcmPropagator:
         h1 = _coupling(amps, d, n0) / safe  # H psi / Omega, block by block
         h2 = _coupling(h1, d, n0) / safe  # H^2 psi / Omega^2
         psi0, h2, ih1 = (x.reshape(4, d) for x in (amps, h2, 1j * h1))
-        copy_eg = _exchange_symmetric(psi0, h2, ih1)  # then row ge is row eg, bit for bit
+        # rows ee, eg and gg where row ge is row eg, bit for bit
+        rows = (0, 1, 3) if _exchange_symmetric(psi0, h2, ih1) else (0, 1, 2, 3)
         for start in range(0, times.size, step):
             t = times[start:start + step]
             u = np.tan(0.5 * t[:, None] * rabi)  # tan(Omega_K t/2), one vectorized call
             s = 2.0 * u / (1.0 + u * u)  # sin(Omega_K t)
             c = u * s  # 2 sin^2(Omega_K t/2)
-            out = np.empty((t.size, 4, d), dtype=complex)
-            for a, e in enumerate(ATOM_EXCITATIONS):  # row a, photon n lies in block K = e + n
-                out[:, a] = (out[:, 1] if a == 2 and copy_eg
-                             else psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a])
+            out = np.empty((t.size, len(rows), d), dtype=complex)
+            for i, a in enumerate(rows):  # row a, photon n lies in block K = e + n
+                e = ATOM_EXCITATIONS[a]
+                out[:, i] = psi0[a] - c[:, e:e + d] * h2[a] - s[:, e:e + d] * ih1[a]
             self._check_times(out, k_ref, t, n0)
-            yield out.reshape(t.size, 4 * d)
+            yield out
 
     def _check_times(self, psi: np.ndarray, k_ref: np.ndarray, t: np.ndarray, n0: int) -> None:
-        """Check each row of an (N, 4, D) stack at times t in one pass over its populations,
-        raising at the first time past a limit, and update the largest drifts."""
+        """Check each state of an (N, 4, D) or exchange-symmetric (N, 3, D) stack at times t in
+        one pass over its populations, raising at the first time past a limit, and update the
+        largest drifts.  Row eg of three counts twice everywhere: distribution, norm, both bands."""
         pop = np.abs(psi) ** 2
         dist = _excitation_populations(pop)
         norm = np.abs(np.sqrt(dist.sum(axis=1)) - 1.0)
         exc = np.max(np.abs(dist - k_ref), axis=1)
-        top = pop[..., -GUARD_BAND:].sum(axis=(1, 2))
+        rows = ATOM_ROWS[pop.shape[1]]
+        top = pop[:, rows, -GUARD_BAND:].sum(axis=(1, 2))
         # photon 0 is a true edge of the field; a window above it has a second guard band
-        bottom = pop[..., :GUARD_BAND].sum(axis=(1, 2)) if n0 > 0 else np.zeros_like(top)
+        bottom = pop[:, rows, :GUARD_BAND].sum(axis=(1, 2)) if n0 > 0 else np.zeros_like(top)
         kept = (norm <= CONSERVATION_TOL) & (exc <= CONSERVATION_TOL)
         bad = ~(kept & (top <= GUARD_TOL) & (bottom <= GUARD_TOL))
         if bad.any():
@@ -280,7 +290,10 @@ class TcmPropagator:
 
 
 def evolve(state: PureState, t: float) -> PureState:
-    """Evolve ``state`` under the block Hamiltonian for time ``t`` (that is, gt)."""
+    """Evolve ``state`` under the block Hamiltonian for time ``t`` (that is, gt), one
+    number that ``evolve_series`` checks as it checks each of its times."""
+    if np.ndim(t):
+        raise ValueError(f"t must be one number, got shape {np.shape(t)}")
     (out,) = TcmPropagator().evolve_series(state, [t])
     return PureState(state.shape, out[0])
 
@@ -308,10 +321,10 @@ def excitation_distribution(state: PureState) -> np.ndarray:
 
 
 def _excitation_populations(pop: np.ndarray) -> np.ndarray:
-    """P_K = sum_a pop[:, a, K - e_a] of an (N, 4, D) population stack, one row per state."""
+    """P_K = sum_a pop[:, a, K - e_a] of an (N, ``ATOM_ROWS``, D) population stack, per state."""
     n, _, d = pop.shape
     dist = np.zeros((n, d + 2))
-    for a, e in enumerate(ATOM_EXCITATIONS):
+    for a, e in zip(ATOM_ROWS[pop.shape[1]], ATOM_EXCITATIONS):
         dist[:, e:e + d] += pop[:, a]
     return dist
 

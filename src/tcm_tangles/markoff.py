@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .dynamics import atomic_state
-from .tensor import finite_real
+from .tensor import finite_real, finite_reals
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -61,9 +61,10 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
     gt = 0 transient is intentionally not reproduced (the formula starts at
     the dephased-mixture value 2(1 - sum w_m^2) instead of the exact 0),
     and the brief purity revival when the counter-rotating pointer fields
-    collide at gt = pi*sqrt(mean_n) is not captured.  |gt| may not exceed
-    ``sys.float_info.max / 4 * sqrt(mean_n - 1/2)``, where 8t' overflows.
-    A float for scalar ``gt``, else an array of its shape.
+    collide at gt = pi*sqrt(mean_n) is not captured.  Each gt must pass
+    ``finite_reals`` (an empty grid gives an empty array), and |gt| may not
+    exceed ``sys.float_info.max / 4 * sqrt(mean_n - 1/2)``, where 8t'
+    overflows.  A float for scalar ``gt``, else an array of its shape.
     """
     *d, singlet_amp = (JX_BASIS @ atomic_state(atomic)).tolist()
     if abs(singlet_amp) > 1e-12:
@@ -72,8 +73,7 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
             f"got |singlet_amp|^2 = {abs(singlet_amp)**2:.3e}"
         )
     mean_n = finite_real("mean_n", mean_n)
-    if not np.isfinite(gt).all():
-        raise ValueError("gt must be finite")
+    gt = finite_reals("gt", gt)
     radicand = mean_n - 0.5
     if radicand <= 0:
         raise ValueError(
@@ -84,7 +84,7 @@ def approx_tau_F_AA(atomic, gt, mean_n: float):
         raise ValueError(f"|gt| above {limit:g} overflows the scaled time at mean_n = {mean_n}")
     m1, z, p1 = (abs(a) ** 2 for a in d)
     c = 4.0 * (m1**2 + z**2 + p1**2) + 2.0 * z * (m1 + p1) + 3.0 * m1 * p1
-    t_prime = np.asarray(gt, dtype=float) / (2.0 * math.sqrt(radicand))
+    t_prime = gt / (2.0 * math.sqrt(radicand))
     h = (2.0 * z * (m1 + p1) + 4.0 * m1 * p1) * np.cos(4.0 * t_prime) - (
         m1 * p1
     ) * np.cos(8.0 * t_prime)

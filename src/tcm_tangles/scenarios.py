@@ -193,7 +193,7 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
         prop = TcmPropagator()
         for lo in range(bounds[k], bounds[k + 1], BATCH):
             hi = min(lo + BATCH, bounds[k + 1])
-            part = tcm_columns(prop.evolve_series(state, gts[lo:hi], n0), names)
+            part = tcm_columns(prop._evolve_rows(state, gts[lo:hi], n0), names)
             for name in names:
                 columns[name][lo:hi] = part[name]
         return prop.max_norm_drift, prop.max_excitation_drift

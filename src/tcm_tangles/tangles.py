@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .tensor import (
+    ATOM_ROWS,
     RANK_TOL,
     DensityMatrix,
     PureState,
@@ -63,10 +64,10 @@ def _wootters_batch(w: np.ndarray) -> np.ndarray:
     The l_i are the singular values of X = W^T (sigma_y x sigma_y) W
     (Wootters, PRL 80, 2245 (1998)).  At most three columns (padded with
     zero columns to three) take the closed form of ``_concurrence_3col``.
-    More take LAPACK on the (N, 4, k) layout: with more than four, a thin
-    QR W^T = Q R first gives W' = R^T, a factor of the same rho with four
-    columns and the same singular values, and four columns take an SVD of
-    X.  No square root of rho is taken: accurate to roundoff at any rank.
+    More take LAPACK on the (N, 4, k) layout: with more than four,
+    ``_thin_factor`` first gives a factor of the same rho with four columns
+    and the same singular values, and four columns take an SVD of X.  No
+    square root of rho is taken: accurate to roundoff at any rank.
     """
     k = w.shape[1]
     if k <= 3:
@@ -74,13 +75,19 @@ def _wootters_batch(w: np.ndarray) -> np.ndarray:
             w = np.concatenate([w, np.zeros((4, 3 - k) + w.shape[2:], w.dtype)], axis=1)
         c = _concurrence_3col(w)
     else:
-        f = np.moveaxis(w, -1, 0)
-        if k > 4:
-            f = np.linalg.qr(f.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
+        f = _thin_factor(np.moveaxis(w, -1, 0))
         lam = np.linalg.svd((f.swapaxes(-1, -2)[..., ::-1] * _YY_SIGNS) @ f, compute_uv=False)
         # svd sorts descending: the largest value minus the others
         c = 2.0 * lam[..., 0] - lam.sum(axis=-1)
     return np.maximum(c, 0.0) ** 2
+
+
+def _thin_factor(m: np.ndarray) -> np.ndarray:
+    """A factor of at most r columns with the W W^H and Wootters l_i of each W of an (N, r, k)
+    stack: W for k <= r, else R^T of the thin QR W^T = Q R, as W W^H = R^T conj(R)."""
+    if m.shape[-1] <= m.shape[-2]:
+        return m
+    return np.linalg.qr(m.swapaxes(-1, -2), mode="r").swapaxes(-1, -2)
 
 
 def _concurrence_3col(w: np.ndarray) -> np.ndarray:
@@ -487,8 +494,11 @@ def tcm_columns(
 ) -> dict[str, np.ndarray]:
     """The named ``SCENARIO_COLUMNS`` of (2, 2, D) states, in ``names`` order.
 
-    ``amps`` is an (N, 4*D) stack, or an iterable of such stacks (one D for
-    all), read one at a time and taken as one stack in order.  Only what
+    ``amps`` is an (N, 4*D) stack (or its (N, 4, D) rows), an (N, 3, D)
+    stack of the rows (ee, eg, gg) of exchange-symmetric states, whose row
+    eg stands for eg and ge, or an iterable of such stacks (one layout and
+    one D for all), read one at a time and taken as one stack in order;
+    ``TcmPropagator`` evolves an exchange-symmetric start as three rows.  Only what
     the named columns need is computed: ``tau_AA`` is the Wootters kernel
     on the amplitude factor W, and ``tau_F_AA``, ``field_eff_dim`` and
     ``inversion`` need rho_AA = W W^H (the product ``partial_trace``
@@ -502,14 +512,19 @@ def tcm_columns(
     pair is purified by the other atom.  Each column is bit-identical
     whichever others are named, and however the states are chunked.
 
-    W is read one chunk at a time, for ``tau_AA`` and rho_AA; their
-    per-chunk parts are joined, and everything after them runs once over
-    all N states.  The kernels take the batch axis last (W as (4, D, N),
-    rho_AA as (4, 4, N)), so each step is one contiguous pass over N; the
-    rank certificate, and with at most three field columns rho_AA and the
-    Wootters form, are explicit products of these (N,) planes; with more,
-    ``np.vecdot`` forms rho_AA on the (N, 4, D) layout, conjugating inside
-    its dot product, so no conjugated copy of W is made.  No step
+    W is read one chunk at a time, for a Wootters factor and rho_AA; their
+    per-chunk parts are joined, and everything after them, ``_wootters_batch``
+    too, runs once over all N states.  The kernels take the batch axis last
+    (W as (4, D, N), rho_AA as (4, 4, N)), so each step is one contiguous
+    pass over N; the rank certificate, and with at most three field columns
+    rho_AA and the Wootters form, are explicit products of these (N,)
+    planes, of the four rows.  With more, ``np.vecdot`` forms the Gram
+    matrix of the rows on the (N, rows, D) layout, conjugating inside its
+    dot product, so no conjugated copy of W is made, and ``_thin_factor``
+    reduces each chunk's rows to a factor of one column per row: four
+    columns take the SVD, and three, for exchange-symmetric rows, the
+    closed form.  The three-row parts are spread to ee, eg, ge, gg once,
+    after the join, in the C order of the four-row parts.  No step
     multiplies the planes as one matrix: that BLAS-3 call starts OpenBLAS
     threads in each forked sweep worker, and two workers on two cores then
     ran a 2x2x3 block about three times slower.
@@ -519,29 +534,39 @@ def tcm_columns(
         raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
     full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
     need_rho = full or bool(set(names) - {"tau_AA"})
-    taus, rhos, width, count = [], [], None, 0
+    taus, rhos, layout, count = [], [], None, 0
     for chunk in [amps] if isinstance(amps, np.ndarray) else amps:
-        width = chunk.shape[-1] if width is None else width
-        if chunk.shape[-1] != width:
-            raise ValueError(f"states of width {width} and {chunk.shape[-1]} in one call; "
-                             "every state needs the same field dimension")
-        if chunk.ndim != 2 or width % 4 or not width:
-            raise ValueError(f"states come as (N, 4*D) stacks, D >= 1; got shape {chunk.shape}")
-        m = chunk.reshape(len(chunk), 4, width // 4)
-        count += len(m)
-        # more than three field columns keep the (N, 4, D) layout that W W^H and the SVD read
-        small = m.shape[-1] <= 3
-        w = np.ascontiguousarray(np.moveaxis(m, 0, -1)) if small else np.moveaxis(m, 0, -1)
+        flat = chunk.ndim == 2 and chunk.shape[1] % 4 == 0
+        m = chunk.reshape(len(chunk), 4, chunk.shape[1] // 4) if flat else chunk
+        if m.ndim != 3 or m.shape[1] not in (3, 4) or not m.shape[2]:
+            raise ValueError("states come as (N, 3, D) exchange-symmetric rows or (N, 4*D) "
+                             f"stacks, D >= 1; got shape {chunk.shape}")
+        layout = m.shape[1:] if layout is None else layout
+        if m.shape[1:] != layout:
+            raise ValueError(f"states of (rows, D) {layout} and {m.shape[1:]} in one call; "
+                             "every state needs the same field dimension and rows")
+        (k, d), count = layout, count + len(m)
+        # at most three field columns: contiguous (4, D, N) planes of the four rows
+        planes = d <= 3
+        four = m.take(ATOM_ROWS[3], 1) if k == 3 and planes else m
+        w = np.ascontiguousarray(np.moveaxis(four, 0, -1)) if planes else m
         if full or "tau_AA" in names:
-            taus.append(_wootters_batch(w))
+            taus.append(w if planes else _thin_factor(m))
         if need_rho:
-            rhos.append(_rho_planes(w) if small else np.vecdot(m[:, None], m[:, :, None]))
+            rhos.append(_rho_planes(w) if planes else np.vecdot(m[:, None], m[:, :, None]))
     if not count:
         raise ValueError("tcm_columns needs at least one state")
-    cols = {"tau_AA": _join(taus, 0)} if taus else {}
+    # parts join batch last as planes, else first; take spreads three rows to four in C order
+    axis, cols, spread, three = (-1 if planes else 0), {}, ATOM_ROWS[3], k == 3 and not planes
+    if taus:
+        f = _join(taus, axis)
+        f = f.take(spread, 1) if three else f
+        cols["tau_AA"] = _wootters_batch(f if planes else np.moveaxis(f, 0, -1))
     if need_rho:
+        rho_aa = _join(rhos, axis)
+        rho_aa = rho_aa.take(spread, 1).take(spread, 2) if three else rho_aa
         # vecdot's (N, 4, 4) rho_AA is read as (4, 4, N), a layout einsum's summation order follows
-        rho_aa = _join(rhos, -1) if small else np.moveaxis(_join(rhos, 0), 0, -1)
+        rho_aa = rho_aa if planes else np.moveaxis(rho_aa, 0, -1)
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
     if full or "field_eff_dim" in names:

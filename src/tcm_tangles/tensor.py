@@ -20,6 +20,8 @@ HERMITICITY_TOL = 1e-12
 NEGATIVE_EIGENVALUE_TOL = 1e-10
 RANK_TOL = 1e-10  # eigenvalues above it count toward a marginal's effective rank
 BOOLS = (bool, np.bool_)  # truth values: never a count, a dimension or an index
+# by rows per state, the row holding each of ee, eg, ge, gg: exchange-symmetric states have 3
+ATOM_ROWS = {4: (0, 1, 2, 3), 3: (0, 1, 1, 2)}
 
 
 def whole_number(name: str, value) -> int:
@@ -39,6 +41,19 @@ def finite_real(name: str, value) -> float:
         if abs(value) <= sys.float_info.max:  # exact for ints; NaN fails too
             return float(value)
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def finite_reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array of their shape; ValueError unless each entry
+    passes ``finite_real``.  An empty array, such as an empty time grid, passes."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":  # bools, strings, None, complex, ints beyond int64
+        return np.array([finite_real(name, v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    arr = np.asarray(arr, dtype=float)
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"{name} must be a finite real number, got {float(bad[0])!r}")
+    return arr
 
 
 @dataclass(frozen=True)

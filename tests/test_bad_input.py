@@ -1,8 +1,10 @@
-"""Every count, dimension, index and real argument of the public API refuses
-a bad value with a one-line ValueError that names what it refused (numpy's
-own, for an array length beyond its index range)."""
+"""Every count, dimension, index, real and time argument of the public API
+refuses a bad value with a one-line ValueError that names what it refused
+(numpy's own, for an array length beyond its index range)."""
 
 import math
+import numbers
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ FRACTION = 2.5  # bad for a whole argument, good for a real one
 HUGE = 10**400  # beyond every float, but a whole number: a good seed
 FIXED = [True, False, np.True_, math.nan, math.inf, -math.inf, FRACTION, "3", -1, HUGE, None, ()]
 NEGATIVE = st.integers(max_value=-1) | st.floats(max_value=-0.5, allow_infinity=False)
-BAD = st.sampled_from(FIXED) | NEGATIVE
+BEYOND = st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024))  # past every float
+BAD = st.sampled_from(FIXED) | NEGATIVE | BEYOND
 
 PSI = tt.PureState(tt.SystemShape((2, 2, 3)), np.ones(12) / math.sqrt(12.0))
+EXCITED = tt.initial_state("ee", tt.fock_state(3, 10), 10)
 RHO = tt.partial_trace(PSI, (0, 2))
 GT = np.linspace(0.0, 1.0, 3)
 RNG = np.random.default_rng(0)
@@ -31,7 +35,8 @@ TOO_LONG = "|Maximum allowed dimension exceeded"
 
 # (kind, call with the bad value, pattern its message must contain).  A
 # "whole" argument is a count, dimension or index; a "real" one takes 2.5;
-# a "seed" takes any whole number >= 0, 10**400 too.
+# a "seed" takes any whole number >= 0, 10**400 too; a "time" takes any
+# finite real number, and "times", a time grid, an empty one too.
 CASES = {
     "fock_state n": ("whole", lambda v: tt.fock_state(v, 5), "fock label"),
     "fock_state n_max": ("whole", lambda v: tt.fock_state(0, v), "n_max|truncation" + TOO_LONG),
@@ -63,7 +68,21 @@ CASES = {
     "convex_roof_itangle seed": (
         "seed", lambda v: tt.convex_roof_itangle(RHO, restarts=1, seed=v), "seed"
     ),
+    "evolve_series times": (
+        "times", lambda v: list(tt.TcmPropagator().evolve_series(EXCITED, v)), "each time"
+    ),
+    "evolve t": ("time", lambda v: tt.evolve(EXCITED, v), r"\bt must|each time"),
+    "approx_tau_F_AA gt": ("times", lambda v: tt.approx_tau_F_AA("ee", v, 100.0), r"^gt\b"),
 }
+
+
+def takes(kind, value):
+    """Whether an argument of this kind takes the value."""
+    number = not isinstance(value, (bool, np.bool_))
+    finite = number and isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    seed = number and isinstance(value, numbers.Integral) and value >= 0
+    return {"real": value is FRACTION, "seed": seed, "time": finite,
+            "times": finite or isinstance(value, tuple)}.get(kind, False)
 
 
 def with_every_fixed_value(test):
@@ -77,9 +96,9 @@ def with_every_fixed_value(test):
 @given(value=BAD)
 @with_every_fixed_value
 def test_bad_arguments_are_one_line_value_errors(case, value):
-    # budget: about 1.2 s for all 20 cases, 12 fixed values and 40 draws each (2-core Xeon)
+    # budget: about 1.3 s for all 23 cases, 12 fixed values and 40 draws each (2-core Xeon)
     kind, call, pattern = CASES[case]
-    assume(not (kind == "real" and value is FRACTION) and not (kind == "seed" and value is HUGE))
+    assume(not takes(kind, value))
     with pytest.raises(ValueError, match=pattern) as refused:
         call(value)
     assert "\n" not in str(refused.value)

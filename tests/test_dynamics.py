@@ -347,6 +347,47 @@ def test_three_row_evolution_is_the_four_row_loop_bit_for_bit(field, monkeypatch
             assert a.tobytes() == b.tobytes(), atomic
 
 
+def _symmetric_rows(d, **amps):
+    """(1, 3, d) rows (ee, eg, gg) of an exchange-symmetric state, from
+    {"<row>_<photon index>": amplitude}; row eg stands for eg and ge."""
+    rows = np.zeros((1, 3, d), dtype=complex)
+    for key, amp in amps.items():
+        row, photon = key.split("_")
+        rows[0, ("ee", "eg", "gg").index(row), int(photon)] = amp
+    return rows
+
+
+def _check_failure(rows, start, n0):
+    """(type, message) of what _check_times raises on the rows at t = 0.5
+    against the excitation distribution of the start, or None."""
+    state = tt.PureState(tt.SystemShape((2, 2, rows.shape[2])), start[:, [0, 1, 1, 2]].ravel())
+    try:
+        tt.TcmPropagator()._check_times(rows, tt.excitation_distribution(state), [0.5], n0)
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_row_eg_counts_twice_in_the_check():
+    # row eg of three rows stands for eg and ge, so a population in
+    # (limit/2, limit] in it crosses the limit only when counted twice: in
+    # the top guard band, the bottom one (on a window above photon 0) and the
+    # excitation distribution.  Three rows fail as the same four rows do.
+    d, n0 = 12, 4
+    p, delta = 0.75 * dynamics.GUARD_TOL, 0.75 * dynamics.CONSERVATION_TOL
+    top = _symmetric_rows(d, ee_6=math.sqrt(1.0 - 2.0 * p), eg_11=math.sqrt(p))
+    bottom = _symmetric_rows(d, ee_6=math.sqrt(1.0 - 2.0 * p), eg_0=math.sqrt(p))
+    start = _symmetric_rows(d, ee_6=math.sqrt(0.5), eg_6=0.5)
+    drifted = _symmetric_rows(d, ee_6=math.sqrt(0.5), eg_6=math.sqrt(0.25 + delta))
+    for rows, ref, error, words in [(top, top, tt.TruncationError, "of the top edge"),
+                                    (bottom, bottom, tt.TruncationError, "of the bottom edge"),
+                                    (drifted, start, RuntimeError, "conservation violated")]:
+        three = _check_failure(rows, ref, n0)
+        assert three is not None and three[0] is error and words in three[1], words
+        assert three == _check_failure(rows[:, [0, 1, 1, 2]], ref, n0), words
+    assert _check_failure(start, start, n0) is None
+
+
 def test_ground_pair_single_photon_return_probability():
     state = tt.initial_state("gg", tt.fock_state(1, 4), 4)
     idx = np.flatnonzero(state.amplitudes)[0]
@@ -444,9 +485,9 @@ def test_truncation_guard_trips():
 
 def test_nan_time_and_a_finite_time_whose_phases_overflow_are_bad_input():
     state = tt.initial_state("ee", tt.fock_state(3, 10), 10)
-    with pytest.raises(ValueError, match="^times must not be NaN$"):
+    with pytest.raises(ValueError, match="^each time must be a finite real number, got nan$"):
         tt.evolve(state, math.nan)
-    with pytest.raises(ValueError, match="^times must not be NaN$"):
+    with pytest.raises(ValueError, match="^each time must be a finite real number, got nan$"):
         next(tt.TcmPropagator().evolve_series(state, [0.0, math.nan, 1.0]))
     with pytest.raises(ValueError, match="^the phases overflow at t = 1e"):
         tt.evolve(state, 1e308)

@@ -117,8 +117,8 @@ def test_scaled_time_value_and_guard():
     for mean_n in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^mean_n must be a finite real number, got {mean_n}"):
             tt.approx_tau_F_AA("ee", 1.0, mean_n)
-    for gt in (math.nan, [0.0, math.inf]):
-        with pytest.raises(ValueError, match="^gt must be finite$"):
+    for gt, bad in ((math.nan, "nan"), ([0.0, math.inf], "inf")):
+        with pytest.raises(ValueError, match=f"^gt must be a finite real number, got {bad}$"):
             tt.approx_tau_F_AA("ee", gt, MEAN_N)
     # 8t' overflows above |gt| = max float / 4 * sqrt(mean_n - 1/2), without a warning
     with warnings.catch_warnings():

@@ -240,6 +240,56 @@ def test_field_unitary_leaves_three_or_fewer_column_states_unchanged(k):
         np.testing.assert_allclose(after[name], before[name], atol=1e-14, rtol=0, err_msg=name)
 
 
+def _mpmath_tau_aa(rows):
+    """tau of rho = W W^H for the (4, D) rows W, from the singular values of
+    X = F^T (sigma_y x sigma_y) F at 40 digits, F = U sqrt(Lambda) the
+    eigenfactor of rho: F and W give X the same singular values, and F is 4 x 4."""
+    with mpmath.workdps(40):
+        w = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rows])
+        lam, u = mpmath.eighe(w * w.H)
+        f = u * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in lam])
+        yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        sv = sorted(mpmath.svd_c(f.T * yy * f, compute_uv=False), reverse=True)
+        return float(max(0, sv[0] - sum(sv[1:])) ** 2)
+
+
+def test_three_rows_and_four_rows_give_the_same_columns(monkeypatch):
+    # exchange-symmetric states as (N, 3, D) rows (ee, eg, gg), as a scenario
+    # evolves them, and as the (N, 4*D) stacks of the same states: fig2 and
+    # fig3 points (D = 173, a D x 3 QR), the number-state fig1 (D = 11) and
+    # Haar-like stacks of D = 1, 2, 3 field columns, which take no QR
+    rng = np.random.default_rng(38)
+    stacks = []
+    for name in ("fig2", "fig3", "fig1"):
+        config = preset_config(name)
+        state, n0 = _build_initial(config)
+        gts = np.linspace(0.0, config.t_max, config.steps)[::200]
+        stacks.append(np.concatenate(list(tt.TcmPropagator()._evolve_rows(state, gts, n0))))
+    for d in (1, 2, 3):
+        rows = rng.standard_normal((50, 3, d)) + 1j * rng.standard_normal((50, 3, d))
+        weight = np.array([1.0, 2.0, 1.0])[:, None]  # row eg stands for eg and ge
+        norms = np.sqrt(np.sum(weight * np.abs(rows) ** 2, axis=(1, 2)))
+        stacks.append(rows / norms[:, None, None])
+    for rows in stacks:
+        assert rows.shape[1] == 3
+        four = rows[:, [0, 1, 1, 2]].reshape(len(rows), -1)
+        with monkeypatch.context() as patch:
+            if rows.shape[2] <= 3:
+                patch.setattr(np.linalg, "qr", _refuse)
+            three = tcm_columns(rows)
+        reference = tcm_columns(four)
+        np.testing.assert_array_equal(three["field_eff_dim"], reference["field_eff_dim"])
+        for name in set(SCENARIO_COLUMNS) - {"field_eff_dim"}:
+            np.testing.assert_allclose(three[name], reference[name], atol=1e-15, rtol=0,
+                                       err_msg=f"{name}, D = {rows.shape[2]}")
+        exact = [_mpmath_tau_aa(state.reshape(4, -1)) for state in four[::4]]
+        np.testing.assert_allclose(three["tau_AA"][::4], exact, atol=1e-15, rtol=0)
+    # one call takes one layout: three rows and four-row stacks do not mix
+    with pytest.raises(ValueError, match="same field dimension and rows") as info:
+        tcm_columns([stacks[2][:2], stacks[2][2:4, [0, 1, 1, 2]].reshape(2, -1)])
+    assert "\n" not in str(info.value)
+
+
 # The four fig3 points where the square-root form of the Wootters tangle,
 # the eigenvalues of sqrt(rho) rho~ sqrt(rho), errs most (1.8e-8, 1.4e-8,
 # 1.3e-8 and 1.2e-8 against the reference below): early times, when rho_AA
