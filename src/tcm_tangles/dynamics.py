@@ -37,7 +37,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .tensor import (ATOM_ROWS, PureState, SystemShape, finite_real, finite_reals,
+from .tensor import (ATOM_ROWS, PureState, SystemShape, finite_real, finite_reals, four_rows,
                      tcm_field_dim, whole_number)
 
 GUARD_TOL = 1e-8
@@ -220,7 +220,7 @@ class TcmPropagator:
         evolved and checked, and row eg is copied into row ge.
         """
         for rows in self._evolve_rows(state, times, n0):
-            yield rows[:, ATOM_ROWS[rows.shape[1]]].reshape(len(rows), -1)
+            yield four_rows(rows, 1).reshape(len(rows), -1)
 
     def _evolve_rows(self, state: PureState, times, n0: int) -> Iterator[np.ndarray]:
         """``evolve_series`` as checked (N, 3, D) chunks of the rows (ee, eg, gg)

@@ -171,7 +171,8 @@ def _evolve_columns(config: ScenarioConfig, names: Sequence[str]) -> ScenarioRes
     as many as give each ``SEGMENT_CHUNKS`` evolution chunks, that run on
     forked workers (``workers.cpu_map``); a short grid runs in this process.
     A segment is evolved ``BATCH`` points at a time, one
-    ``TcmPropagator.evolve_series`` call each, in bounded chunks whose one
+    ``TcmPropagator._evolve_rows`` call each ((N, 3, D) chunks of the rows
+    ee, eg and gg from an exchange-symmetric start), in bounded chunks whose one
     pass checks the norm and excitation distribution (to 1e-10) and the
     truncation guard at every point; the result reports the largest drifts.
     Each call's chunks go, as they are evolved, to one ``tcm_columns`` call,

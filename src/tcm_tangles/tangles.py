@@ -38,10 +38,10 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .tensor import (
-    ATOM_ROWS,
     RANK_TOL,
     DensityMatrix,
     PureState,
+    four_rows,
     partial_trace,
     purity,
     tcm_field_dim,
@@ -512,19 +512,20 @@ def tcm_columns(
     pair is purified by the other atom.  Each column is bit-identical
     whichever others are named, and however the states are chunked.
 
-    W is read one chunk at a time, for a Wootters factor and rho_AA; their
-    per-chunk parts are joined, and everything after them, ``_wootters_batch``
-    too, runs once over all N states.  The kernels take the batch axis last
-    (W as (4, D, N), rho_AA as (4, 4, N)), so each step is one contiguous
-    pass over N; the rank certificate, and with at most three field columns
-    rho_AA and the Wootters form, are explicit products of these (N,)
-    planes, of the four rows.  With more, ``np.vecdot`` forms the Gram
-    matrix of the rows on the (N, rows, D) layout, conjugating inside its
-    dot product, so no conjugated copy of W is made, and ``_thin_factor``
-    reduces each chunk's rows to a factor of one column per row: four
-    columns take the SVD, and three, for exchange-symmetric rows, the
-    closed form.  The three-row parts are spread to ee, eg, ge, gg once,
-    after the join, in the C order of the four-row parts.  No step
+    W is read one chunk at a time, for ``tau_AA`` and rho_AA; their
+    per-chunk parts are joined, and everything after them runs once over
+    all N states.  The kernels take the batch axis last (W as (4, D, N),
+    rho_AA as (4, 4, N)), so each step is one contiguous pass over N; the
+    rank certificate, and with at most three field columns rho_AA and the
+    Wootters form, are explicit products of these (N,) planes of the four
+    rows, the Wootters form taken per chunk.  With more, ``np.vecdot``
+    forms the Gram matrix of the rows on the (N, rows, D) layout,
+    conjugating inside its dot product, so no conjugated copy of W is
+    made, and ``_thin_factor`` reduces each chunk's rows to a factor of
+    one column per row.  These parts are joined, three rows are spread to
+    ee, eg, ge, gg in the C order of four, and ``_wootters_batch`` runs
+    once per call: four columns take the SVD, and three, for
+    exchange-symmetric rows, the closed form.  No step
     multiplies the planes as one matrix: that BLAS-3 call starts OpenBLAS
     threads in each forked sweep worker, and two workers on two cores then
     ran a 2x2x3 block about three times slower.
@@ -545,28 +546,23 @@ def tcm_columns(
         if m.shape[1:] != layout:
             raise ValueError(f"states of (rows, D) {layout} and {m.shape[1:]} in one call; "
                              "every state needs the same field dimension and rows")
-        (k, d), count = layout, count + len(m)
+        d, count = layout[1], count + len(m)
         # at most three field columns: contiguous (4, D, N) planes of the four rows
         planes = d <= 3
-        four = m.take(ATOM_ROWS[3], 1) if k == 3 and planes else m
-        w = np.ascontiguousarray(np.moveaxis(four, 0, -1)) if planes else m
+        if planes:
+            w = np.ascontiguousarray(np.moveaxis(four_rows(m, 1), 0, -1))
         if full or "tau_AA" in names:
-            taus.append(w if planes else _thin_factor(m))
+            taus.append(_wootters_batch(w) if planes else _thin_factor(m))
         if need_rho:
             rhos.append(_rho_planes(w) if planes else np.vecdot(m[:, None], m[:, :, None]))
     if not count:
         raise ValueError("tcm_columns needs at least one state")
-    # parts join batch last as planes, else first; take spreads three rows to four in C order
-    axis, cols, spread, three = (-1 if planes else 0), {}, ATOM_ROWS[3], k == 3 and not planes
-    if taus:
-        f = _join(taus, axis)
-        f = f.take(spread, 1) if three else f
-        cols["tau_AA"] = _wootters_batch(f if planes else np.moveaxis(f, 0, -1))
+    cols = {"tau_AA": _join(taus, 0)} if taus else {}
+    if taus and not planes:  # the joined factors, batch first
+        cols["tau_AA"] = _wootters_batch(np.moveaxis(four_rows(cols["tau_AA"], 1), 0, -1))
     if need_rho:
-        rho_aa = _join(rhos, axis)
-        rho_aa = rho_aa.take(spread, 1).take(spread, 2) if three else rho_aa
         # vecdot's (N, 4, 4) rho_AA is read as (4, 4, N), a layout einsum's summation order follows
-        rho_aa = rho_aa if planes else np.moveaxis(rho_aa, 0, -1)
+        rho_aa = _join(rhos, -1) if planes else np.moveaxis(four_rows(_join(rhos, 0), 1, 2), 0, -1)
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
     if full or "field_eff_dim" in names:

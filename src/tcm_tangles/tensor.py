@@ -43,6 +43,13 @@ def finite_real(name: str, value) -> float:
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
+def four_rows(x: np.ndarray, *axes: int) -> np.ndarray:
+    """``x`` with three rows (ee, eg, gg) on each of ``axes`` spread to four; four stay as is."""
+    for axis in axes:
+        x = x.take(ATOM_ROWS[3], axis) if x.shape[axis] == 3 else x
+    return x
+
+
 def finite_reals(name: str, values) -> np.ndarray:
     """``values`` as a float array of their shape; ValueError unless each entry
     passes ``finite_real``.  An empty array, such as an empty time grid, passes."""

@@ -222,7 +222,8 @@ def test_run_scenario_chunk_invariant(monkeypatch):
     monkeypatch.setattr(workers, "allowed_cpus", lambda: 1)
     default = tt.run_scenario(config)
     # dynamics.CHUNK_BUDGET sets the evolution chunks and the segment rule, and
-    # scenarios.BATCH the points of one evolve_series and one tcm_columns call;
+    # scenarios.BATCH the points of one TcmPropagator._evolve_rows call, which yields
+    # (N, 3, D) chunks for this exchange-symmetric start, and one tcm_columns call;
     # with two CPUs a budget of 1 forks two segments
     for cpus in (1, 2) if hasattr(os, "fork") else (1,):
         monkeypatch.setattr(workers, "allowed_cpus", lambda: cpus)
@@ -514,10 +515,12 @@ def test_compare_grid_must_reach_window():
 def test_compare_checks_config_before_the_exact_run(monkeypatch):
     # a fock field, a singlet component, mean_n <= 1/2 and a grid that misses
     # the window all fail from the config alone; none may wait for the run
-    def no_run(self, state, times):
+    def no_run(self, state, times, n0=0):
         raise AssertionError("the exact run started")
 
-    monkeypatch.setattr(tt.TcmPropagator, "evolve_series", no_run)
+    # scenarios evolve through _evolve_rows; evolve_series is its public four-row form
+    for method in ("_evolve_rows", "evolve_series"):
+        monkeypatch.setattr(tt.TcmPropagator, method, no_run)
     base = dict(atomic="ee", field="coherent", mean_n=100.0, t_max=140.0, steps=50)
     bad_configs = [
         dict(field="fock", mean_n=None, n=3),
