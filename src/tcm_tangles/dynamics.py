@@ -72,9 +72,8 @@ def _norm(vec: np.ndarray) -> float:
 
 def fock_state(n: int, n_max: int) -> np.ndarray:
     """Photon-number state |n> as a vector of length n_max + 1."""
-    n, n_max = whole_number("fock label", n), whole_number("n_max", n_max)
-    if not 0 <= n <= n_max:
-        raise ValueError(f"fock label {n} outside truncation 0..{n_max}")
+    n_max = whole_number("n_max", n_max, 0)
+    n = whole_number("fock label", n, 0, n_max)
     vec = np.zeros(n_max + 1, dtype=complex)
     vec[n] = 1.0
     return vec
@@ -87,9 +86,7 @@ def coherent_state(mean_n: float) -> np.ndarray:
     below ``TAIL_MASS``; the truncated vector, of length n_max + 1, is
     re-normalized.
     """
-    mean_n = finite_real("mean photon number", mean_n)
-    if mean_n < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean_n!r}")
+    mean_n = finite_real("mean photon number", mean_n, 0)
     if mean_n == 0:
         return np.ones(1, dtype=complex)
     # P(n) from logs to stay finite at large mean_n.  The tail mass beyond
@@ -136,20 +133,13 @@ def initial_state(atomic, field: np.ndarray, n_max: int) -> PureState:
     """Product state (two atoms) x (field vector), zero-padded to the photon cutoff n_max."""
     at = atomic_state(atomic)
     fv = np.asarray(field, dtype=complex).ravel()
-    d = whole_number("n_max", n_max) + 1
+    d = whole_number("n_max", n_max, 0) + 1
     if fv.size > d:
         raise ValueError("field vector longer than the declared truncation")
     fv = np.concatenate([fv, np.zeros(d - fv.size, dtype=complex)])
     amps = np.kron(at, fv)
     amps /= _norm(amps)
     return PureState(SystemShape((2, 2, d)), amps)
-
-
-def _check_offset(n0) -> int:
-    n0 = whole_number("n0", n0)
-    if n0 < 0:
-        raise ValueError(f"n0 must be at least 0, got {n0}")
-    return n0
 
 
 def _coupling(amps: np.ndarray, field_dim: int, n0: int = 0) -> np.ndarray:
@@ -226,7 +216,7 @@ class TcmPropagator:
         """``evolve_series`` as checked (N, 3, D) chunks of the rows (ee, eg, gg)
         from an exchange-symmetric start, and as (N, 4, D) chunks from any other."""
         d = tcm_field_dim(state)
-        n0 = _check_offset(n0)
+        n0 = whole_number("n0", n0, 0)
         amps = state.amplitudes
         k_ref = excitation_distribution(state)
         rabi = rabi_frequencies(d, n0)
@@ -243,7 +233,7 @@ class TcmPropagator:
         h2 = _coupling(h1, d, n0) / safe  # H^2 psi / Omega^2
         psi0, h2, ih1 = (x.reshape(4, d) for x in (amps, h2, 1j * h1))
         # rows ee, eg and gg where row ge is row eg, bit for bit
-        rows = (0, 1, 3) if _exchange_symmetric(psi0, h2, ih1) else (0, 1, 2, 3)
+        rows = (0, 1, 3) if _exchange_symmetric(psi0) else (0, 1, 2, 3)
         for start in range(0, times.size, step):
             t = times[start:start + step]
             u = np.tan(0.5 * t[:, None] * rabi)  # tan(Omega_K t/2), one vectorized call
@@ -298,9 +288,11 @@ def evolve(state: PureState, t: float) -> PureState:
     return PureState(state.shape, out[0])
 
 
-def _exchange_symmetric(*planes: np.ndarray) -> bool:
-    """True if the eg and ge rows of each (4, D) plane hold the same bits (signed zeros too)."""
-    return all(p[1].tobytes() == p[2].tobytes() for p in planes)
+def _exchange_symmetric(psi0: np.ndarray) -> bool:
+    """True if rows eg and ge of a (4, D) start hold the same bits (signed zeros too).
+    ``_coupling`` sums rows eg and ge of H psi from the same two terms in the same order,
+    the ee term then the gg term, so those rows of H psi and H^2 psi always match."""
+    return psi0[1].tobytes() == psi0[2].tobytes()
 
 
 def chunk_times(state: PureState) -> int:

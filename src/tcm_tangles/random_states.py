@@ -35,9 +35,7 @@ def haar_pure_batch(total_dim: int, count: int, rng: np.random.Generator) -> np.
     Consumes the stream strictly sequentially, so splitting a batch into
     chunks reproduces the unchunked draw.
     """
-    count, total_dim = whole_number("count", count), whole_number("total_dim", total_dim)
-    if count < 0 or total_dim < 1:
-        raise ValueError(f"need count >= 0 and total_dim >= 1, got {count} and {total_dim}")
+    count, total_dim = whole_number("count", count, 0), whole_number("total_dim", total_dim, 1)
     z = rng.standard_normal((count, total_dim, 2))
     # each (re, im) pair read in place as one complex number
     vecs = z.view(np.complex128)[..., 0]
@@ -116,11 +114,7 @@ def positivity_sweep(dims: Sequence[int], samples: int, seed: int = 0) -> SweepR
     dims = SystemShape(dims).dims
     if dims not in SWEEP_DIMS:
         raise ValueError(f"unsupported dims {dims}; choose from {SWEEP_DIMS}")
-    samples, seed = whole_number("samples", samples), whole_number("seed", seed)
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must lie in 1 .. {MAX_SAMPLES}, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    samples, seed = whole_number("samples", samples, 1, MAX_SAMPLES), whole_number("seed", seed, 0)
 
     job = functools.partial(_sweep_block, dims, samples, seed)
     best_value, best_state, below = np.inf, None, []

@@ -38,33 +38,17 @@ from .tensor import PureState, finite_real, whole_number
 
 LOW_TAIL_MASS = 1e-32  # a coherent field's cut lower tail: below float64 resolution next to 1
 MAX_STEPS = 10**7  # the grid and seven 8-byte columns, written in place, take 640 MB
-MAX_PHOTONS = 10**5  # n, mean_n and scaling photon numbers; see _check_photons
+# n, mean_n and scaling photon numbers, bounded before any field vector is allocated.  A run
+# holds several 4*D-wide amplitude vectors over its photon window of D photons.  D is 11 for a
+# number state at any n >= 5 and about 18 sqrt(mean_n) for a coherent field, but
+# ``coherent_state`` builds the Poisson weights from photon 0, so the bound keeps that O(n)
+# work small.  A 2000-point scenario at MAX_PHOTONS peaks at 3.2 MiB of allocations (35 MiB
+# RSS) for a number state, which runs in-process, and 7.4 MiB for a coherent field, whose
+# segments fork (38 MiB RSS in the calling process, 33 MiB in each worker).
+MAX_PHOTONS = 10**5
 # evolution chunks each forked segment must get: fewer do not repay a fork and its reaping
 SEGMENT_CHUNKS = 8
 BATCH = dynamics.CHUNK_BUDGET // 256  # states per tcm_columns call: rho_AA takes 256 B a state
-
-
-def _check_steps(steps) -> int:
-    steps = whole_number("steps", steps)
-    if not 2 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must lie in 2 .. {MAX_STEPS}, got {steps}")
-    return steps
-
-
-def _check_photons(name: str, value, low: int = 0) -> None:
-    """Bound a photon number before any field vector is allocated.
-
-    A run holds several 4*D-wide amplitude vectors over its photon window
-    of D photons.  D is 11 for a number state at any n >= 5 and about
-    18 sqrt(mean_n) for a coherent field, but
-    ``coherent_state`` builds the Poisson weights from photon 0, so the
-    bound keeps that O(n) work small.  A 2000-point scenario at MAX_PHOTONS
-    peaks at 3.2 MiB of allocations (35 MiB RSS) for a number state, which
-    runs in-process, and 7.4 MiB for a coherent field, whose segments fork
-    (38 MiB RSS in the calling process, 33 MiB in each worker).
-    """
-    if not low <= value <= MAX_PHOTONS:
-        raise ValueError(f"{name} must lie in {low} .. {MAX_PHOTONS}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +66,9 @@ class ScenarioConfig:
         object.__setattr__(self, "t_max", finite_real("t_max", self.t_max))
         if self.mean_n is not None:
             object.__setattr__(self, "mean_n", finite_real("mean_n", self.mean_n))
-        object.__setattr__(self, "steps", _check_steps(self.steps))
+        object.__setattr__(self, "steps", whole_number("steps", self.steps, 2, MAX_STEPS))
         if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+            raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
         if not math.isfinite(self.t_max / (self.steps - 1) * (self.steps - 1)):  # as np.linspace
             raise ValueError(f"t_max = {self.t_max!r} overflows the grid of {self.steps} points")
         if self.field not in ("fock", "coherent"):
@@ -92,12 +76,11 @@ class ScenarioConfig:
         if self.field == "fock":
             if self.n is None or self.mean_n is not None:
                 raise ValueError("a fock field takes n and no mean_n")
-            object.__setattr__(self, "n", whole_number("n", self.n))
-            _check_photons("n", self.n)
+            object.__setattr__(self, "n", whole_number("n", self.n, 0, MAX_PHOTONS))
         else:
             if self.mean_n is None or self.n is not None:
                 raise ValueError("a coherent field takes mean_n and no n")
-            _check_photons("mean_n", self.mean_n)
+            finite_real("mean_n", self.mean_n, 0, MAX_PHOTONS)
         atomic_state(self.atomic)
 
 
@@ -282,12 +265,10 @@ def scaling_study(ns: Sequence[int], steps: int = 400) -> ScalingResult:
     slowest harmonic is scanned per n and the peak Wootters tangle
     recorded; the log-log slope against n estimates the falloff power.
     """
-    ns = tuple(whole_number("scaling photon numbers", n) for n in ns)
+    ns = tuple(whole_number("scaling photon numbers", n, 2, MAX_PHOTONS) for n in ns)
     if len(set(ns)) < 3:
         raise ValueError("scaling needs at least 3 distinct photon numbers")
-    for n in ns:
-        _check_photons("scaling photon numbers", n, low=2)
-    steps = _check_steps(steps)
+    steps = whole_number("steps", steps, 2, MAX_STEPS)
 
     peaks = []
     for n in ns:

@@ -332,11 +332,8 @@ def convex_roof_itangle(rho: DensityMatrix, restarts: int = 20, seed: int = 0) -
     Results are deterministic per ``seed`` (a whole number >= 0), and the
     value after k restarts is at least the value after k' > k.
     """
-    restarts, seed = whole_number("restarts", restarts), whole_number("seed", seed)
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise ValueError(f"restarts must be >= 1 and at most {MAX_RESTARTS}, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    restarts = whole_number("restarts", restarts, 1, MAX_RESTARTS)
+    seed = whole_number("seed", seed, 0)
     from scipy.optimize import minimize  # imported here: no run-time path calls the roof
 
     if len(rho.dims) != 2:

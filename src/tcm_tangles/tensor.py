@@ -24,22 +24,32 @@ BOOLS = (bool, np.bool_)  # truth values: never a count, a dimension or an index
 ATOM_ROWS = {4: (0, 1, 2, 3), 3: (0, 1, 1, 2)}
 
 
-def whole_number(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is a whole number (NaN, inf and bools are not)."""
+def _in_range(name: str, value, low, high):
+    """``value``; ValueError unless ``low <= value <= high`` (``high`` = inf bounds nothing)."""
+    if low <= value <= high:
+        return value
+    bounds = f"be >= {low}" if high == math.inf else f"lie in {low} .. {high}"
+    raise ValueError(f"{name} must {bounds}, got {value!r}")
+
+
+def whole_number(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int in ``low .. high`` (no upper bound if ``high`` is None);
+    ValueError unless it is a whole number (NaN, inf and bools are not) in that range."""
     try:
-        if not isinstance(value, BOOLS) and value == int(value):
-            return int(value)
+        whole = not isinstance(value, BOOLS) and value == int(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return _in_range(name, int(value), low, math.inf if high is None else high)
 
 
-def finite_real(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is a finite real number
-    (NaN, inf, bools, strings and ints beyond the float range are not)."""
+def finite_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float in ``low .. high``; ValueError unless it is a finite real number
+    (NaN, inf, bools, strings and ints beyond the float range are not) in that range."""
     if isinstance(value, numbers.Real) and not isinstance(value, BOOLS):
         if abs(value) <= sys.float_info.max:  # exact for ints; NaN fails too
-            return float(value)
+            return _in_range(name, float(value), low, high)
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -70,11 +80,9 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(whole_number("factor dimension", d) for d in self.dims)
+        dims = tuple(whole_number("factor dimension", d, 1) for d in self.dims)
         if len(dims) == 0:
             raise ValueError("SystemShape needs at least one factor")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 1, got {dims}")
         if math.prod(dims) > sys.maxsize:  # no array can index more
             raise ValueError(f"total dimension of {dims} exceeds {sys.maxsize}")
         object.__setattr__(self, "dims", dims)

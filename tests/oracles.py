@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from tcm_tangles import DensityMatrix, PureState, partial_trace, purity, rank2_itangle
-from tcm_tangles.dynamics import _check_offset, _coupling
+from tcm_tangles.dynamics import _coupling
 from tcm_tangles.tangles import _wootters_batch
-from tcm_tangles.tensor import RANK_TOL, tcm_field_dim
+from tcm_tangles.tensor import RANK_TOL, tcm_field_dim, whole_number
 
 
 def haar_vec(rng, dim):
@@ -53,7 +53,8 @@ def energy_expectation(state: PureState, n0: int = 0) -> float:
     """<psi|H psi> in units of g (conserved under evolve), for a state whose
     field index 0 is photon n0."""
     amps = state.amplitudes
-    return float(np.vdot(amps, _coupling(amps, tcm_field_dim(state), _check_offset(n0))).real)
+    h_amps = _coupling(amps, tcm_field_dim(state), whole_number("n0", n0, 0))
+    return float(np.vdot(amps, h_amps).real)
 
 
 def revival_peak_time(

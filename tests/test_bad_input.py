@@ -11,6 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import tcm_tangles as tt
+from tcm_tangles.random_states import MAX_SAMPLES
+from tcm_tangles.scenarios import MAX_PHOTONS, MAX_STEPS
+from tcm_tangles.tangles import MAX_RESTARTS
 
 FRACTION = 2.5  # bad for a whole argument, good for a real one
 HUGE = 10**400  # beyond every float, but a whole number: a good seed
@@ -30,6 +33,10 @@ def fock_config(n=3, **kw):
     return tt.ScenarioConfig(atomic="ee", field="fock", n=n, **kw)
 
 
+def coherent_config(mean_n):
+    return tt.ScenarioConfig(atomic="ee", field="coherent", mean_n=mean_n)
+
+
 # numpy's refusal of an array length beyond its index range
 TOO_LONG = "|Maximum allowed dimension exceeded"
 
@@ -39,7 +46,7 @@ TOO_LONG = "|Maximum allowed dimension exceeded"
 # finite real number, and "times", a time grid, an empty one too.
 CASES = {
     "fock_state n": ("whole", lambda v: tt.fock_state(v, 5), "fock label"),
-    "fock_state n_max": ("whole", lambda v: tt.fock_state(0, v), "n_max|truncation" + TOO_LONG),
+    "fock_state n_max": ("whole", lambda v: tt.fock_state(0, v), "n_max" + TOO_LONG),
     "SystemShape dims": ("whole", lambda v: tt.SystemShape((2, v)), "dimension"),
     "partial_trace keep": ("whole", lambda v: tt.partial_trace(PSI, (v,)), "keep indices"),
     "haar_pure_batch total_dim": (
@@ -58,7 +65,7 @@ CASES = {
         "real", lambda v: tt.ScenarioConfig(atomic="ee", field="coherent", mean_n=v), "mean_n"
     ),
     "initial_state n_max": (
-        "whole", lambda v: tt.initial_state("ee", [1.0], v), "n_max|truncation" + TOO_LONG
+        "whole", lambda v: tt.initial_state("ee", [1.0], v), "n_max" + TOO_LONG
     ),
     "coherent_state mean_n": ("real", tt.coherent_state, "mean photon number"),
     "approx_tau_F_AA mean_n": ("real", lambda v: tt.approx_tau_F_AA("ee", GT, v), "mean"),
@@ -102,3 +109,64 @@ def test_bad_arguments_are_one_line_value_errors(case, value):
     with pytest.raises(ValueError, match=pattern) as refused:
         call(value)
     assert "\n" not in str(refused.value)
+
+
+# (call with the value, the name its message gives, int or float, low, high or
+# None for no upper bound, the bounds the call takes without running anything)
+BOUNDS = {
+    "fock_state n": (lambda v: tt.fock_state(v, 5), "fock label", int, 0, 5, (0, 5)),
+    "fock_state n_max": (lambda v: tt.fock_state(0, v), "n_max", int, 0, None, (0,)),
+    "initial_state n_max": (
+        lambda v: tt.initial_state("ee", [1.0], v), "n_max", int, 0, None, (0,)
+    ),
+    "evolve_series n0": (
+        lambda v: list(tt.TcmPropagator().evolve_series(EXCITED, GT, v)), "n0", int, 0, None, ()
+    ),
+    "SystemShape dims": (lambda v: tt.SystemShape((2, v)), "factor dimension", int, 1, None, (1,)),
+    "haar_pure_batch count": (lambda v: tt.haar_pure_batch(4, v, RNG), "count", int, 0, None, ()),
+    "haar_pure_batch total_dim": (
+        lambda v: tt.haar_pure_batch(v, 2, RNG), "total_dim", int, 1, None, ()
+    ),
+    "positivity_sweep samples": (
+        lambda v: tt.positivity_sweep((2, 2, 3), v), "samples", int, 1, MAX_SAMPLES, ()
+    ),
+    "positivity_sweep seed": (
+        lambda v: tt.positivity_sweep((2, 2, 3), 10, v), "seed", int, 0, None, ()
+    ),
+    "convex_roof_itangle restarts": (
+        lambda v: tt.convex_roof_itangle(RHO, restarts=v), "restarts", int, 1, MAX_RESTARTS, ()
+    ),
+    "convex_roof_itangle seed": (
+        lambda v: tt.convex_roof_itangle(RHO, restarts=1, seed=v), "seed", int, 0, None, ()
+    ),
+    "ScenarioConfig steps": (
+        lambda v: fock_config(steps=v), "steps", int, 2, MAX_STEPS, (2, MAX_STEPS)
+    ),
+    "ScenarioConfig n": (lambda v: fock_config(n=v), "n", int, 0, MAX_PHOTONS, (0, MAX_PHOTONS)),
+    "ScenarioConfig mean_n": (coherent_config, "mean_n", float, 0, MAX_PHOTONS, (MAX_PHOTONS,)),
+    "coherent_state mean_n": (tt.coherent_state, "mean photon number", float, 0, None, (0,)),
+    "scaling_study ns": (
+        lambda v: tt.scaling_study((v, 10, 20)), "scaling photon numbers", int, 2, MAX_PHOTONS, ()
+    ),
+    "scaling_study steps": (
+        lambda v: tt.scaling_study((5, 10, 20), v), "steps", int, 2, MAX_STEPS, ()
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS))
+def test_each_bound_refuses_the_value_past_it_and_takes_the_bound(case):
+    call, name, kind, low, high, taken = BOUNDS[case]
+    rule = f"must be >= {low}" if high is None else f"must lie in {low} .. {high}"
+    for value in (low - 1,) if high is None else (low - 1, high + 1):
+        with pytest.raises(ValueError) as refused:
+            call(value)
+        assert str(refused.value) == f"{name} {rule}, got {kind(value)!r}"
+    for value in taken:
+        call(value)
+
+
+def test_t_max_refusal_names_its_value():
+    for t_max in (-1.0, 0):
+        with pytest.raises(ValueError, match=rf"^t_max must be > 0, got {float(t_max)!r}$"):
+            fock_config(t_max=t_max)

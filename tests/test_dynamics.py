@@ -282,7 +282,7 @@ def test_bottom_guard_band_trips_on_an_offset_window():
     low = tt.initial_state("ee", tt.fock_state(1, d - 1), d - 1)
     with pytest.raises(tt.TruncationError, match=r"bottom edge .* at t=0 "):
         list(tt.TcmPropagator().evolve_series(low, [0.5], _N0))
-    with pytest.raises(ValueError, match="n0 must be at least 0"):
+    with pytest.raises(ValueError, match="^n0 must be >= 0, got -1$"):
         list(tt.TcmPropagator().evolve_series(low, [0.5], -1))
 
 
@@ -345,6 +345,30 @@ def test_three_row_evolution_is_the_four_row_loop_bit_for_bit(field, monkeypatch
         assert len(fast) == len(four), atomic
         for a, b in zip(fast, four):
             assert a.tobytes() == b.tobytes(), atomic
+
+
+@pytest.mark.parametrize("n0", [0, 3])
+def test_rows_eg_and_ge_of_h_psi_hold_the_same_bits_from_any_start(n0):
+    # _coupling sums rows eg and ge of H psi from the same two terms in the
+    # same order (the ee term, then the gg term), so rows eg and ge of
+    # H psi / Omega and H^2 psi / Omega^2, as the propagator forms them, hold
+    # the same bits from the singlet and from a raw asymmetric start too: the
+    # start's own rows eg and ge decide exchange symmetry
+    rng = np.random.default_rng(11)
+    d = 9
+    field = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    singlet = np.kron(tt.atomic_state("singlet"), field)
+    raw = (rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))).ravel()
+    rabi = rabi_frequencies(d, n0)
+    safe = np.where(rabi > 0.0, rabi, 1.0)[excitation_map(d)]
+    # the singlet is dark: its rows ee and gg, and so rows eg and ge of H psi, are zero
+    for start, lit in ((singlet, False), (raw, True)):
+        assert not dynamics._exchange_symmetric(start.reshape(4, d))
+        h1 = dynamics._coupling(start, d, n0) / safe
+        h2 = dynamics._coupling(h1, d, n0) / safe
+        for h in (h1, h2):
+            rows = h.reshape(4, d)
+            assert np.any(rows[1]) == lit and rows[1].tobytes() == rows[2].tobytes()
 
 
 def _symmetric_rows(d, **amps):

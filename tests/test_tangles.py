@@ -862,7 +862,7 @@ def test_roof_identity_start_bounds_eigendecomposition():
 
 
 def test_roof_options_validation():
-    with pytest.raises(ValueError, match="restarts must be >= 1"):
+    with pytest.raises(ValueError, match=r"^restarts must lie in 1 \.\. 10000, got 0$"):
         tt.convex_roof_itangle(tt.DensityMatrix((2, 2), werner(0.8)), restarts=0)
 
 
