@@ -114,13 +114,13 @@ def atomic_state(spec: Union[str, Sequence[complex], np.ndarray]) -> np.ndarray:
     finite nonzero norm, and is normalized here.
     """
     if isinstance(spec, str):
-        try:
-            return ATOMIC_STATES[spec].copy()
-        except KeyError:
-            raise ValueError(
-                f"unknown atomic state {spec!r}; choose from {sorted(ATOMIC_STATES)}"
-            ) from None
-    vec = np.asarray(spec, dtype=complex).ravel()
+        if spec not in ATOMIC_STATES:
+            raise ValueError(f"unknown atomic state {spec!r}; choose from {sorted(ATOMIC_STATES)}")
+        return ATOMIC_STATES[spec].copy()
+    try:
+        vec = np.asarray(spec, dtype=complex).ravel()
+    except (TypeError, ValueError):  # a dict, a string entry: no complex numbers
+        raise ValueError("raw atomic amplitudes must be numbers") from None
     if vec.size != 4:
         raise ValueError("raw atomic amplitudes must have length 4")
     norm = np.linalg.norm(vec)
@@ -132,12 +132,16 @@ def atomic_state(spec: Union[str, Sequence[complex], np.ndarray]) -> np.ndarray:
 def initial_state(atomic, field: np.ndarray, n_max: int) -> PureState:
     """Product state (two atoms) x (field vector), zero-padded to the photon cutoff n_max."""
     at = atomic_state(atomic)
-    fv = np.asarray(field, dtype=complex).ravel()
+    try:
+        fv = np.asarray(field, dtype=complex).ravel()  # None becomes [nan], refused below
+    except (TypeError, ValueError):
+        raise ValueError("field vector must be numbers") from None
     d = whole_number("n_max", n_max, 0) + 1
     if fv.size > d:
-        raise ValueError("field vector longer than the declared truncation")
-    fv = np.concatenate([fv, np.zeros(d - fv.size, dtype=complex)])
-    amps = np.kron(at, fv)
+        raise ValueError(f"field vector has {fv.size} entries, more than n_max + 1 = {d}")
+    if not 0.0 < _norm(fv) < math.inf:  # a NaN norm fails both
+        raise ValueError("field vector must be finite and not all zero")
+    amps = np.kron(at, np.concatenate([fv, np.zeros(d - fv.size, dtype=complex)]))
     amps /= _norm(amps)
     return PureState(SystemShape((2, 2, d)), amps)
 

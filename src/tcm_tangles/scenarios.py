@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -100,6 +100,10 @@ def preset_config(name: Optional[str] = None, **overrides) -> ScenarioConfig:
     """
     if name is not None and name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    settings = [f.name for f in fields(ScenarioConfig)]
+    unknown = [key for key in overrides if key not in settings]
+    if unknown:
+        raise ValueError(f"unknown setting {unknown[0]!r}; choose from {settings}")
     merged = {**PRESETS.get(name, {}), **overrides}
     kind, n, mean_n = (overrides.get(key) for key in ("field", "n", "mean_n"))
     if (kind == "fock" or n is not None) and mean_n is None:

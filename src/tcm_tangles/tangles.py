@@ -468,9 +468,9 @@ def _field_rank(rho: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _join(parts: list, axis: int) -> np.ndarray:
-    """Per-chunk parts joined along their batch ``axis``; a single part is not copied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
+def _join(parts: list) -> np.ndarray:
+    """Per-chunk parts joined along their leading batch axis; a single part is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _rho_planes(w: np.ndarray) -> np.ndarray:
@@ -509,30 +509,23 @@ def tcm_columns(
     pair is purified by the other atom.  Each column is bit-identical
     whichever others are named, and however the states are chunked.
 
-    W is read one chunk at a time, for ``tau_AA`` and rho_AA; their
-    per-chunk parts are joined, and everything after them runs once over
-    all N states.  The kernels take the batch axis last (W as (4, D, N),
-    rho_AA as (4, 4, N)), so each step is one contiguous pass over N; the
-    rank certificate, and with at most three field columns rho_AA and the
-    Wootters form, are explicit products of these (N,) planes of the four
-    rows, the Wootters form taken per chunk.  With more, ``np.vecdot``
-    forms the Gram matrix of the rows on the (N, rows, D) layout,
-    conjugating inside its dot product, so no conjugated copy of W is
-    made, and ``_thin_factor`` reduces each chunk's rows to a factor of
-    one column per row.  These parts are joined, three rows are spread to
-    ee, eg, ge, gg in the C order of four, and ``_wootters_batch`` runs
-    once per call: four columns take the SVD, and three, for
-    exchange-symmetric rows, the closed form.  No step
-    multiplies the planes as one matrix: that BLAS-3 call starts OpenBLAS
-    threads in each forked sweep worker, and two workers on two cores then
-    ran a 2x2x3 block about three times slower.
+    Each chunk gives ``_thin_factor`` of its rows (the rows themselves for
+    at most three field columns) and, with more, their ``np.vecdot`` Gram
+    matrix.  The parts are joined, three rows spread to four in C order,
+    and the rest runs once over all N states, batch axis last: a NaN or
+    inf state is refused by its index, ``_wootters_batch`` takes the
+    factors as contiguous (4, k, N) planes, and rho_AA is (4, 4, N), the
+    Gram matrix or, for at most three field columns, the planes' products,
+    as in the rank certificate.  No BLAS-3 call multiplies the planes: it
+    starts OpenBLAS threads in each forked sweep worker, and two workers
+    on two cores then ran a 2x2x3 block about three times slower.
     """
     unknown = set(names) - set(SCENARIO_COLUMNS)
     if unknown:
         raise ValueError(f"unknown columns {sorted(unknown)}; choose from {SCENARIO_COLUMNS}")
     full = not {"tau_A_rest", "tau_AF", "tau_res"}.isdisjoint(names)
-    need_rho = full or bool(set(names) - {"tau_AA"})
-    taus, rhos, layout, count = [], [], None, 0
+    need_rho = full or set(names) != {"tau_AA"}
+    factors, grams, layout, count = [], [], None, 0
     for chunk in [amps] if isinstance(amps, np.ndarray) else amps:
         flat = chunk.ndim == 2 and chunk.shape[1] % 4 == 0
         m = chunk.reshape(len(chunk), 4, chunk.shape[1] // 4) if flat else chunk
@@ -544,22 +537,21 @@ def tcm_columns(
             raise ValueError(f"states of (rows, D) {layout} and {m.shape[1:]} in one call; "
                              "every state needs the same field dimension and rows")
         d, count = layout[1], count + len(m)
-        # at most three field columns: contiguous (4, D, N) planes of the four rows
-        planes = d <= 3
-        if planes:
-            w = np.ascontiguousarray(np.moveaxis(four_rows(m, 1), 0, -1))
-        if full or "tau_AA" in names:
-            taus.append(_wootters_batch(w) if planes else _thin_factor(m))
-        if need_rho:
-            rhos.append(_rho_planes(w) if planes else np.vecdot(m[:, None], m[:, :, None]))
+        if full or "tau_AA" in names or d <= 3:  # rho_AA's planes read these rows
+            factors.append(_thin_factor(m))
+        if need_rho and d > 3:
+            grams.append(np.vecdot(m[:, None], m[:, :, None]))
     if not count:
         raise ValueError("tcm_columns needs at least one state")
-    cols = {"tau_AA": _join(taus, 0)} if taus else {}
-    if taus and not planes:  # the joined factors, batch first
-        cols["tau_AA"] = _wootters_batch(np.moveaxis(four_rows(cols["tau_AA"], 1), 0, -1))
+    w = np.ascontiguousarray(np.moveaxis(four_rows(_join(factors), 1), 0, -1)) if factors else None
     if need_rho:
         # vecdot's (N, 4, 4) rho_AA is read as (4, 4, N), a layout einsum's summation order follows
-        rho_aa = _join(rhos, -1) if planes else np.moveaxis(four_rows(_join(rhos, 0), 1, 2), 0, -1)
+        rho_aa = _rho_planes(w) if d <= 3 else np.moveaxis(four_rows(_join(grams), 1, 2), 0, -1)
+    finite = np.isfinite(rho_aa.trace() if need_rho else w).reshape(-1, count).all(axis=0)
+    if not finite.all():  # one check a state: rho_AA's trace (its squared norm), else the factor
+        raise ValueError(f"state {np.argmin(finite)} has a NaN or inf amplitude or norm")
+    cols = {"tau_AA": _wootters_batch(w)} if full or "tau_AA" in names else {}
+    if need_rho:
         cols["tau_F_AA"] = 2.0 * (1.0 - np.einsum("abn,ban->n", rho_aa, rho_aa).real)
         cols["inversion"] = (rho_aa[0, 0] - rho_aa[3, 3]).real
     if full or "field_eff_dim" in names:

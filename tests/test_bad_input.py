@@ -5,6 +5,7 @@ refuses a bad value with a one-line ValueError that names what it refused
 import math
 import numbers
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import tcm_tangles as tt
 from tcm_tangles.random_states import MAX_SAMPLES
 from tcm_tangles.scenarios import MAX_PHOTONS, MAX_STEPS
-from tcm_tangles.tangles import MAX_RESTARTS
+from tcm_tangles.tangles import MAX_RESTARTS, SCENARIO_COLUMNS as COLUMNS
 
 FRACTION = 2.5  # bad for a whole argument, good for a real one
 HUGE = 10**400  # beyond every float, but a whole number: a good seed
@@ -170,3 +171,59 @@ def test_t_max_refusal_names_its_value():
     for t_max in (-1.0, 0):
         with pytest.raises(ValueError, match=rf"^t_max must be > 0, got {float(t_max)!r}$"):
             fock_config(t_max=t_max)
+
+
+
+ZERO = "field vector must be finite and not all zero"
+
+# (call, its whole one-line message): a field vector, raw atomic amplitudes
+# and a setting that the scenario does not take; none warns on the way
+REFUSALS = {
+    "initial_state field too long": (
+        lambda: tt.initial_state("ee", [1.0, 0, 0], 1),
+        "field vector has 3 entries, more than n_max + 1 = 2",
+    ),
+    "initial_state field zero": (lambda: tt.initial_state("ee", [0.0], 1), ZERO),
+    "initial_state field empty": (lambda: tt.initial_state("ee", [], 1), ZERO),
+    "initial_state field NaN": (lambda: tt.initial_state("ee", [1.0, math.nan], 1), ZERO),
+    "initial_state field inf": (lambda: tt.initial_state("ee", [math.inf, 0.0], 1), ZERO),
+    "initial_state field None": (lambda: tt.initial_state("ee", None, 1), ZERO),
+    "initial_state field strings": (
+        lambda: tt.initial_state("ee", ["a"], 1), "field vector must be numbers"
+    ),
+    "atomic_state dict": (lambda: tt.atomic_state({}), "raw atomic amplitudes must be numbers"),
+    "atomic_state string entry": (
+        lambda: tt.atomic_state([1, 0, 0, "x"]), "raw atomic amplitudes must be numbers"
+    ),
+    "preset_config unknown setting": (
+        lambda: tt.preset_config("fig1", foo=1),
+        "unknown setting 'foo'; choose from ['atomic', 'field', 'n', 'mean_n', 't_max', 'steps']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_scenario_inputs_are_refused_in_their_own_words(case):
+    call, message = REFUSALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("rows, d", [(4, 3), (3, 3), (4, 5), (3, 5)])
+def test_tcm_columns_refuses_a_non_finite_state_by_its_index(rows, d):
+    # NaN or inf in one amplitude of state 5 is one line, whichever columns
+    # are named and however the states are chunked: no SVD or eigensolver
+    # failure and no NaN column
+    amps = np.random.default_rng(3).standard_normal((8, rows, d)) + 0j
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        states = amps.copy()
+        states[5, 1, d - 1] = bad
+        for names in (("tau_AA",), ("tau_F_AA",), ("tau_res",), ("field_eff_dim",), COLUMNS):
+            for chunks in (states, [states[:2], states[2:]]):
+                # inf, unlike NaN, may warn in rho_AA's products before the check
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError) as refused:
+                    tt.tcm_columns(chunks, names)
+                assert str(refused.value) == "state 5 has a NaN or inf amplitude or norm", names

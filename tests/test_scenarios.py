@@ -83,8 +83,8 @@ def test_preset_overrides_and_unknown_name():
     assert cfg.steps == 100 and cfg.n == 10
     with pytest.raises(ValueError):
         preset_config("fig9")
-    with pytest.raises(TypeError):  # every time is gt: there is no coupling to set
-        preset_config("fig1", g=2.0)
+    with pytest.raises(ValueError, match=r"^unknown setting 'g'; choose from \['atomic', "):
+        preset_config("fig1", g=2.0)  # every time is gt: there is no coupling to set
 
 
 @pytest.mark.parametrize(
@@ -963,7 +963,7 @@ def test_tail_tol_is_not_a_setting(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unrecognized arguments: --tail-tol 1e-12" in err
         assert not out.exists()
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^unknown setting 'tail_tol'; choose from"):
         preset_config("fig2", tail_tol=1e-12)
     with pytest.raises(TypeError):
         tt.coherent_state(30.0, tail_tol=1e-12)

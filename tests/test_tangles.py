@@ -500,7 +500,8 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
     # call, a tau_AA-only call runs
     # no marginal spectrum (no field rank, no 4 x 4 eigvalsh, no _qubit_cut)
     # and no rank-2 kernel, and a tau_F_AA-only call (compare-approx) runs
-    # no eigensolve at all, nor Wootters
+    # no eigensolve at all, nor Wootters; every other call runs _wootters_batch
+    # once, on all its states, however they are chunked
     fig1 = evolve_preset(preset_config("fig1"), slice(None, None, 50))
     rng = np.random.default_rng(67)
     haar5 = np.array([haar_vec(rng, 20) for _ in range(30)])
@@ -530,11 +531,15 @@ def test_tcm_columns_subsets_match_the_full_call(monkeypatch):
                 (SCENARIO_COLUMNS, (), eigvalsh),
             ],
         ):
+            calls = []
             with monkeypatch.context() as patch:
+                patch.setattr(wootters, lambda w: calls.append(w.shape) or _wootters_batch(w))
                 for target in unused:
                     patch.setattr(target, _refuse)
                 patch.setattr(np.linalg, "eigvalsh", solve)
                 part = tcm_columns(states, names)
+            assert len(calls) == (wootters not in unused), names
+            assert all(shape[-1] == len(amps) for shape in calls), names
             assert list(part) == list(names)
             for name in names:
                 assert np.array_equal(part[name], full[name]), name
